@@ -25,6 +25,7 @@ from .flips import (
 )
 from .geometry import (
     Packing,
+    SurfaceMetrics,
     auxiliary_length,
     hinge_delaunay_margin,
     xi_discriminant,
@@ -279,16 +280,7 @@ def random_packing(
         radii = np.arctanh(rng.uniform(*tanh_range, size=surface.vertex_count))
         inv = rng.uniform(*inv_range, size=n_e)
         pk = Packing(inv, radii)
-        if not require_compact:
-            return pk
-        ok = True
-        for fid, face in enumerate(surface.faces):
-            face_radii = tuple(radii[v] for v in face.corners)
-            face_inv = tuple(inv[e] for e in face.sides)
-            if xi_discriminant(face_radii, face_inv) <= 0.0:
-                ok = False
-                break
-        if ok:
+        if not require_compact or np.all(SurfaceMetrics(surface, pk).xi > 0.0):
             return pk
     raise ConstructionInvalid(f"no valid packing found in {max_tries} draws")
 

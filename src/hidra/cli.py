@@ -101,8 +101,7 @@ def _failure_report(args, status, digest, exc, state=None):
     _say(f"error: {exc}")
 
 
-def cmd_validate(args):
-    surface, packing, target, digest = load_mesh(args.mesh)
+def cmd_validate(args, surface, packing, target, digest):
     from .geometry import validate_packing
 
     validate_packing(surface, packing)
@@ -123,8 +122,7 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def cmd_curvature(args):
-    surface, packing, target, digest = load_mesh(args.mesh)
+def cmd_curvature(args, surface, packing, target, digest):
     K, area = curvatures(surface, packing)
     report = build_report(
         status="converged",
@@ -141,9 +139,8 @@ def cmd_curvature(args):
     return EXIT_OK
 
 
-def cmd_delaunay(args):
+def cmd_delaunay(args, surface, packing, target, digest):
     settings = _settings(args)
-    surface, packing, target, digest = load_mesh(args.mesh)
     surface2, packing2, events = make_weighted_delaunay(
         surface,
         packing,
@@ -165,27 +162,18 @@ def cmd_delaunay(args):
     return EXIT_OK
 
 
-def cmd_solve(args):
+def cmd_solve(args, surface, packing, target_doc, digest):
     settings = _settings(args)
-    surface, packing, target_doc, digest = load_mesh(args.mesh)
     target = _solver_target(args, surface, target_doc)
-    try:
-        state = newton_solve(
-            surface,
-            packing,
-            target,
-            tol=settings["tol"],
-            max_iterations=int(settings["max_iters"]),
-            tol_delaunay=settings["tol_delaunay"],
-            flip_budget=settings["flip_budget"],
-        )
-    except (SolverStalled, MaxIterationsExceeded) as exc:
-        _failure_report(args, exc.state.status if exc.state else "stalled",
-                        digest, exc, exc.state)
-        return EXIT_NO_CONVERGENCE
-    except SurgeryDiverged as exc:
-        _failure_report(args, "surgery_diverged", digest, exc, exc.state)
-        return EXIT_DIVERGED
+    state = newton_solve(
+        surface,
+        packing,
+        target,
+        tol=settings["tol"],
+        max_iterations=int(settings["max_iters"]),
+        tol_delaunay=settings["tol_delaunay"],
+        flip_budget=settings["flip_budget"],
+    )
     report = build_report(status=state.status, digest=digest, state=state)
     _write_report(args, report)
     print(
@@ -195,27 +183,19 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def cmd_flow(args):
+def cmd_flow(args, surface, packing, target_doc, digest):
     settings = _settings(args)
-    surface, packing, target_doc, digest = load_mesh(args.mesh)
     target = _solver_target(args, surface, target_doc)
-    try:
-        state = ricci_flow(
-            surface,
-            packing,
-            target,
-            dt=float(settings["dt"]),
-            t_max=float(settings["t_max"]),
-            tol=settings["tol"],
-            tol_delaunay=settings["tol_delaunay"],
-            flip_budget=settings["flip_budget"],
-        )
-    except FlowStalled as exc:
-        _failure_report(args, "stalled", digest, exc, exc.state)
-        return EXIT_NO_CONVERGENCE
-    except SurgeryDiverged as exc:
-        _failure_report(args, "surgery_diverged", digest, exc, exc.state)
-        return EXIT_DIVERGED
+    state = ricci_flow(
+        surface,
+        packing,
+        target,
+        dt=float(settings["dt"]),
+        t_max=float(settings["t_max"]),
+        tol=settings["tol"],
+        tol_delaunay=settings["tol_delaunay"],
+        flip_budget=settings["flip_budget"],
+    )
     report = build_report(status=state.status, digest=digest, state=state)
     _write_report(args, report)
     print(
@@ -245,19 +225,29 @@ def cmd_verify(args):
 
 
 def _run_single(handler, args):
+    """Run one subcommand on its loaded mesh; failures become reports
+    that carry the input digest and any partial state."""
+    digest = None
     try:
-        return handler(args)
+        if getattr(args, "mesh", None) is None:
+            return handler(args)
+        surface, packing, target, digest = load_mesh(args.mesh)
+        return handler(args, surface, packing, target, digest)
     except (ParseError, ValidationError, TargetOutOfRange) as exc:
-        _failure_report(args, "invalid_input", None, exc)
+        _failure_report(args, "invalid_input", digest, exc)
         return EXIT_INVALID
+    except (SolverStalled, MaxIterationsExceeded, FlowStalled) as exc:
+        status = exc.state.status if exc.state else "stalled"
+        _failure_report(args, status, digest, exc, exc.state)
+        return EXIT_NO_CONVERGENCE
     except SurgeryDiverged as exc:
-        _failure_report(args, "surgery_diverged", None, exc, exc.state)
+        _failure_report(args, "surgery_diverged", digest, exc, exc.state)
         return EXIT_DIVERGED
     except NonCompactOrthocircle as exc:
-        _failure_report(args, "surgery_diverged", None, exc)
+        _failure_report(args, "surgery_diverged", digest, exc)
         return EXIT_DIVERGED
     except HidraError as exc:
-        _failure_report(args, "invalid_input", None, exc)
+        _failure_report(args, "invalid_input", digest, exc)
         return EXIT_INVALID
     except FileNotFoundError as exc:
         _say(f"error: {exc}")

@@ -8,6 +8,10 @@ class HidraError(Exception):
 class DomainError(HidraError, ValueError):
     """A numeric argument lies outside the domain of a formula."""
 
+    def __init__(self, message, face=None):
+        super().__init__(message)
+        self.face = face  # set by the array kernel
+
 
 class DegenerateTriangle(DomainError):
     """Hyperbolic triangle inequalities fail, or a cosine left [-1, 1]."""

@@ -9,11 +9,13 @@ distances are untouched, so the discrete conformal class is preserved.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonCompactOrthocircle, SurgeryDiverged
 from .geometry import (
     TOL_DELAUNAY,
     Packing,
-    face_metrics,
+    SurfaceMetrics,
     hinge_delaunay_margin,
 )
 from .ptolemy import (
@@ -69,7 +71,7 @@ def flip_edge(surface, packing, edge, iteration=0):
     except NonCompactOrthocircle:
         margin = math.nan
     new_surface = flip_combinatorial(surface, edge)
-    f = ptolemy_flip_value(*labels)
+    f = float(ptolemy_flip_value(*labels))
     new_inv = packing.inv.copy()
     new_inv[edge] = f
     return (
@@ -80,17 +82,9 @@ def flip_edge(surface, packing, edge, iteration=0):
 
 
 def surface_delaunay_margins(surface, packing):
-    """Delaunay margin of every edge (raises on non-compact faces)."""
-    for fid in range(len(surface.faces)):
-        fm = face_metrics(surface, packing, fid)
-        if fm.xi <= 0.0:
-            raise NonCompactOrthocircle(
-                f"face {fid} has Xi = {fm.xi:.3e} <= 0", face=fid, xi=fm.xi
-            )
-    return [
-        hinge_delaunay_margin(hinge(surface, eid), packing)
-        for eid in range(len(surface.edges))
-    ]
+    """(E,) array of every edge's Delaunay margin, from the array kernel
+    (raises NonCompactOrthocircle naming the first non-compact face)."""
+    return SurfaceMetrics(surface, packing).margins
 
 
 def make_weighted_delaunay(
@@ -106,19 +100,27 @@ def make_weighted_delaunay(
     most negative margin, ties broken by lowest edge id.  Edges within
     the tolerance band are treated as Delaunay and never flipped, which
     prevents two-cycles at degenerate hinges.  Returns the new surface,
-    packing, and the ordered flip log.
+    packing, and the ordered flip log.  Past the budget it raises
+    SurgeryDiverged carrying the partial SolveState: the surface,
+    packing and flip log reached so far.
     """
     if flip_budget is None:
         flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)
     events = []
     while True:
         margins = surface_delaunay_margins(surface, packing)
-        worst = min(range(len(margins)), key=lambda e: (margins[e], e))
+        worst = int(np.argmin(margins))  # first minimum: lowest edge id
         if margins[worst] >= -tol:
             return surface, packing, events
         if len(events) >= flip_budget:
+            from .solver import SolveState, u_from_r  # solver imports this module
+
             raise SurgeryDiverged(
-                f"exceeded flip budget of {flip_budget} flips", state=events
+                f"exceeded flip budget of {flip_budget} flips",
+                state=SolveState(
+                    surface, packing, u_from_r(packing.radii), None, None, None,
+                    "surgery_diverged", 0, events,
+                ),
             )
         surface, packing, event = flip_edge(surface, packing, worst, iteration)
         events.append(event)

@@ -6,22 +6,32 @@ is a pure function of (surface, packing): edge lengths, per-face
 discriminants, orthogonal circles, signed center distances, the local
 weighted Delaunay predicate, and isometric developments into the
 Poincare disk.
+
+Solvers, flip loop and reports take every metric quantity from one
+array kernel, ``SurfaceMetrics``; ``face_metrics`` and
+``hinge_delaunay_margin`` are its scalar reference.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
-from .hyptrig import acosh_stable, angle_from_sides, sinh_from_cosh
+from .hyptrig import TOL_DOMAIN, acosh_stable, angle_from_sides, sinh_from_cosh
 from .ptolemy import delta_discriminant, ptolemy_flip_value
 
 # Margin band within which a hinge counts as Delaunay and is never
 # flipped; the transition is C1 there, so either choice is consistent,
 # and not flipping prevents cycling at degenerate hinges.
 TOL_DELAUNAY = 1e-10
+
+# Face slot m is corner m and the side opposite it, which joins corners
+# NEXT[m] and PREV[m]; the angle at corner m lies between those sides.
+NEXT = np.array([1, 2, 0])
+PREV = np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -37,9 +47,6 @@ class Packing:
 
     def copy(self):
         return Packing(self.inv.copy(), self.radii.copy())
-
-    def with_radii(self, radii):
-        return Packing(self.inv.copy(), np.asarray(radii, dtype=float))
 
 
 def validate_packing(surface, packing, require_triangle_inequalities=True):
@@ -60,12 +67,14 @@ def validate_packing(surface, packing, require_triangle_inequalities=True):
     if not np.all(np.isfinite(packing.inv)) or np.any(packing.inv <= 1.0):
         raise DomainError("inversive distances must exceed 1")
     if require_triangle_inequalities:
-        for fid in range(len(surface.faces)):
-            fm = face_metrics(surface, packing, fid)
-            if not fm.triangle_inequalities_hold():
-                raise DegenerateTriangle(
-                    f"face {fid} violates the triangle inequalities"
-                )
+        m = SurfaceMetrics(surface, packing)
+        C, S = m.cosh_lengths, m.sinh_lengths
+        m.check(
+            (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1),
+            lambda f: DegenerateTriangle(
+                f"face {f} violates the triangle inequalities", face=f
+            ),
+        )
 
 
 def edge_cosh_length(r_i, r_j, inv):
@@ -109,8 +118,14 @@ def xi_discriminant(radii, inv):
     orthogonal circle of the face is a compact circle iff Xi > 0.
     """
     tp, tq, tr = (math.tanh(r) for r in radii)
-    a, b, c = inv
-    num = (
+    return _xi_numerator(tp, tq, tr, *inv) / (
+        (1.0 - tp * tp) * (1.0 - tq * tq) * (1.0 - tr * tr)
+    )
+
+
+def _xi_numerator(tp, tq, tr, a, b, c):
+    """Xi times prod(1 - tanh^2 r); elementwise on arrays."""
+    return (
         (1.0 - c * c) * tp * tp * tq * tq
         + (1.0 - b * b) * tp * tp * tr * tr
         + (1.0 - a * a) * tq * tq * tr * tr
@@ -119,25 +134,6 @@ def xi_discriminant(radii, inv):
         * tp
         * tq
         * tr
-    )
-    return num / ((1.0 - tp * tp) * (1.0 - tq * tq) * (1.0 - tr * tr))
-
-
-def xi_from_cosh(cosh_lengths, cosh_radii):
-    """Xi recomputed from cosh lengths and cosh radii (debug cross-check).
-
-    Algebraically equal to xi_discriminant but worse conditioned for
-    large radii, where the cosh values blow up.
-    """
-    x, y, z = cosh_lengths
-    p, q, r = cosh_radii
-    return (
-        p * p * (1.0 - x * x)
-        + q * q * (1.0 - y * y)
-        + r * r * (1.0 - z * z)
-        + 2.0 * p * q * (x * y - z)
-        + 2.0 * p * r * (x * z - y)
-        + 2.0 * q * r * (y * z - x)
     )
 
 
@@ -154,7 +150,6 @@ class FaceMetrics:
     sides: tuple
     radii: tuple
     cosh_radii: tuple
-    tanh_radii: tuple
     cosh_lengths: tuple
     inv: tuple
     xi: float
@@ -176,31 +171,146 @@ class FaceMetrics:
             angle_from_sides(z, x, y),
         )
 
-    def area(self):
-        return math.pi - math.fsum(self.angles())
-
 
 def face_metrics(surface, packing, face):
-    """Evaluate FaceMetrics for one face of the surface."""
+    """Evaluate FaceMetrics for one face of the surface (scalar
+    reference of SurfaceMetrics)."""
     f = surface.faces[face]
-    radii = tuple(float(packing.radii[v]) for v in f.corners)
-    inv = tuple(float(packing.inv[e]) for e in f.sides)
+    return _face_metrics(packing, face, f.corners, f.sides)
+
+
+def _face_metrics(packing, face, corners, sides):
+    radii = tuple(float(packing.radii[v]) for v in corners)
+    inv = tuple(float(packing.inv[e]) for e in sides)
     cosh_lengths = tuple(
         edge_cosh_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
         for m in range(3)
     )
     return FaceMetrics(
         face=face,
-        corners=f.corners,
-        sides=f.sides,
+        corners=corners,
+        sides=sides,
         radii=radii,
         cosh_radii=tuple(math.cosh(r) for r in radii),
-        tanh_radii=tuple(math.tanh(r) for r in radii),
         cosh_lengths=cosh_lengths,
         inv=inv,
         xi=xi_discriminant(radii, inv),
         delta=delta_discriminant(*inv),
     )
+
+
+def _non_compact(face, xi):
+    return NonCompactOrthocircle(
+        f"face {face} has Xi = {xi:.3e} <= 0", face=face, xi=float(xi)
+    )
+
+
+class SurfaceMetrics:
+    """The array kernel: metric quantities of all faces and hinges.
+
+    Face arrays are (F, 3), slot-ordered as in FaceMetrics, and computed
+    on first access.  Preconditions are checked on every face first; the
+    exception the scalar path raises names the lowest face at fault:
+    DomainError (radius not positive and finite, inversive distance not
+    above 1, or overflowing length), then DegenerateTriangle from
+    ``angles`` or NonCompactOrthocircle from ``margins``; checked values
+    hold no NaN.
+    """
+
+    def __init__(self, surface, packing):
+        self.surface = surface
+        self.packing = packing
+        corners = surface.corners
+        self.inv = packing.inv[surface.sides]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.cosh_r = np.cosh(packing.radii)
+            self.sinh_r = np.sinh(packing.radii)
+            cr, sr = self.cosh_r[corners], self.sinh_r[corners]
+            C = cr[:, NEXT] * cr[:, PREV] + self.inv * sr[:, NEXT] * sr[:, PREV]
+        self.tanh_r = np.tanh(packing.radii)
+        self.domain_ok = (
+            (packing.radii[corners] > 0.0).all(axis=1)
+            & (self.inv > 1.0).all(axis=1)
+            & np.isfinite(C).all(axis=1)
+        )
+        self.cosh_lengths = C
+        self.sinh_lengths = np.sqrt(np.maximum(C - 1.0, 0.0) * (C + 1.0))
+
+    def check(self, ok, error):
+        """Raise for the lowest face failing the domain test (DomainError)
+        or the (F,) mask ``ok`` (``error(face)``)."""
+        bad = ~(self.domain_ok & ok)
+        if bad.any():
+            face = int(bad.argmax())
+            if not self.domain_ok[face]:
+                raise DomainError(f"face {face} is outside the domain", face=face)
+            raise error(face)
+
+    @cached_property
+    def cos_angles(self):
+        """(F, 3) corner cosines before clamping (law of cosines)."""
+        C, S = self.cosh_lengths, self.sinh_lengths
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (C[:, NEXT] * C[:, PREV] - C) / (S[:, NEXT] * S[:, PREV])
+
+    @cached_property
+    def angle_ok(self):
+        """(F,) whether every corner cosine is within TOL_DOMAIN of [-1, 1]."""
+        return (np.abs(self.cos_angles) <= 1.0 + TOL_DOMAIN).all(axis=1)
+
+    @cached_property
+    def angles(self):
+        """(F, 3) corner angles, cosines clamped into [-1, 1]."""
+        self.check(
+            self.angle_ok,
+            lambda f: DegenerateTriangle(
+                f"face {f} has a corner cosine outside [-1, 1]", face=f
+            ),
+        )
+        return np.arccos(np.clip(self.cos_angles, -1.0, 1.0))
+
+    @cached_property
+    def xi(self):
+        """(F,) compactness discriminant Xi, as in ``xi_discriminant``
+        but with 1 / (1 - tanh^2 r) evaluated as cosh^2 r, which stays
+        finite as tanh r rounds to 1."""
+        corners = self.surface.corners
+        num = _xi_numerator(*self.tanh_r[corners].T, *self.inv.T)
+        with np.errstate(over="ignore"):
+            return num * np.prod(self.cosh_r[corners], axis=1) ** 2
+
+    @cached_property
+    def margins(self):
+        """(E,) local Delaunay margin of every edge, as
+        ``hinge_delaunay_margin``; every face must be compact."""
+        self.check(self.xi > 0.0, lambda f: _non_compact(f, self.xi[f]))
+        h = self.surface.hinge_slots
+        inv, t = self.packing.inv, self.tanh_r
+        labels = (inv[h.e_a], inv[h.e_b], inv[h.e_c], inv[h.e_d], inv[h.edge])
+        return _delaunay_margin(labels, t[h.v_k], t[h.v_i], t[h.v_l], t[h.v_j])
+
+    def angle_radius_jacobian(self):
+        """(F, 3, 3) derivatives of corner angle m by corner radius n."""
+        C, S = self.cosh_lengths, self.sinh_lengths
+        sin_a = np.sin(self.angles)
+        self.check(
+            (sin_a > 0.0).all(axis=1),
+            lambda f: DegenerateTriangle(f"face {f} has a flat corner", face=f),
+        )
+        cr = self.cosh_r[self.surface.corners]
+        sr = self.sinh_r[self.surface.corners]
+        inv, slots = self.inv, np.arange(3)
+        # dC[f, s, n]: derivative of cosh length s by radius n (0 at n = s).
+        dC = np.zeros(C.shape + (3,))
+        dC[:, slots, NEXT] = sr[:, NEXT] * cr[:, PREV] + inv * cr[:, NEXT] * sr[:, PREV]
+        dC[:, slots, PREV] = sr[:, PREV] * cr[:, NEXT] + inv * cr[:, PREV] * sr[:, NEXT]
+        # dT[f, m, s]: derivative of angle m by cosh length s.
+        base = S[:, NEXT] * S[:, PREV] * sin_a
+        dT = np.empty_like(dC)
+        dT[:, slots, slots] = 1.0 / base
+        dT[:, slots, NEXT] = (C[:, PREV] - C * C[:, NEXT]) / (S[:, NEXT] ** 2 * base)
+        dT[:, slots, PREV] = (C[:, NEXT] - C * C[:, PREV]) / (S[:, PREV] ** 2 * base)
+        return dT @ dC
 
 
 def orthocircle_radius(fm):
@@ -210,9 +320,7 @@ def orthocircle_radius(fm):
     while the circle is compact (Xi > 0).
     """
     if fm.xi <= 0.0:
-        raise NonCompactOrthocircle(
-            f"face {fm.face} has Xi = {fm.xi:.3e} <= 0", face=fm.face, xi=fm.xi
-        )
+        raise _non_compact(fm.face, fm.xi)
     sinh_rho = (
         math.prod(math.sinh(r) for r in fm.radii)
         * math.sqrt(fm.delta)
@@ -234,9 +342,7 @@ def signed_center_distance(fm, slot):
     (rather than its square) preserves the sign.
     """
     if fm.xi <= 0.0:
-        raise NonCompactOrthocircle(
-            f"face {fm.face} has Xi = {fm.xi:.3e} <= 0", face=fm.face, xi=fm.xi
-        )
+        raise _non_compact(fm.face, fm.xi)
     yy = fm.cosh_lengths[slot]
     aa = fm.cosh_lengths[(slot + 2) % 3]  # side joining corner slot+1 to the apex
     bb = fm.cosh_lengths[(slot + 1) % 3]  # side joining corner slot+2 to the apex
@@ -254,46 +360,14 @@ def _hinge_faces_metrics(hv, packing):
     Both are built with corner order (i, j, apex), so slot 2 is the
     shared edge in each.
     """
-    r_i = float(packing.radii[hv.v_i])
-    r_j = float(packing.radii[hv.v_j])
-    r_k = float(packing.radii[hv.v_k])
-    r_l = float(packing.radii[hv.v_l])
-    a, b, c, d = (float(packing.inv[e]) for e in hv.boundary_edges)
-    e = float(packing.inv[hv.edge])
-
-    def metrics(face_id, corners, sides, radii, inv):
-        cosh_lengths = tuple(
-            edge_cosh_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
-            for m in range(3)
-        )
-        return FaceMetrics(
-            face=face_id,
-            corners=corners,
-            sides=sides,
-            radii=radii,
-            cosh_radii=tuple(math.cosh(r) for r in radii),
-            tanh_radii=tuple(math.tanh(r) for r in radii),
-            cosh_lengths=cosh_lengths,
-            inv=inv,
-            xi=xi_discriminant(radii, inv),
-            delta=delta_discriminant(*inv),
-        )
-
-    fm_k = metrics(
-        hv.face_k,
-        (hv.v_i, hv.v_j, hv.v_k),
-        (hv.e_d, hv.e_a, hv.edge),
-        (r_i, r_j, r_k),
-        (d, a, e),
+    return (
+        _face_metrics(
+            packing, hv.face_k, (hv.v_i, hv.v_j, hv.v_k), (hv.e_d, hv.e_a, hv.edge)
+        ),
+        _face_metrics(
+            packing, hv.face_l, (hv.v_i, hv.v_j, hv.v_l), (hv.e_c, hv.e_b, hv.edge)
+        ),
     )
-    fm_l = metrics(
-        hv.face_l,
-        (hv.v_i, hv.v_j, hv.v_l),
-        (hv.e_c, hv.e_b, hv.edge),
-        (r_i, r_j, r_l),
-        (c, b, e),
-    )
-    return fm_k, fm_l
 
 
 def hinge_h_sum(hv, packing):
@@ -325,30 +399,25 @@ def hinge_delaunay_margin(hv, packing, require_compact=True):
     margin formula itself does not involve Xi, so the gate can be
     dropped to probe states outside the compact regime.
     """
-    fm_k, fm_l = _hinge_faces_metrics(hv, packing)
     if require_compact:
-        for fm in (fm_k, fm_l):
+        for fm in _hinge_faces_metrics(hv, packing):
             if fm.xi <= 0.0:
-                raise NonCompactOrthocircle(
-                    f"face {fm.face} has Xi = {fm.xi:.3e} <= 0",
-                    face=fm.face,
-                    xi=fm.xi,
-                )
-    a, b, c, d = (float(packing.inv[eid]) for eid in hv.boundary_edges)
-    e = float(packing.inv[hv.edge])
+                raise _non_compact(fm.face, fm.xi)
+    labels = tuple(float(packing.inv[eid]) for eid in (*hv.boundary_edges, hv.edge))
+    t = (math.tanh(float(packing.radii[v])) for v in (hv.v_k, hv.v_i, hv.v_l, hv.v_j))
+    return float(_delaunay_margin(labels, *t))
+
+
+def _delaunay_margin(labels, t_k, t_i, t_l, t_j):
+    """RHS minus LHS of the flip inequality; elementwise on arrays."""
+    a, b, c, d, e = labels
     f = ptolemy_flip_value(a, b, c, d, e)
-    t_k = math.tanh(float(packing.radii[hv.v_k]))
-    t_i = math.tanh(float(packing.radii[hv.v_i]))
-    t_l = math.tanh(float(packing.radii[hv.v_l]))
-    t_j = math.tanh(float(packing.radii[hv.v_j]))
-    lhs = (
-        math.sqrt(delta_discriminant(b, c, e)) / t_k
-        + math.sqrt(delta_discriminant(a, d, e)) / t_l
-    )
-    rhs = (
-        math.sqrt(delta_discriminant(c, d, f)) / t_i
-        + math.sqrt(delta_discriminant(a, b, f)) / t_j
-    )
+    lhs = np.sqrt(delta_discriminant(b, c, e)) / t_k + np.sqrt(
+        delta_discriminant(a, d, e)
+    ) / t_l
+    rhs = np.sqrt(delta_discriminant(c, d, f)) / t_i + np.sqrt(
+        delta_discriminant(a, b, f)
+    ) / t_j
     return rhs - lhs
 
 

@@ -13,13 +13,15 @@ import math
 import numpy as np
 
 from .errors import (
+    DomainError,
     MeshError,
     NonCompactOrthocircle,
     ParseError,
     ValidationError,
 )
-from .geometry import Packing, face_metrics, orthocircle_radius
+from .geometry import Packing, SurfaceMetrics
 from .hyptrig import acosh_stable
+from .ptolemy import delta_discriminant
 from .surface import build_surface, euler_characteristic
 
 FORMAT_VERSION = "1.0"
@@ -225,13 +227,14 @@ def build_report(
     target=None,
     state=None,
     error=None,
-    extra=None,
 ):
     """Assemble the full diagnostics document.
 
     Always schema-valid, even for failed runs: geometric sections are
     filled only as far as the state allows, and the status field is
-    always populated.
+    always populated.  All geometry comes from the array kernel; the
+    Hessian spectrum sign is the one recorded on ``state``, taken at the
+    solver's exit state.
     """
     from .flips import surface_delaunay_margins
     from .solver import curvatures, gauss_bonnet_residual, u_from_r
@@ -248,8 +251,6 @@ def build_report(
         "flip_log": None,
         "iteration_trace": None,
     }
-    if state is not None and not hasattr(state, "surface"):
-        state = None
     if state is not None:
         surface = state.surface
         packing = state.packing
@@ -258,13 +259,7 @@ def build_report(
         report["flip_log"] = [
             {
                 "edge": ev.edge,
-                "labels": {
-                    "a": ev.labels[0],
-                    "b": ev.labels[1],
-                    "c": ev.labels[2],
-                    "d": ev.labels[3],
-                    "e": ev.labels[4],
-                },
+                "labels": dict(zip("abcde", ev.labels)),
                 "new_inversive_distance": ev.new_value,
                 "iteration": ev.iteration,
                 "margin_before": _finite_or_none(ev.margin_before),
@@ -277,13 +272,16 @@ def build_report(
     try:
         K, area = curvatures(surface, packing)
         gb = gauss_bonnet_residual(surface, packing)
-    except Exception:
+    except DomainError:
         K = area = gb = None
     try:
         margins = surface_delaunay_margins(surface, packing)
-    except (NonCompactOrthocircle, Exception):
+    except (DomainError, NonCompactOrthocircle):
         margins = None
     u = u_from_r(packing.radii)
+    metrics = SurfaceMetrics(surface, packing)
+    slots = surface.hinge_slots
+    lengths = metrics.cosh_lengths[slots.face_k, slots.side_in_k]
 
     report["global"] = {
         "chi": euler_characteristic(surface),
@@ -314,44 +312,36 @@ def build_report(
             "id": e,
             "ends": list(surface.edges[e]),
             "inversive_distance": float(packing.inv[e]),
-            "length": acosh_stable(
-                face_metrics(surface, packing, surface.edge_slots[e][0][0])
-                .cosh_lengths[surface.edge_slots[e][0][1]]
-            ),
+            "length": _finite_or_none(acosh_stable(lengths[e])),
             "delaunay_margin": _finite_or_none(margins[e])
             if margins is not None
             else None,
         }
         for e in range(len(surface.edges))
     ]
-    faces = []
-    for fid in range(len(surface.faces)):
-        fm = face_metrics(surface, packing, fid)
-        try:
-            rho = orthocircle_radius(fm)
-        except NonCompactOrthocircle:
-            rho = None
-        try:
-            angles = list(fm.angles())
-            face_area = fm.area()
-        except Exception:
-            angles = None
-            face_area = None
-        faces.append(
-            {
-                "id": fid,
-                "corners": list(fm.corners),
-                "sides": list(fm.sides),
-                "xi": _finite_or_none(fm.xi),
-                "delta": _finite_or_none(fm.delta),
-                "rho": rho,
-                "area": face_area,
-                "angles": angles,
-            }
+    has_angles = metrics.domain_ok & metrics.angle_ok
+    angles = np.arccos(np.clip(metrics.cos_angles, -1.0, 1.0))
+    compact = metrics.domain_ok & (metrics.xi > 0.0)
+    delta = delta_discriminant(*metrics.inv.T)
+    with np.errstate(invalid="ignore"):
+        sinh_rho = (
+            np.prod(metrics.sinh_r[surface.corners], axis=1)
+            * np.sqrt(delta)
+            / np.sqrt(metrics.xi)
         )
-    report["faces"] = faces
-    if extra:
-        report.update(extra)
+    report["faces"] = [
+        {
+            "id": fid,
+            "corners": list(face.corners),
+            "sides": list(face.sides),
+            "xi": _finite_or_none(metrics.xi[fid]),
+            "delta": _finite_or_none(delta[fid]),
+            "rho": math.asinh(sinh_rho[fid]) if compact[fid] else None,
+            "area": math.pi - math.fsum(angles[fid]) if has_angles[fid] else None,
+            "angles": angles[fid].tolist() if has_angles[fid] else None,
+        }
+        for fid, face in enumerate(surface.faces)
+    ]
     return report
 
 

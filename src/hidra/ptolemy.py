@@ -9,6 +9,8 @@ used throughout.
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -21,14 +23,16 @@ def ptolemy_flip_value(a, b, c, d, e):
     """Inversive distance of the exchanged diagonal:
 
     f = (ab + cd + ace + bde + sqrt(D_ade) sqrt(D_bce)) / (e^2 - 1)
+
+    Elementwise on arrays of hinge labels.
     """
-    if e <= 1.0:
+    if np.any(np.less_equal(e, 1.0)):
         raise DomainError("diagonal inversive distance must exceed 1")
     d_ade = delta_discriminant(a, d, e)
     d_bce = delta_discriminant(b, c, e)
-    if d_ade < 0.0 or d_bce < 0.0:
+    if np.any(np.less(d_ade, 0.0)) or np.any(np.less(d_bce, 0.0)):
         raise DomainError("negative discriminant in flip value")
-    return (a * b + c * d + a * c * e + b * d * e + math.sqrt(d_ade) * math.sqrt(d_bce)) / (
+    return (a * b + c * d + a * c * e + b * d * e + np.sqrt(d_ade) * np.sqrt(d_bce)) / (
         e * e - 1.0
     )
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve as dense_solve
+from scipy.sparse import coo_array
+from scipy.sparse.linalg import splu
 
 from .errors import (
     DegenerateTriangle,
@@ -25,8 +26,7 @@ from .errors import (
     TargetOutOfRange,
 )
 from .flips import make_weighted_delaunay, surface_delaunay_margins
-from .geometry import TOL_DELAUNAY, Packing, face_metrics, validate_packing
-from .hyptrig import sinh_from_cosh
+from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing
 from .surface import euler_characteristic
 
 DEFAULT_TOL_K = 1e-10
@@ -57,18 +57,15 @@ def r_from_u(u):
 def curvatures(surface, packing):
     """Vertex curvatures 2*pi minus cone angle, and the total area.
 
-    Corner angles at self-glued faces count with multiplicity.  The
-    returned pair satisfies sum(K) = 2*pi*chi + area by construction.
+    Corner angles come from the array kernel; those at self-glued faces
+    count with multiplicity.  The returned pair satisfies
+    sum(K) = 2*pi*chi + area by construction.
     """
-    angle_sum = np.zeros(surface.vertex_count)
-    total_area = 0.0
-    for fid in range(len(surface.faces)):
-        fm = face_metrics(surface, packing, fid)
-        angles = fm.angles()
-        for m in range(3):
-            angle_sum[fm.corners[m]] += angles[m]
-        total_area += math.pi - math.fsum(angles)
-    return 2.0 * math.pi - angle_sum, total_area
+    angles = SurfaceMetrics(surface, packing).angles
+    angle_sum = np.bincount(
+        surface.corners.ravel(), weights=angles.ravel(), minlength=surface.vertex_count
+    )
+    return 2.0 * math.pi - angle_sum, float(np.sum(math.pi - angles.sum(axis=1)))
 
 
 def gauss_bonnet_residual(surface, packing):
@@ -77,71 +74,33 @@ def gauss_bonnet_residual(surface, packing):
     return float(K.sum() - 2.0 * math.pi * euler_characteristic(surface) - area)
 
 
-def curvature_gradient(surface, packing, target):
-    """Gradient K(u) - Kbar of the normalized Ricci potential."""
-    K, _ = curvatures(surface, packing)
-    return K - np.asarray(target, dtype=float)
-
-
-def _face_angle_radius_jacobian(fm):
-    """3x3 matrix of corner-angle derivatives with respect to the three
-    corner radii (corner-slot indexed)."""
-    C = fm.cosh_lengths
-    S = tuple(sinh_from_cosh(c) for c in C)
-    angles = fm.angles()
-    R = fm.radii
-    inv = fm.inv
-
-    # dC[s][n]: derivative of cosh length s with respect to radius n.
-    dC = [[0.0] * 3 for _ in range(3)]
-    for s in range(3):
-        n1, n2 = (s + 1) % 3, (s + 2) % 3
-        dC[s][n1] = math.sinh(R[n1]) * math.cosh(R[n2]) + inv[s] * math.cosh(
-            R[n1]
-        ) * math.sinh(R[n2])
-        dC[s][n2] = math.sinh(R[n2]) * math.cosh(R[n1]) + inv[s] * math.cosh(
-            R[n2]
-        ) * math.sinh(R[n1])
-
-    J = [[0.0] * 3 for _ in range(3)]
-    for m in range(3):
-        m1, m2 = (m + 1) % 3, (m + 2) % 3
-        sin_t = math.sin(angles[m])
-        dT = [0.0] * 3
-        dT[m] = 1.0 / (S[m1] * S[m2] * sin_t)
-        dT[m1] = (C[m2] - C[m] * C[m1]) / (S[m1] ** 3 * S[m2] * sin_t)
-        dT[m2] = (C[m1] - C[m] * C[m2]) / (S[m2] ** 3 * S[m1] * sin_t)
-        for n in range(3):
-            J[m][n] = math.fsum(dT[s] * dC[s][n] for s in range(3))
-    return J
-
-
 def hessian(surface, packing, symmetrize=True):
-    """Jacobian dK/du assembled from per-face angle derivatives.
+    """Jacobian dK/du as a sparse ``scipy.sparse.csr_array``.
 
-    Entries are nonzero only on the diagonal and for combinatorially
+    Assembled from the per-face angle derivatives of the array kernel,
+    so entries are nonzero only on the diagonal and for combinatorially
     adjacent vertex pairs.  The analytic matrix is symmetric up to
     roundoff; with ``symmetrize`` it is averaged with its transpose.
     """
-    n = surface.vertex_count
-    H = np.zeros((n, n))
-    sinh_r = np.sinh(packing.radii)
-    for fid in range(len(surface.faces)):
-        fm = face_metrics(surface, packing, fid)
-        J = _face_angle_radius_jacobian(fm)
-        for m in range(3):
-            vm = fm.corners[m]
-            for nn in range(3):
-                vn = fm.corners[nn]
-                H[vm, vn] -= J[m][nn] * sinh_r[vn]
+    metrics = SurfaceMetrics(surface, packing)
+    corners = surface.corners
+    # dK_m/du_n = -(d angle_m / d r_n) dr_n/du_n, and dr/du = sinh r.
+    data = -metrics.angle_radius_jacobian() * metrics.sinh_r[corners][:, None, :]
+    rows = np.broadcast_to(corners[:, :, None], data.shape)
+    cols = np.broadcast_to(corners[:, None, :], data.shape)
     if symmetrize:
-        H = 0.5 * (H + H.T)
-    return H
+        data = 0.5 * np.concatenate([data, data])
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    n = surface.vertex_count
+    return coo_array(
+        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
+    ).tocsr()
 
 
 def hessian_spectrum_sign(H):
-    """+1 / -1 when all eigenvalues share that sign, else 0."""
-    eigs = np.linalg.eigvalsh(np.asarray(H))
+    """+1 / -1 when all eigenvalues share that sign, else 0 (a sparse H
+    is densified)."""
+    eigs = np.linalg.eigvalsh(H.toarray() if hasattr(H, "toarray") else np.asarray(H))
     if np.all(eigs > 0.0):
         return 1
     if np.all(eigs < 0.0):
@@ -207,7 +166,7 @@ def segment_potential(
         return Packing(inv, r_from_u(u_start + s * du))
 
     def min_margin(s):
-        return min(surface_delaunay_margins(surf, packing_at(s)))
+        return surface_delaunay_margins(surf, packing_at(s)).min()
 
     def integrand(s):
         K, _ = curvatures(surf, packing_at(s))
@@ -333,11 +292,13 @@ def newton_solve(
     """Newton descent for the packing realizing the target curvature.
 
     Each iteration solves H . delta = -(K - Kbar) with the analytic
-    curvature Jacobian, clamps the step to keep u negative, backtracks
-    on the Euclidean norm of the curvature error, and re-runs flip
-    surgery after the accepted step.  Trial evaluations reuse the
-    current triangulation: the potential extends C1 across cell walls,
-    so a marginally non-Delaunay trial still measures progress.
+    curvature Jacobian by a sparse LU factorization, clamps the step to
+    keep u negative, backtracks on the Euclidean norm of the curvature
+    error, and re-runs flip surgery after the accepted step.  Trial
+    evaluations reuse the current triangulation: the potential extends
+    C1 across cell walls, so a marginally non-Delaunay trial still
+    measures progress.  The Hessian's spectrum sign is taken once, at
+    the state returned or carried by the raised SolverFailure.
     """
     target = validate_target(surface, target)
     validate_packing(surface, packing)
@@ -349,25 +310,20 @@ def newton_solve(
     u = u_from_r(packing.radii)
     potential = 0.0
     trace = []
-    hess_sign = 0
+
+    def exit_state(status, iterations):
+        return SolveState(
+            surface, packing, u, target, K, area, status, iterations, flip_log,
+            trace, potential, hessian_spectrum_sign(hessian(surface, packing)),
+        )
 
     K, area = curvatures(surface, packing)
     for iteration in range(1, max_iterations + 1):
         err = float(np.max(np.abs(K - target)))
         if err <= tol:
-            if hess_sign == 0:
-                hess_sign = hessian_spectrum_sign(hessian(surface, packing))
-            return SolveState(
-                surface, packing, u, target, K, area,
-                STATUS_CONVERGED, iteration - 1, flip_log, trace,
-                potential, hess_sign,
-            )
+            return exit_state(STATUS_CONVERGED, iteration - 1)
 
-        H = hessian(surface, packing)
-        hess_sign = hessian_spectrum_sign(H)
-        # dense symmetric solve; sparsity exists but is not worth
-        # exploiting at the vertex counts this targets
-        delta = dense_solve(H, -(K - target), assume_a="sym")
+        delta = splu(hessian(surface, packing).tocsc()).solve(-(K - target))
         sup = float(np.max(np.abs(delta)))
         if sup > 1.0:
             delta *= 1.0 / sup
@@ -387,11 +343,10 @@ def newton_solve(
                 break
             step *= 0.5
             if step < MIN_LINE_SEARCH_STEP:
-                state = SolveState(
-                    surface, packing, u, target, K, area,
-                    "stalled", iteration, flip_log, trace, potential, hess_sign,
+                raise SolverStalled(
+                    "line search step underflow",
+                    state=exit_state("stalled", iteration),
                 )
-                raise SolverStalled("line search step underflow", state=state)
 
         if track_potential:
             d_pot, _, _, _ = segment_potential(
@@ -417,13 +372,9 @@ def newton_solve(
             }
         )
 
-    state = SolveState(
-        surface, packing, u, target, K, area,
-        STATUS_MAX_ITERATIONS, max_iterations, flip_log, trace,
-        potential, hess_sign,
-    )
     raise MaxIterationsExceeded(
-        f"no convergence within {max_iterations} Newton iterations", state=state
+        f"no convergence within {max_iterations} Newton iterations",
+        state=exit_state(STATUS_MAX_ITERATIONS, max_iterations),
     )
 
 
@@ -508,9 +459,7 @@ def ricci_flow(
             }
         )
 
-    state = SolveState(
-        surface, packing, u, target, K, area,
-        status, step_index, flip_log, trace, potential, 0,
+    return SolveState(
+        surface, packing, u, target, K, area, status, step_index, flip_log,
+        trace, potential, hessian_spectrum_sign(hessian(surface, packing)),
     )
-    state.hessian_sign = hessian_spectrum_sign(hessian(surface, packing))
-    return state

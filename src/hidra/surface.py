@@ -10,7 +10,10 @@ that order, which fixes the face orientation.
 Surfaces are immutable; a flip returns a new surface.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     FlipIllegal,
@@ -38,6 +41,8 @@ class HingeView:
     plus diagonal: ``e_a`` joins k-i, ``e_b`` joins i-l, ``e_c`` joins
     l-j, ``e_d`` joins j-k and ``edge`` itself is the i-j diagonal.
     Slot labels are always distinct even when the underlying ids repeat.
+    ``TriSurface.hinge_slots`` holds the same labels for every edge at
+    once, each field an (E,) index array.
     """
 
     edge: int
@@ -74,6 +79,36 @@ class TriSurface:
     @property
     def face_count(self):
         return len(self.faces)
+
+    @cached_property
+    def corners(self):
+        """(F, 3) vertex ids, row f holding ``faces[f].corners``."""
+        return _frozen([f.corners for f in self.faces])
+
+    @cached_property
+    def sides(self):
+        """(F, 3) edge ids, row f holding ``faces[f].sides``."""
+        return _frozen([f.sides for f in self.faces])
+
+    @cached_property
+    def hinge_slots(self):
+        """HingeView of (E,) index arrays, entry e labelling the hinge of
+        edge e (see ``hinge``)."""
+        f1, s1, f2, s2 = _frozen(self.edge_slots).reshape(-1, 4).T
+        k1, k2, l1, l2 = (s1 + 1) % 3, (s1 + 2) % 3, (s2 + 1) % 3, (s2 + 2) % 3
+        c, s = self.corners, self.sides
+        return HingeView(
+            edge=np.arange(len(self.edges)), face_k=f1, face_l=f2,
+            side_in_k=s1, side_in_l=s2,
+            v_k=c[f1, s1], v_i=c[f1, k1], v_j=c[f1, k2], v_l=c[f2, s2],
+            e_a=s[f1, k2], e_d=s[f1, k1], e_b=s[f2, l1], e_c=s[f2, l2],
+        )
+
+
+def _frozen(rows):
+    out = np.array(rows, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 def build_surface(vertex_count, edges, faces):
@@ -158,25 +193,10 @@ def euler_characteristic(surface):
 
 
 def hinge(surface, edge):
-    """The labelled local picture of ``edge`` and its two faces."""
-    (f1, s1), (f2, s2) = surface.edge_slots[edge]
-    face1 = surface.faces[f1]
-    face2 = surface.faces[f2]
-    return HingeView(
-        edge=edge,
-        face_k=f1,
-        face_l=f2,
-        side_in_k=s1,
-        side_in_l=s2,
-        v_k=face1.corners[s1],
-        v_i=face1.corners[(s1 + 1) % 3],
-        v_j=face1.corners[(s1 + 2) % 3],
-        v_l=face2.corners[s2],
-        e_a=face1.sides[(s1 + 2) % 3],
-        e_d=face1.sides[(s1 + 1) % 3],
-        e_b=face2.sides[(s2 + 1) % 3],
-        e_c=face2.sides[(s2 + 2) % 3],
-    )
+    """The labelled local picture of ``edge`` and its two faces: entry
+    ``edge`` of ``surface.hinge_slots``."""
+    slots = surface.hinge_slots
+    return HingeView(*(int(getattr(slots, f.name)[edge]) for f in fields(HingeView)))
 
 
 def flip_combinatorial(surface, edge):

@@ -25,12 +25,26 @@ from hidra.geometry import (
     signed_center_distance,
     validate_packing,
     xi_discriminant,
-    xi_from_cosh,
 )
 from hidra.hyptrig import acosh_stable
 from hidra.surface import hinge
 
 R_HALF = math.atanh(0.5)  # tanh r = 1/2, the symmetric anchor radius
+
+
+def xi_from_cosh(cosh_lengths, cosh_radii):
+    """Xi recomputed from cosh lengths and cosh radii: algebraically equal
+    to xi_discriminant, worse conditioned for large radii."""
+    x, y, z = cosh_lengths
+    p, q, r = cosh_radii
+    return (
+        p * p * (1.0 - x * x)
+        + q * q * (1.0 - y * y)
+        + r * r * (1.0 - z * z)
+        + 2.0 * p * q * (x * y - z)
+        + 2.0 * p * r * (x * z - y)
+        + 2.0 * q * r * (y * z - x)
+    )
 
 
 def symmetric_face_metrics(torus, torus_packing):

@@ -1,5 +1,6 @@
 """Mesh/report documents, schemas, and the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -112,6 +113,17 @@ class TestReports:
         assert report["status"] == "invalid_input"
         assert report["vertices"] is None
 
+    def test_degenerate_face_report_still_valid(self, torus):
+        # side 0 is longer than the other two together: no triangle
+        packing = Packing(np.array([30.0, 2.0, 2.0]), np.array([math.atanh(0.5)]))
+        report = build_report(status="invalid_input", surface=torus, packing=packing)
+        jsonschema.validate(json.loads(dumps_report(report)), schema("report.schema.json"))
+        assert [v["K"] for v in report["vertices"]] == [None]
+        assert [e["delaunay_margin"] for e in report["edges"]] == [None] * 3
+        assert all(e["length"] > 0.0 for e in report["edges"])
+        assert [f["angles"] for f in report["faces"]] == [None, None]
+        assert [f["rho"] for f in report["faces"]] == [None, None]
+
 
 class TestCLI:
     def run(self, *argv):
@@ -155,6 +167,28 @@ class TestCLI:
         from hidra.flips import surface_delaunay_margins
 
         assert min(surface_delaunay_margins(surface, packing)) >= -1e-10
+
+    def test_delaunay_budget_overrun_keeps_flip_log_and_digest(self, tmp_path):
+        from hidra.checks import random_packing
+        from hidra.complexes import one_vertex_genus2
+        from hidra.flips import make_weighted_delaunay
+
+        surface, rng = one_vertex_genus2(), np.random.default_rng(0)
+        while True:  # a packing that needs more flips than the budget
+            packing = random_packing(surface, rng, inv_range=(1.05, 12.0), max_tries=5000)
+            if len(make_weighted_delaunay(surface, packing)[2]) >= 3:
+                break
+        mesh = tmp_path / "in.json"
+        mesh.write_text(dumps_mesh(surface, packing))
+        out = tmp_path / "report.json"
+        code = self.run("delaunay", str(mesh), "--flip-budget", "2", "--out", str(out))
+        assert code == 4
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "surgery_diverged"
+        assert len(report["flip_log"]) == 2
+        assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
+        assert report["global"]["edge_count"] == 9
 
     def test_solve_rejects_inadmissible_target(self, tmp_path):
         out = tmp_path / "report.json"

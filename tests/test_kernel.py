@@ -1,0 +1,186 @@
+"""The array metric kernel against the scalar per-face reference.
+
+The references below evaluate one face or hinge at a time with
+``face_metrics`` and ``hinge_delaunay_margin``, the way the library did
+before the kernel existed.  Each one records the face at which it
+raises, so failures are compared by exception class and face as well.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hidra.checks import random_packing
+from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
+from hidra.errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
+from hidra.flips import surface_delaunay_margins
+from hidra.geometry import Packing, face_metrics, hinge_delaunay_margin
+from hidra.hyptrig import sinh_from_cosh
+from hidra.solver import curvatures, hessian
+from hidra.surface import hinge
+
+REL_TOL = 1e-12
+
+
+class Raised(Exception):
+    def __init__(self, error, face):
+        super().__init__(f"{type(error).__name__} at face {face}")
+        self.error = error
+        self.face = face
+
+
+def scalar_faces(surface, packing):
+    """FaceMetrics and corner angles of every face, in face order."""
+    out = []
+    for fid in range(len(surface.faces)):
+        try:
+            fm = face_metrics(surface, packing, fid)
+            out.append((fm, fm.angles()))
+        except DomainError as exc:
+            raise Raised(exc, fid) from exc
+    return out
+
+
+def scalar_curvatures(surface, packing):
+    angle_sum = np.zeros(surface.vertex_count)
+    total_area = 0.0
+    for fm, angles in scalar_faces(surface, packing):
+        for m in range(3):
+            angle_sum[fm.corners[m]] += angles[m]
+        total_area += math.pi - math.fsum(angles)
+    return 2.0 * math.pi - angle_sum, total_area
+
+
+def scalar_angle_radius_jacobian(fm, angles):
+    """3x3 derivatives of corner angle m by corner radius n."""
+    C = fm.cosh_lengths
+    S = tuple(sinh_from_cosh(c) for c in C)
+    R = fm.radii
+    dC = [[0.0] * 3 for _ in range(3)]
+    for s in range(3):
+        n1, n2 = (s + 1) % 3, (s + 2) % 3
+        dC[s][n1] = math.sinh(R[n1]) * math.cosh(R[n2]) + fm.inv[s] * math.cosh(
+            R[n1]
+        ) * math.sinh(R[n2])
+        dC[s][n2] = math.sinh(R[n2]) * math.cosh(R[n1]) + fm.inv[s] * math.cosh(
+            R[n2]
+        ) * math.sinh(R[n1])
+    J = [[0.0] * 3 for _ in range(3)]
+    for m in range(3):
+        m1, m2 = (m + 1) % 3, (m + 2) % 3
+        sin_t = math.sin(angles[m])
+        dT = [0.0] * 3
+        dT[m] = 1.0 / (S[m1] * S[m2] * sin_t)
+        dT[m1] = (C[m2] - C[m] * C[m1]) / (S[m1] ** 3 * S[m2] * sin_t)
+        dT[m2] = (C[m1] - C[m] * C[m2]) / (S[m2] ** 3 * S[m1] * sin_t)
+        for n in range(3):
+            J[m][n] = math.fsum(dT[s] * dC[s][n] for s in range(3))
+    return J
+
+
+def scalar_hessian(surface, packing):
+    H = np.zeros((surface.vertex_count, surface.vertex_count))
+    sinh_r = np.sinh(packing.radii)
+    for fm, angles in scalar_faces(surface, packing):
+        J = scalar_angle_radius_jacobian(fm, angles)
+        for m in range(3):
+            for n in range(3):
+                H[fm.corners[m], fm.corners[n]] -= J[m][n] * sinh_r[fm.corners[n]]
+    return 0.5 * (H + H.T)
+
+
+def scalar_margins(surface, packing):
+    for fid in range(len(surface.faces)):
+        try:
+            xi = face_metrics(surface, packing, fid).xi
+        except DomainError as exc:
+            raise Raised(exc, fid) from exc
+        if xi <= 0.0:
+            raise Raised(NonCompactOrthocircle("", face=fid, xi=xi), fid)
+    edges = range(len(surface.edges))
+    return np.array([hinge_delaunay_margin(hinge(surface, e), packing) for e in edges])
+
+
+def outcome(func, *args):
+    """(value, None) or (None, Raised) for a scalar reference."""
+    try:
+        return func(*args), None
+    except Raised as exc:
+        return None, exc
+
+
+def assert_same_failure(kernel_call, raised):
+    with pytest.raises(type(raised.error)) as info:
+        kernel_call()
+    assert type(info.value) is type(raised.error)
+    assert info.value.face == raised.face
+
+
+def close(kernel, reference):
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    return float(np.max(np.abs(np.asarray(kernel) - reference))) <= REL_TOL * scale
+
+
+BUILDERS = {
+    "torus1": one_vertex_torus,
+    "genus2": one_vertex_genus2,
+    "octahedron": octahedron_sphere,
+}
+
+
+@given(
+    name=st.sampled_from(sorted(BUILDERS)),
+    seed=st.integers(0, 2**32 - 1),
+    compact=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_scalar_reference(name, seed, compact):
+    surface = BUILDERS[name]()
+    packing = random_packing(
+        surface, np.random.default_rng(seed), inv_range=(1.05, 12.0),
+        require_compact=compact, max_tries=5000,
+    )
+
+    ref, raised = outcome(scalar_curvatures, surface, packing)
+    if raised is None:
+        K, area = curvatures(surface, packing)
+        assert close(K, ref[0]) and close(area, ref[1])
+        H = hessian(surface, packing).toarray()
+        assert close(H, scalar_hessian(surface, packing))
+    else:
+        assert_same_failure(lambda: curvatures(surface, packing), raised)
+        assert_same_failure(lambda: hessian(surface, packing), raised)
+
+    ref, raised = outcome(scalar_margins, surface, packing)
+    if raised is None:
+        assert close(surface_delaunay_margins(surface, packing), ref)
+    else:
+        assert_same_failure(lambda: surface_delaunay_margins(surface, packing), raised)
+
+
+def test_reference_failures_are_exercised():
+    """The sweep above meets both kinds of failing face."""
+    kinds = set()
+    for name, builder in BUILDERS.items():
+        surface = builder()
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            packing = random_packing(
+                surface, rng, inv_range=(1.05, 12.0), require_compact=False
+            )
+            for func in (scalar_curvatures, scalar_margins):
+                _, raised = outcome(func, surface, packing)
+                if raised is not None:
+                    kinds.add(type(raised.error))
+    assert kinds == {DegenerateTriangle, NonCompactOrthocircle}
+
+
+def test_domain_fault_named_by_face(torus):
+    packing = Packing(np.array([2.0, 2.0, 2.0]), np.array([math.inf]))
+    for func in (curvatures, hessian, surface_delaunay_margins):
+        with pytest.raises(DomainError) as info:
+            func(torus, packing)
+        assert info.value.face == 0

