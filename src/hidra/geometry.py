@@ -71,9 +71,7 @@ def validate_packing(surface, packing, require_triangle_inequalities=True):
         C, S = m.cosh_lengths, m.sinh_lengths
         m.check(
             (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1),
-            lambda f: DegenerateTriangle(
-                f"face {f} violates the triangle inequalities", face=f
-            ),
+            lambda at: _degenerate(at, "violates the triangle inequalities"),
         )
 
 
@@ -205,111 +203,139 @@ def _non_compact(face, xi):
     )
 
 
+def _degenerate(at, what):
+    face = int(at[-1])
+    return DegenerateTriangle(f"face {face} {what}", face=face)
+
+
 class SurfaceMetrics:
     """The array kernel: metric quantities of all faces and hinges.
 
-    Face arrays are (F, 3), slot-ordered as in FaceMetrics, and computed
+    Radii are (V,), or (B, V) for a batch of packings that differ only
+    in their radii; arrays then gain the leading batch axis.  Face
+    arrays are (..., F, 3), slot-ordered as in FaceMetrics, and computed
     on first access.  Preconditions are checked on every face first; the
-    exception the scalar path raises names the lowest face at fault:
-    DomainError (radius not positive and finite, inversive distance not
-    above 1, or overflowing length), then DegenerateTriangle from
-    ``angles`` or NonCompactOrthocircle from ``margins``; checked values
-    hold no NaN.
+    exception the scalar path raises names the lowest face at fault, of
+    the first row at fault: DomainError (radius not positive and finite,
+    inversive distance not above 1, or overflowing length), then
+    DegenerateTriangle from ``angles`` or NonCompactOrthocircle from
+    ``margins``; checked values hold no NaN.  ``angles_defined`` and
+    ``margins_defined`` tell which rows pass, without raising.
     """
 
     def __init__(self, surface, packing):
         self.surface = surface
         self.packing = packing
-        corners = surface.corners
+        corners, radii = surface.corners, packing.radii
         self.inv = packing.inv[surface.sides]
         with np.errstate(over="ignore", invalid="ignore"):
-            self.cosh_r = np.cosh(packing.radii)
-            self.sinh_r = np.sinh(packing.radii)
-            cr, sr = self.cosh_r[corners], self.sinh_r[corners]
-            C = cr[:, NEXT] * cr[:, PREV] + self.inv * sr[:, NEXT] * sr[:, PREV]
-        self.tanh_r = np.tanh(packing.radii)
+            self.cosh_r = np.cosh(radii)
+            self.sinh_r = np.sinh(radii)
+            cr, sr = self.cosh_r[..., corners], self.sinh_r[..., corners]
+            C = cr[..., NEXT] * cr[..., PREV] + self.inv * sr[..., NEXT] * sr[..., PREV]
+        self.tanh_r = np.tanh(radii)
         self.domain_ok = (
-            (packing.radii[corners] > 0.0).all(axis=1)
-            & (self.inv > 1.0).all(axis=1)
-            & np.isfinite(C).all(axis=1)
+            (radii[..., corners] > 0.0).all(axis=-1)
+            & (self.inv > 1.0).all(axis=-1)
+            & np.isfinite(C).all(axis=-1)
         )
         self.cosh_lengths = C
         self.sinh_lengths = np.sqrt(np.maximum(C - 1.0, 0.0) * (C + 1.0))
 
     def check(self, ok, error):
         """Raise for the lowest face failing the domain test (DomainError)
-        or the (F,) mask ``ok`` (``error(face)``)."""
+        or the (..., F) mask ``ok`` (``error(at)``, with ``at`` the index
+        of that face in ``ok``), in the first row that has one."""
         bad = ~(self.domain_ok & ok)
         if bad.any():
-            face = int(bad.argmax())
-            if not self.domain_ok[face]:
+            at = np.unravel_index(bad.argmax(), bad.shape)
+            face = int(at[-1])
+            if not self.domain_ok[at]:
                 raise DomainError(f"face {face} is outside the domain", face=face)
-            raise error(face)
+            raise error(at)
 
     @cached_property
     def cos_angles(self):
-        """(F, 3) corner cosines before clamping (law of cosines)."""
+        """(..., F, 3) corner cosines before clamping (law of cosines)."""
         C, S = self.cosh_lengths, self.sinh_lengths
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (C[:, NEXT] * C[:, PREV] - C) / (S[:, NEXT] * S[:, PREV])
+            return (C[..., NEXT] * C[..., PREV] - C) / (S[..., NEXT] * S[..., PREV])
 
     @cached_property
     def angle_ok(self):
-        """(F,) whether every corner cosine is within TOL_DOMAIN of [-1, 1]."""
-        return (np.abs(self.cos_angles) <= 1.0 + TOL_DOMAIN).all(axis=1)
+        """(..., F) whether all corner cosines are TOL_DOMAIN-near [-1, 1]."""
+        return (np.abs(self.cos_angles) <= 1.0 + TOL_DOMAIN).all(axis=-1)
+
+    @cached_property
+    def angles_defined(self):
+        """(...) per row: the domain and angle tests hold on every face."""
+        return (self.domain_ok & self.angle_ok).all(axis=-1)
 
     @cached_property
     def angles(self):
-        """(F, 3) corner angles, cosines clamped into [-1, 1]."""
+        """(..., F, 3) corner angles, cosines clamped into [-1, 1]."""
         self.check(
             self.angle_ok,
-            lambda f: DegenerateTriangle(
-                f"face {f} has a corner cosine outside [-1, 1]", face=f
-            ),
+            lambda at: _degenerate(at, "has a corner cosine outside [-1, 1]"),
         )
         return np.arccos(np.clip(self.cos_angles, -1.0, 1.0))
 
     @cached_property
     def xi(self):
-        """(F,) compactness discriminant Xi, as in ``xi_discriminant``
+        """(..., F) compactness discriminant Xi, as in ``xi_discriminant``
         but with 1 / (1 - tanh^2 r) evaluated as cosh^2 r, which stays
         finite as tanh r rounds to 1."""
         corners = self.surface.corners
-        num = _xi_numerator(*self.tanh_r[corners].T, *self.inv.T)
-        with np.errstate(over="ignore"):
-            return num * np.prod(self.cosh_r[corners], axis=1) ** 2
+        t = np.moveaxis(self.tanh_r[..., corners], -1, 0)
+        num = _xi_numerator(*t, *self.inv.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return num * np.prod(self.cosh_r[..., corners], axis=-1) ** 2
+
+    @cached_property
+    def margins_defined(self):
+        """(...) per row: the domain test holds and Xi > 0 on every face."""
+        return (self.domain_ok & (self.xi > 0.0)).all(axis=-1)
 
     @cached_property
     def margins(self):
-        """(E,) local Delaunay margin of every edge, as
+        """(..., E) local Delaunay margin of every edge, as
         ``hinge_delaunay_margin``; every face must be compact."""
-        self.check(self.xi > 0.0, lambda f: _non_compact(f, self.xi[f]))
+        self.check(self.xi > 0.0, lambda at: _non_compact(int(at[-1]), self.xi[at]))
+        return self.unchecked_margins
+
+    @cached_property
+    def unchecked_margins(self):
+        """``margins`` without the checks: rows that ``margins_defined``
+        rejects hold meaningless values, possibly NaN."""
         h = self.surface.hinge_slots
         inv, t = self.packing.inv, self.tanh_r
         labels = (inv[h.e_a], inv[h.e_b], inv[h.e_c], inv[h.e_d], inv[h.edge])
-        return _delaunay_margin(labels, t[h.v_k], t[h.v_i], t[h.v_l], t[h.v_j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _delaunay_margin(
+                labels, t[..., h.v_k], t[..., h.v_i], t[..., h.v_l], t[..., h.v_j]
+            )
 
     def angle_radius_jacobian(self):
-        """(F, 3, 3) derivatives of corner angle m by corner radius n."""
-        C, S = self.cosh_lengths, self.sinh_lengths
+        """(..., F, 3, 3) derivatives of corner angle m by corner radius n."""
         sin_a = np.sin(self.angles)
         self.check(
-            (sin_a > 0.0).all(axis=1),
-            lambda f: DegenerateTriangle(f"face {f} has a flat corner", face=f),
+            (sin_a > 0.0).all(axis=-1), lambda at: _degenerate(at, "has a flat corner")
         )
-        cr = self.cosh_r[self.surface.corners]
-        sr = self.sinh_r[self.surface.corners]
-        inv, slots = self.inv, np.arange(3)
-        # dC[f, s, n]: derivative of cosh length s by radius n (0 at n = s).
+        corners, inv, slots = self.surface.corners, self.inv, np.arange(3)
+        cr, sr = self.cosh_r[..., corners], self.sinh_r[..., corners]
+        crn, crp, srn, srp = cr[..., NEXT], cr[..., PREV], sr[..., NEXT], sr[..., PREV]
+        C, S = self.cosh_lengths, self.sinh_lengths
+        Cn, Cp, Sn, Sp = C[..., NEXT], C[..., PREV], S[..., NEXT], S[..., PREV]
+        # dC[..., f, s, n]: derivative of cosh length s by radius n (0 at n = s).
         dC = np.zeros(C.shape + (3,))
-        dC[:, slots, NEXT] = sr[:, NEXT] * cr[:, PREV] + inv * cr[:, NEXT] * sr[:, PREV]
-        dC[:, slots, PREV] = sr[:, PREV] * cr[:, NEXT] + inv * cr[:, PREV] * sr[:, NEXT]
-        # dT[f, m, s]: derivative of angle m by cosh length s.
-        base = S[:, NEXT] * S[:, PREV] * sin_a
+        dC[..., slots, NEXT] = srn * crp + inv * crn * srp
+        dC[..., slots, PREV] = srp * crn + inv * crp * srn
+        # dT[..., f, m, s]: derivative of angle m by cosh length s.
+        base = Sn * Sp * sin_a
         dT = np.empty_like(dC)
-        dT[:, slots, slots] = 1.0 / base
-        dT[:, slots, NEXT] = (C[:, PREV] - C * C[:, NEXT]) / (S[:, NEXT] ** 2 * base)
-        dT[:, slots, PREV] = (C[:, NEXT] - C * C[:, PREV]) / (S[:, PREV] ** 2 * base)
+        dT[..., slots, slots] = 1.0 / base
+        dT[..., slots, NEXT] = (Cp - C * Cn) / (Sn**2 * base)
+        dT[..., slots, PREV] = (Cn - C * Cp) / (Sp**2 * base)
         return dT @ dC
 
 

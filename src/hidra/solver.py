@@ -9,10 +9,9 @@ so the discrete conformal class can be audited afterwards.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.sparse import coo_array
 from scipy.sparse.linalg import splu
 
@@ -23,6 +22,7 @@ from .errors import (
     MaxIterationsExceeded,
     NonCompactOrthocircle,
     SolverStalled,
+    SurgeryDiverged,
     TargetOutOfRange,
 )
 from .flips import make_weighted_delaunay, surface_delaunay_margins
@@ -33,6 +33,12 @@ DEFAULT_TOL_K = 1e-10
 DEFAULT_MAX_ITERATIONS = 100
 MIN_LINE_SEARCH_STEP = 1e-12
 MIN_FLOW_DT = 1e-12
+
+# Wall checkpoints per potential segment; the Gauss-Legendre rule and
+# the tolerances and subinterval cap of its halving.
+CHECKPOINTS = 64
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
+QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-10, 1e-11, 100
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -59,13 +65,17 @@ def curvatures(surface, packing):
 
     Corner angles come from the array kernel; those at self-glued faces
     count with multiplicity.  The returned pair satisfies
-    sum(K) = 2*pi*chi + area by construction.
+    sum(K) = 2*pi*chi + area by construction.  A batch of (B, V) radii
+    rows gives (B, V) curvatures and (B,) areas, and raises as the
+    kernel does for its first row at fault.
     """
     angles = SurfaceMetrics(surface, packing).angles
-    angle_sum = np.bincount(
-        surface.corners.ravel(), weights=angles.ravel(), minlength=surface.vertex_count
-    )
-    return 2.0 * math.pi - angle_sum, float(np.sum(math.pi - angles.sum(axis=1)))
+    n, rows = surface.vertex_count, angles.shape[:-2]
+    # One bincount for all rows: row b's vertex ids are offset by b * n.
+    index = surface.corners.ravel() + n * np.arange(math.prod(rows))[:, None]
+    angle_sum = np.bincount(index.ravel(), angles.ravel(), n * len(index))
+    area = np.sum(math.pi - angles.sum(axis=-1), axis=-1)
+    return 2.0 * math.pi - angle_sum.reshape(rows + (n,)), area if rows else float(area)
 
 
 def gauss_bonnet_residual(surface, packing):
@@ -127,6 +137,51 @@ def validate_target(surface, target):
     return target
 
 
+def _gauss_sums(f, lo, hi):
+    """Gauss-Legendre estimates of the integrals of f over the intervals
+    [lo_i, hi_i], from one call of f at all their nodes in ascending
+    order."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GAUSS_NODES
+    order = np.argsort(nodes, axis=None, kind="stable")
+    values = np.empty(nodes.size)
+    values[order] = f(nodes.ravel()[order])
+    return half * (values.reshape(nodes.shape) @ GAUSS_WEIGHTS)
+
+
+def _integrate(f, a, b):
+    """Integral of f over [a, b] by Gauss-Legendre with halving.
+
+    ``f`` maps an ascending array of points to the array of its values.
+    Each piece's rule is checked against the sum of the rule over its
+    two halves.  Pieces whose discrepancy exceeds their length's share of
+    max(QUAD_EPSABS, QUAD_EPSREL * |integral|) are halved again, one
+    call of f per level, while at most QUAD_LIMIT subintervals are used.
+    """
+    lo, hi, whole = np.array([a]), np.array([b]), None
+    total = error = 0.0  # over the accepted pieces
+    pieces = 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        h_lo, h_hi = np.c_[lo, mid].ravel(), np.c_[mid, hi].ravel()
+        if whole is None:
+            whole, sums = np.split(_gauss_sums(f, np.r_[a, h_lo], np.r_[b, h_hi]), [1])
+        else:
+            sums = _gauss_sums(f, h_lo, h_hi)
+        halves = sums[0::2] + sums[1::2]
+        err = np.abs(halves - whole)
+        estimate = total + float(halves.sum())
+        tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(estimate))
+        split = err > tol * (hi - lo) / (b - a)
+        pieces += 2 * int(split.sum())
+        if error + err.sum() <= tol or not split.any() or pieces > QUAD_LIMIT:
+            return estimate
+        total += float(halves[~split].sum())
+        error += float(err[~split].sum())
+        lo, hi = h_lo.reshape(-1, 2)[split].ravel(), h_hi.reshape(-1, 2)[split].ravel()
+        whole = sums.reshape(-1, 2)[split].ravel()
+
+
 def segment_potential(
     surface,
     packing,
@@ -135,20 +190,23 @@ def segment_potential(
     u_end,
     tol_delaunay=TOL_DELAUNAY,
     flip_budget=None,
-    checkpoints=64,
     iteration=0,
 ):
     """Integral of (K - Kbar) . du over the straight u-segment.
 
-    The carried triangulation is marched along the segment; where the
-    segment leaves the current Delaunay cell, the wall is located by
+    The carried triangulation is marched along the segment: one batched
+    kernel evaluation scans the CHECKPOINTS checkpoints ahead; at the
+    first outside the current Delaunay cell, the wall is located by
     bisection on the worst edge margin, the smooth piece up to the wall
-    is integrated by adaptive quadrature, and flip surgery moves the
-    march into the next cell.  The integrand is continuous across walls,
-    so the piecewise sum is the path integral.
+    is integrated by Gauss-Legendre with halving, and flip surgery moves
+    the march into the next cell.  The integrand is continuous across
+    walls, so the piecewise sum is the path integral.  The first
+    checkpoint or node at which the kernel is undefined raises the
+    single-packing kernel's exception.
 
     Returns (value, end_surface, end_packing, wall_flip_events); the end
-    packing carries the radii of u_end.
+    packing carries the radii of u_end.  A flip-budget overrun raises
+    SurgeryDiverged carrying every flip of the segment so far.
     """
     u_start = np.asarray(u_start, dtype=float)
     u_end = np.asarray(u_end, dtype=float)
@@ -163,40 +221,51 @@ def segment_potential(
         return 0.0, surf, Packing(inv, r_from_u(u_end)), events
 
     def packing_at(s):
-        return Packing(inv, r_from_u(u_start + s * du))
+        """Packing at s, or a batch of them for an array of s."""
+        return Packing(inv, r_from_u(u_start + np.multiply.outer(s, du)))
 
     def min_margin(s):
         return surface_delaunay_margins(surf, packing_at(s)).min()
 
     def integrand(s):
         K, _ = curvatures(surf, packing_at(s))
-        return float((K - target) @ du)
+        return (K - target) @ du
 
     def piece(a, b):
-        if b - a < 1e-14:
-            return 0.0
-        val, _ = quad(integrand, a, b, epsabs=1e-10, epsrel=1e-11, limit=100)
-        return val
+        return 0.0 if b - a < 1e-14 else _integrate(integrand, a, b)
 
-    surf, pk, ev = make_weighted_delaunay(
-        surf, packing_at(0.0), tol=tol_delaunay, flip_budget=flip_budget,
-        iteration=iteration,
-    )
-    inv = pk.inv
-    events += ev
+    def flip_to_delaunay(s):
+        nonlocal surf, inv
+        try:
+            surf, pk, ev = make_weighted_delaunay(
+                surf, packing_at(s), tol=tol_delaunay, flip_budget=flip_budget,
+                iteration=iteration,
+            )
+        except SurgeryDiverged as exc:
+            exc.state.flip_log = events + exc.state.flip_log
+            raise
+        inv = pk.inv
+        events.extend(ev)
 
+    flip_to_delaunay(0.0)
     total = 0.0
     piece_start = 0.0
     s_pos = 0.0
-    step = 1.0 / checkpoints
     while s_pos < 1.0:
-        s_next = min(1.0, s_pos + step)
-        if min_margin(s_next) >= -tol_delaunay:
-            s_pos = s_next
-            continue
-        # Wall between s_pos (inside the cell) and s_next (outside):
+        s = [s_pos]  # and the checkpoints ahead, as a sequential march steps
+        while s[-1] < 1.0:
+            s.append(min(1.0, s[-1] + 1.0 / CHECKPOINTS))
+        metrics = SurfaceMetrics(surf, packing_at(np.array(s[1:])))
+        worst = metrics.unchecked_margins.min(axis=-1)
+        outside = ~(metrics.margins_defined & (worst >= -tol_delaunay))
+        if not outside.any():
+            break
+        k = int(outside.argmax())
+        if not metrics.margins_defined[k]:
+            metrics.margins  # raises for row k, the first row at fault
+        # Wall between s[k] (inside the cell) and s[k + 1] (outside):
         # shrink the bracket, keeping the outside end strictly outside.
-        lo, hi = s_pos, s_next
+        lo, hi = s[k], s[k + 1]
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             if min_margin(mid) >= -tol_delaunay:
@@ -204,12 +273,7 @@ def segment_potential(
             else:
                 hi = mid
         total += piece(piece_start, lo)
-        surf, pk, ev = make_weighted_delaunay(
-            surf, packing_at(hi), tol=tol_delaunay, flip_budget=flip_budget,
-            iteration=iteration,
-        )
-        inv = pk.inv
-        events += ev
+        flip_to_delaunay(hi)
         piece_start = lo
         s_pos = hi
     total += piece(piece_start, 1.0)
@@ -223,7 +287,6 @@ def ricci_potential(
     u_reference,
     tol_delaunay=TOL_DELAUNAY,
     flip_budget=None,
-    checkpoints=64,
 ):
     """Normalized Ricci potential of the state relative to u_reference.
 
@@ -241,7 +304,6 @@ def ricci_potential(
         u_end,
         tol_delaunay=tol_delaunay,
         flip_budget=flip_budget,
-        checkpoints=checkpoints,
     )
     return value
 
@@ -266,6 +328,17 @@ class SolveState:
     @property
     def max_error(self):
         return float(np.max(np.abs(self.curvature - self.target)))
+
+
+def _overrun(exc, target, iterations, flip_log, trace, potential):
+    """SurgeryDiverged for a flip-budget overrun inside a solve: the
+    run's flip log, trace, iteration count and potential so far, at the
+    surface and packing where the flips stopped."""
+    state = replace(
+        exc.state, target=target, iterations=iterations,
+        flip_log=flip_log + exc.state.flip_log, trace=trace, potential=potential,
+    )
+    return SurgeryDiverged(str(exc), state=state)
 
 
 def _clamped_step(u, delta):
@@ -298,7 +371,11 @@ def newton_solve(
     evaluations reuse the current triangulation: the potential extends
     C1 across cell walls, so a marginally non-Delaunay trial still
     measures progress.  The Hessian's spectrum sign is taken once, at
-    the state returned or carried by the raised SolverFailure.
+    the state returned or carried by the raised SolverFailure.  A flip
+    budget overrun raises SurgeryDiverged with the solve's flip log and
+    trace at the state where the flips stopped (spectrum sign 0, not
+    taken); a non-compact face after a step raises it at the last
+    accepted iterate.
     """
     target = validate_target(surface, target)
     validate_packing(surface, packing)
@@ -348,18 +425,26 @@ def newton_solve(
                     state=exit_state("stalled", iteration),
                 )
 
-        if track_potential:
-            d_pot, _, _, _ = segment_potential(
-                surface, packing, target, u, u_try,
-                tol_delaunay=tol_delaunay, flip_budget=flip_budget,
+        d_pot = 0.0
+        try:
+            if track_potential:
+                d_pot, _, _, _ = segment_potential(
+                    surface, packing, target, u, u_try,
+                    tol_delaunay=tol_delaunay, flip_budget=flip_budget,
+                )
+            surface_try, packing_try, events = make_weighted_delaunay(
+                surface, Packing(packing.inv, r_from_u(u_try)), tol=tol_delaunay,
+                flip_budget=flip_budget, iteration=iteration,
             )
-            potential += d_pot
+        except SurgeryDiverged as exc:
+            raise _overrun(exc, target, iteration, flip_log, trace, potential) from exc
+        except NonCompactOrthocircle as exc:
+            raise SurgeryDiverged(
+                str(exc), state=exit_state("surgery_diverged", iteration)
+            ) from exc
+        potential += d_pot
         u = u_try
-        packing = Packing(packing.inv, r_from_u(u))
-        surface, packing, events = make_weighted_delaunay(
-            surface, packing, tol=tol_delaunay, flip_budget=flip_budget,
-            iteration=iteration,
-        )
+        surface, packing = surface_try, packing_try
         flip_log += events
         K, area = curvatures(surface, packing)
         trace.append(
@@ -394,7 +479,9 @@ def ricci_flow(
     potential does not increase, otherwise dt is halved (FlowStalled on
     underflow).  The flow is gradient descent of the potential, so the
     recorded potential trace is non-increasing across accepted steps.
-    Stops once max|K - Kbar| <= tol or the flow time reaches t_max.
+    Stops once max|K - Kbar| <= tol or the flow time reaches t_max.  A
+    flip-budget overrun raises SurgeryDiverged with the flow's flip log
+    and trace at the state where the flips stopped.
     """
     target = validate_target(surface, target)
     validate_packing(surface, packing)
@@ -432,6 +519,10 @@ def ricci_flow(
                 accepted = d_pot <= 0.0
             except (DegenerateTriangle, DomainError, NonCompactOrthocircle):
                 accepted = False
+            except SurgeryDiverged as exc:
+                raise _overrun(
+                    exc, target, step_index, flip_log, trace, potential
+                ) from exc
             if not accepted:
                 dt *= 0.5
                 if dt < MIN_FLOW_DT:

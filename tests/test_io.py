@@ -190,6 +190,56 @@ class TestCLI:
         assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
         assert report["global"]["edge_count"] == 9
 
+    @staticmethod
+    def octahedron_mesh(tmp_path, seed):
+        from hidra.checks import random_packing
+        from hidra.complexes import octahedron_sphere
+
+        packing = random_packing(
+            octahedron_sphere(), np.random.default_rng(seed),
+            inv_range=(1.05, 12.0), max_tries=5000,
+        )
+        mesh = tmp_path / "in.json"
+        mesh.write_text(dumps_mesh(octahedron_sphere(), packing))
+        return mesh
+
+    def test_solve_budget_overrun_keeps_earlier_flips(self, tmp_path):
+        # One flip makes the start Delaunay; the first Newton step needs
+        # two, so a budget of one runs out mid-solve.
+        mesh = self.octahedron_mesh(tmp_path, 6)
+        out = tmp_path / "report.json"
+        code = self.run(
+            "solve", str(mesh), "--target-uniform", "5.0", "--flip-budget", "1",
+            "--out", str(out),
+        )
+        assert code == 4
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "surgery_diverged"
+        assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
+        iterations = [f["iteration"] for f in report["flip_log"]]
+        assert iterations == [0, 1]  # the start's flip, then one at the budget
+        assert report["iteration_trace"] == []
+        assert report["global"]["edge_count"] == 12
+
+    def test_solve_non_compact_face_mid_solve_keeps_state(self, tmp_path):
+        # The first Newton step lands where a face of the carried
+        # triangulation has Xi <= 0.
+        mesh = self.octahedron_mesh(tmp_path, 16)
+        out = tmp_path / "report.json"
+        code = self.run(
+            "solve", str(mesh), "--target-uniform", "5.0", "--out", str(out)
+        )
+        assert code == 4
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "surgery_diverged"
+        assert "Xi" in report["error"]
+        assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
+        assert len(report["flip_log"]) == 3  # the flips to the Delaunay start
+        assert len(report["vertices"]) == 6
+        assert min(e["delaunay_margin"] for e in report["edges"]) >= -1e-10
+
     def test_solve_rejects_inadmissible_target(self, tmp_path):
         out = tmp_path / "report.json"
         code = self.run(

@@ -4,6 +4,7 @@ The references below evaluate one face or hinge at a time with
 ``face_metrics`` and ``hinge_delaunay_margin``, the way the library did
 before the kernel existed.  Each one records the face at which it
 raises, so failures are compared by exception class and face as well.
+A batch of radii rows is checked against the kernel on each row alone.
 """
 
 import math
@@ -17,7 +18,12 @@ from hidra.checks import random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
 from hidra.flips import surface_delaunay_margins
-from hidra.geometry import Packing, face_metrics, hinge_delaunay_margin
+from hidra.geometry import (
+    Packing,
+    SurfaceMetrics,
+    face_metrics,
+    hinge_delaunay_margin,
+)
 from hidra.hyptrig import sinh_from_cosh
 from hidra.solver import curvatures, hessian
 from hidra.surface import hinge
@@ -184,3 +190,64 @@ def test_domain_fault_named_by_face(torus):
         with pytest.raises(DomainError) as info:
             func(torus, packing)
         assert info.value.face == 0
+
+
+def first_failure(call):
+    """The exception a kernel call raises, or None."""
+    try:
+        call()
+    except (DomainError, NonCompactOrthocircle) as exc:
+        return exc
+    return None
+
+
+@given(
+    name=st.sampled_from(sorted(BUILDERS)),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    fault=st.sampled_from([None, 0.0, math.inf]),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_kernel_matches_single_packings(name, seed, rows, fault):
+    """Every row of a (B, V) batch against SurfaceMetrics of that row
+    alone: values, per-row validity, and the first faulting row's error."""
+    surface = BUILDERS[name]()
+    rng = np.random.default_rng(seed)
+    inv = random_packing(
+        surface, rng, inv_range=(1.05, 12.0), require_compact=False
+    ).inv
+    radii = np.arctanh(rng.uniform(0.35, 0.9, size=(rows, surface.vertex_count)))
+    if fault is not None:
+        radii[rng.integers(rows), rng.integers(surface.vertex_count)] = fault
+    batch = SurfaceMetrics(surface, Packing(inv, radii))
+    singles = [SurfaceMetrics(surface, Packing(inv, r)) for r in radii]
+
+    for prop in ("angles", "margins"):
+        errors = [first_failure(lambda m=m: getattr(m, prop)) for m in singles]
+        defined = getattr(batch, f"{prop}_defined")
+        assert defined.tolist() == [e is None for e in errors]
+        if defined.any():
+            sub = SurfaceMetrics(surface, Packing(inv, radii[defined]))
+            good = [m for m, ok in zip(singles, defined) if ok]
+            for value, single in zip(getattr(sub, prop), good):
+                assert close(value, getattr(single, prop))
+        faults = [e for e in errors if e is not None]
+        if faults:
+            raised = Raised(faults[0], faults[0].face)
+            assert_same_failure(lambda: getattr(batch, prop), raised)
+
+    fine = batch.angles_defined
+    if fine.any():
+        K, area = curvatures(surface, Packing(inv, radii[fine]))
+        for k, a, r in zip(K, area, radii[fine]):
+            K1, a1 = curvatures(surface, Packing(inv, r))
+            assert close(k, K1) and close(a, a1)
+        sub = SurfaceMetrics(surface, Packing(inv, radii[fine]))
+        if first_failure(sub.angle_radius_jacobian) is None:  # no flat corner
+            for J, r in zip(sub.angle_radius_jacobian(), radii[fine]):
+                single = SurfaceMetrics(surface, Packing(inv, r))
+                assert close(J, single.angle_radius_jacobian())
+    if not fine.all():
+        first = first_failure(lambda: singles[int(fine.argmin())].angles)
+        raised = Raised(first, first.face)
+        assert_same_failure(lambda: curvatures(surface, Packing(inv, radii)), raised)

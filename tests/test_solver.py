@@ -1,19 +1,30 @@
 """Curvature, Hessian, potential, Newton descent and Ricci flow."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hidra
 from conftest import hessian_fd
 from hidra.checks import random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
-from hidra.errors import DomainError, TargetOutOfRange
-from hidra.flips import make_weighted_delaunay
+from hidra.errors import (
+    DomainError,
+    NonCompactOrthocircle,
+    SurgeryDiverged,
+    TargetOutOfRange,
+)
+from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
 from hidra.geometry import Packing
 from hidra.solver import (
+    _integrate,
     curvatures,
     gauss_bonnet_residual,
     hessian,
@@ -329,6 +340,17 @@ class TestWallCrossingSolves:
         pots = [row["potential"] for row in flow.trace]
         assert all(b <= a + 1e-12 for a, b in zip(pots, pots[1:]))
 
+    def test_flow_overrun_carries_the_flow_so_far(self, tetra_wall_setup):
+        surface, start, target = tetra_wall_setup
+        surface, start, _ = make_weighted_delaunay(surface, start)
+        with pytest.raises(SurgeryDiverged) as info:  # the wall flip overruns
+            ricci_flow(surface, start, target, dt=0.02, tol=1e-9, flip_budget=0)
+        state = info.value.state
+        assert isinstance(info.value.__cause__, SurgeryDiverged)
+        assert state.status == "surgery_diverged"
+        assert state.iterations == len(state.trace) == 6
+        assert state.target is target and state.flip_log == []
+
     def test_octahedron_spread_targets_flip_mid_solve(self, octahedron, rng):
         hits = 0
         for _ in range(12):
@@ -341,3 +363,92 @@ class TestWallCrossingSolves:
             if any(ev.iteration >= 1 for ev in state.flip_log):
                 hits += 1
         assert hits >= 1
+
+
+def sequential_segment(surface, packing, target, u_start, u_end, tol=1e-10):
+    """The per-checkpoint march with scipy's adaptive quad: the reference
+    for segment_potential.  Returns (value, wall_flip_events)."""
+    from scipy.integrate import quad
+
+    du = u_end - u_start
+    inv, surf = packing.inv, surface
+
+    def packing_at(s):
+        return Packing(inv, r_from_u(u_start + s * du))
+
+    def min_margin(s):
+        return surface_delaunay_margins(surf, packing_at(s)).min()
+
+    def integrand(s):
+        K, _ = curvatures(surf, packing_at(s))
+        return float((K - target) @ du)
+
+    def piece(a, b):
+        return quad(integrand, a, b, epsabs=1e-10, epsrel=1e-11, limit=100)[0]
+
+    surf, pk, events = make_weighted_delaunay(surf, packing_at(0.0), tol=tol)
+    inv = pk.inv
+    total = piece_start = s_pos = 0.0
+    while s_pos < 1.0:
+        s_next = min(1.0, s_pos + 1.0 / 64)
+        if min_margin(s_next) >= -tol:
+            s_pos = s_next
+            continue
+        lo, hi = s_pos, s_next
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if min_margin(mid) >= -tol:
+                lo = mid
+            else:
+                hi = mid
+        total += piece(piece_start, lo)
+        surf, pk, ev = make_weighted_delaunay(surf, packing_at(hi), tol=tol)
+        inv = pk.inv
+        events += ev
+        piece_start, s_pos = lo, hi
+    return total + piece(piece_start, 1.0), events
+
+
+class TestSegmentAcrossWalls:
+    def test_matches_sequential_march_and_quad(self, octahedron):
+        rng = np.random.default_rng(5)
+        target = np.full(6, 0.5)
+        walls = 0
+        for _ in range(24):
+            pk = random_packing(octahedron, rng, inv_range=(1.05, 4.0), max_tries=5000)
+            surface, pk, _ = make_weighted_delaunay(octahedron, pk)
+            u0 = u_from_r(pk.radii)
+            u1 = np.minimum(u0 + rng.uniform(-0.6, 0.3, size=6), -0.05)
+            try:
+                ref, ref_events = sequential_segment(surface, pk, target, u0, u1)
+            except (DomainError, NonCompactOrthocircle) as exc:
+                with pytest.raises(type(exc)):
+                    segment_potential(surface, pk, target, u0, u1)
+                continue
+            value, _, _, events = segment_potential(surface, pk, target, u0, u1)
+            assert events == ref_events
+            assert value == pytest.approx(ref, abs=1e-9)
+            walls += len(events)
+        assert walls >= 5  # one segment crosses two walls
+
+
+def test_gauss_legendre_halving():
+    calls = []
+
+    def f(x):
+        assert np.all(np.diff(x) >= 0.0)  # one ascending batch per call
+        calls.append(len(x))
+        return 1.0 / (x + 1e-3)
+
+    assert _integrate(f, 0.0, 1.0) == pytest.approx(math.log(1001.0), abs=1e-10)
+    assert calls[0] == 30 and len(calls) > 1  # the rule, its halves, then more
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import sys, hidra.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(hidra.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
