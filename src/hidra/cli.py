@@ -28,8 +28,8 @@ from .errors import (
     TargetOutOfRange,
     ValidationError,
 )
-from .flips import make_weighted_delaunay, surface_delaunay_margins
-from .meshio import build_report, dumps_mesh, dumps_report, load_mesh, mesh_document
+from .flips import make_weighted_delaunay
+from .meshio import build_report, dumps_report, load_mesh, mesh_document
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL_K,
@@ -156,8 +156,8 @@ def cmd_delaunay(args, surface, packing, target, digest):
     report["mesh"] = mesh_document(surface2, packing2, target)
     _write_report(args, report)
     if args.mesh_out:
-        Path(args.mesh_out).write_text(dumps_mesh(surface2, packing2, target))
-    margins = surface_delaunay_margins(surface2, packing2)
+        Path(args.mesh_out).write_text(dumps_report(report["mesh"]))
+    margins = [edge["delaunay_margin"] for edge in report["edges"]]
     print(f"flips: {len(events)}  min margin: {min(margins):.3e}")
     return EXIT_OK
 

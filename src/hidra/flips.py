@@ -99,7 +99,9 @@ def make_weighted_delaunay(
     Scheduling is greedy worst-first: each round flips the edge with the
     most negative margin, ties broken by lowest edge id.  Edges within
     the tolerance band are treated as Delaunay and never flipped, which
-    prevents two-cycles at degenerate hinges.  Returns the new surface,
+    prevents two-cycles at degenerate hinges.  After one full margin scan
+    at entry, each flip re-checks only its two rewritten faces and
+    re-evaluates the five edges on them.  Returns the new surface,
     packing, and the ordered flip log.  Past the budget it raises
     SurgeryDiverged carrying the partial SolveState: the surface,
     packing and flip log reached so far.
@@ -107,8 +109,8 @@ def make_weighted_delaunay(
     if flip_budget is None:
         flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)
     events = []
+    margins = surface_delaunay_margins(surface, packing)
     while True:
-        margins = surface_delaunay_margins(surface, packing)
         worst = int(np.argmin(margins))  # first minimum: lowest edge id
         if margins[worst] >= -tol:
             return surface, packing, events
@@ -124,3 +126,6 @@ def make_weighted_delaunay(
             )
         surface, packing, event = flip_edge(surface, packing, worst, iteration)
         events.append(event)
+        faces = [f for f, _ in surface.edge_slots[worst]]  # ascending
+        edges = surface.sides[faces]
+        margins[edges] = SurfaceMetrics(surface, packing, faces, edges).margins

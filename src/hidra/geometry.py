@@ -71,7 +71,7 @@ def validate_packing(surface, packing, require_triangle_inequalities=True):
         C, S = m.cosh_lengths, m.sinh_lengths
         m.check(
             (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1),
-            lambda at: _degenerate(at, "violates the triangle inequalities"),
+            lambda face, at: _degenerate(face, "violates the triangle inequalities"),
         )
 
 
@@ -203,8 +203,7 @@ def _non_compact(face, xi):
     )
 
 
-def _degenerate(at, what):
-    face = int(at[-1])
+def _degenerate(face, what):
     return DegenerateTriangle(f"face {face} {what}", face=face)
 
 
@@ -221,13 +220,15 @@ class SurfaceMetrics:
     DegenerateTriangle from ``angles`` or NonCompactOrthocircle from
     ``margins``; checked values hold no NaN.  ``angles_defined`` and
     ``margins_defined`` tell which rows pass, without raising.
+    Index arrays ``faces`` (ascending) and ``edges`` select faces and hinges.
     """
 
-    def __init__(self, surface, packing):
-        self.surface = surface
-        self.packing = packing
-        corners, radii = surface.corners, packing.radii
-        self.inv = packing.inv[surface.sides]
+    def __init__(self, surface, packing, faces=slice(None), edges=slice(None)):
+        self.surface, self.packing, self.edges = surface, packing, edges
+        self.faces = np.arange(surface.face_count)[faces]
+        self.corners = corners = surface.corners[faces]
+        radii = packing.radii
+        self.inv = packing.inv[surface.sides[faces]]
         with np.errstate(over="ignore", invalid="ignore"):
             self.cosh_r = np.cosh(radii)
             self.sinh_r = np.sinh(radii)
@@ -244,15 +245,15 @@ class SurfaceMetrics:
 
     def check(self, ok, error):
         """Raise for the lowest face failing the domain test (DomainError)
-        or the (..., F) mask ``ok`` (``error(at)``, with ``at`` the index
-        of that face in ``ok``), in the first row that has one."""
+        or the (..., F) mask ``ok`` (``error(face, at)``, with ``at`` the
+        index of that face in ``ok``), in the first row that has one."""
         bad = ~(self.domain_ok & ok)
         if bad.any():
             at = np.unravel_index(bad.argmax(), bad.shape)
-            face = int(at[-1])
+            face = int(self.faces[at[-1]])
             if not self.domain_ok[at]:
                 raise DomainError(f"face {face} is outside the domain", face=face)
-            raise error(at)
+            raise error(face, at)
 
     @cached_property
     def cos_angles(self):
@@ -276,7 +277,7 @@ class SurfaceMetrics:
         """(..., F, 3) corner angles, cosines clamped into [-1, 1]."""
         self.check(
             self.angle_ok,
-            lambda at: _degenerate(at, "has a corner cosine outside [-1, 1]"),
+            lambda face, at: _degenerate(face, "has a corner cosine outside [-1, 1]"),
         )
         return np.arccos(np.clip(self.cos_angles, -1.0, 1.0))
 
@@ -285,7 +286,7 @@ class SurfaceMetrics:
         """(..., F) compactness discriminant Xi, as in ``xi_discriminant``
         but with 1 / (1 - tanh^2 r) evaluated as cosh^2 r, which stays
         finite as tanh r rounds to 1."""
-        corners = self.surface.corners
+        corners = self.corners
         t = np.moveaxis(self.tanh_r[..., corners], -1, 0)
         num = _xi_numerator(*t, *self.inv.T)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -300,28 +301,29 @@ class SurfaceMetrics:
     def margins(self):
         """(..., E) local Delaunay margin of every edge, as
         ``hinge_delaunay_margin``; every face must be compact."""
-        self.check(self.xi > 0.0, lambda at: _non_compact(int(at[-1]), self.xi[at]))
+        self.check(self.xi > 0.0, lambda face, at: _non_compact(face, self.xi[at]))
         return self.unchecked_margins
 
     @cached_property
     def unchecked_margins(self):
         """``margins`` without the checks: rows that ``margins_defined``
         rejects hold meaningless values, possibly NaN."""
-        h = self.surface.hinge_slots
+        h, e = self.surface.hinge_slots, self.edges
         inv, t = self.packing.inv, self.tanh_r
-        labels = (inv[h.e_a], inv[h.e_b], inv[h.e_c], inv[h.e_d], inv[h.edge])
+        labels = [inv[ids[e]] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge)]
         with np.errstate(divide="ignore", invalid="ignore"):
             return _delaunay_margin(
-                labels, t[..., h.v_k], t[..., h.v_i], t[..., h.v_l], t[..., h.v_j]
+                labels, *(t[..., ids[e]] for ids in (h.v_k, h.v_i, h.v_l, h.v_j))
             )
 
     def angle_radius_jacobian(self):
         """(..., F, 3, 3) derivatives of corner angle m by corner radius n."""
         sin_a = np.sin(self.angles)
         self.check(
-            (sin_a > 0.0).all(axis=-1), lambda at: _degenerate(at, "has a flat corner")
+            (sin_a > 0.0).all(axis=-1),
+            lambda face, at: _degenerate(face, "has a flat corner"),
         )
-        corners, inv, slots = self.surface.corners, self.inv, np.arange(3)
+        corners, inv, slots = self.corners, self.inv, np.arange(3)
         cr, sr = self.cosh_r[..., corners], self.sinh_r[..., corners]
         crn, crp, srn, srp = cr[..., NEXT], cr[..., PREV], sr[..., NEXT], sr[..., PREV]
         C, S = self.cosh_lengths, self.sinh_lengths

@@ -237,7 +237,7 @@ def build_report(
     solver's exit state.
     """
     from .flips import surface_delaunay_margins
-    from .solver import curvatures, gauss_bonnet_residual, u_from_r
+    from .solver import _gauss_bonnet_residual, curvatures, u_from_r
 
     report = {
         "format_version": FORMAT_VERSION,
@@ -271,7 +271,7 @@ def build_report(
 
     try:
         K, area = curvatures(surface, packing)
-        gb = gauss_bonnet_residual(surface, packing)
+        gb = _gauss_bonnet_residual(surface, K, area)
     except DomainError:
         K = area = gb = None
     try:
@@ -346,4 +346,5 @@ def build_report(
 
 
 def dumps_report(report):
+    """A report, or any document in it such as its mesh, as JSON text."""
     return json.dumps(report, indent=2) + "\n"

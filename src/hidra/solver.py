@@ -80,7 +80,10 @@ def curvatures(surface, packing):
 
 def gauss_bonnet_residual(surface, packing):
     """sum(K) - 2 pi chi - area; zero up to roundoff on any valid state."""
-    K, area = curvatures(surface, packing)
+    return _gauss_bonnet_residual(surface, *curvatures(surface, packing))
+
+
+def _gauss_bonnet_residual(surface, K, area):
     return float(K.sum() - 2.0 * math.pi * euler_characteristic(surface) - area)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     FlipIllegal,
     InconsistentIncidence,
-    MeshError,
     NotClosed,
     NotOrientable,
     NotTriangulable,
@@ -94,20 +93,32 @@ class TriSurface:
     def hinge_slots(self):
         """HingeView of (E,) index arrays, entry e labelling the hinge of
         edge e (see ``hinge``)."""
-        f1, s1, f2, s2 = _frozen(self.edge_slots).reshape(-1, 4).T
-        k1, k2, l1, l2 = (s1 + 1) % 3, (s1 + 2) % 3, (s2 + 1) % 3, (s2 + 2) % 3
-        c, s = self.corners, self.sides
-        return HingeView(
-            edge=np.arange(len(self.edges)), face_k=f1, face_l=f2,
-            side_in_k=s1, side_in_l=s2,
-            v_k=c[f1, s1], v_i=c[f1, k1], v_j=c[f1, k2], v_l=c[f2, s2],
-            e_a=s[f1, k2], e_d=s[f1, k1], e_b=s[f2, l1], e_c=s[f2, l2],
-        )
+        return _hinge_rows(self, np.arange(len(self.edges)))
+
+
+def _hinge_rows(surface, edges):
+    """HingeView of index arrays labelling the hinges of ``edges``."""
+    f1, s1, f2, s2 = _frozen([surface.edge_slots[e] for e in edges]).reshape(-1, 4).T
+    k1, k2, l1, l2 = (s1 + 1) % 3, (s1 + 2) % 3, (s2 + 1) % 3, (s2 + 2) % 3
+    c, s = surface.corners, surface.sides
+    return HingeView(
+        edge=edges, face_k=f1, face_l=f2, side_in_k=s1, side_in_l=s2,
+        v_k=c[f1, s1], v_i=c[f1, k1], v_j=c[f1, k2], v_l=c[f2, s2],
+        e_a=s[f1, k2], e_d=s[f1, k1], e_b=s[f2, l1], e_c=s[f2, l2],
+    )
 
 
 def _frozen(rows):
     out = np.array(rows, dtype=np.intp)
     out.flags.writeable = False
+    return out
+
+
+def _patched(array, index, values):
+    """Copy of ``array`` with ``[index] = values``, as writeable as ``array``."""
+    out = array.copy()
+    out[index] = values
+    out.flags.writeable = array.flags.writeable
     return out
 
 
@@ -203,25 +214,36 @@ def flip_combinatorial(surface, edge):
     """Replace the diagonal of the hinge at ``edge`` by the other one.
 
     The edge keeps its id but now joins the two apexes; V, E, F are
-    unchanged and the global orientation is preserved.  Raises
-    FlipIllegal when the hinge is degenerate (both slots on one face) or
-    the result fails complex validation.
+    unchanged and the global orientation is preserved.  Only the two
+    faces, the slots of their edges and those cached index array entries
+    are rewritten, giving what ``build_surface`` would.  Raises
+    FlipIllegal only when both slots of ``edge`` lie on one face.
     """
     h = hinge(surface, edge)
     if h.face_k == h.face_l:
         raise FlipIllegal(f"edge {edge} has both sides on face {h.face_k}")
-
-    new_edges = list(surface.edges)
-    new_edges[edge] = (h.v_k, h.v_l)
-
-    new_faces = [(f.corners, f.sides) for f in surface.faces]
-    new_faces[h.face_k] = ((h.v_k, h.v_i, h.v_l), (h.e_b, edge, h.e_a))
-    new_faces[h.face_l] = ((h.v_l, h.v_j, h.v_k), (h.e_d, edge, h.e_c))
-
-    try:
-        return build_surface(surface.vertex_count, new_edges, new_faces)
-    except MeshError as exc:
-        raise FlipIllegal(f"flip of edge {edge} breaks the complex: {exc}") from exc
+    rows = [h.face_k, h.face_l]
+    new = [Face((h.v_k, h.v_i, h.v_l), (h.e_b, edge, h.e_a)),
+           Face((h.v_l, h.v_j, h.v_k), (h.e_d, edge, h.e_c))]
+    faces = list(surface.faces)
+    faces[h.face_k], faces[h.face_l] = new
+    # Slot pairs sorted by (face, side), the order build_surface lists them in.
+    touched = sorted({edge, *h.boundary_edges})
+    edge_slots = list(surface.edge_slots)
+    for e in touched:
+        kept = [slot for slot in edge_slots[e] if slot[0] not in rows]
+        added = [(f, k) for f in rows for k, side in enumerate(faces[f].sides) if side == e]
+        edge_slots[e] = tuple(sorted(kept + added))
+    edges = surface.edges[:edge] + ((h.v_k, h.v_l),) + surface.edges[edge + 1:]
+    flipped = TriSurface(surface.vertex_count, edges, tuple(faces), tuple(edge_slots))
+    vars(flipped).update(corners=_patched(surface.corners, rows, [f.corners for f in new]),
+                         sides=_patched(surface.sides, rows, [f.sides for f in new]))
+    old, fresh = surface.hinge_slots, _hinge_rows(flipped, np.array(touched))
+    vars(flipped)["hinge_slots"] = HingeView(*(
+        _patched(getattr(old, f.name), touched, getattr(fresh, f.name))
+        for f in fields(HingeView)
+    ))
+    return flipped
 
 
 def _canonical_face(face):

@@ -12,8 +12,9 @@ from hidra.complexes import (
     tetrahedron_sphere,
     two_triangle_sphere,
 )
-from hidra.geometry import Packing
+from hidra.geometry import Packing, SurfaceMetrics
 from hidra.solver import curvatures, r_from_u, u_from_r
+from hidra.surface import build_surface
 
 
 @pytest.fixture
@@ -67,3 +68,48 @@ def hessian_fd(surface, packing, h=1e-6):
         Kn, _ = curvatures(surface, Packing(packing.inv, r_from_u(dn)))
         H[:, j] = (Kp - Kn) / (2.0 * h)
     return H
+
+
+def torus_grid(n):
+    """The n x n torus grid: V = n^2, E = 3n^2, F = 2n^2, chi = 0.
+
+    Vertex (i, j) has id i*n + j (indices mod n) and owns edges 3*id to
+    (i, j+1), 3*id + 1 to (i+1, j) and the diagonal 3*id + 2 to
+    (i+1, j+1); each grid square is split along its diagonal into two
+    counter-clockwise faces.
+    """
+
+    def vid(i, j):
+        return (i % n) * n + j % n
+
+    steps = ((0, 1), (1, 0), (1, 1))
+    edges = [
+        (vid(i, j), vid(i + di, j + dj))
+        for i in range(n) for j in range(n) for di, dj in steps
+    ]
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = vid(i, j), vid(i, j + 1), vid(i + 1, j + 1), vid(i + 1, j)
+            faces.append(((a, b, c), (3 * b + 1, 3 * a + 2, 3 * a)))
+            faces.append(((a, c, d), (3 * d, 3 * a + 1, 3 * a + 2)))
+    return build_surface(n * n, edges, faces)
+
+
+def checkerboard_packing(surface, n, rng, jitter=0.03):
+    """Small circles (tanh r ~ 0.4) on even i + j and large (~ 0.8) on
+    odd, inversive distance ~ 3 on the diagonals and ~ 1.5 on the sides,
+    each jittered by up to ``jitter``; redrawn until every face is
+    compact.  The diagonals between small circles are not weighted
+    Delaunay, so about half the diagonals flip (n must be even)."""
+    v, e = np.arange(n * n), np.arange(3 * n * n)
+    tanh_r = np.where((v // n + v % n) % 2, 0.8, 0.4)
+    inv = np.where(e % 3 == 2, 3.0, 1.5)
+    for _ in range(1000):
+        packing = Packing(
+            inv * rng.uniform(1.0 - jitter, 1.0 + jitter, e.size),
+            np.arctanh(tanh_r * rng.uniform(1.0 - jitter, 1.0 + jitter, v.size)),
+        )
+        if SurfaceMetrics(surface, packing).margins_defined:
+            return packing
+    raise RuntimeError("no compact checkerboard packing in 1000 draws")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import checkerboard_packing, torus_grid
 from hidra.checks import degenerate_hinge, random_packing
-from hidra.complexes import one_vertex_genus2, one_vertex_torus
-from hidra.errors import DomainError, SurgeryDiverged
+from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
+from hidra.errors import DomainError, NonCompactOrthocircle, SurgeryDiverged
 from hidra.flips import (
     flip_edge,
     make_weighted_delaunay,
@@ -16,8 +17,9 @@ from hidra.flips import (
     ptolemy_residual_scale,
     surface_delaunay_margins,
 )
-from hidra.geometry import Packing, face_metrics, hinge_delaunay_margin
+from hidra.geometry import TOL_DELAUNAY, Packing, face_metrics, hinge_delaunay_margin
 from hidra.ptolemy import delta_discriminant, delta_identity_residuals
+from hidra.solver import SolveState, u_from_r
 from hidra.surface import hinge, surfaces_isomorphic
 
 INV_FIVE = st.floats(min_value=1.05, max_value=6.0)
@@ -178,3 +180,102 @@ class TestMakeWeightedDelaunay:
         _, _, events = make_weighted_delaunay(surface, pk, iteration=3)
         assert events and all(ev.iteration == 3 for ev in events)
         assert all(ev.margin_before < 0 for ev in events)
+
+
+def rescan_weighted_delaunay(
+    surface, packing, tol=TOL_DELAUNAY, flip_budget=None, iteration=0
+):
+    """The flip loop with a full margin scan before every flip: the
+    reference the incremental ``make_weighted_delaunay`` must match."""
+    if flip_budget is None:
+        flip_budget = 100 * len(surface.edges)
+    events = []
+    while True:
+        margins = surface_delaunay_margins(surface, packing)
+        worst = int(np.argmin(margins))
+        if margins[worst] >= -tol:
+            return surface, packing, events
+        if len(events) >= flip_budget:
+            raise SurgeryDiverged(
+                f"exceeded flip budget of {flip_budget} flips",
+                state=SolveState(
+                    surface, packing, u_from_r(packing.radii), None, None, None,
+                    "surgery_diverged", 0, events,
+                ),
+            )
+        surface, packing, event = flip_edge(surface, packing, worst, iteration)
+        events.append(event)
+
+
+def loop_outcome(loop, surface, packing, **kwargs):
+    """What a flip loop hands back, comparable with ==: the end (or
+    partial) surface, packing bytes and flip log, or the fault raised.
+    The log goes through repr so NaN margins compare equal."""
+    try:
+        end, packing, events = loop(surface, packing, **kwargs)
+        kind = "done"
+    except SurgeryDiverged as exc:
+        state, kind = exc.state, "diverged"
+        end, packing, events = state.surface, state.packing, state.flip_log
+    except (DomainError, NonCompactOrthocircle) as exc:
+        return type(exc), exc.face, str(exc)
+    return kind, end, packing.inv.tobytes(), packing.radii.tobytes(), repr(events)
+
+
+class TestIncrementalAgainstRescan:
+    def assert_same(self, surface, packing, **kwargs):
+        got = loop_outcome(make_weighted_delaunay, surface, packing, **kwargs)
+        assert got == loop_outcome(rescan_weighted_delaunay, surface, packing, **kwargs)
+        return got
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_checkerboards(self, n):
+        surface = torus_grid(n)
+        for seed in range(3):
+            packing = checkerboard_packing(surface, n, np.random.default_rng(seed))
+            kind, *_, log = self.assert_same(surface, packing, iteration=seed)
+            assert kind == "done" and log.count("FlipEvent") >= n * n // 2
+
+    def test_random_grid_packings(self, rng):
+        # Spread radii and inversive distances make flips cascade: a flip
+        # can turn a boundary edge of its hinge non-Delaunay or back.
+        surface, flips = torus_grid(6), 0
+        for _ in range(40):
+            packing = random_packing(
+                surface, rng, tanh_range=(0.2, 0.95), inv_range=(1.05, 6.0)
+            )
+            kind, *_, log = self.assert_same(surface, packing)
+            assert kind == "done"
+            flips += log.count("FlipEvent")
+        assert flips > 40
+
+    def test_random_genus2_packings(self, rng):
+        surface, flips = one_vertex_genus2(), 0
+        for _ in range(40):
+            packing = random_packing(surface, rng, inv_range=(1.05, 12.0), max_tries=5000)
+            kind, *_, log = self.assert_same(surface, packing)
+            assert kind == "done"
+            flips += log.count("FlipEvent")
+        assert flips > 0
+
+    @pytest.mark.parametrize("budget", [0, 1, 7])
+    def test_budget_overrun_keeps_the_same_partial_state(self, budget):
+        surface = torus_grid(6)
+        packing = checkerboard_packing(surface, 6, np.random.default_rng(0))
+        kind, *_, log = self.assert_same(surface, packing, flip_budget=budget)
+        assert kind == "diverged" and log.count("FlipEvent") == budget
+
+    @pytest.mark.parametrize(
+        "builder, seed, face",
+        [(one_vertex_torus, 6, 0), (one_vertex_genus2, 74, 2), (octahedron_sphere, 40, 2)],
+    )
+    def test_fault_after_a_flip(self, builder, seed, face):
+        # A tolerance below every margin flips Delaunay edges too; on
+        # these packings the first flip leaves a non-compact face (on
+        # the torus both rewritten faces, so the lower one is named).
+        surface = builder()
+        packing = random_packing(
+            surface, np.random.default_rng(seed), inv_range=(1.05, 12.0), max_tries=5000
+        )
+        got = self.assert_same(surface, packing, tol=-1e9)
+        assert got[:2] == (NonCompactOrthocircle, face)

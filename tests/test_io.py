@@ -12,6 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import checkerboard_packing, torus_grid
 from hidra.cli import main
 from hidra.errors import ParseError, ValidationError
 from hidra.geometry import Packing
@@ -167,6 +168,35 @@ class TestCLI:
         from hidra.flips import surface_delaunay_margins
 
         assert min(surface_delaunay_margins(surface, packing)) >= -1e-10
+
+    def test_delaunay_outputs_on_a_flipped_mesh(self, tmp_path, capsys):
+        # The --mesh-out file, the report and the summary line are what
+        # the library gives for the flipped state, byte for byte.
+        from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
+        from hidra.meshio import mesh_document
+        from hidra.solver import SolveState, curvatures, u_from_r
+
+        surface = torus_grid(4)
+        packing = checkerboard_packing(surface, 4, np.random.default_rng(0))
+        mesh, out, mesh_out = tmp_path / "in.json", tmp_path / "r.json", tmp_path / "m.json"
+        mesh.write_text(dumps_mesh(surface, packing))
+        code = self.run(
+            "delaunay", str(mesh), "--out", str(out), "--mesh-out", str(mesh_out)
+        )
+        assert code == 0
+        surface2, packing2, events = make_weighted_delaunay(surface, packing)
+        assert len(events) == 8
+        assert mesh_out.read_text() == dumps_mesh(surface2, packing2)
+        state = SolveState(
+            surface2, packing2, u_from_r(packing2.radii), None,
+            *curvatures(surface2, packing2), "converged", 0, events, [],
+        )
+        digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
+        report = build_report(status="converged", digest=digest, state=state)
+        report["mesh"] = mesh_document(surface2, packing2)
+        assert out.read_text() == dumps_report(report)
+        margin = min(surface_delaunay_margins(surface2, packing2))
+        assert capsys.readouterr().out == f"flips: 8  min margin: {margin:.3e}\n"
 
     def test_delaunay_budget_overrun_keeps_flip_log_and_digest(self, tmp_path):
         from hidra.checks import random_packing

@@ -1,6 +1,12 @@
 """Combinatorial layer: validation, hinges, flips."""
 
+from dataclasses import fields
+from importlib import resources
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hidra.complexes import (
     octahedron_sphere,
@@ -16,7 +22,9 @@ from hidra.errors import (
     NotOrientable,
     NotTriangulable,
 )
+from hidra.meshio import load_mesh
 from hidra.surface import (
+    HingeView,
     build_surface,
     euler_characteristic,
     flip_combinatorial,
@@ -31,6 +39,13 @@ ALL_COMPLEXES = [
     tetrahedron_sphere,
     octahedron_sphere,
 ]
+FIXTURES = ["torus1", "genus2", "octahedron"]
+
+
+def start_surface(name):
+    if name in FIXTURES:
+        return load_mesh(resources.files("hidra") / "fixtures" / f"{name}.json")[0]
+    return next(b for b in ALL_COMPLEXES if b.__name__ == name)()
 
 
 class TestBuildSurface:
@@ -188,9 +203,36 @@ class TestFlipCombinatorial:
         with pytest.raises(FlipIllegal):
             flip_combinatorial(s, 2)
 
+    @pytest.mark.parametrize("name", [b.__name__ for b in ALL_COMPLEXES] + FIXTURES)
+    @given(picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=25))
+    @settings(max_examples=40)
+    def test_local_flip_equals_full_rebuild(self, name, picks):
+        surface = start_surface(name)
+        for pick in picks:
+            edge = pick % len(surface.edges)
+            try:
+                surface = flip_combinatorial(surface, edge)
+            except FlipIllegal:
+                hv = hinge(surface, edge)
+                assert hv.face_k == hv.face_l
+                continue
+            rebuilt = build_surface(
+                surface.vertex_count,
+                surface.edges,
+                [(f.corners, f.sides) for f in surface.faces],
+            )
+            assert surface == rebuilt
+            assert np.array_equal(surface.corners, rebuilt.corners)
+            assert np.array_equal(surface.sides, rebuilt.sides)
+            for f in fields(HingeView):
+                assert np.array_equal(
+                    getattr(surface.hinge_slots, f.name),
+                    getattr(rebuilt.hinge_slots, f.name),
+                ), f.name
+
     def test_orientation_preserved_after_flip(self, octahedron):
-        # rebuilt through full validation, so a successful flip implies
-        # the orientation invariant still holds; spot-check traversals.
+        # the flip rewrites two faces without validating the result, so
+        # spot-check that every edge is still traversed both ways.
         s2 = flip_combinatorial(octahedron, 0)
         for eid, ((f1, s1), (f2, s2_)) in enumerate(s2.edge_slots):
             a, b = s2.edges[eid]
