@@ -29,7 +29,7 @@ from .geometry import (
     validate_packing,
     xi_discriminant,
 )
-from .hyptrig import acosh_stable, angle_from_sides, hinge_diagonal, side_from_angles
+from .hyptrig import acosh_stable, angle_from_sides, hinge_diagonal
 from .meshio import build_report, load_mesh, mesh_document, parse_mesh
 from .solver import (
     SolveState,

@@ -63,61 +63,6 @@ def angle_from_sides(x, y, z):
     return _acos_clamped((y * z - x) / (sy * sz))
 
 
-def side_from_angles(alpha, beta, gamma):
-    """cosh of the side opposite alpha, from the three angles.
-
-    cosh x = (cos beta cos gamma + cos alpha) / (sin beta sin gamma)
-    Requires alpha + beta + gamma < pi (hyperbolic angle deficit).
-    """
-    if alpha + beta + gamma >= math.pi:
-        raise DomainError("angle sum must be below pi")
-    return (math.cos(beta) * math.cos(gamma) + math.cos(alpha)) / (
-        math.sin(beta) * math.sin(gamma)
-    )
-
-
-def hexagon_side(x, y, z):
-    """Right-angled hexagon law: side a opposite x with neighbours y, z.
-
-    cosh a = (cosh y cosh z + cosh x) / (sinh y sinh z)
-    """
-    if y <= 1.0 or z <= 1.0:
-        raise DomainError("hexagon sides adjacent to a must have positive length")
-    return (y * z + x) / (sinh_from_cosh(y) * sinh_from_cosh(z))
-
-
-def quad_two_right(a, b, y):
-    """Quadrilateral with two right angles at the ends of the side x.
-
-    Given the raw lengths a, b of the legs and the cosh of the opposite
-    side y, returns cosh x = (sinh a sinh b + cosh y) / (cosh a cosh b).
-    """
-    if a < 0.0 or b < 0.0:
-        raise DomainError("leg lengths must be non-negative")
-    return (math.sinh(a) * math.sinh(b) + y) / (math.cosh(a) * math.cosh(b))
-
-
-def quad_three_right(ad, bc):
-    """Quadrilateral ABCD with right angles at A, B, C (raw leg lengths).
-
-    Returns (cosh AB, cosh CD) = (tanh AD / tanh BC, sinh AD / sinh BC);
-    requires 0 < BC <= AD so both ratios are at least 1.
-    """
-    if bc <= 0.0:
-        raise DomainError("BC must be positive")
-    if math.tanh(ad) < math.tanh(bc):
-        raise DomainError("need tanh AD >= tanh BC")
-    return math.tanh(ad) / math.tanh(bc), math.sinh(ad) / math.sinh(bc)
-
-
-def triangle_area(alpha, beta, gamma):
-    """Hyperbolic triangle area as the angle defect pi - alpha - beta - gamma."""
-    s = alpha + beta + gamma
-    if s >= math.pi:
-        raise DomainError("angle sum must be below pi")
-    return math.pi - s
-
-
 def hinge_diagonal(u, v, w, x, y):
     """cosh distance between the far vertices of a developed hinge.
 

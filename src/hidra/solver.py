@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, csc_array
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -88,7 +88,8 @@ def _gauss_bonnet_residual(surface, K, area):
 
 
 def hessian(surface, packing, symmetrize=True):
-    """Jacobian dK/du as a sparse ``scipy.sparse.csr_array``.
+    """Jacobian dK/du as a sparse ``scipy.sparse.csc_array``, the
+    compressed-column form the symmetric factorization takes.
 
     Assembled from the per-face angle derivatives of the array kernel,
     so entries are nonzero only on the diagonal and for combinatorially
@@ -107,18 +108,50 @@ def hessian(surface, packing, symmetrize=True):
     n = surface.vertex_count
     return coo_array(
         (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    ).tocsr()
+    ).tocsc()
+
+
+def _factor(H):
+    """Symmetric sparse LU of H: a symmetric minimum-degree order and
+    diagonal pivots, so when no row is swapped it is P H P^T = L D L^T
+    with D the diagonal of U.  None when SuperLU finds H exactly
+    singular."""
+    try:
+        return splu(
+            csc_array(H), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return None
+
+
+def _factor_sign(lu):
+    """Spectrum sign of the matrix factored into ``lu``, read from its
+    pivots (Sylvester's law of inertia).  A row swap means a zero
+    diagonal pivot, so that matrix, like an exactly singular one (None),
+    is not definite and gives 0."""
+    if lu is None or np.any(lu.perm_r != lu.perm_c):
+        return 0
+    pivots = lu.U.diagonal()
+    if np.all(pivots > 0.0):
+        return 1
+    if np.all(pivots < 0.0):
+        return -1
+    return 0
 
 
 def hessian_spectrum_sign(H):
-    """+1 / -1 when all eigenvalues share that sign, else 0 (a sparse H
-    is densified)."""
-    eigs = np.linalg.eigvalsh(H.toarray() if hasattr(H, "toarray") else np.asarray(H))
-    if np.all(eigs > 0.0):
-        return 1
-    if np.all(eigs < 0.0):
-        return -1
-    return 0
+    """+1 / -1 when all eigenvalues of the symmetric H (sparse or dense)
+    share that sign, else 0.
+
+    The sign is read from the pivots of one symmetric sparse
+    factorization (Sylvester's law of inertia), the same factorization
+    ``newton_solve`` takes its step from; no dense matrix is built.  A
+    row swap (a zero pivot) or an exactly singular H gives 0.
+    """
+    return _factor_sign(_factor(H))
 
 
 def validate_target(surface, target):
@@ -367,18 +400,21 @@ def newton_solve(
 ):
     """Newton descent for the packing realizing the target curvature.
 
-    Each iteration solves H . delta = -(K - Kbar) with the analytic
-    curvature Jacobian by a sparse LU factorization, clamps the step to
-    keep u negative, backtracks on the Euclidean norm of the curvature
-    error, and re-runs flip surgery after the accepted step.  Trial
-    evaluations reuse the current triangulation: the potential extends
-    C1 across cell walls, so a marginally non-Delaunay trial still
-    measures progress.  The Hessian's spectrum sign is taken once, at
-    the state returned or carried by the raised SolverFailure.  A flip
-    budget overrun raises SurgeryDiverged with the solve's flip log and
-    trace at the state where the flips stopped (spectrum sign 0, not
-    taken); a non-compact face after a step raises it at the last
-    accepted iterate.
+    Each iteration factors the analytic curvature Jacobian H once, by a
+    symmetric sparse LU with diagonal pivots, and solves
+    H . delta = -(K - Kbar) with that factor; it clamps the step to keep
+    u negative, backtracks on the Euclidean norm of the curvature error,
+    and re-runs flip surgery after the accepted step.  Trial evaluations
+    reuse the current triangulation: the potential extends C1 across
+    cell walls, so a marginally non-Delaunay trial still measures
+    progress.  The Hessian's spectrum sign, at the state returned or
+    carried by the raised SolverFailure, is read from the pivots of the
+    same factorization (Sylvester's law of inertia); a row swap or an
+    exactly singular H gives 0, and an exactly singular H before
+    convergence raises SolverStalled.  A flip budget overrun raises
+    SurgeryDiverged with the solve's flip log and trace at the state
+    where the flips stopped (spectrum sign 0, not taken); a non-compact
+    face after a step raises it at the last accepted iterate.
     """
     target = validate_target(surface, target)
     validate_packing(surface, packing)
@@ -391,19 +427,25 @@ def newton_solve(
     potential = 0.0
     trace = []
 
-    def exit_state(status, iterations):
+    def exit_state(status, iterations, lu):
         return SolveState(
             surface, packing, u, target, K, area, status, iterations, flip_log,
-            trace, potential, hessian_spectrum_sign(hessian(surface, packing)),
+            trace, potential, _factor_sign(lu),
         )
 
     K, area = curvatures(surface, packing)
     for iteration in range(1, max_iterations + 1):
+        lu = _factor(hessian(surface, packing))
         err = float(np.max(np.abs(K - target)))
         if err <= tol:
-            return exit_state(STATUS_CONVERGED, iteration - 1)
+            return exit_state(STATUS_CONVERGED, iteration - 1, lu)
+        if lu is None:
+            raise SolverStalled(
+                "Hessian is exactly singular",
+                state=exit_state("stalled", iteration, lu),
+            )
 
-        delta = splu(hessian(surface, packing).tocsc()).solve(-(K - target))
+        delta = lu.solve(-(K - target))
         sup = float(np.max(np.abs(delta)))
         if sup > 1.0:
             delta *= 1.0 / sup
@@ -425,7 +467,7 @@ def newton_solve(
             if step < MIN_LINE_SEARCH_STEP:
                 raise SolverStalled(
                     "line search step underflow",
-                    state=exit_state("stalled", iteration),
+                    state=exit_state("stalled", iteration, lu),
                 )
 
         d_pot = 0.0
@@ -443,7 +485,7 @@ def newton_solve(
             raise _overrun(exc, target, iteration, flip_log, trace, potential) from exc
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(
-                str(exc), state=exit_state("surgery_diverged", iteration)
+                str(exc), state=exit_state("surgery_diverged", iteration, lu)
             ) from exc
         potential += d_pot
         u = u_try
@@ -462,7 +504,9 @@ def newton_solve(
 
     raise MaxIterationsExceeded(
         f"no convergence within {max_iterations} Newton iterations",
-        state=exit_state(STATUS_MAX_ITERATIONS, max_iterations),
+        state=exit_state(
+            STATUS_MAX_ITERATIONS, max_iterations, _factor(hessian(surface, packing))
+        ),
     )
 
 

@@ -270,6 +270,28 @@ class TestCLI:
         assert len(report["vertices"]) == 6
         assert min(e["delaunay_margin"] for e in report["edges"]) >= -1e-10
 
+    def test_solve_singular_hessian_is_reported(self, tmp_path, monkeypatch):
+        from hidra import solver
+        from scipy.sparse import csr_array
+
+        def singular_hessian(surface, packing, symmetrize=True):
+            # torus1 has one vertex: its zeroed row and column
+            return csr_array((surface.vertex_count, surface.vertex_count))
+
+        monkeypatch.setattr(solver, "hessian", singular_hessian)
+        mesh, out = fixture_path("torus1.json"), tmp_path / "report.json"
+        code = self.run(
+            "solve", mesh, "--target-uniform", "1.0", "--out", str(out)
+        )
+        assert code == 3
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "stalled"
+        assert "singular" in report["error"]
+        assert report["global"]["hessian_spectrum_sign"] == 0
+        with open(mesh, "rb") as fh:
+            assert report["input_digest"] == hashlib.sha256(fh.read()).hexdigest()
+
     def test_solve_rejects_inadmissible_target(self, tmp_path):
         out = tmp_path / "report.json"
         code = self.run(

@@ -10,20 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 import hidra
-from conftest import hessian_fd
+from conftest import hessian_fd, torus_grid
+from hidra import solver
 from hidra.checks import random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import (
     DomainError,
     NonCompactOrthocircle,
+    SolverStalled,
     SurgeryDiverged,
     TargetOutOfRange,
 )
 from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
 from hidra.geometry import Packing
 from hidra.solver import (
+    _factor,
     _integrate,
     curvatures,
     gauss_bonnet_residual,
@@ -162,6 +166,63 @@ class TestHessian:
         assert signs == {1}
 
 
+def dense_spectrum_sign(H):
+    """The dense oracle: +1 / -1 when every eigenvalue by eigvalsh has
+    that sign, else 0."""
+    eigs = np.linalg.eigvalsh(np.asarray(H))
+    return 1 if np.all(eigs > 0.0) else -1 if np.all(eigs < 0.0) else 0
+
+
+SIGN_SURFACES = {
+    "torus1": one_vertex_torus,
+    "genus2": one_vertex_genus2,
+    "octahedron": octahedron_sphere,
+    "grid6": lambda: torus_grid(6),
+}
+
+
+class TestSpectrumSign:
+    """The sign read from the symmetric factor's pivots against the
+    dense oracle, on Hessians of random packings and on indefinite and
+    singular matrices built from them."""
+
+    @given(st.sampled_from(sorted(SIGN_SURFACES)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_matches_dense_oracle(self, name, seed):
+        surface = SIGN_SURFACES[name]()
+        rng = np.random.default_rng(seed)
+        H = hessian(surface, random_packing(surface, rng, max_tries=5000)).toarray()
+        n = len(H)
+        eigs = np.linalg.eigvalsh(H)
+        zero = np.zeros_like(H)
+        cases = [H, -H, np.block([[zero, H], [H, zero]])]  # the last: zero diagonal
+        if n > 1:  # shift between two adjacent eigenvalues: indefinite
+            k = int(rng.integers(1, n))
+            cases.append(H - 0.5 * (eigs[k - 1] + eigs[k]) * np.eye(n))
+        for M in cases:
+            lam = np.abs(np.linalg.eigvalsh(M))
+            if lam.min() >= 1e-8 * lam.max():
+                expected = dense_spectrum_sign(M)
+                assert hessian_spectrum_sign(csr_array(M)) == expected
+                assert hessian_spectrum_sign(M) == expected  # dense input
+        singular = H.copy()
+        j = int(rng.integers(n))
+        singular[j, :] = singular[:, j] = 0.0
+        assert hessian_spectrum_sign(csr_array(singular)) == 0
+        assert hessian_spectrum_sign(singular) == 0
+
+    @pytest.mark.parametrize("name", sorted(SIGN_SURFACES))
+    def test_newton_step_from_the_symmetric_factor(self, name, rng):
+        surface = SIGN_SURFACES[name]()
+        for _ in range(5):
+            pk = random_packing(surface, rng, max_tries=5000)
+            H = hessian(surface, pk)
+            K, _ = curvatures(surface, pk)
+            rhs = K - rng.uniform(-1.0, 1.0, len(K))
+            delta = _factor(H).solve(-rhs)
+            assert np.linalg.norm(H @ delta + rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
 class TestPotential:
     def test_zero_at_reference(self, torus, torus_packing):
         u0 = u_from_r(torus_packing.radii)
@@ -264,6 +325,24 @@ class TestNewtonSolve:
         assert state.status == "converged"
         assert state.max_error <= 1e-10
         assert state.hessian_sign == 1
+
+    def test_singular_hessian_stalls_with_state(self, octahedron, rng, monkeypatch):
+        pk = random_packing(octahedron, rng)
+        monkeypatch.setattr(solver, "hessian", singular_hessian)
+        with pytest.raises(SolverStalled) as info:
+            newton_solve(octahedron, pk, np.full(6, 2.5))
+        state = info.value.state
+        assert state.status == "stalled"
+        assert state.iterations == 1
+        assert state.hessian_sign == 0
+        assert np.array_equal(state.packing.radii, pk.radii)
+
+
+def singular_hessian(surface, packing, symmetrize=True):
+    """The Hessian with the first vertex's row and column zeroed."""
+    H = hessian(surface, packing, symmetrize).toarray()
+    H[0, :] = H[:, 0] = 0.0
+    return csr_array(H)
 
 
 class TestRicciFlow:
