@@ -8,6 +8,7 @@ divergence.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .flips import make_weighted_delaunay
-from .meshio import build_report, dumps_report, load_mesh, mesh_document
+from .meshio import build_report, dumps_report, mesh_document, parse_mesh
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL_K,
@@ -63,12 +64,24 @@ def _say(msg):
 
 def _settings(args):
     """Effective options: CLI flags override the config file, which
-    overrides the built-in defaults."""
+    overrides the built-in defaults.  The config file must be a JSON
+    object of numbers keyed by DEFAULTS names (``flip_budget`` may be
+    null); anything else raises ValidationError."""
     merged = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "rb") as fh:
-            merged.update(json.load(fh))
+        try:
+            config = json.loads(Path(config_path).read_bytes())
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ValidationError(f"config {config_path}: not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ValidationError(f"config {config_path}: must be a JSON object")
+        for key, value in config.items():
+            if key not in DEFAULTS:
+                raise ValidationError(f"config {config_path}: unknown key {key!r}")
+            if type(value) not in (int, float) and (key, value) != ("flip_budget", None):
+                raise ValidationError(f"config {config_path}: {key} must be a number")
+        merged.update(config)
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
@@ -116,8 +129,8 @@ def cmd_validate(args, surface, packing, target, digest):
     )
     _write_report(args, report)
     print(
-        f"valid: {surface.vertex_count} vertices, {len(surface.edges)} edges, "
-        f"{len(surface.faces)} faces, chi = {report['global']['chi']}"
+        f"valid: {surface.vertex_count} vertices, {surface.edge_count} edges, "
+        f"{surface.face_count} faces, chi = {report['global']['chi']}"
     )
     return EXIT_OK
 
@@ -231,8 +244,9 @@ def _run_single(handler, args):
     try:
         if getattr(args, "mesh", None) is None:
             return handler(args)
-        surface, packing, target, digest = load_mesh(args.mesh)
-        return handler(args, surface, packing, target, digest)
+        raw = Path(args.mesh).read_bytes()
+        digest = hashlib.sha256(raw).hexdigest()
+        return handler(args, *parse_mesh(raw), digest)
     except (ParseError, ValidationError, TargetOutOfRange) as exc:
         _failure_report(args, "invalid_input", digest, exc)
         return EXIT_INVALID

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonCompactOrthocircle, SurgeryDiverged
-from .geometry import (
-    TOL_DELAUNAY,
-    Packing,
-    SurfaceMetrics,
-    hinge_delaunay_margin,
-)
+from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from .ptolemy import (
     delta_identity_residuals,
     ptolemy_flip_value,
@@ -59,18 +54,20 @@ def flip_edge(surface, packing, edge, iteration=0):
     """Flip one edge, returning (surface', packing', FlipEvent).
 
     The edge keeps its id; its inversive distance becomes the Ptolemy
-    value of the hinge labels.  The pre-flip Delaunay margin is recorded
-    as NaN when an incident orthocircle is non-compact.
+    value of the hinge labels.  The pre-flip Delaunay margin comes from
+    the array kernel on the hinge's two faces, and is recorded as NaN
+    when an incident orthocircle is non-compact.
     """
     hv = hinge(surface, edge)
     labels = tuple(float(packing.inv[eid]) for eid in hv.boundary_edges) + (
         float(packing.inv[edge]),
     )
+    metrics = SurfaceMetrics(surface, packing, [hv.face_k, hv.face_l], [edge])
     try:
-        margin = hinge_delaunay_margin(hv, packing)
+        margin = float(metrics.margins[0])
     except NonCompactOrthocircle:
         margin = math.nan
-    new_surface = flip_combinatorial(surface, edge)
+    new_surface = flip_combinatorial(surface, hv)
     f = float(ptolemy_flip_value(*labels))
     new_inv = packing.inv.copy()
     new_inv[edge] = f
@@ -126,6 +123,7 @@ def make_weighted_delaunay(
             )
         surface, packing, event = flip_edge(surface, packing, worst, iteration)
         events.append(event)
-        faces = [f for f, _ in surface.edge_slots[worst]]  # ascending
+        slots = surface.hinge_slots
+        faces = [slots.face_k[worst], slots.face_l[worst]]  # ascending
         edges = surface.sides[faces]
         margins[edges] = SurfaceMetrics(surface, packing, faces, edges).margins

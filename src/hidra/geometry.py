@@ -173,8 +173,8 @@ class FaceMetrics:
 def face_metrics(surface, packing, face):
     """Evaluate FaceMetrics for one face of the surface (scalar
     reference of SurfaceMetrics)."""
-    f = surface.faces[face]
-    return _face_metrics(packing, face, f.corners, f.sides)
+    corners, sides = surface.corners[face].tolist(), surface.sides[face].tolist()
+    return _face_metrics(packing, face, tuple(corners), tuple(sides))
 
 
 def _face_metrics(packing, face, corners, sides):

@@ -40,6 +40,16 @@ def _require(condition, message):
         raise ValidationError(message)
 
 
+def _number(value, message):
+    """``value`` as a float; anything but a JSON number (a bool, string,
+    null, list or object) raises ValidationError(message)."""
+    _require(type(value) in (int, float), message)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        return math.inf
+
+
 def parse_mesh(data):
     """Parse mesh bytes/str/dict into (TriSurface, Packing, target).
 
@@ -75,7 +85,7 @@ def parse_mesh(data):
         _require(isinstance(vid, int) and 0 <= vid < n_v, f"vertex id {vid} out of range")
         _require(vid not in seen, f"duplicate vertex id {vid}")
         seen.add(vid)
-        radius = float(rec["radius"])
+        radius = _number(rec["radius"], f"vertex {vid}: radius must be a number")
         _require(
             math.isfinite(radius) and radius > 0.0,
             f"vertex {vid}: radius must be positive",
@@ -107,7 +117,9 @@ def parse_mesh(data):
                 isinstance(v, int) and 0 <= v < n_v,
                 f"edge {eid}: unknown vertex {v}",
             )
-        value = float(rec["inversive_distance"])
+        value = _number(
+            rec["inversive_distance"], f"edge {eid}: inversive_distance must be a number"
+        )
         _require(
             math.isfinite(value) and value > 1.0,
             "inversive_distance must exceed 1",
@@ -164,7 +176,9 @@ def parse_mesh(data):
                 isinstance(vid, int) and 0 <= vid < n_v,
                 f"target references unknown vertex {vid}",
             )
-            target[vid] = float(rec["kbar"])
+            target[vid] = _number(
+                rec["kbar"], f"target row of vertex {vid}: kbar must be a number"
+            )
         _require(
             bool(np.all(np.isfinite(target))),
             "target_curvature must cover every vertex",
@@ -182,16 +196,12 @@ def mesh_document(surface, packing, target=None):
             for v in range(surface.vertex_count)
         ],
         "edges": [
-            {
-                "id": e,
-                "ends": list(surface.edges[e]),
-                "inversive_distance": float(packing.inv[e]),
-            }
-            for e in range(len(surface.edges))
+            {"id": e, "ends": ends, "inversive_distance": float(packing.inv[e])}
+            for e, ends in enumerate(surface.edges.tolist())
         ],
         "faces": [
-            {"corners": list(f.corners), "sides": list(f.sides)}
-            for f in surface.faces
+            {"corners": corners, "sides": sides}
+            for corners, sides in zip(surface.corners.tolist(), surface.sides.tolist())
         ],
     }
     if target is not None:
@@ -286,8 +296,8 @@ def build_report(
     report["global"] = {
         "chi": euler_characteristic(surface),
         "vertex_count": surface.vertex_count,
-        "edge_count": len(surface.edges),
-        "face_count": len(surface.faces),
+        "edge_count": surface.edge_count,
+        "face_count": surface.face_count,
         "total_area": _finite_or_none(area) if area is not None else None,
         "gauss_bonnet_residual": _finite_or_none(gb) if gb is not None else None,
         "solver_status": status,
@@ -310,14 +320,14 @@ def build_report(
     report["edges"] = [
         {
             "id": e,
-            "ends": list(surface.edges[e]),
+            "ends": ends,
             "inversive_distance": float(packing.inv[e]),
             "length": _finite_or_none(acosh_stable(lengths[e])),
             "delaunay_margin": _finite_or_none(margins[e])
             if margins is not None
             else None,
         }
-        for e in range(len(surface.edges))
+        for e, ends in enumerate(surface.edges.tolist())
     ]
     has_angles = metrics.domain_ok & metrics.angle_ok
     angles = np.arccos(np.clip(metrics.cos_angles, -1.0, 1.0))
@@ -332,15 +342,17 @@ def build_report(
     report["faces"] = [
         {
             "id": fid,
-            "corners": list(face.corners),
-            "sides": list(face.sides),
+            "corners": corners,
+            "sides": sides,
             "xi": _finite_or_none(metrics.xi[fid]),
             "delta": _finite_or_none(delta[fid]),
             "rho": math.asinh(sinh_rho[fid]) if compact[fid] else None,
             "area": math.pi - math.fsum(angles[fid]) if has_angles[fid] else None,
             "angles": angles[fid].tolist() if has_angles[fid] else None,
         }
-        for fid, face in enumerate(surface.faces)
+        for fid, (corners, sides) in enumerate(
+            zip(surface.corners.tolist(), surface.sides.tolist())
+        )
     ]
     return report
 

@@ -7,7 +7,12 @@ explicitly; neither can be derived from the other.  Side k of a face is
 opposite corner k and connects corners k+1 and k+2 (mod 3), traversed in
 that order, which fixes the face orientation.
 
-Surfaces are immutable; a flip returns a new surface.
+The complex is stored as three read-only int arrays and nothing else:
+``edges`` (E, 2), ``corners`` (F, 3) and ``sides`` (F, 3), flat index
+arrays as in intrinsic-triangulation codes (Sharp, Soliman and Crane,
+"Navigating intrinsic triangulations", 2019).  The two face slots of
+each edge are derived from ``sides`` by one stable argsort.  Surfaces
+are immutable; a flip returns a new surface that differs in three rows.
 """
 
 from dataclasses import dataclass, fields
@@ -25,12 +30,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class Face:
-    corners: tuple  # (v0, v1, v2) vertex ids, possibly repeated
-    sides: tuple    # (e0, e1, e2) edge ids, side k opposite corner k
-
-
-@dataclass(frozen=True)
 class HingeView:
     """An edge together with its two incident face slots.
 
@@ -40,8 +39,9 @@ class HingeView:
     plus diagonal: ``e_a`` joins k-i, ``e_b`` joins i-l, ``e_c`` joins
     l-j, ``e_d`` joins j-k and ``edge`` itself is the i-j diagonal.
     Slot labels are always distinct even when the underlying ids repeat.
-    ``TriSurface.hinge_slots`` holds the same labels for every edge at
-    once, each field an (E,) index array.
+    The first face slot of an edge is the one that comes first in
+    (face, side) order.  ``TriSurface.hinge_slots`` holds the same
+    labels for every edge at once, each field an (E,) index array.
     """
 
     edge: int
@@ -64,12 +64,33 @@ class HingeView:
         return (self.e_a, self.e_b, self.e_c, self.e_d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriSurface:
+    """A closed triangulated surface as read-only int arrays.
+
+    Row e of ``edges`` holds the two end vertices of edge e (they may
+    coincide); row f of ``corners`` and of ``sides`` holds the corner
+    vertex ids and side edge ids of face f, side k opposite corner k.
+    The arrays are made read-only here.  Build one with
+    ``build_surface``, which validates.
+    """
+
     vertex_count: int
-    edges: tuple          # edge id -> (end_a, end_b); ends may coincide
-    faces: tuple          # Face records
-    edge_slots: tuple     # edge id -> ((face, side), (face, side))
+    edges: np.ndarray    # (E, 2)
+    corners: np.ndarray  # (F, 3)
+    sides: np.ndarray    # (F, 3)
+
+    def __post_init__(self):
+        for array in (self.edges, self.corners, self.sides):
+            array.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, TriSurface):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("edges", "corners", "sides")
+        )
 
     @property
     def edge_count(self):
@@ -77,49 +98,24 @@ class TriSurface:
 
     @property
     def face_count(self):
-        return len(self.faces)
-
-    @cached_property
-    def corners(self):
-        """(F, 3) vertex ids, row f holding ``faces[f].corners``."""
-        return _frozen([f.corners for f in self.faces])
-
-    @cached_property
-    def sides(self):
-        """(F, 3) edge ids, row f holding ``faces[f].sides``."""
-        return _frozen([f.sides for f in self.faces])
+        return len(self.corners)
 
     @cached_property
     def hinge_slots(self):
         """HingeView of (E,) index arrays, entry e labelling the hinge of
-        edge e (see ``hinge``)."""
-        return _hinge_rows(self, np.arange(len(self.edges)))
-
-
-def _hinge_rows(surface, edges):
-    """HingeView of index arrays labelling the hinges of ``edges``."""
-    f1, s1, f2, s2 = _frozen([surface.edge_slots[e] for e in edges]).reshape(-1, 4).T
-    k1, k2, l1, l2 = (s1 + 1) % 3, (s1 + 2) % 3, (s2 + 1) % 3, (s2 + 2) % 3
-    c, s = surface.corners, surface.sides
-    return HingeView(
-        edge=edges, face_k=f1, face_l=f2, side_in_k=s1, side_in_l=s2,
-        v_k=c[f1, s1], v_i=c[f1, k1], v_j=c[f1, k2], v_l=c[f2, s2],
-        e_a=s[f1, k2], e_d=s[f1, k1], e_b=s[f2, l1], e_c=s[f2, l2],
-    )
-
-
-def _frozen(rows):
-    out = np.array(rows, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-def _patched(array, index, values):
-    """Copy of ``array`` with ``[index] = values``, as writeable as ``array``."""
-    out = array.copy()
-    out[index] = values
-    out.flags.writeable = array.flags.writeable
-    return out
+        edge e (see ``hinge``).  A stable argsort of the flat side ids
+        lists each edge's two slots (flat indices 3 * face + side) in
+        (face, side) order."""
+        slot = np.argsort(self.sides.ravel(), kind="stable").reshape(-1, 2).T
+        face, side = np.divmod(slot, 3)
+        nxt, prv = slot - side + (side + 1) % 3, slot - side + (side + 2) % 3
+        c, s = self.corners.ravel(), self.sides.ravel()
+        return HingeView(
+            edge=np.arange(len(self.edges)), face_k=face[0], face_l=face[1],
+            side_in_k=side[0], side_in_l=side[1], v_k=c[slot[0]], v_i=c[nxt[0]],
+            v_j=c[prv[0]], v_l=c[slot[1]], e_a=s[prv[0]], e_d=s[nxt[0]],
+            e_b=s[nxt[1]], e_c=s[prv[1]],
+        )
 
 
 def build_surface(vertex_count, edges, faces):
@@ -127,64 +123,62 @@ def build_surface(vertex_count, edges, faces):
 
     ``edges`` is a sequence of (end_a, end_b) vertex pairs, ``faces`` a
     sequence of (corners, sides) triple pairs.  Raises the specific
-    MeshError subclass naming the first violated invariant.
+    MeshError subclass naming the first violated invariant, at the
+    lowest id that violates it.
     """
     if vertex_count <= 0:
         raise InconsistentIncidence("vertex_count must be positive")
-    edges = tuple((int(a), int(b)) for a, b in edges)
-    for eid, (a, b) in enumerate(edges):
-        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-            raise InconsistentIncidence(f"edge {eid} references unknown vertex")
+    edges = np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+    bad = ((edges < 0) | (edges >= vertex_count)).any(axis=1)
+    if bad.any():
+        raise InconsistentIncidence(f"edge {bad.argmax()} references unknown vertex")
 
-    face_records = []
-    for fid, (corners, sides) in enumerate(faces):
-        corners = tuple(int(v) for v in corners)
-        sides = tuple(int(e) for e in sides)
-        if len(corners) != 3 or len(sides) != 3:
-            raise InconsistentIncidence(f"face {fid} is not a triangle")
-        for v in corners:
-            if not 0 <= v < vertex_count:
-                raise InconsistentIncidence(f"face {fid} references unknown vertex")
-        for e in sides:
-            if not 0 <= e < len(edges):
-                raise InconsistentIncidence(f"face {fid} references unknown edge")
-        face_records.append(Face(corners, sides))
-    face_records = tuple(face_records)
+    triangle = [len(c) == len(s) == 3 for c, s in faces]
+    cells = np.array(
+        [(*c, *s) if ok else (0,) * 6 for (c, s), ok in zip(faces, triangle)],
+        dtype=np.intp,
+    ).reshape(len(faces), 6)
+    corners, sides = cells[:, :3].copy(), cells[:, 3:].copy()
+    bad = np.stack([
+        ~np.array(triangle, dtype=bool).reshape(-1),
+        ((corners < 0) | (corners >= vertex_count)).any(axis=1),
+        ((sides < 0) | (sides >= len(edges))).any(axis=1),
+    ])
+    if bad.any():
+        fid = bad.any(axis=0).argmax()
+        what = ("is not a triangle", "references unknown vertex",
+                "references unknown edge")[bad[:, fid].argmax()]
+        raise InconsistentIncidence(f"face {fid} {what}")
 
     # Closed surface: every edge is used by exactly two face sides.
-    slots = [[] for _ in edges]
-    for fid, face in enumerate(face_records):
-        for k, eid in enumerate(face.sides):
-            slots[eid].append((fid, k))
-    for eid, sl in enumerate(slots):
-        if len(sl) != 2:
-            raise NotClosed(f"edge {eid} has {len(sl)} face slots, expected 2")
-    edge_slots = tuple((sl[0], sl[1]) for sl in slots)
+    slot_counts = np.bincount(sides.ravel(), minlength=len(edges))
+    bad = slot_counts != 2
+    if bad.any():
+        eid = bad.argmax()
+        raise NotClosed(f"edge {eid} has {slot_counts[eid]} face slots, expected 2")
+    surface = TriSurface(vertex_count, edges, corners, sides)
 
     # Side k must connect corners k+1 and k+2 as an unordered pair.
-    for fid, face in enumerate(face_records):
-        for k in range(3):
-            pair = sorted((face.corners[(k + 1) % 3], face.corners[(k + 2) % 3]))
-            ends = sorted(edges[face.sides[k]])
-            if pair != ends:
-                raise InconsistentIncidence(
-                    f"face {fid} side {k} (edge {face.sides[k]}) joins {ends}, "
-                    f"corners give {pair}"
-                )
+    pairs = np.sort(np.stack([corners[:, [1, 2, 0]], corners[:, [2, 0, 1]]], axis=-1))
+    ends = np.sort(edges[sides])
+    bad = (pairs != ends).any(axis=-1).ravel()
+    if bad.any():
+        fid, k = divmod(int(bad.argmax()), 3)
+        raise InconsistentIncidence(
+            f"face {fid} side {k} (edge {sides[fid, k]}) joins "
+            f"{ends[fid, k].tolist()}, corners give {pairs[fid, k].tolist()}"
+        )
 
     # Orientation: the two slots of an edge must traverse it in opposite
-    # directions.  Loop edges carry no usable direction from vertex ids,
-    # so the check applies to edges with distinct endpoints only.
-    for eid, ((f1, s1), (f2, s2)) in enumerate(edge_slots):
-        a, b = edges[eid]
-        if a == b:
-            continue
-        d1 = _traversal(face_records[f1], s1, (a, b))
-        d2 = _traversal(face_records[f2], s2, (a, b))
-        if d1 == d2:
-            raise NotOrientable(f"edge {eid} traversed twice in the same direction")
+    # directions, so (sides being incident) start from different ends.
+    # Loop edges carry no usable direction from vertex ids, so the check
+    # applies to edges with distinct endpoints only.
+    h = surface.hinge_slots
+    start_l = corners[h.face_l, (h.side_in_l + 1) % 3]
+    bad = (edges[:, 0] != edges[:, 1]) & (h.v_i == start_l)
+    if bad.any():
+        raise NotOrientable(f"edge {bad.argmax()} traversed twice in the same direction")
 
-    surface = TriSurface(vertex_count, edges, face_records, edge_slots)
     if euler_characteristic(surface) - vertex_count >= 0:
         raise NotTriangulable(
             "punctured surface must have negative Euler characteristic"
@@ -192,15 +186,9 @@ def build_surface(vertex_count, edges, faces):
     return surface
 
 
-def _traversal(face, k, ends):
-    frm = face.corners[(k + 1) % 3]
-    to = face.corners[(k + 2) % 3]
-    return +1 if (frm, to) == ends else -1
-
-
 def euler_characteristic(surface):
     """V - E + F of the closed surface."""
-    return surface.vertex_count - len(surface.edges) + len(surface.faces)
+    return surface.vertex_count - surface.edge_count + surface.face_count
 
 
 def hinge(surface, edge):
@@ -213,46 +201,31 @@ def hinge(surface, edge):
 def flip_combinatorial(surface, edge):
     """Replace the diagonal of the hinge at ``edge`` by the other one.
 
-    The edge keeps its id but now joins the two apexes; V, E, F are
-    unchanged and the global orientation is preserved.  Only the two
-    faces, the slots of their edges and those cached index array entries
-    are rewritten, giving what ``build_surface`` would.  Raises
-    FlipIllegal only when both slots of ``edge`` lie on one face.
+    ``edge`` is an edge id or its HingeView.  The edge keeps its id but
+    now joins the two apexes; V, E, F are unchanged and the global
+    orientation is preserved.  Only the edge's row of ``edges`` and the
+    two faces' rows of ``corners`` and ``sides`` are rewritten, giving
+    what ``build_surface`` would.  Raises FlipIllegal only when both
+    slots of ``edge`` lie on one face.
     """
-    h = hinge(surface, edge)
+    h = edge if isinstance(edge, HingeView) else hinge(surface, edge)
     if h.face_k == h.face_l:
-        raise FlipIllegal(f"edge {edge} has both sides on face {h.face_k}")
-    rows = [h.face_k, h.face_l]
-    new = [Face((h.v_k, h.v_i, h.v_l), (h.e_b, edge, h.e_a)),
-           Face((h.v_l, h.v_j, h.v_k), (h.e_d, edge, h.e_c))]
-    faces = list(surface.faces)
-    faces[h.face_k], faces[h.face_l] = new
-    # Slot pairs sorted by (face, side), the order build_surface lists them in.
-    touched = sorted({edge, *h.boundary_edges})
-    edge_slots = list(surface.edge_slots)
-    for e in touched:
-        kept = [slot for slot in edge_slots[e] if slot[0] not in rows]
-        added = [(f, k) for f in rows for k, side in enumerate(faces[f].sides) if side == e]
-        edge_slots[e] = tuple(sorted(kept + added))
-    edges = surface.edges[:edge] + ((h.v_k, h.v_l),) + surface.edges[edge + 1:]
-    flipped = TriSurface(surface.vertex_count, edges, tuple(faces), tuple(edge_slots))
-    vars(flipped).update(corners=_patched(surface.corners, rows, [f.corners for f in new]),
-                         sides=_patched(surface.sides, rows, [f.sides for f in new]))
-    old, fresh = surface.hinge_slots, _hinge_rows(flipped, np.array(touched))
-    vars(flipped)["hinge_slots"] = HingeView(*(
-        _patched(getattr(old, f.name), touched, getattr(fresh, f.name))
-        for f in fields(HingeView)
-    ))
-    return flipped
-
-
-def _canonical_face(face):
-    rotations = (
-        tuple(zip(face.corners, face.sides)),
-        tuple(zip(face.corners[1:] + face.corners[:1], face.sides[1:] + face.sides[:1])),
-        tuple(zip(face.corners[2:] + face.corners[:2], face.sides[2:] + face.sides[:2])),
+        raise FlipIllegal(f"edge {h.edge} has both sides on face {h.face_k}")
+    edges, corners, sides = (
+        array.copy() for array in (surface.edges, surface.corners, surface.sides)
     )
-    return min(rotations)
+    edges[h.edge] = h.v_k, h.v_l
+    corners[[h.face_k, h.face_l]] = (h.v_k, h.v_i, h.v_l), (h.v_l, h.v_j, h.v_k)
+    sides[[h.face_k, h.face_l]] = (h.e_b, h.edge, h.e_a), (h.e_d, h.edge, h.e_c)
+    return TriSurface(surface.vertex_count, edges, corners, sides)
+
+
+def _canonical_cells(surface):
+    """Sorted edge end pairs, and faces as (corner, side) pair triples
+    each in its least rotation, sorted."""
+    edges = sorted(map(sorted, surface.edges.tolist()))
+    faces = map(tuple, np.stack([surface.corners, surface.sides], axis=-1).tolist())
+    return edges, sorted(min(f[r:] + f[:r] for r in range(3)) for f in faces)
 
 
 def surfaces_isomorphic(s1, s2):
@@ -261,12 +234,6 @@ def surfaces_isomorphic(s1, s2):
     Vertex and edge ids must match; faces may be listed in any order and
     each may be rotated (orientation-preserving relabelling only).
     """
-    if s1.vertex_count != s2.vertex_count:
-        return False
-    if tuple(sorted(tuple(sorted(e)) for e in s1.edges)) != tuple(
-        sorted(tuple(sorted(e)) for e in s2.edges)
-    ):
-        return False
-    c1 = sorted(_canonical_face(f) for f in s1.faces)
-    c2 = sorted(_canonical_face(f) for f in s2.faces)
-    return c1 == c2
+    return s1.vertex_count == s2.vertex_count and (
+        _canonical_cells(s1) == _canonical_cells(s2)
+    )

@@ -109,7 +109,7 @@ def test_criterion_3_delaunay_suite():
                 s2, p2, events = make_weighted_delaunay(surface, pk)
                 flips_total += len(events)
                 assert min(surface_delaunay_margins(s2, p2)) >= -1e-10
-                for fid in range(len(s2.faces)):
+                for fid in range(s2.face_count):
                     assert face_metrics(s2, p2, fid).xi > 0.0
                 eid = int(rng.integers(len(s2.edges)))
                 s3, p3, _ = flip_edge(s2, p2, eid)

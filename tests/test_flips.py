@@ -1,12 +1,14 @@
 """Ptolemy algebra and the flip-to-Delaunay loop."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import checkerboard_packing, torus_grid
-from hidra.checks import degenerate_hinge, random_packing
+from hidra.checks import degenerate_hinge, random_flip_sequence, random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import DomainError, NonCompactOrthocircle, SurgeryDiverged
 from hidra.flips import (
@@ -152,7 +154,7 @@ class TestMakeWeightedDelaunay:
             flips_seen += len(events)
             margins = surface_delaunay_margins(s2, p2)
             assert min(margins) >= -1e-10
-            for fid in range(len(s2.faces)):
+            for fid in range(s2.face_count):
                 assert face_metrics(s2, p2, fid).xi > 0.0
             assert np.array_equal(p2.radii, pk.radii)
         assert flips_seen > 0
@@ -279,3 +281,46 @@ class TestIncrementalAgainstRescan:
         )
         got = self.assert_same(surface, packing, tol=-1e9)
         assert got[:2] == (NonCompactOrthocircle, face)
+
+
+class TestMarginBeforeFromKernel:
+    """Each logged ``margin_before`` comes from the array kernel; it
+    matches the scalar ``hinge_delaunay_margin`` of the pre-flip hinge to
+    1e-12 relative, and is NaN exactly where the scalar path meets a
+    non-compact incident face."""
+
+    def assert_log_matches_scalar(self, surface, packing, edges, events):
+        assert [ev.edge for ev in events] == list(edges)
+        nan_seen = 0
+        for ev in events:
+            try:
+                want = hinge_delaunay_margin(hinge(surface, ev.edge), packing)
+            except NonCompactOrthocircle:
+                assert math.isnan(ev.margin_before)
+                nan_seen += 1
+            else:
+                assert abs(ev.margin_before - want) <= 1e-12 * abs(want)
+            surface, packing, _ = flip_edge(surface, packing, ev.edge)
+        return nan_seen
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_checkerboards(self, n):
+        surface = torus_grid(n)
+        for seed in range(3):
+            packing = checkerboard_packing(surface, n, np.random.default_rng(seed))
+            _, _, events = make_weighted_delaunay(surface, packing)
+            assert len(events) >= n * n // 2
+            edges = [ev.edge for ev in events]
+            assert self.assert_log_matches_scalar(surface, packing, edges, events) == 0
+
+    def test_genus2_flip_chains(self, rng):
+        surface, nan_seen = one_vertex_genus2(), 0
+        for _ in range(20):
+            packing = random_packing(surface, rng, inv_range=(1.05, 8.0), max_tries=5000)
+            edges = random_flip_sequence(surface, packing, rng, 30)
+            s, p, events = surface, packing, []
+            for edge in edges:
+                s, p, event = flip_edge(s, p, edge)
+                events.append(event)
+            nan_seen += self.assert_log_matches_scalar(surface, packing, edges, events)
+        assert nan_seen > 0

@@ -201,7 +201,7 @@ class TestOrthocircle:
 
         for _ in range(20):
             pk = random_packing(surface, rng)
-            for fid in range(len(surface.faces)):
+            for fid in range(surface.face_count):
                 fm = face_metrics(surface, pk, fid)
                 rho = orthocircle_radius(fm)
                 x, y, z = fm.cosh_lengths
@@ -327,7 +327,7 @@ class TestDelaunayCompactnessContainment:
                     for hv in hinges
                 ]
                 metrics = [
-                    face_metrics(surface, pk, f) for f in range(len(surface.faces))
+                    face_metrics(surface, pk, f) for f in range(surface.face_count)
                 ]
                 for fm in metrics:
                     if fm.xi > 0.0:
@@ -366,7 +366,7 @@ class TestDevelopFaceInDisk:
         surface = one_vertex_genus2()
         for _ in range(10):
             pk = random_packing(surface, rng)
-            for fid in range(len(surface.faces)):
+            for fid in range(surface.face_count):
                 fm = face_metrics(surface, pk, fid)
                 centers, _ = develop_face_in_disk(fm)
                 for slot in range(3):

@@ -126,9 +126,42 @@ class TestReports:
         assert [f["rho"] for f in report["faces"]] == [None, None]
 
 
+NON_NUMBERS = ["abc", None, True, [1.5], {"value": 1.5}]
+MALFORMED = (
+    [("vertices", "radius", v, None) for v in NON_NUMBERS + [10**400]]
+    + [("edges", "inversive_distance", v, None) for v in NON_NUMBERS]
+    + [("target_curvature", "kbar", v, None) for v in NON_NUMBERS]
+    + [(None, None, None, text) for text in (
+        "{not json", "[1, 2]", '{"bogus": 1}', '{"tol": "abc"}', '{"tol": null}',
+        '{"max_iters": true}', b"\xff\xfe",
+    )]
+)
+
+
 class TestCLI:
     def run(self, *argv):
         return main(list(argv))
+
+    @pytest.mark.parametrize("records, key, value, config", MALFORMED)
+    def test_malformed_input_is_an_invalid_input_report(
+        self, tmp_path, records, key, value, config
+    ):
+        doc = json.loads(open(fixture_path("torus1.json")).read())
+        doc["target_curvature"] = [{"vid": 0, "kbar": 1.0}]
+        if records is not None:
+            doc[records][0][key] = value
+        mesh, out = tmp_path / "mesh.json", tmp_path / "report.json"
+        mesh.write_text(json.dumps(doc))
+        argv = ["delaunay", str(mesh), "--out", str(out)]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_bytes(config if isinstance(config, bytes) else config.encode())
+            argv += ["--config", str(path)]
+        assert self.run(*argv) == 2
+        report = json.loads(out.read_text())
+        assert report["status"] == "invalid_input"
+        assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
+        jsonschema.validate(report, schema("report.schema.json"))
 
     def test_solve_torus(self, tmp_path):
         out = tmp_path / "report.json"

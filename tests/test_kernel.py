@@ -41,7 +41,7 @@ class Raised(Exception):
 def scalar_faces(surface, packing):
     """FaceMetrics and corner angles of every face, in face order."""
     out = []
-    for fid in range(len(surface.faces)):
+    for fid in range(surface.face_count):
         try:
             fm = face_metrics(surface, packing, fid)
             out.append((fm, fm.angles()))
@@ -99,7 +99,7 @@ def scalar_hessian(surface, packing):
 
 
 def scalar_margins(surface, packing):
-    for fid in range(len(surface.faces)):
+    for fid in range(surface.face_count):
         try:
             xi = face_metrics(surface, packing, fid).xi
         except DomainError as exc:

@@ -1,5 +1,6 @@
 """Combinatorial layer: validation, hinges, flips."""
 
+import copy
 from dataclasses import fields
 from importlib import resources
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import torus_grid
 from hidra.complexes import (
     octahedron_sphere,
     one_vertex_genus2,
@@ -18,6 +20,7 @@ from hidra.complexes import (
 from hidra.errors import (
     FlipIllegal,
     InconsistentIncidence,
+    MeshError,
     NotClosed,
     NotOrientable,
     NotTriangulable,
@@ -31,6 +34,7 @@ from hidra.surface import (
     hinge,
     surfaces_isomorphic,
 )
+from surface_oracle import build_surface_loops
 
 ALL_COMPLEXES = [
     one_vertex_torus,
@@ -52,7 +56,7 @@ class TestBuildSurface:
     def test_one_vertex_torus(self, torus):
         assert torus.vertex_count == 1
         assert len(torus.edges) == 3
-        assert len(torus.faces) == 2
+        assert torus.face_count == 2
         assert euler_characteristic(torus) == 0
 
     def test_two_triangle_sphere_is_triangulable(self, sphere2):
@@ -103,7 +107,7 @@ class TestBuildSurface:
     @pytest.mark.parametrize("builder", ALL_COMPLEXES)
     def test_slot_double_counting(self, builder):
         s = builder()
-        assert 3 * len(s.faces) == 2 * len(s.edges)
+        assert 3 * s.face_count == 2 * len(s.edges)
 
 
 class TestEulerCharacteristic:
@@ -145,8 +149,8 @@ class TestHinge:
             octahedron.vertex_count,
             octahedron.edges,
             [
-                (f.corners[1:] + f.corners[:1], f.sides[1:] + f.sides[:1])
-                for f in octahedron.faces
+                (np.roll(corners, -1), np.roll(sides, -1))
+                for corners, sides in zip(octahedron.corners, octahedron.sides)
             ],
         )
         for eid in range(len(octahedron.edges)):
@@ -171,7 +175,7 @@ class TestFlipCombinatorial:
             s2 = flip_combinatorial(s, eid)
             assert s2.vertex_count == s.vertex_count
             assert len(s2.edges) == len(s.edges)
-            assert len(s2.faces) == len(s.faces)
+            assert s2.face_count == s.face_count
             assert euler_characteristic(s2) == euler_characteristic(s)
 
     def test_new_edge_joins_the_apexes(self, tetrahedron):
@@ -219,7 +223,7 @@ class TestFlipCombinatorial:
             rebuilt = build_surface(
                 surface.vertex_count,
                 surface.edges,
-                [(f.corners, f.sides) for f in surface.faces],
+                list(zip(surface.corners, surface.sides)),
             )
             assert surface == rebuilt
             assert np.array_equal(surface.corners, rebuilt.corners)
@@ -234,10 +238,120 @@ class TestFlipCombinatorial:
         # the flip rewrites two faces without validating the result, so
         # spot-check that every edge is still traversed both ways.
         s2 = flip_combinatorial(octahedron, 0)
-        for eid, ((f1, s1), (f2, s2_)) in enumerate(s2.edge_slots):
+        h = s2.hinge_slots
+        slots = zip(h.face_k, h.side_in_k, h.face_l, h.side_in_l)
+        for eid, (f1, s1, f2, s2_) in enumerate(slots):
             a, b = s2.edges[eid]
             if a == b:
                 continue
-            d1 = (s2.faces[f1].corners[(s1 + 1) % 3], s2.faces[f1].corners[(s1 + 2) % 3])
-            d2 = (s2.faces[f2].corners[(s2_ + 1) % 3], s2.faces[f2].corners[(s2_ + 2) % 3])
+            d1 = (s2.corners[f1][(s1 + 1) % 3], s2.corners[f1][(s1 + 2) % 3])
+            d2 = (s2.corners[f2][(s2_ + 1) % 3], s2.corners[f2][(s2_ + 2) % 3])
             assert d1 == tuple(reversed(d2))
+
+
+def raw_complex(surface):
+    """(vertex_count, edges, faces) lists that rebuild ``surface``."""
+    faces = [list(cell) for cell in zip(surface.corners.tolist(), surface.sides.tolist())]
+    return surface.vertex_count, surface.edges.tolist(), faces
+
+
+def out_of_range(draw, size):
+    return draw(st.sampled_from([-1, -2, size, size + 3]))
+
+
+def corrupt(kind, raw, draw):
+    """Apply one named corruption to a raw complex, positions drawn."""
+    n_v, edges, faces = raw
+    if kind == "no_cells":  # F - E = 0: nothing left to triangulate
+        return n_v, [], []
+    if kind == "edge_end_out_of_range":
+        edge = draw(st.integers(0, len(edges) - 1))
+        edges[edge][draw(st.integers(0, 1))] = out_of_range(draw, n_v)
+        return raw
+    fid = draw(st.integers(0, len(faces) - 1))
+    corners, sides = faces[fid]
+    j, k = draw(st.permutations(range(3)))[:2]
+    if kind == "drop_face":
+        del faces[fid]
+    elif kind == "swap_sides":
+        sides[j], sides[k] = sides[k], sides[j]
+    elif kind == "reverse_face":
+        faces[fid] = [corners[::-1], sides[::-1]]
+    elif kind == "same_direction":  # mirror: every side traversed backwards
+        faces[fid] = [[corners[0], corners[2], corners[1]], [sides[0], sides[2], sides[1]]]
+    elif kind == "vertex_out_of_range":
+        corners[j] = out_of_range(draw, n_v)
+    elif kind == "edge_out_of_range":
+        sides[j] = out_of_range(draw, len(edges))
+    elif kind == "one_slot":  # the replaced edge keeps a single slot
+        sides[j] = draw(st.sampled_from([e for e in range(len(edges)) if e != sides[j]]))
+    return raw
+
+
+CORRUPTIONS = [
+    "drop_face", "swap_sides", "reverse_face", "same_direction", "vertex_out_of_range",
+    "edge_end_out_of_range", "edge_out_of_range", "one_slot", "no_cells",
+]
+ORACLE_COMPLEXES = [b.__name__ for b in ALL_COMPLEXES] + FIXTURES + ["grid3", "grid4"]
+
+
+def oracle_start(name):
+    return torus_grid(int(name[4:])) if name.startswith("grid") else start_surface(name)
+
+
+def build_outcome(builder, raw):
+    try:
+        return builder(*raw)
+    except MeshError as exc:
+        return type(exc), str(exc)
+
+
+class TestBuilderAgainstLoopOracle:
+    """The array builder raises what the loop builder raises: the same
+    class and message, naming the same lowest id."""
+
+    def assert_agrees(self, raw):
+        want = build_outcome(build_surface_loops, copy.deepcopy(raw))
+        got = build_outcome(build_surface, raw)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        edges, faces, edge_slots = want
+        assert got.edges.tolist() == [list(e) for e in edges]
+        assert got.corners.tolist() == [list(c) for c, _ in faces]
+        assert got.sides.tolist() == [list(s) for _, s in faces]
+        h = got.hinge_slots
+        assert list(zip(zip(h.face_k, h.side_in_k), zip(h.face_l, h.side_in_l))) == list(
+            edge_slots
+        )
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    @given(name=st.sampled_from(ORACLE_COMPLEXES), data=st.data())
+    @settings(max_examples=40)
+    def test_one_corruption(self, kind, name, data):
+        raw = raw_complex(oracle_start(name))
+        self.assert_agrees(corrupt(kind, raw, data.draw))
+
+    @given(
+        name=st.sampled_from(ORACLE_COMPLEXES),
+        kinds=st.lists(st.sampled_from(CORRUPTIONS[:-1]), min_size=2, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_several_corruptions(self, name, kinds, data):
+        # Several faults at once: the first check in order, at its lowest id.
+        raw = raw_complex(oracle_start(name))
+        for kind in kinds:
+            if raw[2]:
+                raw = corrupt(kind, raw, data.draw)
+        self.assert_agrees(raw)
+
+    @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+    def test_intact_complexes(self, name):
+        self.assert_agrees(raw_complex(oracle_start(name)))
+
+    def test_non_triangle_and_empty_vertex_set(self):
+        raw = raw_complex(one_vertex_torus())
+        raw[2][1][0] = [0, 0]
+        self.assert_agrees(raw)
+        self.assert_agrees((0, [], []))
