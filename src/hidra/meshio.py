@@ -50,6 +50,12 @@ def _number(value, message):
         return math.inf
 
 
+def _is_id(value, count):
+    """Whether ``value`` is a JSON integer in [0, count); a JSON boolean,
+    which Python counts as an int, is not."""
+    return type(value) is int and 0 <= value < count
+
+
 def parse_mesh(data):
     """Parse mesh bytes/str/dict into (TriSurface, Packing, target).
 
@@ -82,7 +88,7 @@ def parse_mesh(data):
         _require(isinstance(rec, dict), "vertex records must be objects")
         _require("id" in rec and "radius" in rec, "vertex needs id and radius")
         vid = rec["id"]
-        _require(isinstance(vid, int) and 0 <= vid < n_v, f"vertex id {vid} out of range")
+        _require(_is_id(vid, n_v), f"vertex id {vid} out of range")
         _require(vid not in seen, f"duplicate vertex id {vid}")
         seen.add(vid)
         radius = _number(rec["radius"], f"vertex {vid}: radius must be a number")
@@ -104,7 +110,7 @@ def parse_mesh(data):
             "edge needs id, ends and inversive_distance",
         )
         eid = rec["id"]
-        _require(isinstance(eid, int) and 0 <= eid < n_e, f"edge id {eid} out of range")
+        _require(_is_id(eid, n_e), f"edge id {eid} out of range")
         _require(eid not in seen, f"duplicate edge id {eid}")
         seen.add(eid)
         pair = rec["ends"]
@@ -114,7 +120,7 @@ def parse_mesh(data):
         )
         for v in pair:
             _require(
-                isinstance(v, int) and 0 <= v < n_v,
+                _is_id(v, n_v),
                 f"edge {eid}: unknown vertex {v}",
             )
         value = _number(
@@ -146,12 +152,12 @@ def parse_mesh(data):
         )
         for v in corners:
             _require(
-                isinstance(v, int) and 0 <= v < n_v,
+                _is_id(v, n_v),
                 f"face {idx}: unknown vertex {v}",
             )
         for e in sides:
             _require(
-                isinstance(e, int) and 0 <= e < n_e,
+                _is_id(e, n_e),
                 f"face {idx}: unknown edge {e}",
             )
         face_specs.append((tuple(corners), tuple(sides)))
@@ -173,7 +179,7 @@ def parse_mesh(data):
             )
             vid = rec["vid"]
             _require(
-                isinstance(vid, int) and 0 <= vid < n_v,
+                _is_id(vid, n_v),
                 f"target references unknown vertex {vid}",
             )
             target[vid] = _number(

@@ -26,7 +26,10 @@ from .errors import (
     TargetOutOfRange,
 )
 from .flips import make_weighted_delaunay, surface_delaunay_margins
-from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing
+from .geometry import (
+    NEXT, PREV, TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing,
+)
+from .ptolemy import delta_discriminant, ptolemy_flip_value
 from .surface import euler_characteristic
 
 DEFAULT_TOL_K = 1e-10
@@ -34,9 +37,17 @@ DEFAULT_MAX_ITERATIONS = 100
 MIN_LINE_SEARCH_STEP = 1e-12
 MIN_FLOW_DT = 1e-12
 
-# Wall checkpoints per potential segment; the Gauss-Legendre rule and
-# the tolerances and subinterval cap of its halving.
-CHECKPOINTS = 64
+# The certified wall scan of a potential segment: the grid of its
+# fallback (the old march's checkpoints), the dyadic levels below a grid
+# interval at which the kernel still looks for a wall, the rounding
+# allowance of the bounds relative to the size of their terms, and the
+# kernel bisection steps that locate a wall.
+SCAN_GRID = 64
+SCAN_DEPTH = 4
+SCAN_ROUNDING = 1e-12
+WALL_BISECTIONS = 40
+# The Gauss-Legendre rule, and the tolerances and subinterval cap of its
+# halving.
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-10, 1e-11, 100
 
@@ -218,6 +229,110 @@ def _integrate(f, a, b):
         whole = sums.reshape(-1, 2)[split].ravel()
 
 
+# The monomials of the Xi form: the squares, then the products of the
+# corners NEXT[o] and PREV[o] for each slot o.
+XI_P = np.array([0, 1, 2, 1, 2, 0])
+XI_Q = np.array([0, 1, 2, 2, 0, 1])
+
+
+def _cosh_forms(surface, inv):
+    """Every Delaunay margin and every face's Xi as forms in x = cosh u.
+
+    Since 1 / tanh r = cosh u, the margin of an edge is
+    sqrt(D_cdf) x_i + sqrt(D_abf) x_j - sqrt(D_bce) x_k - sqrt(D_ade) x_l,
+    and Xi / prod(tanh^2 r) is the quadratic form
+    sum_m (1 - I_m^2) x_m^2 + 2 sum_{m<n} (I_o + I_m I_n) x_m x_n over the
+    corners (o the third slot); neither involves the radii otherwise.
+    A form is (c, p, q), (K, N) arrays with row n the sum over k of
+    c x[p] x[q], or of c x[p] when q is None (the margins).  Terms on
+    one monomial are merged, so a form on a single vertex (every form of
+    a one-vertex surface) is bounded exactly.
+    """
+    h = surface.hinge_slots
+    a, b, c, d, e = (inv[ids] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge))
+    f = ptolemy_flip_value(a, b, c, d, e)
+    roots = np.sqrt(delta_discriminant(
+        np.stack([c, a, b, a]), np.stack([d, b, c, d]), np.stack([f, f, e, e])
+    ))
+    roots[2:] *= -1.0
+    margin = _merged(roots, np.stack([h.v_i, h.v_j, h.v_k, h.v_l]), None)
+    I, corners = inv[surface.sides].T, surface.corners.T
+    xi = _merged(
+        np.concatenate([1.0 - I**2, 2.0 * (I + I[NEXT] * I[PREV])]),
+        corners[XI_P], corners[XI_Q],
+    )
+    return margin, xi
+
+
+def _merged(c, p, q):
+    """The form (c, p, q) with the coefficients of equal monomials
+    summed onto their first term and zeroed elsewhere."""
+    if q is not None:
+        p, q = np.minimum(p, q), np.maximum(p, q)
+    key = p if q is None else p * (q.max() + 1) + q
+    ordered = np.sort(key, axis=0)
+    rows = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
+    if len(rows):
+        k = key[:, rows]
+        same = k[:, None, :] == k[None, :, :]
+        first = ~(same & np.tri(len(k), k=-1, dtype=bool)[:, :, None]).any(axis=1)
+        c = c.copy()
+        c[:, rows] = np.where(first, np.einsum("jkn,kn->jn", same, c[:, rows]), 0.0)
+    return c, p, q
+
+
+def _monomials(x, p, q):
+    """x[p] x[q] (x[p] when q is None), gathered along the last axis."""
+    v = np.take(x, p, axis=-1)
+    return v if q is None else v * np.take(x, q, axis=-1)
+
+
+def _x_range(u_start, du, lo, hi):
+    """u at the ends of each s-interval [lo_b, hi_b] of u_start + s du,
+    and the range of x = cosh u on it: u stays negative, so x falls as u
+    grows, monotone in s."""
+    u_a, u_b = (u_start + np.multiply.outer(np.asarray(s, dtype=float), du)
+                for s in (lo, hi))
+    return u_a, u_b, np.cosh(np.maximum(u_a, u_b)), np.cosh(np.minimum(u_a, u_b))
+
+
+def _scan_bounds(forms, u_start, du, lo, hi):
+    """Lower bounds over each s-interval [lo_b, hi_b] of u_start + s du
+    of every margin and every Xi form of ``_cosh_forms``, each with the
+    size of its terms, which scales its rounding: (margins, their sizes,
+    Xi forms, their sizes), arrays (B, E) and (B, F).  Each monomial
+    grows with every x > 0, so a term is smallest at the low end of the
+    x ranges when its coefficient is positive and at the high end else."""
+    _, _, x_lo, x_hi = _x_range(u_start, du, lo, hi)
+    bounds = []
+    for c, p, q in forms:
+        low, high = _monomials(x_lo, p, q), _monomials(x_hi, p, q)
+        bounds += [(c * np.where(c > 0.0, low, high)).sum(axis=-2),
+                   (np.abs(c) * high).sum(axis=-2)]
+    return bounds
+
+
+def _margin_expansion_bounds(margin, u_start, du, lo, hi):
+    """Lower bounds of the margins over each s-interval [lo_b, hi_b] from
+    their second-order expansion about lo_b: the value m and slope m'
+    there, and a lower bound M of m'' on the interval (a term c x grows
+    by c du^2 x).  Tight at lo_b, they certify the interval that starts
+    at a wall, which ``_scan_bounds`` would need split very finely."""
+    c, p, _ = margin
+    u_a, _, x_lo, x_hi = _x_range(u_start, du, lo, hi)
+    dp = du[p]
+    m = (c * np.take(np.cosh(u_a), p, axis=-1)).sum(axis=-2)
+    slope = (c * dp * np.take(np.sinh(u_a), p, axis=-1)).sum(axis=-2)
+    low = np.where(c > 0.0, np.take(x_lo, p, axis=-1), np.take(x_hi, p, axis=-1))
+    curve = (c * dp**2 * low).sum(axis=-2)
+    # The minimum over t in [0, w] of slope t + curve t^2 / 2: at t = 0,
+    # at t = w, or at the vertex t when curve > 0.
+    w = np.subtract(hi, lo)[..., None]
+    t = np.clip(-slope / np.where(curve > 0.0, curve, np.inf), 0.0, w)
+    dip = np.minimum(slope * w + 0.5 * curve * w * w, slope * t + 0.5 * curve * t * t)
+    return m + np.minimum(dip, 0.0)
+
+
 def segment_potential(
     surface,
     packing,
@@ -230,14 +345,26 @@ def segment_potential(
 ):
     """Integral of (K - Kbar) . du over the straight u-segment.
 
-    The carried triangulation is marched along the segment: one batched
-    kernel evaluation scans the CHECKPOINTS checkpoints ahead; at the
-    first outside the current Delaunay cell, the wall is located by
-    bisection on the worst edge margin, the smooth piece up to the wall
-    is integrated by Gauss-Legendre with halving, and flip surgery moves
-    the march into the next cell.  The integrand is continuous across
-    walls, so the piecewise sum is the path integral.  The first
-    checkpoint or node at which the kernel is undefined raises the
+    The carried triangulation is followed along the segment by a
+    certified wall scan.  With x = cosh u, every Delaunay margin and the
+    sign of every face's Xi are forms in x with constant coefficients
+    between flips (``_cosh_forms``), and u stays negative, so each x is
+    monotone in s and interval arithmetic bounds every margin and every
+    Xi over a whole s-interval.  An interval whose bounds keep each
+    margin at least SCAN_ROUNDING (relative) above -tol, each Xi that
+    much above 0 and each length finite is certified to lie in the cell
+    without a kernel call.  The scan certifies s = 0 (else the entry
+    flips run), then the rest of the segment, else each interval of the
+    old march's 1/SCAN_GRID grid.  The kernel decides only where a bound
+    does not certify: at the right end of such a grid interval (outside:
+    the wall is bracketed by that interval), and at the midpoints of its
+    dyadic halves down to SCAN_DEPTH levels (outside: a wall the grid
+    alone would miss).  The wall is then located by WALL_BISECTIONS
+    kernel bisection steps on the worst edge margin, the smooth piece up
+    to it is integrated by Gauss-Legendre with halving, and flip surgery
+    moves the scan into the next cell.  The integrand is continuous
+    across walls, so the piecewise sum is the path integral.  The first
+    point the kernel finds undefined, and any quadrature node, raises the
     single-packing kernel's exception.
 
     Returns (value, end_surface, end_packing, wall_flip_events); the end
@@ -271,7 +398,7 @@ def segment_potential(
         return 0.0 if b - a < 1e-14 else _integrate(integrand, a, b)
 
     def flip_to_delaunay(s):
-        nonlocal surf, inv
+        nonlocal surf, inv, forms
         try:
             surf, pk, ev = make_weighted_delaunay(
                 surf, packing_at(s), tol=tol_delaunay, flip_budget=flip_budget,
@@ -281,28 +408,72 @@ def segment_potential(
             exc.state.flip_log = events + exc.state.flip_log
             raise
         inv = pk.inv
+        forms = _cosh_forms(surf, inv)
         events.extend(ev)
 
-    flip_to_delaunay(0.0)
-    total = 0.0
-    piece_start = 0.0
-    s_pos = 0.0
-    while s_pos < 1.0:
-        s = [s_pos]  # and the checkpoints ahead, as a sequential march steps
+    def certified(lo, hi):
+        """Per interval [lo_b, hi_b]: whether its bounds put every point
+        of it inside the cell."""
+        m, m_size, q, q_size = _scan_bounds(forms, u_start, du, lo, hi)
+        floor = -tol_delaunay + SCAN_ROUNDING * m_size
+        if not (m >= floor).all():
+            m = np.maximum(m, _margin_expansion_bounds(forms[0], u_start, du, lo, hi))
+        # r rises with u, so the domain holds on an interval where it
+        # holds for the smallest and the largest radii.
+        u_a, u_b, _, _ = _x_range(u_start, du, lo, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_lo, r_hi = (2.0 * np.arctanh(np.exp(f(u_a, u_b)))
+                          for f in (np.minimum, np.maximum))
+            i, j = surf.edges.T
+            ch, sh = np.cosh(r_hi), np.sinh(r_hi)
+            cosh_length = ch[..., i] * ch[..., j] + inv * sh[..., i] * sh[..., j]
+        return (
+            (m >= floor).all(axis=-1)
+            & (q > SCAN_ROUNDING * q_size).all(axis=-1)
+            & (r_lo > 0.0).all(axis=-1)
+            & np.isfinite(cosh_length).all(axis=-1)
+        )
+
+    def outside(s):
+        return not min_margin(s) >= -tol_delaunay
+
+    def split(lo, hi, depth):
+        """Bracket of the first wall in [lo, hi], whose ends are inside
+        the cell, found at the midpoints of its dyadic halves; or None."""
+        mid = 0.5 * (lo + hi)
+        left, right = certified([lo, mid], [mid, hi])
+        if not left:
+            if outside(mid):
+                return lo, mid
+            if depth > 1 and (bracket := split(lo, mid, depth - 1)):
+                return bracket
+        if not right and depth > 1:
+            return split(mid, hi, depth - 1)
+        return None
+
+    def grid_wall(start):
+        """Bracket (inside, outside) of the first wall past ``start`` on
+        the grid ahead, refined where no bound certifies; or None."""
+        s = [start]  # as the old sequential march stepped
         while s[-1] < 1.0:
-            s.append(min(1.0, s[-1] + 1.0 / CHECKPOINTS))
-        metrics = SurfaceMetrics(surf, packing_at(np.array(s[1:])))
-        worst = metrics.unchecked_margins.min(axis=-1)
-        outside = ~(metrics.margins_defined & (worst >= -tol_delaunay))
-        if not outside.any():
-            break
-        k = int(outside.argmax())
-        if not metrics.margins_defined[k]:
-            metrics.margins  # raises for row k, the first row at fault
-        # Wall between s[k] (inside the cell) and s[k + 1] (outside):
-        # shrink the bracket, keeping the outside end strictly outside.
-        lo, hi = s[k], s[k + 1]
-        for _ in range(40):
+            s.append(min(1.0, s[-1] + 1.0 / SCAN_GRID))
+        for k in np.flatnonzero(~certified(s[:-1], s[1:])):
+            if outside(s[k + 1]):
+                return s[k], s[k + 1]
+            if bracket := split(s[k], s[k + 1], SCAN_DEPTH):
+                return bracket
+        return None
+
+    forms = _cosh_forms(surf, inv)
+    clear = certified([0.0], [1.0])[0]
+    if not clear and not certified([0.0], [0.0])[0]:
+        flip_to_delaunay(0.0)
+        clear = certified([0.0], [1.0])[0]
+    total = piece_start = s_pos = 0.0
+    while not clear and (bracket := grid_wall(s_pos)) is not None:
+        # Shrink the bracket, keeping the outside end strictly outside.
+        lo, hi = bracket
+        for _ in range(WALL_BISECTIONS):
             mid = 0.5 * (lo + hi)
             if min_margin(mid) >= -tol_delaunay:
                 lo = mid
@@ -310,8 +481,8 @@ def segment_potential(
                 hi = mid
         total += piece(piece_start, lo)
         flip_to_delaunay(hi)
-        piece_start = lo
-        s_pos = hi
+        piece_start, s_pos = lo, hi
+        clear = certified([hi], [1.0])[0]
     total += piece(piece_start, 1.0)
     return total, surf, Packing(inv, r_from_u(u_end)), events
 
@@ -403,8 +574,10 @@ def newton_solve(
     Each iteration factors the analytic curvature Jacobian H once, by a
     symmetric sparse LU with diagonal pivots, and solves
     H . delta = -(K - Kbar) with that factor; it clamps the step to keep
-    u negative, backtracks on the Euclidean norm of the curvature error,
-    and re-runs flip surgery after the accepted step.  Trial evaluations
+    u negative, and backtracks on the Euclidean norm of the curvature
+    error.  With the potential tracked, the potential segment's wall
+    flips carry the triangulation to the accepted point and are logged;
+    flip surgery then runs there.  Trial evaluations
     reuse the current triangulation: the potential extends C1 across
     cell walls, so a marginally non-Delaunay trial still measures
     progress.  The Hessian's spectrum sign, at the state returned or
@@ -470,19 +643,23 @@ def newton_solve(
                     state=exit_state("stalled", iteration, lu),
                 )
 
-        d_pot = 0.0
+        d_pot, events = 0.0, []
+        surface_try, packing_try = surface, Packing(packing.inv, r_from_u(u_try))
         try:
-            if track_potential:
-                d_pot, _, _, _ = segment_potential(
+            if track_potential:  # its wall flips carry the surface to u_try
+                d_pot, surface_try, packing_try, events = segment_potential(
                     surface, packing, target, u, u_try,
                     tol_delaunay=tol_delaunay, flip_budget=flip_budget,
+                    iteration=iteration,
                 )
-            surface_try, packing_try, events = make_weighted_delaunay(
-                surface, Packing(packing.inv, r_from_u(u_try)), tol=tol_delaunay,
+            surface_try, packing_try, more = make_weighted_delaunay(
+                surface_try, packing_try, tol=tol_delaunay,
                 flip_budget=flip_budget, iteration=iteration,
             )
         except SurgeryDiverged as exc:
-            raise _overrun(exc, target, iteration, flip_log, trace, potential) from exc
+            raise _overrun(
+                exc, target, iteration, flip_log + events, trace, potential
+            ) from exc
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(
                 str(exc), state=exit_state("surgery_diverged", iteration, lu)
@@ -490,6 +667,7 @@ def newton_solve(
         potential += d_pot
         u = u_try
         surface, packing = surface_try, packing_try
+        events += more
         flip_log += events
         K, area = curvatures(surface, packing)
         trace.append(

@@ -131,6 +131,9 @@ MALFORMED = (
     [("vertices", "radius", v, None) for v in NON_NUMBERS + [10**400]]
     + [("edges", "inversive_distance", v, None) for v in NON_NUMBERS]
     + [("target_curvature", "kbar", v, None) for v in NON_NUMBERS]
+    # A JSON boolean is not an id, though Python counts it as 0 or 1.
+    + [("edges", "ends", [False, 0], None), ("faces", "corners", [0, False, 0], None),
+       ("faces", "sides", [0, True, 2], None)]
     + [(None, None, None, text) for text in (
         "{not json", "[1, 2]", '{"bogus": 1}', '{"tol": "abc"}', '{"tol": null}',
         '{"max_iters": true}', b"\xff\xfe",
@@ -158,6 +161,20 @@ class TestCLI:
             path.write_bytes(config if isinstance(config, bytes) else config.encode())
             argv += ["--config", str(path)]
         assert self.run(*argv) == 2
+        report = json.loads(out.read_text())
+        assert report["status"] == "invalid_input"
+        assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
+        jsonschema.validate(report, schema("report.schema.json"))
+
+    @pytest.mark.parametrize("records", ["vertices", "edges", "target_curvature"])
+    def test_boolean_id_is_an_invalid_input_report(self, tmp_path, records):
+        # Record 1 of each list has id 1; the boolean true stands for it.
+        doc = json.loads(open(fixture_path("octahedron.json")).read())
+        key = "vid" if records == "target_curvature" else "id"
+        doc[records][1][key] = True
+        mesh, out = tmp_path / "mesh.json", tmp_path / "report.json"
+        mesh.write_text(json.dumps(doc))
+        assert self.run("delaunay", str(mesh), "--out", str(out)) == 2
         report = json.loads(out.read_text())
         assert report["status"] == "invalid_input"
         assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
@@ -267,12 +284,19 @@ class TestCLI:
         return mesh
 
     def test_solve_budget_overrun_keeps_earlier_flips(self, tmp_path):
-        # One flip makes the start Delaunay; the first Newton step needs
-        # two, so a budget of one runs out mid-solve.
-        mesh = self.octahedron_mesh(tmp_path, 6)
-        out = tmp_path / "report.json"
+        # A 2x2 checkerboard torus, symmetric under the diagonal shift
+        # but for edge 5: one flip makes the start Delaunay, and the
+        # first Newton step meets a wall that two shifted edges cross at
+        # the same point, so a budget of one runs out mid-solve.
+        surface = torus_grid(2)
+        e = np.arange(12)
+        inv = np.where(e % 3 == 2, 5.0, 1.5)
+        inv[5] = 1.1
+        packing = Packing(inv, np.arctanh([0.4, 0.6, 0.6, 0.4]))
+        mesh, out = tmp_path / "in.json", tmp_path / "report.json"
+        mesh.write_text(dumps_mesh(surface, packing))
         code = self.run(
-            "solve", str(mesh), "--target-uniform", "5.0", "--flip-budget", "1",
+            "solve", str(mesh), "--target-uniform", "0.5", "--flip-budget", "1",
             "--out", str(out),
         )
         assert code == 4
@@ -285,9 +309,20 @@ class TestCLI:
         assert report["iteration_trace"] == []
         assert report["global"]["edge_count"] == 12
 
-    def test_solve_non_compact_face_mid_solve_keeps_state(self, tmp_path):
-        # The first Newton step lands where a face of the carried
-        # triangulation has Xi <= 0.
+    def test_solve_non_compact_face_mid_solve_keeps_state(self, tmp_path, monkeypatch):
+        # The potential segment of the first Newton step finds a face of
+        # the carried triangulation with Xi <= 0.  Flips along the
+        # segment keep the triangulation weighted Delaunay, which keeps
+        # every orthocircle compact, so the failure is injected here.
+        from hidra import solver
+        from hidra.errors import NonCompactOrthocircle
+
+        def non_compact_segment(*args, **kwargs):
+            raise NonCompactOrthocircle(
+                "face 0 has Xi = -1.000e-03 <= 0", face=0, xi=-1e-3
+            )
+
+        monkeypatch.setattr(solver, "segment_potential", non_compact_segment)
         mesh = self.octahedron_mesh(tmp_path, 16)
         out = tmp_path / "report.json"
         code = self.run(

@@ -25,10 +25,13 @@ from hidra.errors import (
     TargetOutOfRange,
 )
 from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
-from hidra.geometry import Packing
+from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from hidra.solver import (
+    _cosh_forms,
     _factor,
     _integrate,
+    _margin_expansion_bounds,
+    _scan_bounds,
     curvatures,
     gauss_bonnet_residual,
     hessian,
@@ -41,6 +44,7 @@ from hidra.solver import (
     u_from_r,
     validate_target,
 )
+from hidra.surface import surfaces_isomorphic
 
 TORUS_ANCHOR_K = 2.0 * math.pi - 6.0 * math.acos(2.0 / 3.0)
 
@@ -509,6 +513,103 @@ class TestSegmentAcrossWalls:
             assert value == pytest.approx(ref, abs=1e-9)
             walls += len(events)
         assert walls >= 5  # one segment crosses two walls
+
+
+class TestCoshForms:
+    """The certified wall scan's closed forms and bounds in x = cosh u
+    against the kernel, on random packings: each form's value to 1e-13
+    of the size of its terms, each bound below every sampled value."""
+
+    @given(st.sampled_from(sorted(SIGN_SURFACES)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_forms_match_the_kernel(self, name, seed):
+        surface = SIGN_SURFACES[name]()
+        pk = random_packing(surface, np.random.default_rng(seed), max_tries=5000)
+        u = u_from_r(pk.radii)
+        forms = _cosh_forms(surface, pk.inv)
+        m, m_size, q, _ = _scan_bounds(forms, u, 0.0 * u, 0.0, 0.0)  # at one point
+        kernel = SurfaceMetrics(surface, pk)
+        assert np.all(np.abs(m - kernel.margins) <= 1e-13 * m_size)
+        assert np.array_equal(np.sign(q), np.sign(kernel.xi))
+
+    @given(st.sampled_from(sorted(SIGN_SURFACES)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_bounds_hold_on_sub_intervals(self, name, seed):
+        surface = SIGN_SURFACES[name]()
+        rng = np.random.default_rng(seed)
+        pk = random_packing(surface, rng, max_tries=5000)
+        u0 = u_from_r(pk.radii)
+        du = np.minimum(u0 + rng.uniform(-0.6, 0.6, len(u0)), -0.05) - u0
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, (2, 6)), axis=0)
+        lo[0], hi[0] = 0.0, 1.0
+        forms = _cosh_forms(surface, pk.inv)
+        m, m_size, q, q_size = _scan_bounds(forms, u0, du, lo, hi)
+        expansion = _margin_expansion_bounds(forms[0], u0, du, lo, hi)
+        for b in range(len(lo)):
+            s = np.linspace(lo[b], hi[b], 20)
+            radii = r_from_u(u0 + np.multiply.outer(s, du))
+            metrics = SurfaceMetrics(surface, Packing(pk.inv, radii))
+            # Xi / prod(sinh^2 r) is the Xi form's value.
+            sinh_r = np.sinh(radii)[:, surface.corners]
+            q_at = metrics.xi / np.prod(sinh_r, axis=-1) ** 2
+            for bound in (m[b], expansion[b]):
+                assert np.all(bound <= metrics.unchecked_margins + 1e-13 * m_size[b])
+            assert np.all(q[b] <= q_at + 1e-13 * q_size[b])
+
+
+def planted_wall(k, depth):
+    """A segment on a Delaunay octahedron packing along which one edge's
+    margin dips to about -(1 + depth) TOL_DELAUNAY at the middle of the
+    k-th interval of the old march's 1/64 grid, and is about
+    (depth - 1) TOL_DELAUNAY at the two checkpoints around it.  Built in
+    x = cosh u: u is put on the edge's wall by Newton steps along the
+    gradient g, moved (1 + depth) TOL_DELAUNAY below it, and the segment
+    runs along a direction d orthogonal to g in which the margin is
+    convex.
+
+    Returns (surface, packing at u_start, u_start, u_end, edge)."""
+    octahedron = octahedron_sphere()
+    pk = random_packing(octahedron, np.random.default_rng(3), (0.35, 0.9), (1.05, 4.0))
+    surface, pk, _ = make_weighted_delaunay(octahedron, pk)
+    edge = int(np.argmin(surface_delaunay_margins(surface, pk)))
+    (c, p, _), _ = _cosh_forms(surface, pk.inv)
+    c, p = c[:, edge], p[:, edge]
+
+    def margin(u):
+        return c @ np.cosh(u[p])
+
+    def grad(u):
+        return np.bincount(p, c * np.sinh(u[p]), len(u))
+
+    u = u_from_r(pk.radii)
+    for _ in range(50):
+        g = grad(u)
+        u = u - margin(u) * g / (g @ g)
+    g = grad(u)
+    d = -(g[p[np.argmax(c)]] / (g @ g)) * g
+    d[p[np.argmax(c)]] += 1.0
+    curvature = c @ (np.cosh(u[p]) * d[p] ** 2)
+    u = u - TOL_DELAUNAY * (1.0 + depth) * g / (g @ g)
+    u = u - (grad(u) @ d) / curvature * d  # to the bottom of the dip
+    half = np.sqrt(4.0 * depth * TOL_DELAUNAY / curvature)  # bottom to checkpoint
+    u_start = u - (2 * k + 1) * half * d
+    u_end = u_start + 128 * half * d
+    return surface, Packing(pk.inv, r_from_u(u_start)), u_start, u_end, edge
+
+
+class TestPlantedWall:
+    @given(st.integers(0, 63), st.floats(0.5, 20.0))
+    @settings(max_examples=6)
+    def test_wall_between_checkpoints_is_flipped(self, k, depth):
+        surface, pk, u0, u1, edge = planted_wall(k, depth)
+        target = np.full(6, 0.5)
+        ref, ref_events = sequential_segment(surface, pk, target, u0, u1)
+        assert ref_events == []  # the old march steps over the dip
+        value, end_surface, _, events = segment_potential(surface, pk, target, u0, u1)
+        assert [ev.edge for ev in events] == [edge, edge]  # into the dip and out
+        assert all(ev.margin_before < -TOL_DELAUNAY for ev in events)
+        assert surfaces_isomorphic(end_surface, surface)
+        assert value == pytest.approx(ref, abs=1e-9)
 
 
 def test_gauss_legendre_halving():
