@@ -312,27 +312,6 @@ def _scan_bounds(forms, u_start, du, lo, hi):
     return bounds
 
 
-def _margin_expansion_bounds(margin, u_start, du, lo, hi):
-    """Lower bounds of the margins over each s-interval [lo_b, hi_b] from
-    their second-order expansion about lo_b: the value m and slope m'
-    there, and a lower bound M of m'' on the interval (a term c x grows
-    by c du^2 x).  Tight at lo_b, they certify the interval that starts
-    at a wall, which ``_scan_bounds`` would need split very finely."""
-    c, p, _ = margin
-    u_a, _, x_lo, x_hi = _x_range(u_start, du, lo, hi)
-    dp = du[p]
-    m = (c * np.take(np.cosh(u_a), p, axis=-1)).sum(axis=-2)
-    slope = (c * dp * np.take(np.sinh(u_a), p, axis=-1)).sum(axis=-2)
-    low = np.where(c > 0.0, np.take(x_lo, p, axis=-1), np.take(x_hi, p, axis=-1))
-    curve = (c * dp**2 * low).sum(axis=-2)
-    # The minimum over t in [0, w] of slope t + curve t^2 / 2: at t = 0,
-    # at t = w, or at the vertex t when curve > 0.
-    w = np.subtract(hi, lo)[..., None]
-    t = np.clip(-slope / np.where(curve > 0.0, curve, np.inf), 0.0, w)
-    dip = np.minimum(slope * w + 0.5 * curve * w * w, slope * t + 0.5 * curve * t * t)
-    return m + np.minimum(dip, 0.0)
-
-
 def segment_potential(
     surface,
     packing,
@@ -368,8 +347,9 @@ def segment_potential(
     single-packing kernel's exception.
 
     Returns (value, end_surface, end_packing, wall_flip_events); the end
-    packing carries the radii of u_end.  A flip-budget overrun raises
-    SurgeryDiverged carrying every flip of the segment so far.
+    packing carries the radii of u_end.  The flip budget bounds the
+    segment's flips together; an overrun raises SurgeryDiverged carrying
+    every flip of the segment so far.
     """
     u_start = np.asarray(u_start, dtype=float)
     u_end = np.asarray(u_end, dtype=float)
@@ -401,8 +381,8 @@ def segment_potential(
         nonlocal surf, inv, forms
         try:
             surf, pk, ev = make_weighted_delaunay(
-                surf, packing_at(s), tol=tol_delaunay, flip_budget=flip_budget,
-                iteration=iteration,
+                surf, packing_at(s), tol=tol_delaunay,
+                flip_budget=_budget_left(flip_budget, events), iteration=iteration,
             )
         except SurgeryDiverged as exc:
             exc.state.flip_log = events + exc.state.flip_log
@@ -415,9 +395,6 @@ def segment_potential(
         """Per interval [lo_b, hi_b]: whether its bounds put every point
         of it inside the cell."""
         m, m_size, q, q_size = _scan_bounds(forms, u_start, du, lo, hi)
-        floor = -tol_delaunay + SCAN_ROUNDING * m_size
-        if not (m >= floor).all():
-            m = np.maximum(m, _margin_expansion_bounds(forms[0], u_start, du, lo, hi))
         # r rises with u, so the domain holds on an interval where it
         # holds for the smallest and the largest radii.
         u_a, u_b, _, _ = _x_range(u_start, du, lo, hi)
@@ -428,7 +405,7 @@ def segment_potential(
             ch, sh = np.cosh(r_hi), np.sinh(r_hi)
             cosh_length = ch[..., i] * ch[..., j] + inv * sh[..., i] * sh[..., j]
         return (
-            (m >= floor).all(axis=-1)
+            (m >= -tol_delaunay + SCAN_ROUNDING * m_size).all(axis=-1)
             & (q > SCAN_ROUNDING * q_size).all(axis=-1)
             & (r_lo > 0.0).all(axis=-1)
             & np.isfinite(cosh_length).all(axis=-1)
@@ -548,6 +525,12 @@ def _overrun(exc, target, iterations, flip_log, trace, potential):
     return SurgeryDiverged(str(exc), state=state)
 
 
+def _budget_left(flip_budget, events):
+    """What a step's flip budget leaves after its flips so far (None,
+    make_weighted_delaunay's default per call, stays None)."""
+    return None if flip_budget is None else flip_budget - len(events)
+
+
 def _clamped_step(u, delta):
     """Take u + delta in (-inf, 0)^V: any component that would reach 0
     is reflected back to the half-way point u/2 instead."""
@@ -584,10 +567,11 @@ def newton_solve(
     carried by the raised SolverFailure, is read from the pivots of the
     same factorization (Sylvester's law of inertia); a row swap or an
     exactly singular H gives 0, and an exactly singular H before
-    convergence raises SolverStalled.  A flip budget overrun raises
-    SurgeryDiverged with the solve's flip log and trace at the state
-    where the flips stopped (spectrum sign 0, not taken); a non-compact
-    face after a step raises it at the last accepted iterate.
+    convergence raises SolverStalled.  The flip budget bounds the flips
+    of one step, the segment's and the final surgery's together; an
+    overrun raises SurgeryDiverged with the solve's flip log and trace
+    at the state where the flips stopped (spectrum sign 0, not taken); a
+    non-compact face in a step raises it at the last accepted iterate.
     """
     target = validate_target(surface, target)
     validate_packing(surface, packing)
@@ -654,7 +638,7 @@ def newton_solve(
                 )
             surface_try, packing_try, more = make_weighted_delaunay(
                 surface_try, packing_try, tol=tol_delaunay,
-                flip_budget=flip_budget, iteration=iteration,
+                flip_budget=_budget_left(flip_budget, events), iteration=iteration,
             )
         except SurgeryDiverged as exc:
             raise _overrun(
@@ -704,9 +688,10 @@ def ricci_flow(
     potential does not increase, otherwise dt is halved (FlowStalled on
     underflow).  The flow is gradient descent of the potential, so the
     recorded potential trace is non-increasing across accepted steps.
-    Stops once max|K - Kbar| <= tol or the flow time reaches t_max.  A
-    flip-budget overrun raises SurgeryDiverged with the flow's flip log
-    and trace at the state where the flips stopped.
+    Stops once max|K - Kbar| <= tol or the flow time reaches t_max.  The
+    flip budget bounds the flips of one step; an overrun raises
+    SurgeryDiverged with the flow's flip log and trace at the state
+    where the flips stopped.
     """
     target = validate_target(surface, target)
     validate_packing(surface, packing)

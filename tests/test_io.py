@@ -284,6 +284,14 @@ class TestCLI:
         return mesh
 
     def test_solve_budget_overrun_keeps_earlier_flips(self, tmp_path):
+        # One flip makes the start Delaunay; the first Newton step's
+        # segment crosses two walls, one flip each, and the budget bounds
+        # a step's flips together, so a budget of one runs out mid-solve.
+        self.check_solve_overrun(
+            self.octahedron_mesh(tmp_path, 6), tmp_path / "report.json", "5.0"
+        )
+
+    def test_solve_budget_overrun_at_one_wall(self, tmp_path):
         # A 2x2 checkerboard torus, symmetric under the diagonal shift
         # but for edge 5: one flip makes the start Delaunay, and the
         # first Newton step meets a wall that two shifted edges cross at
@@ -293,10 +301,13 @@ class TestCLI:
         inv = np.where(e % 3 == 2, 5.0, 1.5)
         inv[5] = 1.1
         packing = Packing(inv, np.arctanh([0.4, 0.6, 0.6, 0.4]))
-        mesh, out = tmp_path / "in.json", tmp_path / "report.json"
+        mesh = tmp_path / "in.json"
         mesh.write_text(dumps_mesh(surface, packing))
+        self.check_solve_overrun(mesh, tmp_path / "report.json", "0.5")
+
+    def check_solve_overrun(self, mesh, out, target):
         code = self.run(
-            "solve", str(mesh), "--target-uniform", "0.5", "--flip-budget", "1",
+            "solve", str(mesh), "--target-uniform", target, "--flip-budget", "1",
             "--out", str(out),
         )
         assert code == 4
@@ -309,24 +320,27 @@ class TestCLI:
         assert report["iteration_trace"] == []
         assert report["global"]["edge_count"] == 12
 
-    def test_solve_non_compact_face_mid_solve_keeps_state(self, tmp_path, monkeypatch):
-        # The potential segment of the first Newton step finds a face of
-        # the carried triangulation with Xi <= 0.  Flips along the
-        # segment keep the triangulation weighted Delaunay, which keeps
-        # every orthocircle compact, so the failure is injected here.
-        from hidra import solver
-        from hidra.errors import NonCompactOrthocircle
+    def test_solve_non_compact_face_mid_solve_keeps_state(self, tmp_path):
+        # Flips along a segment keep every orthocircle compact, so the
+        # step must cross walls unflipped: from a Delaunay start (the
+        # seed-16 octahedron after its three start flips), a Delaunay
+        # tolerance beyond every margin here lets the first Newton step's
+        # segment reach a face with Xi <= 0 in the carried triangulation.
+        from hidra.checks import random_packing
+        from hidra.complexes import octahedron_sphere
+        from hidra.flips import make_weighted_delaunay
 
-        def non_compact_segment(*args, **kwargs):
-            raise NonCompactOrthocircle(
-                "face 0 has Xi = -1.000e-03 <= 0", face=0, xi=-1e-3
-            )
-
-        monkeypatch.setattr(solver, "segment_potential", non_compact_segment)
-        mesh = self.octahedron_mesh(tmp_path, 16)
-        out = tmp_path / "report.json"
+        packing = random_packing(
+            octahedron_sphere(), np.random.default_rng(16),
+            inv_range=(1.05, 12.0), max_tries=5000,
+        )
+        surface, packing, events = make_weighted_delaunay(octahedron_sphere(), packing)
+        assert len(events) == 3
+        mesh, out = tmp_path / "in.json", tmp_path / "report.json"
+        mesh.write_text(dumps_mesh(surface, packing))
         code = self.run(
-            "solve", str(mesh), "--target-uniform", "5.0", "--out", str(out)
+            "solve", str(mesh), "--target-uniform", "5.0", "--tol-delaunay", "100",
+            "--out", str(out),
         )
         assert code == 4
         report = json.loads(out.read_text())
@@ -334,7 +348,7 @@ class TestCLI:
         assert report["status"] == "surgery_diverged"
         assert "Xi" in report["error"]
         assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
-        assert len(report["flip_log"]) == 3  # the flips to the Delaunay start
+        assert report["flip_log"] == [] and report["iteration_trace"] == []
         assert len(report["vertices"]) == 6
         assert min(e["delaunay_margin"] for e in report["edges"]) >= -1e-10
 
