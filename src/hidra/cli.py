@@ -72,6 +72,8 @@ def _settings(args):
     if config_path:
         try:
             config = json.loads(Path(config_path).read_bytes())
+        except OSError as exc:
+            raise ValidationError(f"config {config_path}: cannot be read: {exc.strerror}") from exc
         except ValueError as exc:  # malformed JSON or not UTF-8
             raise ValidationError(f"config {config_path}: not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
@@ -247,7 +249,7 @@ def _run_single(handler, args):
         raw = Path(args.mesh).read_bytes()
         digest = hashlib.sha256(raw).hexdigest()
         return handler(args, *parse_mesh(raw), digest)
-    except (ParseError, ValidationError, TargetOutOfRange) as exc:
+    except (ParseError, ValidationError, TargetOutOfRange, OSError) as exc:
         _failure_report(args, "invalid_input", digest, exc)
         return EXIT_INVALID
     except (SolverStalled, MaxIterationsExceeded, FlowStalled) as exc:
@@ -262,9 +264,6 @@ def _run_single(handler, args):
         return EXIT_DIVERGED
     except HidraError as exc:
         _failure_report(args, "invalid_input", digest, exc)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
-        _say(f"error: {exc}")
         return EXIT_INVALID
 
 
@@ -361,7 +360,11 @@ def main(argv=None):
 
     if meshes is not None:
         args.mesh = meshes[0]
-    return _run_single(args.handler, args)
+    try:
+        return _run_single(args.handler, args)
+    except OSError as exc:  # the --out path cannot be written
+        _say(f"error: {exc}")
+        return EXIT_INVALID
 
 
 def _replace_out(argv, new_out):

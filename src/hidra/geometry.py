@@ -49,14 +49,14 @@ class Packing:
         return Packing(self.inv.copy(), self.radii.copy())
 
 
-def validate_packing(surface, packing, require_triangle_inequalities=True):
+def validate_packing(surface, packing):
     """Operational validity check for a packing on a surface.
 
-    Requires I > 1 on every edge and r > 0 finite on every vertex; with
-    the flag set, also that every face satisfies the triangle
-    inequalities under the induced edge lengths.  This proxy is weaker
-    than bounding radii by injectivity radii, which is not computable
-    from (I, r) alone; all downstream formulas depend only on the proxy.
+    Requires I > 1 on every edge, r > 0 finite on every vertex, and
+    that every face satisfies the triangle inequalities under the
+    induced edge lengths.  This proxy is weaker than bounding radii by
+    injectivity radii, which is not computable from (I, r) alone; all
+    downstream formulas depend only on the proxy.
     """
     if len(packing.inv) != len(surface.edges):
         raise DomainError("inversive distance count does not match edge count")
@@ -66,13 +66,12 @@ def validate_packing(surface, packing, require_triangle_inequalities=True):
         raise DomainError("radii must be positive and finite")
     if not np.all(np.isfinite(packing.inv)) or np.any(packing.inv <= 1.0):
         raise DomainError("inversive distances must exceed 1")
-    if require_triangle_inequalities:
-        m = SurfaceMetrics(surface, packing)
-        C, S = m.cosh_lengths, m.sinh_lengths
-        m.check(
-            (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1),
-            lambda face, at: _degenerate(face, "violates the triangle inequalities"),
-        )
+    m = SurfaceMetrics(surface, packing)
+    C, S = m.cosh_lengths, m.sinh_lengths
+    m.check(
+        (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1),
+        lambda face, at: _degenerate(face, "violates the triangle inequalities"),
+    )
 
 
 def edge_cosh_length(r_i, r_j, inv):
@@ -218,8 +217,7 @@ class SurfaceMetrics:
     the first row at fault: DomainError (radius not positive and finite,
     inversive distance not above 1, or overflowing length), then
     DegenerateTriangle from ``angles`` or NonCompactOrthocircle from
-    ``margins``; checked values hold no NaN.  ``angles_defined`` and
-    ``margins_defined`` tell which rows pass, without raising.
+    ``margins``; checked values hold no NaN.
     Index arrays ``faces`` (ascending) and ``edges`` select faces and hinges.
     """
 
@@ -268,11 +266,6 @@ class SurfaceMetrics:
         return (np.abs(self.cos_angles) <= 1.0 + TOL_DOMAIN).all(axis=-1)
 
     @cached_property
-    def angles_defined(self):
-        """(...) per row: the domain and angle tests hold on every face."""
-        return (self.domain_ok & self.angle_ok).all(axis=-1)
-
-    @cached_property
     def angles(self):
         """(..., F, 3) corner angles, cosines clamped into [-1, 1]."""
         self.check(
@@ -293,11 +286,6 @@ class SurfaceMetrics:
             return num * np.prod(self.cosh_r[..., corners], axis=-1) ** 2
 
     @cached_property
-    def margins_defined(self):
-        """(...) per row: the domain test holds and Xi > 0 on every face."""
-        return (self.domain_ok & (self.xi > 0.0)).all(axis=-1)
-
-    @cached_property
     def margins(self):
         """(..., E) local Delaunay margin of every edge, as
         ``hinge_delaunay_margin``; every face must be compact."""
@@ -306,8 +294,9 @@ class SurfaceMetrics:
 
     @cached_property
     def unchecked_margins(self):
-        """``margins`` without the checks: rows that ``margins_defined``
-        rejects hold meaningless values, possibly NaN."""
+        """``margins`` without the checks: rows failing the domain test
+        or holding a face with Xi <= 0 hold meaningless values, possibly
+        NaN."""
         h, e = self.surface.hinge_slots, self.edges
         inv, t = self.packing.inv, self.tanh_r
         labels = [inv[ids[e]] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge)]

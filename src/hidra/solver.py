@@ -9,7 +9,7 @@ so the discrete conformal class can be audited afterwards.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_array, csc_array
@@ -382,7 +382,8 @@ def segment_potential(
         try:
             surf, pk, ev = make_weighted_delaunay(
                 surf, packing_at(s), tol=tol_delaunay,
-                flip_budget=_budget_left(flip_budget, events), iteration=iteration,
+                flip_budget=None if flip_budget is None else flip_budget - len(events),
+                iteration=iteration,
             )
         except SurgeryDiverged as exc:
             exc.state.flip_log = events + exc.state.flip_log
@@ -514,23 +515,6 @@ class SolveState:
         return float(np.max(np.abs(self.curvature - self.target)))
 
 
-def _overrun(exc, target, iterations, flip_log, trace, potential):
-    """SurgeryDiverged for a flip-budget overrun inside a solve: the
-    run's flip log, trace, iteration count and potential so far, at the
-    surface and packing where the flips stopped."""
-    state = replace(
-        exc.state, target=target, iterations=iterations,
-        flip_log=flip_log + exc.state.flip_log, trace=trace, potential=potential,
-    )
-    return SurgeryDiverged(str(exc), state=state)
-
-
-def _budget_left(flip_budget, events):
-    """What a step's flip budget leaves after its flips so far (None,
-    make_weighted_delaunay's default per call, stays None)."""
-    return None if flip_budget is None else flip_budget - len(events)
-
-
 def _clamped_step(u, delta):
     """Take u + delta in (-inf, 0)^V: any component that would reach 0
     is reflected back to the half-way point u/2 instead."""
@@ -540,6 +524,78 @@ def _clamped_step(u, delta):
         out = out.copy()
         out[bad] = 0.5 * u[bad]
     return out
+
+
+class _Run:
+    """What Newton and the flow share: the start (the inputs validated,
+    the packing flipped to weighted Delaunay, its flips logged under
+    iteration 0), a step to a trial point, its accept, and the SolveState
+    of every exit.  ``steps`` counts accepted steps; the next step's
+    flips are logged under steps + 1."""
+
+    def __init__(self, surface, packing, target, tol_delaunay, flip_budget):
+        self.target = validate_target(surface, target)
+        validate_packing(surface, packing)
+        self.tol_delaunay, self.flip_budget = tol_delaunay, flip_budget
+        self.surface, self.packing, events = make_weighted_delaunay(
+            surface, packing, tol=tol_delaunay, flip_budget=flip_budget
+        )
+        self.flip_log = list(events)
+        self.u = u_from_r(self.packing.radii)
+        self.curvature, self.total_area = curvatures(self.surface, self.packing)
+        self.potential = 0.0
+        self.trace = []
+        self.steps = 0
+
+    @property
+    def error(self):
+        return float(np.max(np.abs(self.curvature - self.target)))
+
+    def step(self, u_try, track_potential, iterations):
+        """(d_pot, surface, packing, flips) at u_try, weighted Delaunay:
+        tracked, where the potential segment ends (its certified scan ends
+        inside the cell); untracked, after flip surgery there, d_pot 0.
+        A flip-budget overrun raises SurgeryDiverged with the run so far,
+        where the flips stopped, reporting ``iterations``."""
+        try:
+            if track_potential:
+                return segment_potential(
+                    self.surface, self.packing, self.target, self.u, u_try,
+                    tol_delaunay=self.tol_delaunay, flip_budget=self.flip_budget,
+                    iteration=self.steps + 1,
+                )
+            return 0.0, *make_weighted_delaunay(
+                self.surface, Packing(self.packing.inv, r_from_u(u_try)),
+                tol=self.tol_delaunay, flip_budget=self.flip_budget,
+                iteration=self.steps + 1,
+            )
+        except SurgeryDiverged as exc:
+            raise SurgeryDiverged(
+                str(exc), state=self.state("surgery_diverged", iterations, stop=exc.state)
+            ) from exc
+
+    def accept(self, u_try, stepped, row):
+        """Move the run to the end of a step and append its trace row:
+        ``row`` with max_error, potential and flips set, keeping the
+        place of the keys it already holds."""
+        d_pot, self.surface, self.packing, flips = stepped
+        self.u = u_try
+        self.potential += d_pot
+        self.steps += 1
+        self.flip_log += flips
+        self.curvature, self.total_area = curvatures(self.surface, self.packing)
+        row.update(max_error=self.error, potential=self.potential, flips=len(flips))
+        self.trace.append(row)
+
+    def state(self, status, iterations, sign=0, stop=None):
+        """The SolveState of an exit at the run's point, or for a
+        flip-budget overrun at ``stop``, the partial state where the flips
+        stopped, whose flips follow the run's."""
+        at, flips = (self, []) if stop is None else (stop, stop.flip_log)
+        return SolveState(
+            at.surface, at.packing, at.u, self.target, at.curvature, at.total_area,
+            status, iterations, self.flip_log + flips, self.trace, self.potential, sign,
+        )
 
 
 def newton_solve(
@@ -558,64 +614,46 @@ def newton_solve(
     symmetric sparse LU with diagonal pivots, and solves
     H . delta = -(K - Kbar) with that factor; it clamps the step to keep
     u negative, and backtracks on the Euclidean norm of the curvature
-    error.  With the potential tracked, the potential segment's wall
-    flips carry the triangulation to the accepted point and are logged;
-    flip surgery then runs there.  Trial evaluations
-    reuse the current triangulation: the potential extends C1 across
-    cell walls, so a marginally non-Delaunay trial still measures
-    progress.  The Hessian's spectrum sign, at the state returned or
-    carried by the raised SolverFailure, is read from the pivots of the
-    same factorization (Sylvester's law of inertia); a row swap or an
-    exactly singular H gives 0, and an exactly singular H before
-    convergence raises SolverStalled.  The flip budget bounds the flips
-    of one step, the segment's and the final surgery's together; an
-    overrun raises SurgeryDiverged with the solve's flip log and trace
-    at the state where the flips stopped (spectrum sign 0, not taken); a
+    error.  Trial evaluations reuse the current triangulation: the
+    potential extends C1 across cell walls, so a marginally non-Delaunay
+    trial still measures progress.  With the potential tracked, the
+    accepted step ends where its potential segment ends, carried there
+    by the segment's logged wall flips; untracked, flip surgery runs at
+    the accepted point.  The Hessian's spectrum sign, at the state
+    returned or carried by the raised SolverFailure, is read from the
+    pivots of the same factorization (Sylvester's law of inertia); a row
+    swap or an exactly singular H gives 0, and an exactly singular H
+    before convergence raises SolverStalled.  The flip budget bounds the
+    flips of one step; an overrun raises SurgeryDiverged with the
+    solve's flip log and trace at the state where the flips stopped
+    (spectrum sign 0, not taken), counting the iteration in progress; a
     non-compact face in a step raises it at the last accepted iterate.
     """
-    target = validate_target(surface, target)
-    validate_packing(surface, packing)
-
-    surface, packing, events = make_weighted_delaunay(
-        surface, packing, tol=tol_delaunay, flip_budget=flip_budget
-    )
-    flip_log = list(events)
-    u = u_from_r(packing.radii)
-    potential = 0.0
-    trace = []
-
-    def exit_state(status, iterations, lu):
-        return SolveState(
-            surface, packing, u, target, K, area, status, iterations, flip_log,
-            trace, potential, _factor_sign(lu),
-        )
-
-    K, area = curvatures(surface, packing)
+    run = _Run(surface, packing, target, tol_delaunay, flip_budget)
     for iteration in range(1, max_iterations + 1):
-        lu = _factor(hessian(surface, packing))
-        err = float(np.max(np.abs(K - target)))
-        if err <= tol:
-            return exit_state(STATUS_CONVERGED, iteration - 1, lu)
+        lu = _factor(hessian(run.surface, run.packing))
+        if run.error <= tol:
+            return run.state(STATUS_CONVERGED, iteration - 1, _factor_sign(lu))
         if lu is None:
             raise SolverStalled(
-                "Hessian is exactly singular",
-                state=exit_state("stalled", iteration, lu),
+                "Hessian is exactly singular", state=run.state("stalled", iteration)
             )
 
-        delta = lu.solve(-(K - target))
+        residual = run.curvature - run.target
+        delta = lu.solve(-residual)
         sup = float(np.max(np.abs(delta)))
         if sup > 1.0:
             delta *= 1.0 / sup
 
-        base_norm = float(np.linalg.norm(K - target))
+        base_norm = float(np.linalg.norm(residual))
         step = 1.0
         while True:
-            u_try = _clamped_step(u, step * delta)
+            u_try = _clamped_step(run.u, step * delta)
             try:
                 K_try, _ = curvatures(
-                    surface, Packing(packing.inv, r_from_u(u_try))
+                    run.surface, Packing(run.packing.inv, r_from_u(u_try))
                 )
-                ok = float(np.linalg.norm(K_try - target)) < base_norm
+                ok = float(np.linalg.norm(K_try - run.target)) < base_norm
             except (DegenerateTriangle, DomainError):
                 ok = False
             if ok:
@@ -624,50 +662,26 @@ def newton_solve(
             if step < MIN_LINE_SEARCH_STEP:
                 raise SolverStalled(
                     "line search step underflow",
-                    state=exit_state("stalled", iteration, lu),
+                    state=run.state("stalled", iteration, _factor_sign(lu)),
                 )
 
-        d_pot, events = 0.0, []
-        surface_try, packing_try = surface, Packing(packing.inv, r_from_u(u_try))
         try:
-            if track_potential:  # its wall flips carry the surface to u_try
-                d_pot, surface_try, packing_try, events = segment_potential(
-                    surface, packing, target, u, u_try,
-                    tol_delaunay=tol_delaunay, flip_budget=flip_budget,
-                    iteration=iteration,
-                )
-            surface_try, packing_try, more = make_weighted_delaunay(
-                surface_try, packing_try, tol=tol_delaunay,
-                flip_budget=_budget_left(flip_budget, events), iteration=iteration,
-            )
-        except SurgeryDiverged as exc:
-            raise _overrun(
-                exc, target, iteration, flip_log + events, trace, potential
-            ) from exc
+            stepped = run.step(u_try, track_potential, iteration)
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(
-                str(exc), state=exit_state("surgery_diverged", iteration, lu)
+                str(exc),
+                state=run.state("surgery_diverged", iteration, _factor_sign(lu)),
             ) from exc
-        potential += d_pot
-        u = u_try
-        surface, packing = surface_try, packing_try
-        events += more
-        flip_log += events
-        K, area = curvatures(surface, packing)
-        trace.append(
-            {
-                "iteration": iteration,
-                "max_error": float(np.max(np.abs(K - target))),
-                "potential": potential,
-                "step": step,
-                "flips": len(events),
-            }
-        )
+        # Newton's rows put the step length after the potential.
+        run.accept(u_try, stepped, dict(
+            iteration=iteration, max_error=None, potential=None, step=step
+        ))
 
     raise MaxIterationsExceeded(
         f"no convergence within {max_iterations} Newton iterations",
-        state=exit_state(
-            STATUS_MAX_ITERATIONS, max_iterations, _factor(hessian(surface, packing))
+        state=run.state(
+            STATUS_MAX_ITERATIONS, max_iterations,
+            hessian_spectrum_sign(hessian(run.surface, run.packing)),
         ),
     )
 
@@ -684,83 +698,44 @@ def ricci_flow(
 ):
     """Discrete Ricci flow du/dt = -(K - Kbar) with flip surgery.
 
-    Explicit stepping; a step is accepted only if the normalized Ricci
-    potential does not increase, otherwise dt is halved (FlowStalled on
-    underflow).  The flow is gradient descent of the potential, so the
-    recorded potential trace is non-increasing across accepted steps.
-    Stops once max|K - Kbar| <= tol or the flow time reaches t_max.  The
-    flip budget bounds the flips of one step; an overrun raises
+    Explicit stepping from the initial step ``dt``, which must be
+    positive and finite (DomainError otherwise).  A step is accepted
+    only if it moves u and the normalized Ricci potential along its
+    segment does not increase; it ends where the segment ends, carried
+    there by the segment's logged wall flips.  A step that fails, or
+    meets a face outside the domain or a non-compact one, halves dt
+    (FlowStalled once dt falls below MIN_FLOW_DT).  The flow is gradient
+    descent of the potential, so the recorded potential trace is
+    non-increasing across accepted steps.  Stops once
+    max|K - Kbar| <= tol or the flow time reaches t_max.  The flip
+    budget bounds the flips of one step; an overrun raises
     SurgeryDiverged with the flow's flip log and trace at the state
-    where the flips stopped.
+    where the flips stopped, counting the steps completed.
     """
-    target = validate_target(surface, target)
-    validate_packing(surface, packing)
-
-    surface, packing, events = make_weighted_delaunay(
-        surface, packing, tol=tol_delaunay, flip_budget=flip_budget
-    )
-    flip_log = list(events)
-    u = u_from_r(packing.radii)
-    potential = 0.0
-    trace = []
-
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"flow step dt = {dt} must be positive and finite")
+    run = _Run(surface, packing, target, tol_delaunay, flip_budget)
     t = 0.0
-    step_index = 0
-    K, area = curvatures(surface, packing)
-    while True:
-        err = float(np.max(np.abs(K - target)))
-        if err <= tol:
-            status = STATUS_CONVERGED
-            break
-        if t >= t_max:
-            status = STATUS_MAX_ITERATIONS
-            break
-
-        direction = -(K - target)
-        accepted = False
-        while not accepted:
-            u_try = _clamped_step(u, dt * direction)
-            try:
-                d_pot, surf_try, pk_try, ev_try = segment_potential(
-                    surface, packing, target, u, u_try,
-                    tol_delaunay=tol_delaunay, flip_budget=flip_budget,
-                    iteration=step_index + 1,
+    while not (run.error <= tol or t >= t_max):
+        direction = -(run.curvature - run.target)
+        while True:
+            u_try = _clamped_step(run.u, dt * direction)
+            if not np.array_equal(u_try, run.u):
+                try:
+                    stepped = run.step(u_try, True, run.steps)
+                    if stepped[0] <= 0.0:
+                        break
+                except (DegenerateTriangle, DomainError, NonCompactOrthocircle):
+                    pass
+            dt *= 0.5
+            if not dt >= MIN_FLOW_DT:
+                raise FlowStalled(
+                    "flow step size underflow", state=run.state("stalled", run.steps)
                 )
-                accepted = d_pot <= 0.0
-            except (DegenerateTriangle, DomainError, NonCompactOrthocircle):
-                accepted = False
-            except SurgeryDiverged as exc:
-                raise _overrun(
-                    exc, target, step_index, flip_log, trace, potential
-                ) from exc
-            if not accepted:
-                dt *= 0.5
-                if dt < MIN_FLOW_DT:
-                    state = SolveState(
-                        surface, packing, u, target, K, area,
-                        "stalled", step_index, flip_log, trace, potential, 0,
-                    )
-                    raise FlowStalled("flow step size underflow", state=state)
-
-        step_index += 1
         t += dt
-        u = u_try
-        surface, packing = surf_try, pk_try
-        flip_log += ev_try
-        potential += d_pot
-        K, area = curvatures(surface, packing)
-        trace.append(
-            {
-                "step": step_index,
-                "t": t,
-                "dt": dt,
-                "max_error": float(np.max(np.abs(K - target))),
-                "potential": potential,
-                "flips": len(ev_try),
-            }
-        )
+        run.accept(u_try, stepped, dict(step=run.steps + 1, t=t, dt=dt))
 
-    return SolveState(
-        surface, packing, u, target, K, area, status, step_index, flip_log,
-        trace, potential, hessian_spectrum_sign(hessian(surface, packing)),
+    return run.state(
+        STATUS_CONVERGED if run.error <= tol else STATUS_MAX_ITERATIONS, run.steps,
+        hessian_spectrum_sign(hessian(run.surface, run.packing)),
     )

@@ -110,6 +110,6 @@ def checkerboard_packing(surface, n, rng, jitter=0.03):
             inv * rng.uniform(1.0 - jitter, 1.0 + jitter, e.size),
             np.arctanh(tanh_r * rng.uniform(1.0 - jitter, 1.0 + jitter, v.size)),
         )
-        if SurfaceMetrics(surface, packing).margins_defined:
+        if (SurfaceMetrics(surface, packing).xi > 0.0).all():
             return packing
     raise RuntimeError("no compact checkerboard packing in 1000 draws")

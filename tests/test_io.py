@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import checkerboard_packing, torus_grid
+import hidra
 from hidra.cli import main
 from hidra.errors import ParseError, ValidationError
 from hidra.geometry import Packing
@@ -466,6 +467,43 @@ class TestCLI:
         for name in ("genus2.report.json", "octahedron.report.json"):
             report = json.loads((out_dir / name).read_text())
             assert report["status"] == "converged"
+
+    @pytest.mark.parametrize("case, code, status", [
+        ("--dt=0", 2, "invalid_input"),
+        ("--dt=-1", 2, "invalid_input"),
+        ("--dt=nan", 2, "invalid_input"),
+        ("--dt=inf", 2, "invalid_input"),
+        ("--dt=1e-300", 3, "stalled"),  # the step leaves u where it is
+        ("mesh", 2, "invalid_input"),
+        ("config", 2, "invalid_input"),
+        ("out", 2, None),
+    ])
+    def test_console_script_bad_dt_or_directory_path(self, tmp_path, case, code, status):
+        # A flow step that cannot move u must end, and a path that is a
+        # directory must give one error line, not a traceback; the
+        # timeout turns a run that never returns into a failure.
+        mesh, out = fixture_path("torus1.json"), tmp_path / "report.json"
+        argv = ["flow", mesh, "--target-uniform", "1.0"]
+        if case.startswith("--dt"):
+            argv.append(case)
+        elif case == "mesh":
+            argv[1] = str(tmp_path)
+        elif case == "config":
+            argv += ["--config", str(tmp_path)]
+        else:
+            out = tmp_path
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hidra.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hidra.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        if status is not None:
+            report = json.loads(out.read_text())
+            jsonschema.validate(report, schema("report.schema.json"))
+            assert report["status"] == status
 
     def test_console_script_installed(self):
         proc = subprocess.run(

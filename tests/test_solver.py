@@ -507,8 +507,12 @@ class TestSegmentAcrossWalls:
                 with pytest.raises(type(exc)):
                     segment_potential(surface, pk, target, u0, u1)
                 continue
-            value, _, _, events = segment_potential(surface, pk, target, u0, u1)
+            value, end_surface, end_pk, events = segment_potential(
+                surface, pk, target, u0, u1
+            )
             assert events == ref_events
+            # Inside the cell at the end: no surgery is needed after it.
+            assert surface_delaunay_margins(end_surface, end_pk).min() >= -TOL_DELAUNAY
             assert value == pytest.approx(ref, abs=1e-9)
             walls += len(events)
         assert walls >= 5  # one segment crosses two walls
@@ -602,8 +606,9 @@ class TestPlantedWall:
         target = np.full(6, 0.5)
         ref, ref_events = sequential_segment(surface, pk, target, u0, u1)
         assert ref_events == []  # the old march steps over the dip
-        value, end_surface, _, events = segment_potential(surface, pk, target, u0, u1)
+        value, end_surface, end_pk, events = segment_potential(surface, pk, target, u0, u1)
         assert [ev.edge for ev in events] == [edge, edge]  # into the dip and out
+        assert surface_delaunay_margins(end_surface, end_pk).min() >= -TOL_DELAUNAY
         assert all(ev.margin_before < -TOL_DELAUNAY for ev in events)
         assert surfaces_isomorphic(end_surface, surface)
         assert value == pytest.approx(ref, abs=1e-9)
