@@ -30,8 +30,11 @@ from .errors import (
     ValidationError,
 )
 from .flips import make_weighted_delaunay
+from .geometry import TOL_DELAUNAY
 from .meshio import build_report, dumps_report, mesh_document, parse_mesh
 from .solver import (
+    DEFAULT_FLOW_DT,
+    DEFAULT_FLOW_T_MAX,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL_K,
     SolveState,
@@ -49,11 +52,11 @@ EXIT_DIVERGED = 4
 
 DEFAULTS = {
     "tol": DEFAULT_TOL_K,
-    "tol_delaunay": 1e-10,
+    "tol_delaunay": TOL_DELAUNAY,
     "flip_budget": None,   # 100 * edge count unless overridden
     "max_iters": DEFAULT_MAX_ITERATIONS,
-    "dt": 0.2,
-    "t_max": 200.0,
+    "dt": DEFAULT_FLOW_DT,
+    "t_max": DEFAULT_FLOW_T_MAX,
     "seed": 0,
 }
 
@@ -337,20 +340,29 @@ def main(argv=None):
 
     meshes = getattr(args, "mesh", None)
     if meshes is not None and len(meshes) > 1:
-        # Fan out over input files with independent solver instances.
+        # Fan out over input files with independent solver instances;
+        # --out names a directory that gets one <stem>.report.json each.
         out_dir = args.out
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
         base_argv = [a for a in (argv if argv is not None else sys.argv[1:])
                      if a not in meshes]
-        codes = []
         jobs = []
+        writers = {}
         for mesh in meshes:
             per = list(base_argv)
             if out_dir is not None:
-                stem = Path(mesh).stem
-                per = _replace_out(per, str(Path(out_dir) / f"{stem}.report.json"))
+                out = str(Path(out_dir) / f"{Path(mesh).stem}.report.json")
+                if out in writers:
+                    _say(f"error: {writers[out]} and {mesh} would both write {out}")
+                    return EXIT_INVALID
+                writers[out] = mesh
+                per = _replace_out(per, out)
             jobs.append((per, mesh))
+        if out_dir is not None:
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:  # --out is a file, say
+                _say(f"error: {exc}")
+                return EXIT_INVALID
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 codes = list(pool.map(_run_job, jobs))

@@ -9,6 +9,8 @@ faces reference them by id.  Numbers round-trip at full precision
 import hashlib
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,25 +37,65 @@ REPORT_STATUSES = (
 )
 
 
+_INTP_RANGE = range(np.iinfo(np.intp).min, np.iinfo(np.intp).max + 1)  # ids an array holds
+
+
 def _require(condition, message):
     if not condition:
         raise ValidationError(message)
 
 
-def _number(value, message):
-    """``value`` as a float; anything but a JSON number (a bool, string,
-    null, list or object) raises ValidationError(message)."""
-    _require(type(value) in (int, float), message)
+def _each(ok, owners, message):
+    """Raise ValidationError(message.format(owners[i])) at the first i where ``ok`` is false."""
+    if not all(ok):
+        raise ValidationError(message.format(owners[list(ok).index(False)]))
+
+
+def _fields(records, keys, not_object, missing):
+    """The ``keys`` fields of every record, one tuple per key.  The first
+    record that is not an object raises ValidationError(not_object), the
+    first that lacks a key ValidationError(missing.format(its index))."""
+    try:
+        return tuple(zip(*map(itemgetter(*keys), records))) or ((),) * len(keys)
+    except (KeyError, TypeError):
+        _each([isinstance(rec, dict) for rec in records], records, not_object)
+        _each([set(keys) <= rec.keys() for rec in records], range(len(records)), missing)
+        raise
+
+
+def _ids(lists, owners, message, valid=_INTP_RANGE):
+    """Check that the id ``lists`` hold JSON integers, not booleans, in
+    ``valid``; the first other value v, in the list of ``owner``, raises
+    ValidationError(message.format(owner, v))."""
+    flat = list(chain.from_iterable(lists))
+    if set(map(type, flat)) <= {int} and (
+        not flat or min(flat) in valid and max(flat) in valid
+    ):
+        return
+    ok = [type(v) is int and v in valid for v in flat]
+    owner, v = [(o, v) for o, ids in zip(owners, lists) for v in ids][ok.index(False)]
+    raise ValidationError(message.format(owner, v))
+
+
+def _permutation(ids, kind):
+    """Check that the record ids ``ids`` list each of 0 .. len(ids) - 1 once."""
+    _ids([ids], [kind], "{} id {} out of range", range(len(ids)))
+    first = {}  # id -> index of the first record that holds it
+    _each([first.setdefault(i, k) == k for k, i in enumerate(ids)], ids, f"duplicate {kind} id {{}}")
+
+
+def _float(value):
     try:
         return float(value)
     except OverflowError:  # an integer past the float range
         return math.inf
 
 
-def _is_id(value, count):
-    """Whether ``value`` is a JSON integer in [0, count); a JSON boolean,
-    which Python counts as an int, is not."""
-    return type(value) is int and 0 <= value < count
+def _numbers(values, ids, message):
+    """``values`` as floats, an integer past the float range as inf; the first
+    that is not a JSON number raises ValidationError(message.format(its id))."""
+    _each([type(v) in (int, float) for v in values], ids, message)
+    return np.array(list(map(_float, values)), dtype=float)
 
 
 def parse_mesh(data):
@@ -61,109 +103,57 @@ def parse_mesh(data):
 
     ``target`` is a per-vertex numpy array or None when the document
     carries no target curvature.  Raises ParseError for malformed JSON
-    and ValidationError naming the first violated invariant.
+    and ValidationError naming the first violated invariant; the ranges of
+    corner, side and edge-end ids are ``build_surface``'s to check.
     """
+    doc = data
     if isinstance(data, (bytes, bytearray, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or not UTF-8
             raise ParseError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = data
     _require(isinstance(doc, dict), "top level must be an object")
     _require("format_version" in doc, "missing format_version")
+    version = doc["format_version"]
     _require(
-        str(doc["format_version"]).split(".")[0] == FORMAT_VERSION.split(".")[0],
-        f"unsupported format_version {doc['format_version']!r}",
+        isinstance(version, str) and version.startswith(FORMAT_VERSION.split(".")[0] + "."),
+        f"unsupported format_version {version!r}",
     )
     for key in ("vertices", "edges", "faces"):
-        _require(key in doc and isinstance(doc[key], list), f"missing list {key!r}")
+        _require(isinstance(doc.get(key), list), f"missing list {key!r}")
+    _require(doc["vertices"], "mesh has no vertices")
 
-    vertices = doc["vertices"]
-    n_v = len(vertices)
-    _require(n_v > 0, "mesh has no vertices")
-    radii = np.zeros(n_v)
-    seen = set()
-    for rec in vertices:
-        _require(isinstance(rec, dict), "vertex records must be objects")
-        _require("id" in rec and "radius" in rec, "vertex needs id and radius")
-        vid = rec["id"]
-        _require(_is_id(vid, n_v), f"vertex id {vid} out of range")
-        _require(vid not in seen, f"duplicate vertex id {vid}")
-        seen.add(vid)
-        radius = _number(rec["radius"], f"vertex {vid}: radius must be a number")
-        _require(
-            math.isfinite(radius) and radius > 0.0,
-            f"vertex {vid}: radius must be positive",
-        )
-        radii[vid] = radius
+    vids, radii = _fields(
+        doc["vertices"], ("id", "radius"),
+        "vertex records must be objects", "vertex needs id and radius",
+    )
+    _permutation(vids, "vertex")
+    radii = _numbers(radii, vids, "vertex {}: radius must be a number")
+    _each(np.isfinite(radii) & (radii > 0.0), vids, "vertex {}: radius must be positive")
 
-    edge_docs = doc["edges"]
-    n_e = len(edge_docs)
-    ends = [None] * n_e
-    inv = np.zeros(n_e)
-    seen = set()
-    for rec in edge_docs:
-        _require(isinstance(rec, dict), "edge records must be objects")
-        _require(
-            "id" in rec and "ends" in rec and "inversive_distance" in rec,
-            "edge needs id, ends and inversive_distance",
-        )
-        eid = rec["id"]
-        _require(_is_id(eid, n_e), f"edge id {eid} out of range")
-        _require(eid not in seen, f"duplicate edge id {eid}")
-        seen.add(eid)
-        pair = rec["ends"]
-        _require(
-            isinstance(pair, list) and len(pair) == 2,
-            f"edge {eid}: ends must be a pair",
-        )
-        for v in pair:
-            _require(
-                _is_id(v, n_v),
-                f"edge {eid}: unknown vertex {v}",
-            )
-        value = _number(
-            rec["inversive_distance"], f"edge {eid}: inversive_distance must be a number"
-        )
-        _require(
-            math.isfinite(value) and value > 1.0,
-            "inversive_distance must exceed 1",
-        )
-        ends[eid] = (pair[0], pair[1])
-        inv[eid] = value
+    eids, ends, inv = _fields(
+        doc["edges"], ("id", "ends", "inversive_distance"),
+        "edge records must be objects", "edge needs id, ends and inversive_distance",
+    )
+    _permutation(eids, "edge")
+    _each([isinstance(p, list) and len(p) == 2 for p in ends], eids, "edge {}: ends must be a pair")
+    _ids(ends, eids, "edge {}: unknown vertex {}")
+    inv = _numbers(inv, eids, "edge {}: inversive_distance must be a number")
+    _require(np.all(np.isfinite(inv) & (inv > 1.0)), "inversive_distance must exceed 1")
 
-    face_specs = []
-    for idx, rec in enumerate(doc["faces"]):
-        _require(isinstance(rec, dict), "face records must be objects")
-        _require(
-            "corners" in rec and "sides" in rec,
-            f"face {idx} needs corners and sides",
-        )
-        corners = rec["corners"]
-        sides = rec["sides"]
-        _require(
-            isinstance(corners, list) and len(corners) == 3,
-            f"face {idx}: corners must be a triple",
-        )
-        _require(
-            isinstance(sides, list) and len(sides) == 3,
-            f"face {idx}: sides must be a triple",
-        )
-        for v in corners:
-            _require(
-                _is_id(v, n_v),
-                f"face {idx}: unknown vertex {v}",
-            )
-        for e in sides:
-            _require(
-                _is_id(e, n_e),
-                f"face {idx}: unknown edge {e}",
-            )
-        face_specs.append((tuple(corners), tuple(sides)))
+    corners, sides = _fields(
+        doc["faces"], ("corners", "sides"),
+        "face records must be objects", "face {} needs corners and sides",
+    )
+    faces = range(len(corners))
+    for name, kind, lists in (("corners", "vertex", corners), ("sides", "edge", sides)):
+        _each([isinstance(ids, list) for ids in lists], faces, f"face {{}}: {name} must be a triple")
+        _ids(lists, faces, f"face {{}}: unknown {kind} {{}}")
 
+    edge_order = np.argsort(eids)
+    edges = np.array(ends, dtype=np.intp).reshape(-1, 2)[edge_order]
     try:
-        surface = build_surface(n_v, ends, face_specs)
+        surface = build_surface(len(vids), edges, list(zip(corners, sides)))
     except MeshError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -171,26 +161,16 @@ def parse_mesh(data):
     if doc.get("target_curvature") is not None:
         rows = doc["target_curvature"]
         _require(isinstance(rows, list), "target_curvature must be a list")
-        target = np.full(n_v, np.nan)
-        for rec in rows:
-            _require(
-                isinstance(rec, dict) and "vid" in rec and "kbar" in rec,
-                "target rows need vid and kbar",
-            )
-            vid = rec["vid"]
-            _require(
-                _is_id(vid, n_v),
-                f"target references unknown vertex {vid}",
-            )
-            target[vid] = _number(
-                rec["kbar"], f"target row of vertex {vid}: kbar must be a number"
-            )
-        _require(
-            bool(np.all(np.isfinite(target))),
-            "target_curvature must cover every vertex",
-        )
+        need = "target rows need vid and kbar"
+        rvids, kbars = _fields(rows, ("vid", "kbar"), need, need)
+        _ids([rvids], ["target"], "{} references unknown vertex {}", range(len(vids)))
+        kbars = _numbers(kbars, rvids, "target row of vertex {}: kbar must be a number")
+        last = dict(zip(rvids, kbars))  # a repeated vid: its last row counts
+        target = np.full(len(vids), np.nan)
+        target[list(last)] = list(last.values())
+        _require(np.isfinite(target).all(), "target_curvature must cover every vertex")
 
-    return surface, Packing(inv, radii), target
+    return surface, Packing(inv[edge_order], radii[np.argsort(vids)]), target
 
 
 def mesh_document(surface, packing, target=None):

@@ -34,6 +34,8 @@ from .surface import euler_characteristic
 
 DEFAULT_TOL_K = 1e-10
 DEFAULT_MAX_ITERATIONS = 100
+DEFAULT_FLOW_DT = 0.2
+DEFAULT_FLOW_T_MAX = 200.0
 MIN_LINE_SEARCH_STEP = 1e-12
 MIN_FLOW_DT = 1e-12
 
@@ -690,8 +692,8 @@ def ricci_flow(
     surface,
     packing,
     target,
-    dt=0.2,
-    t_max=200.0,
+    dt=DEFAULT_FLOW_DT,
+    t_max=DEFAULT_FLOW_T_MAX,
     tol=1e-8,
     tol_delaunay=TOL_DELAUNAY,
     flip_budget=None,

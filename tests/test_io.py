@@ -4,18 +4,25 @@ import hashlib
 import json
 import math
 import os
+import random
+import re
+import shutil
 import subprocess
 import sys
+from dataclasses import dataclass
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import checkerboard_packing, torus_grid
+from mesh_oracle import parse_mesh_loops
 import hidra
 from hidra.cli import main
-from hidra.errors import ParseError, ValidationError
+from hidra.errors import HidraError, ParseError, ValidationError
 from hidra.geometry import Packing
 from hidra.meshio import (
     build_report,
@@ -57,8 +64,9 @@ class TestParseMesh:
                 jsonschema.validate(json.load(fh), mesh_schema)
 
     def test_malformed_json_is_parse_error(self):
-        with pytest.raises(ParseError):
-            parse_mesh(b"{not json")
+        for data in (b"{not json", b"\x80\x81"):  # the second is not UTF-8
+            with pytest.raises(ParseError):
+                parse_mesh(data)
 
     def test_low_inversive_distance_rejected(self, torus_doc):
         torus_doc["edges"][0]["inversive_distance"] = 0.9
@@ -100,6 +108,170 @@ class TestParseMesh:
         assert np.array_equal(packing2.radii, packing.radii)
 
 
+MISSING = object()  # a planted value that deletes its key or list entry
+
+
+@dataclass(frozen=True)
+class IdOf:
+    """A planted id computed from the document: the count of its ``key``
+    records plus ``offset``, or a drawn id in range when ``offset`` is
+    None."""
+
+    key: str
+    offset: object = None
+
+
+ID_VALUES = [True, False, 1.0, "1", None, [0], -1, 2**63 - 1, 2**63, -(2**70)]
+NUMBER_VALUES = [
+    "abc", None, True, [1.5], {"value": 1.5}, 10**400, -(10**400), math.nan, math.inf,
+    -math.inf,
+]
+RECORDS = ("vertices", "edges", "faces", "target_curvature")
+FIELDS = {
+    "vertices": ("id", "radius"), "edges": ("id", "ends", "inversive_distance"),
+    "faces": ("corners", "sides"), "target_curvature": ("vid", "kbar"),
+}
+ID_LISTS = (("edges", "ends", "vertices"), ("faces", "corners", "vertices"),
+            ("faces", "sides", "edges"))
+# (path, value): set the entry at path to value, each "*" a drawn index;
+# "+" inserts a target row of a drawn vertex with kbar = value.
+PLANTS = (
+    [((), v) for v in (b"{not json", b"\x80\x81", b"", b"[1, 2", [], "mesh", 3, None)]
+    + [(("format_version",), v)
+       for v in (MISSING, 1, 1.5, "1", "2.0", None, ["1.0"], "1.", "1.5")]
+    + [((key,), v) for key in RECORDS for v in (MISSING, {}, "list", None, 7, [])]
+    + [((key, "*"), v) for key in RECORDS for v in (MISSING, [1, 2], "record", 3, None)]
+    + [((key, "*", field), MISSING) for key in RECORDS for field in FIELDS[key]]
+    + [((key, "*", "id"), v) for key in ("vertices", "edges")
+       for v in ID_VALUES + [IdOf(key, 0), IdOf(key)]]
+    + [(("target_curvature", "*", "vid"), v)
+       for v in ID_VALUES + [IdOf("vertices", 0), IdOf("vertices")]]
+    + [(("vertices", "*", "radius"), v) for v in NUMBER_VALUES + [0, 0.0, -0.5, 2, 1e-300]]
+    + [(("edges", "*", "inversive_distance"), v)
+       for v in NUMBER_VALUES + [1, 1.0, 0.5, 3, 10**20]]
+    + [(("target_curvature", "*", "kbar"), v) for v in NUMBER_VALUES + [0, -2.5]]
+    + [(("target_curvature", "+"), v) for v in (math.nan, 10**400, 0, 1.25)]
+    + [((key, "*", field), v) for key, field, _ in ID_LISTS
+       for v in ("ab", 3, None, {}, [], [0], [0, 0, 0, 0])]
+    + [((key, "*", field, "*"), v) for key, field, ids in ID_LISTS
+       for v in ID_VALUES + [IdOf(ids, 0), IdOf(ids, 3), IdOf(ids)]]
+)
+# Every check of the loop parser, and two of build_surface's.
+ORACLE_CHECKS = [
+    "not valid JSON: .*", "top level must be an object", "missing format_version",
+    "unsupported format_version .*", "missing list '(vertices|edges|faces)'",
+    "mesh has no vertices", "vertex records must be objects", "vertex needs id and radius",
+    "vertex id .* out of range", r"duplicate vertex id \d+",
+    r"vertex \d+: radius must be a number", r"vertex \d+: radius must be positive",
+    "edge records must be objects", "edge needs id, ends and inversive_distance",
+    "edge id .* out of range", r"duplicate edge id \d+", r"edge \d+: ends must be a pair",
+    r"edge \d+: unknown vertex .*", r"edge \d+: inversive_distance must be a number",
+    "inversive_distance must exceed 1", "face records must be objects",
+    r"face \d+ needs corners and sides", r"face \d+: corners must be a triple",
+    r"face \d+: sides must be a triple", r"face \d+: unknown vertex .*",
+    r"face \d+: unknown edge .*", "target_curvature must be a list",
+    "target rows need vid and kbar", "target references unknown vertex .*",
+    r"target row of vertex \d+: kbar must be a number",
+    "target_curvature must cover every vertex", r"edge \d+ has \d+ face slots, expected 2",
+    r"face \d+ side \d \(edge \d+\) joins .*",
+]
+# The checks parse_mesh leaves to build_surface: the loop parser's
+# message, and the one build_surface gives for the same edge or face.
+MOVED = [
+    (r"(edge \d+): unknown vertex -?\d+", r"\1 references unknown vertex"),
+    (r"(face \d+): unknown vertex -?\d+", r"\1 references unknown vertex"),
+    (r"(face \d+): unknown edge -?\d+", r"\1 references unknown edge"),
+    (r"(face \d+): (corners|sides) must be a triple", r"\1 is not a triangle"),
+]
+START_DOCS = ["torus1.json", "genus2.json", "octahedron.json", "grid3", "grid4"]
+
+
+def start_doc(name):
+    """A valid mesh document with a target row per vertex: a bundled
+    fixture, or an n x n torus grid ("gridN") with a random packing."""
+    if name.startswith("grid"):
+        n = int(name[4:])
+        rng = np.random.default_rng(n)
+        packing = Packing(rng.uniform(1.05, 3.0, 3 * n * n), rng.uniform(0.1, 1.0, n * n))
+        return json.loads(dumps_mesh(torus_grid(n), packing, rng.uniform(-1.0, 1.0, n * n)))
+    with open(fixture_path(name)) as fh:
+        doc = json.load(fh)
+    doc.setdefault("target_curvature", [{"vid": 0, "kbar": 1.0}])
+    return doc
+
+
+def plant(doc, path, value, pick):
+    """Mesh bytes of ``doc`` with ``value`` planted at ``path``; ``pick(n)``
+    draws an index in [0, n)."""
+    if not path:
+        return value if isinstance(value, bytes) else json.dumps(value).encode()
+    counts = {key: len(doc[key]) for key in ("vertices", "edges")}
+    if isinstance(value, IdOf):
+        count = counts[value.key]
+        value = pick(count) if value.offset is None else count + value.offset
+    node = doc
+    for step in path[:-1]:
+        node = node[pick(len(node)) if step == "*" else step]
+    last = pick(len(node)) if path[-1] == "*" else path[-1]
+    if last == "+":
+        node.insert(pick(len(node) + 1), {"vid": pick(counts["vertices"]), "kbar": value})
+    elif value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    return json.dumps(doc).encode()
+
+
+def parse_outcome(parser, data):
+    """(exception class, message), or (None, the arrays and bytes parsed)."""
+    try:
+        surface, packing, target = parser(data)
+    except HidraError as exc:
+        return type(exc), str(exc)
+    arrays = (surface.edges, surface.corners, surface.sides, packing.inv, packing.radii)
+    target = None if target is None else target.tobytes()
+    return None, (surface.vertex_count, *(a.tobytes() for a in arrays), target)
+
+
+class TestParserAgainstLoopOracle:
+    """parse_mesh agrees with the record-by-record parser of
+    tests/mesh_oracle.py on documents with one planted defect: the same
+    exception class; the same message where the check stayed in the
+    parser, the same edge or face where it moved to build_surface; equal
+    arrays and bytes where both accept."""
+
+    @staticmethod
+    def assert_agrees(data):
+        want = parse_outcome(parse_mesh_loops, data)
+        got = parse_outcome(parse_mesh, data)
+        assert got[0] is want[0], (want, got)
+        if got != want:
+            assert want[0] is not None and any(
+                re.fullmatch(pattern, want[1]) and re.sub(pattern, moved, want[1]) == got[1]
+                for pattern, moved in MOVED
+            ), (want, got)
+
+    @pytest.mark.parametrize("path, value", PLANTS)
+    @given(name=st.sampled_from(START_DOCS), data=st.data())
+    @settings(max_examples=6)
+    def test_one_planted_defect(self, path, value, name, data):
+        doc = start_doc(name)
+        for key in ("vertices", "edges"):  # ids need not follow record order
+            doc[key] = data.draw(st.permutations(doc[key]))
+        self.assert_agrees(plant(doc, path, value, lambda n: data.draw(st.integers(0, n - 1))))
+
+    def test_plants_cover_every_check(self):
+        pick = random.Random(0).randrange
+        messages = set()
+        for path, value in PLANTS:
+            for name in START_DOCS:
+                error, message = parse_outcome(parse_mesh_loops, plant(start_doc(name), path, value, pick))
+                if error is not None:
+                    messages.add(message)
+        missed = [c for c in ORACLE_CHECKS if not any(re.fullmatch(c, m) for m in messages)]
+        assert missed == []
+
+
 class TestReports:
     def test_solve_report_matches_schema(self, torus, torus_packing):
         state = newton_solve(torus, torus_packing, np.array([1.0]))
@@ -139,6 +311,8 @@ MALFORMED = (
         "{not json", "[1, 2]", '{"bogus": 1}', '{"tol": "abc"}', '{"tol": null}',
         '{"max_iters": true}', b"\xff\xfe",
     )]
+    # mesh.schema.json: format_version is a string matching ^1\.
+    + [(None, "format_version", v, None) for v in (1, 1.5, "1")]
 )
 
 
@@ -154,6 +328,8 @@ class TestCLI:
         doc["target_curvature"] = [{"vid": 0, "kbar": 1.0}]
         if records is not None:
             doc[records][0][key] = value
+        elif key is not None:
+            doc[key] = value
         mesh, out = tmp_path / "mesh.json", tmp_path / "report.json"
         mesh.write_text(json.dumps(doc))
         argv = ["delaunay", str(mesh), "--out", str(out)]
@@ -456,6 +632,36 @@ class TestCLI:
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["genus2.report.json", "torus1.report.json"]
+
+    def test_fan_out_into_a_file_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "reports"
+        out.write_text("")
+        code = self.run(
+            "curvature", fixture_path("torus1.json"), fixture_path("genus2.json"),
+            "--out", str(out),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and out.read_text() == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_fan_out_refuses_meshes_that_share_a_report(self, tmp_path, capsys):
+        # a/x.json and b/x.json would both write x.report.json: the run
+        # stops before any job, naming both meshes.
+        meshes = []
+        for folder, fixture in (("a", "torus1.json"), ("b", "genus2.json")):
+            (tmp_path / folder).mkdir()
+            meshes.append(tmp_path / folder / "x.json")
+            shutil.copyfile(fixture_path(fixture), meshes[-1])
+        out = tmp_path / "reports"
+        code = self.run("curvature", *map(str, meshes), "--out", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert all(str(mesh) in captured.err for mesh in meshes)
 
     def test_parallel_jobs(self, tmp_path):
         out_dir = tmp_path / "reports"
