@@ -18,14 +18,10 @@ from .geometry import (
     Packing,
     auxiliary_length,
     delta_discriminant,
-    develop_face_in_disk,
     edge_cosh_length,
     face_metrics,
     hinge_delaunay_margin,
-    inversive_from_length,
-    is_local_delaunay,
     orthocircle_radius,
-    signed_center_distance,
     validate_packing,
     xi_discriminant,
 )

@@ -185,11 +185,6 @@ def dF_df_discrepancy(params, parameter, step):
     return abs(dF - df)
 
 
-def dF_df_check(deghinge, parameter, step):
-    """Discrepancy |dF - df| at a constructed degenerate hinge."""
-    return dF_df_discrepancy(deghinge.parameters(), parameter, step)
-
-
 def xi_delta_residual(radii, inv):
     """Relative residual of the identity linking the two discriminants:
 

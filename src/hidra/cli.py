@@ -270,11 +270,6 @@ def _run_single(handler, args):
         return EXIT_INVALID
 
 
-def _run_job(payload):
-    argv, mesh = payload
-    return main(argv + [mesh])
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hidra",
@@ -334,59 +329,50 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    meshes = getattr(args, "mesh", None)
-    if meshes is not None and len(meshes) > 1:
-        # Fan out over input files with independent solver instances;
-        # --out names a directory that gets one <stem>.report.json each.
-        out_dir = args.out
-        base_argv = [a for a in (argv if argv is not None else sys.argv[1:])
-                     if a not in meshes]
-        jobs = []
-        writers = {}
-        for mesh in meshes:
-            per = list(base_argv)
-            if out_dir is not None:
-                out = str(Path(out_dir) / f"{Path(mesh).stem}.report.json")
-                if out in writers:
-                    _say(f"error: {writers[out]} and {mesh} would both write {out}")
-                    return EXIT_INVALID
-                writers[out] = mesh
-                per = _replace_out(per, out)
-            jobs.append((per, mesh))
-        if out_dir is not None:
-            try:
-                os.makedirs(out_dir, exist_ok=True)
-            except OSError as exc:  # --out is a file, say
-                _say(f"error: {exc}")
-                return EXIT_INVALID
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                codes = list(pool.map(_run_job, jobs))
-        else:
-            codes = [_run_job(job) for job in jobs]
-        return max(codes)
-
-    if meshes is not None:
-        args.mesh = meshes[0]
+def _run(args):
+    """Run one parsed command; an --out path that cannot be written
+    exits 2 with one error line."""
     try:
         return _run_single(args.handler, args)
-    except OSError as exc:  # the --out path cannot be written
+    except OSError as exc:
         _say(f"error: {exc}")
         return EXIT_INVALID
 
 
-def _replace_out(argv, new_out):
-    argv = list(argv)
-    if "--out" in argv:
-        idx = argv.index("--out")
-        argv[idx + 1] = new_out
-    else:
-        argv += ["--out", new_out]
-    return argv
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    meshes = getattr(args, "mesh", None)
+    if meshes is None or len(meshes) == 1:
+        if meshes is not None:
+            args.mesh = meshes[0]
+        return _run(args)
+
+    # Fan out over input files with independent solver instances;
+    # --out names a directory that gets one <stem>.report.json each.
+    if getattr(args, "mesh_out", None):
+        _say(f"error: --mesh-out takes one mesh, got {len(meshes)}")
+        return EXIT_INVALID
+    jobs = []
+    writers = {}
+    for mesh in meshes:
+        out = None
+        if args.out is not None:
+            out = str(Path(args.out) / f"{Path(mesh).stem}.report.json")
+            if out in writers:
+                _say(f"error: {writers[out]} and {mesh} would both write {out}")
+                return EXIT_INVALID
+            writers[out] = mesh
+        jobs.append(argparse.Namespace(**{**vars(args), "mesh": mesh, "out": out}))
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # --out is a file, say
+            _say(f"error: {exc}")
+            return EXIT_INVALID
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            return max(pool.map(_run, jobs))
+    return max(map(_run, jobs))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonCompactOrthocircle, SurgeryDiverged
+from .errors import SurgeryDiverged
 from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from .ptolemy import (
     delta_identity_residuals,
@@ -37,7 +37,11 @@ DEFAULT_FLIP_BUDGET_FACTOR = 100
 
 @dataclass(frozen=True)
 class FlipEvent:
-    """One executed flip: hinge labels before, diagonal value after."""
+    """One executed flip: hinge labels before, diagonal value after.
+
+    ``margin_before`` is the Delaunay margin by which the flip loop
+    picked the edge; NaN for a flip made outside the loop.
+    """
 
     edge: int
     labels: tuple       # (a, b, c, d, e) inversive distances pre-flip
@@ -50,23 +54,18 @@ class FlipEvent:
         return ptolemy_residual(*sextuple) / ptolemy_residual_scale(*sextuple)
 
 
-def flip_edge(surface, packing, edge, iteration=0):
+def flip_edge(surface, packing, edge, iteration=0, margin_before=math.nan):
     """Flip one edge, returning (surface', packing', FlipEvent).
 
     The edge keeps its id; its inversive distance becomes the Ptolemy
-    value of the hinge labels.  The pre-flip Delaunay margin comes from
-    the array kernel on the hinge's two faces, and is recorded as NaN
-    when an incident orthocircle is non-compact.
+    value of the hinge labels.  ``margin_before`` is logged as given:
+    ``make_weighted_delaunay`` passes the margin it picked the edge by,
+    and a flip outside that loop logs NaN.
     """
     hv = hinge(surface, edge)
     labels = tuple(float(packing.inv[eid]) for eid in hv.boundary_edges) + (
         float(packing.inv[edge]),
     )
-    metrics = SurfaceMetrics(surface, packing, [hv.face_k, hv.face_l], [edge])
-    try:
-        margin = float(metrics.margins[0])
-    except NonCompactOrthocircle:
-        margin = math.nan
     new_surface = flip_combinatorial(surface, hv)
     f = float(ptolemy_flip_value(*labels))
     new_inv = packing.inv.copy()
@@ -74,7 +73,7 @@ def flip_edge(surface, packing, edge, iteration=0):
     return (
         new_surface,
         Packing(new_inv, packing.radii.copy()),
-        FlipEvent(edge, labels, f, iteration, margin),
+        FlipEvent(edge, labels, f, iteration, float(margin_before)),
     )
 
 
@@ -121,7 +120,9 @@ def make_weighted_delaunay(
                     "surgery_diverged", 0, events,
                 ),
             )
-        surface, packing, event = flip_edge(surface, packing, worst, iteration)
+        surface, packing, event = flip_edge(
+            surface, packing, worst, iteration, margins[worst]
+        )
         events.append(event)
         slots = surface.hinge_slots
         faces = [slots.face_k[worst], slots.face_l[worst]]  # ascending

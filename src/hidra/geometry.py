@@ -3,16 +3,14 @@
 A packing assigns a radius to every vertex and an inversive distance
 greater than 1 to every edge (disjoint-circle regime).  Everything here
 is a pure function of (surface, packing): edge lengths, per-face
-discriminants, orthogonal circles, signed center distances, the local
-weighted Delaunay predicate, and isometric developments into the
-Poincare disk.
+discriminants, orthogonal circles and the local weighted Delaunay
+margin.
 
 Solvers, flip loop and reports take every metric quantity from one
 array kernel, ``SurfaceMetrics``; ``face_metrics`` and
 ``hinge_delaunay_margin`` are its scalar reference.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
-from .hyptrig import TOL_DOMAIN, acosh_stable, angle_from_sides, sinh_from_cosh
+from .hyptrig import TOL_DOMAIN, angle_from_sides
 from .ptolemy import delta_discriminant, ptolemy_flip_value
 
 # Margin band within which a hinge counts as Delaunay and is never
@@ -84,16 +82,6 @@ def edge_cosh_length(r_i, r_j, inv):
     return math.cosh(r_i) * math.cosh(r_j) + inv * math.sinh(r_i) * math.sinh(r_j)
 
 
-def inversive_from_length(r_i, r_j, cosh_l):
-    """Exact inverse of edge_cosh_length:
-    I = (cosh l - cosh r_i cosh r_j) / (sinh r_i sinh r_j)."""
-    if r_i <= 0.0 or r_j <= 0.0:
-        raise DomainError("radii must be positive")
-    return (cosh_l - math.cosh(r_i) * math.cosh(r_j)) / (
-        math.sinh(r_i) * math.sinh(r_j)
-    )
-
-
 def auxiliary_length(r_i, r_j, inv):
     """sqrt(tanh^2 r_i + tanh^2 r_j + 2 I tanh r_i tanh r_j).
 
@@ -151,13 +139,6 @@ class FaceMetrics:
     inv: tuple
     xi: float
     delta: float
-
-    def triangle_inequalities_hold(self):
-        x, y, z = self.cosh_lengths
-        sx, sy, sz = (sinh_from_cosh(c) for c in self.cosh_lengths)
-        return (
-            x < y * z + sy * sz and y < x * z + sx * sz and z < x * y + sx * sy
-        )
 
     def angles(self):
         """Corner angles (angle m at corner m)."""
@@ -346,31 +327,6 @@ def orthocircle_radius(fm):
     return math.asinh(sinh_rho)
 
 
-def signed_center_distance(fm, slot):
-    """Signed distance from the orthocircle center to the side ``slot``.
-
-    Positive when the center lies on the same side of the edge as the
-    opposite corner.  Solved from the linear relation
-
-        sinh h * sqrt((Y^2-1) Xi) = (B Y - A) p_i + (A Y - B) p_j - (Y^2-1) p_k
-
-    with Y the cosh length of the edge, A and B the cosh lengths of the
-    sides at its two endpoints, and p the cosh radii; the linear form
-    (rather than its square) preserves the sign.
-    """
-    if fm.xi <= 0.0:
-        raise _non_compact(fm.face, fm.xi)
-    yy = fm.cosh_lengths[slot]
-    aa = fm.cosh_lengths[(slot + 2) % 3]  # side joining corner slot+1 to the apex
-    bb = fm.cosh_lengths[(slot + 1) % 3]  # side joining corner slot+2 to the apex
-    p_i = fm.cosh_radii[(slot + 1) % 3]
-    p_j = fm.cosh_radii[(slot + 2) % 3]
-    p_k = fm.cosh_radii[slot]
-    num = (bb * yy - aa) * p_i + (aa * yy - bb) * p_j - (yy * yy - 1.0) * p_k
-    sinh_h = num / math.sqrt((yy * yy - 1.0) * fm.xi)
-    return math.asinh(sinh_h)
-
-
 def _hinge_faces_metrics(hv, packing):
     """FaceMetrics of the two hinge faces, hinge-labelled.
 
@@ -387,23 +343,7 @@ def _hinge_faces_metrics(hv, packing):
     )
 
 
-def hinge_h_sum(hv, packing):
-    """sinh h_k / sinh rho_k + sinh h_l / sinh rho_l across the hinge.
-
-    This is the geometric route to the Delaunay predicate: the sum is
-    non-negative exactly when the two signed center distances add to a
-    non-negative total.
-    """
-    fm_k, fm_l = _hinge_faces_metrics(hv, packing)
-    total = 0.0
-    for fm in (fm_k, fm_l):
-        h = signed_center_distance(fm, 2)
-        rho = orthocircle_radius(fm)
-        total += math.sinh(h) / math.sinh(rho)
-    return total
-
-
-def hinge_delaunay_margin(hv, packing, require_compact=True):
+def hinge_delaunay_margin(hv, packing):
     """Algebraic local Delaunay margin of a hinge (RHS minus LHS of the
     flip inequality).
 
@@ -412,14 +352,11 @@ def hinge_delaunay_margin(hv, packing, require_compact=True):
 
         sqrt(D_bce)/p^ + sqrt(D_ade)/r^ <= sqrt(D_cdf)/q^ + sqrt(D_abf)/s^
 
-    By default both faces must have compact orthocircles (Xi > 0); the
-    margin formula itself does not involve Xi, so the gate can be
-    dropped to probe states outside the compact regime.
+    Both faces must have compact orthocircles (Xi > 0).
     """
-    if require_compact:
-        for fm in _hinge_faces_metrics(hv, packing):
-            if fm.xi <= 0.0:
-                raise _non_compact(fm.face, fm.xi)
+    for fm in _hinge_faces_metrics(hv, packing):
+        if fm.xi <= 0.0:
+            raise _non_compact(fm.face, fm.xi)
     labels = tuple(float(packing.inv[eid]) for eid in (*hv.boundary_edges, hv.edge))
     t = (math.tanh(float(packing.radii[v])) for v in (hv.v_k, hv.v_i, hv.v_l, hv.v_j))
     return float(_delaunay_margin(labels, *t))
@@ -436,38 +373,3 @@ def _delaunay_margin(labels, t_k, t_i, t_l, t_j):
         delta_discriminant(a, b, f)
     ) / t_j
     return rhs - lhs
-
-
-def is_local_delaunay(hv, packing, tol=TOL_DELAUNAY):
-    """(flag, margin) for the hinge: Delaunay iff margin >= -tol."""
-    margin = hinge_delaunay_margin(hv, packing)
-    return margin >= -tol, margin
-
-
-def disk_point(distance, angle):
-    """Poincare-disk coordinates of the point at a given hyperbolic
-    distance from the origin along a direction angle."""
-    return cmath.rect(math.tanh(0.5 * distance), angle)
-
-
-def disk_distance(z1, z2):
-    """Hyperbolic distance between two Poincare-disk points."""
-    num = 2.0 * abs(z1 - z2) ** 2
-    den = (1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2)
-    return acosh_stable(1.0 + num / den)
-
-
-def develop_face_in_disk(fm):
-    """Isometric placement of a face's vertex circles in the Poincare disk.
-
-    Corner 0 sits at the origin, corner 1 on the positive real axis, and
-    corner 2 in the upper half (counterclockwise orientation).  Returns
-    (centers, radii) with centers as complex disk coordinates.
-    """
-    if not fm.triangle_inequalities_hold():
-        raise DegenerateTriangle(f"face {fm.face} cannot be developed")
-    l01 = acosh_stable(fm.cosh_lengths[2])
-    l02 = acosh_stable(fm.cosh_lengths[1])
-    theta = angle_from_sides(*fm.cosh_lengths)
-    centers = (0j, disk_point(l01, 0.0), disk_point(l02, theta))
-    return centers, fm.radii

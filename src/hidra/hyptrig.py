@@ -81,36 +81,3 @@ def hinge_diagonal(u, v, w, x, y):
     alpha = _acos_clamped((u * y - x) / (su * sy))
     beta = _acos_clamped((v * y - w) / (sv * sy))
     return u * v - math.cos(alpha + beta) * su * sv
-
-
-def hinge_poly_residual(u, v, w, x, y, z):
-    """Relative residual of the algebraic identity tying z to (u,v,w,x,y).
-
-    A developed hinge's six cosh values satisfy
-
-        u^2 w^2 + v^2 x^2 + y^2 z^2 - u^2 - v^2 - w^2 - x^2 - y^2 - z^2 + 1
-        - 2 (u v w x + u w y z + v x y z - v w y - u x y - u v z - w x z) = 0.
-
-    Returns the left side divided by the largest monomial magnitude.
-    """
-    terms = (
-        u * u * w * w,
-        v * v * x * x,
-        y * y * z * z,
-        -u * u,
-        -v * v,
-        -w * w,
-        -x * x,
-        -y * y,
-        -z * z,
-        1.0,
-        -2.0 * u * v * w * x,
-        -2.0 * u * w * y * z,
-        -2.0 * v * x * y * z,
-        2.0 * v * w * y,
-        2.0 * u * x * y,
-        2.0 * u * v * z,
-        2.0 * w * x * z,
-    )
-    scale = max(abs(t) for t in terms)
-    return math.fsum(terms) / scale

@@ -28,15 +28,6 @@ from .surface import build_surface, euler_characteristic
 
 FORMAT_VERSION = "1.0"
 
-REPORT_STATUSES = (
-    "converged",
-    "stalled",
-    "max_iterations",
-    "surgery_diverged",
-    "invalid_input",
-)
-
-
 _INTP_RANGE = range(np.iinfo(np.intp).min, np.iinfo(np.intp).max + 1)  # ids an array holds
 
 

@@ -128,16 +128,15 @@ def build_surface(vertex_count, edges, faces):
     """
     if vertex_count <= 0:
         raise InconsistentIncidence("vertex_count must be positive")
-    edges = np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+    edges = _id_array(edges, 2)
     bad = ((edges < 0) | (edges >= vertex_count)).any(axis=1)
     if bad.any():
         raise InconsistentIncidence(f"edge {bad.argmax()} references unknown vertex")
 
     triangle = [len(c) == len(s) == 3 for c, s in faces]
-    cells = np.array(
-        [(*c, *s) if ok else (0,) * 6 for (c, s), ok in zip(faces, triangle)],
-        dtype=np.intp,
-    ).reshape(len(faces), 6)
+    cells = _id_array(
+        [(*c, *s) if ok else (0,) * 6 for (c, s), ok in zip(faces, triangle)], 6
+    )
     corners, sides = cells[:, :3].copy(), cells[:, 3:].copy()
     bad = np.stack([
         ~np.array(triangle, dtype=bool).reshape(-1),
@@ -184,6 +183,18 @@ def build_surface(vertex_count, edges, faces):
             "punctured surface must have negative Euler characteristic"
         )
     return surface
+
+
+def _id_array(rows, width):
+    """``rows`` as an (n, width) intp array.  An id no intp can hold is
+    read as -1, which the range checks reject like any unknown id; only
+    then are the rows walked in Python."""
+    try:
+        return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    except OverflowError:
+        lo, hi = np.iinfo(np.intp).min, np.iinfo(np.intp).max
+        rows = [[i if lo <= i <= hi else -1 for i in row] for row in rows]
+        return np.array(rows, dtype=np.intp).reshape(len(rows), width)
 
 
 def euler_characteristic(surface):

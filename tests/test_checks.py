@@ -10,7 +10,6 @@ from hidra.checks import (
     PARAMETER_NAMES,
     algebraic_flip_value,
     conformal_roundtrip_check,
-    dF_df_check,
     dF_df_discrepancy,
     degenerate_hinge,
     geometric_diagonal_value,
@@ -25,6 +24,8 @@ from hidra.errors import ConstructionInvalid
 from hidra.flips import ptolemy_flip_value
 from hidra.geometry import hinge_delaunay_margin, orthocircle_radius, face_metrics
 from hidra.surface import hinge, surfaces_isomorphic
+
+from geometry_oracle import dF_df_check
 
 SYM_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 

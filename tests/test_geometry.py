@@ -11,23 +11,28 @@ from hidra.checks import xi_delta_residual, xi_equivalence_check
 from hidra.errors import DomainError, NonCompactOrthocircle
 from hidra.geometry import (
     Packing,
+    SurfaceMetrics,
     auxiliary_length,
     delta_discriminant,
-    develop_face_in_disk,
-    disk_distance,
     edge_cosh_length,
     face_metrics,
     hinge_delaunay_margin,
-    hinge_h_sum,
-    inversive_from_length,
-    is_local_delaunay,
     orthocircle_radius,
-    signed_center_distance,
     validate_packing,
     xi_discriminant,
 )
 from hidra.hyptrig import acosh_stable
 from hidra.surface import hinge
+
+from geometry_oracle import (
+    develop_face_in_disk,
+    disk_distance,
+    hinge_h_sum,
+    inversive_from_length,
+    is_local_delaunay,
+    signed_center_distance,
+    triangle_inequalities_hold,
+)
 
 R_HALF = math.atanh(0.5)  # tanh r = 1/2, the symmetric anchor radius
 
@@ -309,29 +314,25 @@ class TestLocalDelaunay:
 class TestDelaunayCompactnessContainment:
     def test_all_delaunay_implies_all_compact(self, rng):
         # unfiltered random packings: whenever every edge margin is
-        # non-negative (computed without the compactness gate), every
-        # face must have Xi > 0, and Xi > 0 must imply the triangle
-        # inequalities on that face
+        # non-negative (the kernel's margins without the compactness
+        # gate), every face must have Xi > 0, and Xi > 0 must imply the
+        # triangle inequalities on that face
         from hidra.complexes import one_vertex_genus2, one_vertex_torus
 
         delaunay_states = 0
         for builder in (one_vertex_torus, one_vertex_genus2):
             surface = builder()
-            hinges = [hinge(surface, e) for e in range(len(surface.edges))]
             for _ in range(400):
                 radii = np.arctanh(rng.uniform(0.05, 0.95, size=surface.vertex_count))
                 inv = rng.uniform(1.01, 12.0, size=len(surface.edges))
                 pk = Packing(inv, radii)
-                margins = [
-                    hinge_delaunay_margin(hv, pk, require_compact=False)
-                    for hv in hinges
-                ]
+                margins = SurfaceMetrics(surface, pk).unchecked_margins
                 metrics = [
                     face_metrics(surface, pk, f) for f in range(surface.face_count)
                 ]
                 for fm in metrics:
                     if fm.xi > 0.0:
-                        assert fm.triangle_inequalities_hold()
+                        assert triangle_inequalities_hold(fm)
                 if min(margins) >= 0.0:
                     delaunay_states += 1
                     for fm in metrics:

@@ -663,6 +663,19 @@ class TestCLI:
         assert captured.err.startswith("error: ")
         assert all(str(mesh) in captured.err for mesh in meshes)
 
+    def test_fan_out_refuses_one_mesh_out_for_several_meshes(self, tmp_path, capsys):
+        # Each job would write its flipped mesh to the one --mesh-out path.
+        out, mesh_out = tmp_path / "reports", tmp_path / "m.json"
+        code = self.run(
+            "delaunay", fixture_path("torus1.json"), fixture_path("genus2.json"),
+            "--out", str(out), "--mesh-out", str(mesh_out),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists() and not mesh_out.exists()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
     def test_parallel_jobs(self, tmp_path):
         out_dir = tmp_path / "reports"
         code = self.run(

@@ -256,7 +256,7 @@ def raw_complex(surface):
 
 
 def out_of_range(draw, size):
-    return draw(st.sampled_from([-1, -2, size, size + 3]))
+    return draw(st.sampled_from([-1, -2, size, size + 3, 2**64, -(2**70)]))
 
 
 def corrupt(kind, raw, draw):
@@ -355,3 +355,15 @@ class TestBuilderAgainstLoopOracle:
         raw[2][1][0] = [0, 0]
         self.assert_agrees(raw)
         self.assert_agrees((0, [], []))
+
+    def test_ids_past_the_index_range(self):
+        # An id no intp holds is an unknown id, not an OverflowError.
+        raw = (1, [(2**64, 0)], [])
+        self.assert_agrees(raw)
+        with pytest.raises(InconsistentIncidence, match="^edge 0 references unknown vertex$"):
+            build_surface(*raw)
+        raw = raw_complex(one_vertex_torus())
+        raw[2][1][1][2] = 2**70
+        self.assert_agrees(raw)
+        with pytest.raises(InconsistentIncidence, match="^face 1 references unknown edge$"):
+            build_surface(*raw)
