@@ -260,22 +260,20 @@ def random_packing(
     rng,
     tanh_range=(0.35, 0.9),
     inv_range=(1.05, 3.0),
-    require_compact=True,
     max_tries=2000,
 ):
     """Sample a valid packing by rejection.
 
     Radii are drawn uniformly in tanh, inversive distances uniformly;
-    with ``require_compact`` the sample is kept only if every face has a
-    compact orthogonal circle (Xi > 0), which also implies the triangle
-    inequalities.
+    the sample is kept only if every face has a compact orthogonal
+    circle (Xi > 0), which also implies the triangle inequalities.
     """
     n_e = len(surface.edges)
     for _ in range(max_tries):
         radii = np.arctanh(rng.uniform(*tanh_range, size=surface.vertex_count))
         inv = rng.uniform(*inv_range, size=n_e)
         pk = Packing(inv, radii)
-        if not require_compact or np.all(SurfaceMetrics(surface, pk).xi > 0.0):
+        if np.all(SurfaceMetrics(surface, pk).xi > 0.0):
             return pk
     raise ConstructionInvalid(f"no valid packing found in {max_tries} draws")
 

@@ -159,12 +159,17 @@ def cmd_curvature(args, surface, packing, target, digest):
 
 def cmd_delaunay(args, surface, packing, target, digest):
     settings = _settings(args)
-    surface2, packing2, events = make_weighted_delaunay(
-        surface,
-        packing,
-        tol=settings["tol_delaunay"],
-        flip_budget=settings["flip_budget"],
-    )
+    try:
+        surface2, packing2, events = make_weighted_delaunay(
+            surface,
+            packing,
+            tol=settings["tol_delaunay"],
+            flip_budget=settings["flip_budget"],
+        )
+    except NonCompactOrthocircle as exc:  # the report takes K from the kernel
+        state = SolveState(surface, packing, u_from_r(packing.radii), None, None, None,
+                           "surgery_diverged", 0)
+        raise SurgeryDiverged(str(exc), state=state) from exc
     K, area = curvatures(surface2, packing2)
     state = SolveState(
         surface2, packing2, u_from_r(packing2.radii), None, K, area,
@@ -261,9 +266,6 @@ def _run_single(handler, args):
         return EXIT_NO_CONVERGENCE
     except SurgeryDiverged as exc:
         _failure_report(args, "surgery_diverged", digest, exc, exc.state)
-        return EXIT_DIVERGED
-    except NonCompactOrthocircle as exc:
-        _failure_report(args, "surgery_diverged", digest, exc)
         return EXIT_DIVERGED
     except HidraError as exc:
         _failure_report(args, "invalid_input", digest, exc)

@@ -54,7 +54,8 @@ def validate_packing(surface, packing):
     that every face satisfies the triangle inequalities under the
     induced edge lengths.  This proxy is weaker than bounding radii by
     injectivity radii, which is not computable from (I, r) alone; all
-    downstream formulas depend only on the proxy.
+    downstream formulas depend only on the proxy.  Returns the array
+    kernel of (surface, packing) it checked with.
     """
     if len(packing.inv) != len(surface.edges):
         raise DomainError("inversive distance count does not match edge count")
@@ -70,6 +71,7 @@ def validate_packing(surface, packing):
         (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1),
         lambda face, at: _degenerate(face, "violates the triangle inequalities"),
     )
+    return m
 
 
 def edge_cosh_length(r_i, r_j, inv):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_array, csc_array
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     SurgeryDiverged,
     TargetOutOfRange,
 )
-from .flips import make_weighted_delaunay, surface_delaunay_margins
+from .flips import _flip_loop, make_weighted_delaunay, surface_delaunay_margins
 from .geometry import (
     NEXT, PREV, TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing,
 )
@@ -73,16 +73,16 @@ def r_from_u(u):
     return 2.0 * np.arctanh(np.exp(u))
 
 
-def curvatures(surface, packing):
+def curvatures(surface, packing, metrics=None):
     """Vertex curvatures 2*pi minus cone angle, and the total area.
 
-    Corner angles come from the array kernel; those at self-glued faces
-    count with multiplicity.  The returned pair satisfies
-    sum(K) = 2*pi*chi + area by construction.  A batch of (B, V) radii
-    rows gives (B, V) curvatures and (B,) areas, and raises as the
-    kernel does for its first row at fault.
+    Corner angles come from the array kernel (``metrics`` if given);
+    those at self-glued faces count with multiplicity.  The returned
+    pair satisfies sum(K) = 2*pi*chi + area by construction.  A batch of
+    (B, V) radii rows gives (B, V) curvatures and (B,) areas, and raises
+    as the kernel does for its first row at fault.
     """
-    angles = SurfaceMetrics(surface, packing).angles
+    angles = (metrics or SurfaceMetrics(surface, packing)).angles
     n, rows = surface.vertex_count, angles.shape[:-2]
     # One bincount for all rows: row b's vertex ids are offset by b * n.
     index = surface.corners.ravel() + n * np.arange(math.prod(rows))[:, None]
@@ -100,28 +100,25 @@ def _gauss_bonnet_residual(surface, K, area):
     return float(K.sum() - 2.0 * math.pi * euler_characteristic(surface) - area)
 
 
-def hessian(surface, packing, symmetrize=True):
+def hessian(surface, packing, symmetrize=True, metrics=None):
     """Jacobian dK/du as a sparse ``scipy.sparse.csc_array``, the
     compressed-column form the symmetric factorization takes.
 
-    Assembled from the per-face angle derivatives of the array kernel,
-    so entries are nonzero only on the diagonal and for combinatorially
-    adjacent vertex pairs.  The analytic matrix is symmetric up to
-    roundoff; with ``symmetrize`` it is averaged with its transpose.
+    The per-face angle derivatives of the array kernel (``metrics`` if
+    given) are summed into ``surface.hessian_pattern``, cached per
+    triangulation, so entries lie only on the diagonal and at adjacent
+    vertex pairs.  The analytic matrix is symmetric up to roundoff; with
+    ``symmetrize`` it is averaged with its transpose.
     """
-    metrics = SurfaceMetrics(surface, packing)
-    corners = surface.corners
+    metrics = metrics or SurfaceMetrics(surface, packing)
+    indptr, indices, slot = surface.hessian_pattern
     # dK_m/du_n = -(d angle_m / d r_n) dr_n/du_n, and dr/du = sinh r.
-    data = -metrics.angle_radius_jacobian() * metrics.sinh_r[corners][:, None, :]
-    rows = np.broadcast_to(corners[:, :, None], data.shape)
-    cols = np.broadcast_to(corners[:, None, :], data.shape)
-    if symmetrize:
-        data = 0.5 * np.concatenate([data, data])
-        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    data = -metrics.angle_radius_jacobian() * metrics.sinh_r[surface.corners][:, None, :]
+    if symmetrize:  # a face's entries (m, n) and (n, m) are transposes
+        data = 0.5 * (data + data.transpose(0, 2, 1))
+    values = np.bincount(slot, data.ravel(), len(indices))
     n = surface.vertex_count
-    return coo_array(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    ).tocsc()
+    return csc_array((values, indices, indptr), shape=(n, n))
 
 
 def _factor(H):
@@ -533,32 +530,44 @@ class _Run:
     the packing flipped to weighted Delaunay, its flips logged under
     iteration 0), a step to a trial point, its accept, and the SolveState
     of every exit.  ``steps`` counts accepted steps; the next step's
-    flips are logged under steps + 1."""
+    flips are logged under steps + 1; ``metrics`` is the array kernel at
+    the run's point."""
 
     def __init__(self, surface, packing, target, tol_delaunay, flip_budget):
         self.target = validate_target(surface, target)
-        validate_packing(surface, packing)
+        metrics = validate_packing(surface, packing)
         self.tol_delaunay, self.flip_budget = tol_delaunay, flip_budget
-        self.surface, self.packing, events = make_weighted_delaunay(
-            surface, packing, tol=tol_delaunay, flip_budget=flip_budget
+        self.surface, self.packing, self.u = surface, packing, u_from_r(packing.radii)
+        self.flip_log, self.trace, self.potential, self.steps = [], [], 0.0, 0
+        self.evaluate(metrics)
+        try:  # flips keep the radii, so u stays
+            self.surface, self.packing, self.flip_log = _flip_loop(
+                surface, packing, metrics.margins.copy(), tol_delaunay, flip_budget, 0
+            )
+        except NonCompactOrthocircle as exc:
+            raise SurgeryDiverged(str(exc), state=self.state("surgery_diverged", 0)) from exc
+        if self.flip_log:
+            self.evaluate(None)
+
+    def evaluate(self, metrics):
+        """Take the kernel at the run's point (``metrics`` if given) and
+        the curvature from it."""
+        self.metrics = metrics or SurfaceMetrics(self.surface, self.packing)
+        self.curvature, self.total_area = curvatures(
+            self.surface, self.packing, self.metrics
         )
-        self.flip_log = list(events)
-        self.u = u_from_r(self.packing.radii)
-        self.curvature, self.total_area = curvatures(self.surface, self.packing)
-        self.potential = 0.0
-        self.trace = []
-        self.steps = 0
 
     @property
     def error(self):
         return float(np.max(np.abs(self.curvature - self.target)))
 
-    def step(self, u_try, track_potential, iterations):
+    def step(self, u_try, track_potential, iterations, trial=None):
         """(d_pot, surface, packing, flips) at u_try, weighted Delaunay:
         tracked, where the potential segment ends (its certified scan ends
-        inside the cell); untracked, after flip surgery there, d_pot 0.
-        A flip-budget overrun raises SurgeryDiverged with the run so far,
-        where the flips stopped, reporting ``iterations``."""
+        inside the cell); untracked, after flip surgery there from the
+        margins of ``trial`` (the kernel at u_try), d_pot 0.  A flip-budget
+        overrun raises SurgeryDiverged with the run so far, where the flips
+        stopped, reporting ``iterations``."""
         try:
             if track_potential:
                 return segment_potential(
@@ -566,26 +575,26 @@ class _Run:
                     tol_delaunay=self.tol_delaunay, flip_budget=self.flip_budget,
                     iteration=self.steps + 1,
                 )
-            return 0.0, *make_weighted_delaunay(
-                self.surface, Packing(self.packing.inv, r_from_u(u_try)),
-                tol=self.tol_delaunay, flip_budget=self.flip_budget,
-                iteration=self.steps + 1,
+            return 0.0, *_flip_loop(
+                self.surface, trial.packing, trial.margins.copy(),
+                self.tol_delaunay, self.flip_budget, self.steps + 1,
             )
         except SurgeryDiverged as exc:
             raise SurgeryDiverged(
                 str(exc), state=self.state("surgery_diverged", iterations, stop=exc.state)
             ) from exc
 
-    def accept(self, u_try, stepped, row):
+    def accept(self, u_try, stepped, row, trial=None):
         """Move the run to the end of a step and append its trace row:
         ``row`` with max_error, potential and flips set, keeping the
-        place of the keys it already holds."""
+        place of the keys it already holds; ``trial`` serves the new
+        point if the step made no flips."""
         d_pot, self.surface, self.packing, flips = stepped
         self.u = u_try
         self.potential += d_pot
         self.steps += 1
         self.flip_log += flips
-        self.curvature, self.total_area = curvatures(self.surface, self.packing)
+        self.evaluate(None if flips else trial)
         row.update(max_error=self.error, potential=self.potential, flips=len(flips))
         self.trace.append(row)
 
@@ -621,19 +630,22 @@ def newton_solve(
     trial still measures progress.  With the potential tracked, the
     accepted step ends where its potential segment ends, carried there
     by the segment's logged wall flips; untracked, flip surgery runs at
-    the accepted point.  The Hessian's spectrum sign, at the state
-    returned or carried by the raised SolverFailure, is read from the
-    pivots of the same factorization (Sylvester's law of inertia); a row
-    swap or an exactly singular H gives 0, and an exactly singular H
-    before convergence raises SolverStalled.  The flip budget bounds the
-    flips of one step; an overrun raises SurgeryDiverged with the
-    solve's flip log and trace at the state where the flips stopped
-    (spectrum sign 0, not taken), counting the iteration in progress; a
-    non-compact face in a step raises it at the last accepted iterate.
+    the accepted point.  A flip-free step's trial kernel also gives the
+    accepted curvature, the untracked margins and the next Hessian.  A
+    face non-compact at the start raises SurgeryDiverged at the input.
+    The Hessian's spectrum sign, at the state returned or carried by the
+    raised SolverFailure, is read from the pivots of the same
+    factorization (Sylvester's law of inertia); a row swap or an exactly
+    singular H gives 0, and an exactly singular H before convergence
+    raises SolverStalled.  The flip budget bounds the flips of one step;
+    an overrun raises SurgeryDiverged with the solve's flip log and
+    trace at the state where the flips stopped (spectrum sign 0, not
+    taken), counting the iteration in progress; a non-compact face in a
+    step raises it at the last accepted iterate.
     """
     run = _Run(surface, packing, target, tol_delaunay, flip_budget)
     for iteration in range(1, max_iterations + 1):
-        lu = _factor(hessian(run.surface, run.packing))
+        lu = _factor(hessian(run.surface, run.packing, metrics=run.metrics))
         if run.error <= tol:
             return run.state(STATUS_CONVERGED, iteration - 1, _factor_sign(lu))
         if lu is None:
@@ -652,9 +664,9 @@ def newton_solve(
         while True:
             u_try = _clamped_step(run.u, step * delta)
             try:
-                K_try, _ = curvatures(
-                    run.surface, Packing(run.packing.inv, r_from_u(u_try))
-                )
+                packing_try = Packing(run.packing.inv, r_from_u(u_try))
+                trial = SurfaceMetrics(run.surface, packing_try)
+                K_try, _ = curvatures(run.surface, packing_try, metrics=trial)
                 ok = float(np.linalg.norm(K_try - run.target)) < base_norm
             except (DegenerateTriangle, DomainError):
                 ok = False
@@ -668,7 +680,7 @@ def newton_solve(
                 )
 
         try:
-            stepped = run.step(u_try, track_potential, iteration)
+            stepped = run.step(u_try, track_potential, iteration, trial)
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(
                 str(exc),
@@ -677,13 +689,13 @@ def newton_solve(
         # Newton's rows put the step length after the potential.
         run.accept(u_try, stepped, dict(
             iteration=iteration, max_error=None, potential=None, step=step
-        ))
+        ), trial)
 
     raise MaxIterationsExceeded(
         f"no convergence within {max_iterations} Newton iterations",
         state=run.state(
             STATUS_MAX_ITERATIONS, max_iterations,
-            hessian_spectrum_sign(hessian(run.surface, run.packing)),
+            hessian_spectrum_sign(hessian(run.surface, run.packing, metrics=run.metrics)),
         ),
     )
 
@@ -739,5 +751,5 @@ def ricci_flow(
 
     return run.state(
         STATUS_CONVERGED if run.error <= tol else STATUS_MAX_ITERATIONS, run.steps,
-        hessian_spectrum_sign(hessian(run.surface, run.packing)),
+        hessian_spectrum_sign(hessian(run.surface, run.packing, metrics=run.metrics)),
     )

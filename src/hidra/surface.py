@@ -117,6 +117,16 @@ class TriSurface:
             e_b=s[nxt[1]], e_c=s[prv[1]],
         )
 
+    @cached_property
+    def hessian_pattern(self):
+        """(indptr, indices, slot): the compressed columns of the curvature
+        Jacobian's entries (corners[f, m], corners[f, n]), a symmetric
+        pattern, and the data index of each entry, in (f, m, n) order."""
+        n, c = self.vertex_count, self.corners
+        keys, slot = np.unique((c[:, None, :] * n + c[:, :, None]).ravel(),
+                               return_inverse=True)
+        return np.searchsorted(keys, np.arange(n + 1) * n), keys % n, slot
+
 
 def build_surface(vertex_count, edges, faces):
     """Validate a raw mesh description and freeze it into a TriSurface.

@@ -70,6 +70,13 @@ def hessian_fd(surface, packing, h=1e-6):
     return H
 
 
+def unchecked_packing(surface, rng, tanh_range=(0.35, 0.9), inv_range=(1.05, 3.0)):
+    """One draw of ``hidra.checks.random_packing``'s sampler, from the
+    same random numbers, kept whether or not its faces are compact."""
+    radii = np.arctanh(rng.uniform(*tanh_range, size=surface.vertex_count))
+    return Packing(rng.uniform(*inv_range, size=len(surface.edges)), radii)
+
+
 def torus_grid(n):
     """The n x n torus grid: V = n^2, E = 3n^2, F = 2n^2, chi = 0.
 

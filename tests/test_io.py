@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import checkerboard_packing, torus_grid
+from conftest import checkerboard_packing, torus_grid, unchecked_packing
 from mesh_oracle import parse_mesh_loops
 import hidra
 from hidra.cli import main
@@ -529,11 +529,37 @@ class TestCLI:
         assert len(report["vertices"]) == 6
         assert min(e["delaunay_margin"] for e in report["edges"]) >= -1e-10
 
+    @pytest.mark.parametrize("command", ["solve", "flow", "delaunay"])
+    def test_non_compact_start_keeps_the_input_state(self, tmp_path, command):
+        # Face 5 of this octahedron packing has Xi < 0 before any flip:
+        # the report holds the input, its curvature and no flips.
+        from hidra.complexes import octahedron_sphere
+
+        surface = octahedron_sphere()
+        packing = unchecked_packing(
+            surface, np.random.default_rng(0), inv_range=(1.05, 12.0)
+        )
+        mesh, out = tmp_path / "in.json", tmp_path / "report.json"
+        mesh.write_text(dumps_mesh(surface, packing))
+        target = [] if command == "delaunay" else ["--target-uniform", "5.0"]
+        code = self.run(command, str(mesh), *target, "--out", str(out))
+        assert code == 4
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "surgery_diverged"
+        assert report["error"] == "face 5 has Xi = -1.173e+01 <= 0"
+        assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
+        assert report["flip_log"] == [] and report["iteration_trace"] == []
+        assert [v["radius"] for v in report["vertices"]] == packing.radii.tolist()
+        assert all(v["K"] is not None for v in report["vertices"])
+        assert [e["inversive_distance"] for e in report["edges"]] == packing.inv.tolist()
+        assert report["faces"][5]["xi"] < 0.0
+
     def test_solve_singular_hessian_is_reported(self, tmp_path, monkeypatch):
         from hidra import solver
         from scipy.sparse import csr_array
 
-        def singular_hessian(surface, packing, symmetrize=True):
+        def singular_hessian(surface, packing, symmetrize=True, metrics=None):
             # torus1 has one vertex: its zeroed row and column
             return csr_array((surface.vertex_count, surface.vertex_count))
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import unchecked_packing
 from hidra.checks import random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
@@ -145,10 +146,11 @@ BUILDERS = {
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_scalar_reference(name, seed, compact):
     surface = BUILDERS[name]()
-    packing = random_packing(
-        surface, np.random.default_rng(seed), inv_range=(1.05, 12.0),
-        require_compact=compact, max_tries=5000,
-    )
+    rng = np.random.default_rng(seed)
+    if compact:
+        packing = random_packing(surface, rng, inv_range=(1.05, 12.0), max_tries=5000)
+    else:
+        packing = unchecked_packing(surface, rng, inv_range=(1.05, 12.0))
 
     ref, raised = outcome(scalar_curvatures, surface, packing)
     if raised is None:
@@ -174,9 +176,7 @@ def test_reference_failures_are_exercised():
         surface = builder()
         rng = np.random.default_rng(7)
         for _ in range(60):
-            packing = random_packing(
-                surface, rng, inv_range=(1.05, 12.0), require_compact=False
-            )
+            packing = unchecked_packing(surface, rng, inv_range=(1.05, 12.0))
             for func in (scalar_curvatures, scalar_margins):
                 _, raised = outcome(func, surface, packing)
                 if raised is not None:
@@ -214,9 +214,7 @@ def test_batched_kernel_matches_single_packings(name, seed, rows, fault):
     row's error."""
     surface = BUILDERS[name]()
     rng = np.random.default_rng(seed)
-    inv = random_packing(
-        surface, rng, inv_range=(1.05, 12.0), require_compact=False
-    ).inv
+    inv = unchecked_packing(surface, rng, inv_range=(1.05, 12.0)).inv
     radii = np.arctanh(rng.uniform(0.35, 0.9, size=(rows, surface.vertex_count)))
     if fault is not None:
         radii[rng.integers(rows), rng.integers(surface.vertex_count)] = fault

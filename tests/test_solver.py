@@ -10,15 +10,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array
 
 import hidra
-from conftest import hessian_fd, torus_grid
+from conftest import hessian_fd, torus_grid, unchecked_packing
 from hidra import solver
 from hidra.checks import random_packing
-from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
+from hidra.complexes import (
+    octahedron_sphere,
+    one_vertex_genus2,
+    one_vertex_torus,
+    tetrahedron_sphere,
+    two_triangle_sphere,
+)
 from hidra.errors import (
     DomainError,
+    FlipIllegal,
     NonCompactOrthocircle,
     SolverStalled,
     SurgeryDiverged,
@@ -43,7 +50,7 @@ from hidra.solver import (
     u_from_r,
     validate_target,
 )
-from hidra.surface import surfaces_isomorphic
+from hidra.surface import flip_combinatorial, surfaces_isomorphic
 
 TORUS_ANCHOR_K = 2.0 * math.pi - 6.0 * math.acos(2.0 / 3.0)
 
@@ -167,6 +174,67 @@ class TestHessian:
             pk = random_packing(octahedron, rng)
             signs.add(hessian_spectrum_sign(hessian(octahedron, pk)))
         assert signs == {1}
+
+
+def coo_hessian(surface, packing, symmetrize=True):
+    """The oracle of ``hessian``'s cached pattern: the same per-face
+    entries as COO triplets, summed and ordered by scipy's ``tocsc``."""
+    metrics = SurfaceMetrics(surface, packing)
+    corners = surface.corners
+    data = -metrics.angle_radius_jacobian() * metrics.sinh_r[corners][:, None, :]
+    rows = np.broadcast_to(corners[:, :, None], data.shape)
+    cols = np.broadcast_to(corners[:, None, :], data.shape)
+    if symmetrize:
+        data = 0.5 * np.concatenate([data, data])
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    n = surface.vertex_count
+    return coo_array(
+        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
+    ).tocsc()
+
+
+PATTERN_SURFACES = {
+    "torus1": one_vertex_torus,
+    "genus2": one_vertex_genus2,
+    "octahedron": octahedron_sphere,
+    "tetrahedron": tetrahedron_sphere,
+    "sphere2": two_triangle_sphere,
+    "grid4": lambda: torus_grid(4),
+    "grid6": lambda: torus_grid(6),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(PATTERN_SURFACES)),
+    seed=st.integers(0, 2**32 - 1),
+    flips=st.sampled_from([0, 1, 5, 20]),
+    symmetrize=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_cached_pattern_matches_coo_oracle(name, seed, flips, symmetrize):
+    """The Hessian summed into the surface's cached pattern against the
+    COO assembly, after a random chain of flips: the oracle's canonical
+    indptr and indices, and its values to 1e-14 of the matrix scale."""
+    rng = np.random.default_rng(seed)
+    surface = PATTERN_SURFACES[name]()
+    for _ in range(flips):
+        try:
+            surface = flip_combinatorial(surface, int(rng.integers(surface.edge_count)))
+        except FlipIllegal:
+            pass
+    packing = unchecked_packing(surface, rng, (0.5, 0.8), (1.05, 1.5))
+    try:
+        oracle = coo_hessian(surface, packing, symmetrize)
+    except DomainError as exc:
+        with pytest.raises(type(exc)):
+            hessian(surface, packing, symmetrize)
+        return
+    H = hessian(surface, packing, symmetrize)
+    assert oracle.has_canonical_format
+    assert np.array_equal(H.indptr, oracle.indptr)
+    assert np.array_equal(H.indices, oracle.indices)
+    scale = np.max(np.abs(oracle.data))
+    assert np.max(np.abs(H.data - oracle.data)) <= 1e-14 * scale
 
 
 def dense_spectrum_sign(H):
@@ -341,9 +409,51 @@ class TestNewtonSolve:
         assert np.array_equal(state.packing.radii, pk.radii)
 
 
-def singular_hessian(surface, packing, symmetrize=True):
+    def test_one_kernel_per_point(self, monkeypatch):
+        """An untracked, flip-free solve evaluates the array kernel once
+        per point: the start, then each line-search trial, which also
+        serves the accepted curvature, the margin scan and the next
+        Hessian."""
+        surface = torus_grid(4)
+        packing = random_packing(
+            surface, np.random.default_rng(5), (0.5, 0.8), (1.05, 1.5), max_tries=5000
+        )
+        built = []
+        init = SurfaceMetrics.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SurfaceMetrics, "__init__", counted)
+        state = newton_solve(
+            surface, packing, np.full(16, 0.5), tol=1e-13, track_potential=False
+        )
+        assert state.status == "converged" and state.iterations >= 4
+        assert state.flip_log == []
+        trials = sum(1 + round(-math.log2(row["step"])) for row in state.trace)
+        assert len(built) == 1 + trials
+        assert built[0] is packing
+
+    def test_non_compact_start_raises_with_the_input(self, octahedron):
+        packing = unchecked_packing(
+            octahedron, np.random.default_rng(0), inv_range=(1.05, 12.0)
+        )
+        K, area = curvatures(octahedron, packing)
+        for run in (newton_solve, ricci_flow):
+            with pytest.raises(SurgeryDiverged, match="face 5 has Xi") as info:
+                run(octahedron, packing, np.full(6, 5.0))
+            state = info.value.state
+            assert state.surface is octahedron and state.packing is packing
+            assert np.array_equal(state.u, u_from_r(packing.radii))
+            assert np.array_equal(state.curvature, K) and state.total_area == area
+            assert (state.status, state.iterations) == ("surgery_diverged", 0)
+            assert state.flip_log == [] and state.trace == []
+
+
+def singular_hessian(surface, packing, symmetrize=True, metrics=None):
     """The Hessian with the first vertex's row and column zeroed."""
-    H = hessian(surface, packing, symmetrize).toarray()
+    H = hessian(surface, packing, symmetrize, metrics).toarray()
     H[0, :] = H[:, 0] = 0.0
     return csr_array(H)
 
