@@ -232,9 +232,7 @@ def cmd_verify(args):
     env_seed = os.environ.get("HIDRA_SEED")
     seed = int(env_seed) if env_seed is not None else int(_settings(args)["seed"])
     report = run_verification_suite(seed=seed, samples=args.samples)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
+    _write_report(args, report)
     for section in report["sections"]:
         mark = "pass" if section["passed"] else "FAIL"
         print(f"[{mark}] {section['name']}")

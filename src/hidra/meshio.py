@@ -189,10 +189,6 @@ def mesh_document(surface, packing, target=None):
     return doc
 
 
-def dumps_mesh(surface, packing, target=None):
-    return json.dumps(mesh_document(surface, packing, target), indent=2) + "\n"
-
-
 def load_mesh(path):
     """Read a mesh file; returns (surface, packing, target, sha256 digest)."""
     with open(path, "rb") as fh:
@@ -202,8 +198,7 @@ def load_mesh(path):
 
 
 def _finite_or_none(x):
-    x = float(x)
-    return x if math.isfinite(x) else None
+    return None if x is None or not math.isfinite(x) else float(x)
 
 
 def build_report(
@@ -219,11 +214,10 @@ def build_report(
 
     Always schema-valid, even for failed runs: geometric sections are
     filled only as far as the state allows, and the status field is
-    always populated.  All geometry comes from the array kernel; the
-    Hessian spectrum sign is the one recorded on ``state``, taken at the
-    solver's exit state.
+    always populated.  All geometry comes from one evaluation of the
+    array kernel; the Hessian spectrum sign is the one recorded on
+    ``state``, taken at the solver's exit state.
     """
-    from .flips import surface_delaunay_margins
     from .solver import _gauss_bonnet_residual, curvatures, u_from_r
 
     report = {
@@ -256,17 +250,17 @@ def build_report(
     if surface is None or packing is None:
         return report
 
+    metrics = SurfaceMetrics(surface, packing)
     try:
-        K, area = curvatures(surface, packing)
+        K, area = curvatures(surface, packing, metrics=metrics)
         gb = _gauss_bonnet_residual(surface, K, area)
     except DomainError:
         K = area = gb = None
     try:
-        margins = surface_delaunay_margins(surface, packing)
+        margins = metrics.margins
     except (DomainError, NonCompactOrthocircle):
         margins = None
     u = u_from_r(packing.radii)
-    metrics = SurfaceMetrics(surface, packing)
     slots = surface.hinge_slots
     lengths = metrics.cosh_lengths[slots.face_k, slots.side_in_k]
 
@@ -275,8 +269,8 @@ def build_report(
         "vertex_count": surface.vertex_count,
         "edge_count": surface.edge_count,
         "face_count": surface.face_count,
-        "total_area": _finite_or_none(area) if area is not None else None,
-        "gauss_bonnet_residual": _finite_or_none(gb) if gb is not None else None,
+        "total_area": _finite_or_none(area),
+        "gauss_bonnet_residual": _finite_or_none(gb),
         "solver_status": status,
         "hessian_spectrum_sign": getattr(state, "hessian_sign", None),
         "potential": _finite_or_none(getattr(state, "potential", math.nan)),
@@ -334,6 +328,42 @@ def build_report(
     return report
 
 
+# Control-character separators, never raw inside a string; documents are trees: no cycle check.
+_ENCODER = json.JSONEncoder(separators=("\x1e", "\x1f"), check_circular=False)
+
+
+def _records(rows, pad):
+    """Non-empty flat records (values numbers, null, booleans or non-empty
+    lists of those) by one C pass and a fixed chain of replacements, else
+    None.  Counts prove the shape: two quotes per key, one "{" per row (all
+    but the first after "}\x1e"), one "[" and "]" per record value besides
+    the outer pair; so no other string, dict or list, and no key holds one."""
+    text = _ENCODER.encode(rows)
+    if (text.count('"') != 2 * text.count("\x1f") or "[]" in text or "{}" in text
+            or not text.count("{") == text.count("}\x1e{") + 1 == len(rows)
+            or not text.count("[") == text.count("]") == text.count("\x1f[") + 1):
+        return None
+    row, key, item = pad + "  ", pad + "    ", pad + "      "
+    body = text[2:-2].replace("}\x1e{", row + "}," + row + "{" + key)
+    body = body.replace('\x1e"', "," + key + '"').replace("\x1f", ": ")
+    body = body.replace("[", "[" + item).replace("]", key + "]").replace("\x1e", "," + item)
+    return "[" + row + "{" + key + body + row + "}" + pad + "]"
+
+
+def _indented(doc, pad):
+    """``doc`` as ``json.dumps`` writes it at indent 2, on a line ``pad`` starts."""
+    if not doc or not isinstance(doc, (dict, list, tuple)):
+        return _ENCODER.encode(doc)  # a scalar, [] or {}
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        # The keys as the encoder writes them, non-strings converted.
+        keys = _ENCODER.encode(dict.fromkeys(doc, 0))[1:-3].split("\x1f0\x1e")
+        items = [k + ": " + _indented(v, inner) for k, v in zip(keys, doc.values())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return _records(doc, pad) or "[" + inner + ("," + inner).join(
+        [_indented(v, inner) for v in doc]) + pad + "]"
+
+
 def dumps_report(report):
-    """A report, or any document in it such as its mesh, as JSON text."""
-    return json.dumps(report, indent=2) + "\n"
+    """A report or any document in it, as ``json.dumps`` writes it at indent 2, and a newline."""
+    return _indented(report, "\n") + "\n"

@@ -13,6 +13,7 @@ from hidra.complexes import (
     two_triangle_sphere,
 )
 from hidra.geometry import Packing, SurfaceMetrics
+from hidra.meshio import dumps_report, mesh_document
 from hidra.solver import curvatures, r_from_u, u_from_r
 from hidra.surface import build_surface
 
@@ -51,6 +52,11 @@ def torus_packing(torus):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def dumps_mesh(surface, packing, target=None):
+    """A mesh file's text, as ``hidra delaunay --mesh-out`` writes it."""
+    return dumps_report(mesh_document(surface, packing, target))
 
 
 def hessian_fd(surface, packing, h=1e-6):

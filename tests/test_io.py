@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import checkerboard_packing, torus_grid, unchecked_packing
+from conftest import checkerboard_packing, dumps_mesh, torus_grid, unchecked_packing
 from mesh_oracle import parse_mesh_loops
 import hidra
 from hidra.cli import main
@@ -26,7 +26,6 @@ from hidra.errors import HidraError, ParseError, ValidationError
 from hidra.geometry import Packing
 from hidra.meshio import (
     build_report,
-    dumps_mesh,
     dumps_report,
     parse_mesh,
 )
@@ -298,6 +297,119 @@ class TestReports:
         assert [f["angles"] for f in report["faces"]] == [None, None]
         assert [f["rho"] for f in report["faces"]] == [None, None]
 
+    def test_one_kernel_per_report(self, monkeypatch):
+        """Curvatures, margins and the per-face sections of a report all
+        come from one evaluation of the array kernel."""
+        from hidra.checks import random_packing
+        from hidra.geometry import SurfaceMetrics
+
+        surface = torus_grid(24)
+        packing = random_packing(surface, np.random.default_rng(0), (0.5, 0.8), (1.05, 1.5))
+        state = newton_solve(surface, packing, np.full(576, 0.5), track_potential=False)
+        built = []
+        init = SurfaceMetrics.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SurfaceMetrics, "__init__", counted)
+        report = build_report(status=state.status, digest="0" * 64, state=state)
+        assert len(built) == 1
+        assert None not in [e["delaunay_margin"] for e in report["edges"]]
+        assert None not in [v["K"] for v in report["vertices"]]
+
+
+def indent2(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Scalars as the writer meets them: ints past 2**63, every float class
+# (signed zero, exponent forms, subnormals, nan, infinities), strings with
+# JSON's structural characters, its escapes, control characters and
+# non-ASCII text.
+TEXT = st.text(st.sampled_from('ab[]{},:"\\\x00\x1e\x1f\n\té☃\U0001f600'), max_size=4)
+NUMBERS = (
+    st.integers(-(2**70), 2**70)
+    | st.sampled_from([2**63, -(2**63) - 1, 2**64])
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([-0.0, 1e-05, 1e16, 5e-324, math.nan, math.inf, -math.inf])
+)
+FLAT = NUMBERS | st.none() | st.booleans()
+
+
+def records(keys, values):
+    """Lists of records whose keys and value types differ from row to row."""
+    return st.lists(st.dictionaries(keys, values, max_size=4), min_size=1, max_size=4)
+
+
+# Flat records with plain keys take the one-pass path; the others mix in
+# strings, as keys or values, which mostly leave it.
+RECORDS = records(
+    st.sampled_from(["id", "ends", "K"]), FLAT | st.lists(FLAT, max_size=3)
+) | records(
+    st.sampled_from(["id", "ends"]) | TEXT, FLAT | st.lists(FLAT | TEXT, max_size=3) | TEXT
+)
+DOCS = st.recursive(
+    FLAT | TEXT | RECORDS,
+    # Keys that are numbers, null or booleans are written as strings.
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT | FLAT, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestWriter:
+    """``dumps_report`` writes what ``json.dumps(doc, indent=2)`` writes."""
+
+    @given(DOCS)
+    @settings(max_examples=300)
+    def test_matches_json_dumps(self, doc):
+        assert dumps_report(doc) == indent2(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [{"id": 0, "radius": 0.5}],
+        [{"id": 0, "angles": []}, {"id": 1, "angles": [1.0, 2.0, 3.0]}],
+        # Each defeats one shape test of the one-pass path: a string in a
+        # record's list, a key holding "]", "{" or a quote, a nested list,
+        # a dict in a list beside the rows, a nested dict, an empty record.
+        [{"a": ["x", "y"]}],
+        [{"a]": 1}],
+        [{"a{": 1}, {"b": 2}],
+        [{'a"': 1}],
+        [{"a": [[1], 2]}],
+        [{"a": [0, {"b": 1}]}, 5, {"c": 1}],
+        [{"a": {"b": 1}}],
+        [{}, {"a": 1}],
+        # Keys the one-pass path writes as they are.
+        [{"a}": 1, "b,:": [1, 2], "\n\u00e9": None}, {"a}": 2}],
+        {"flip_log": [{
+            "edge": 7,
+            "labels": {"a": 1.5, "b": 1.25, "c": 2.0, "d": 1.75, "e": 3.0},
+            "new_inversive_distance": 5.5,
+            "iteration": 0,
+            "margin_before": -0.25,
+        }]},
+    ])
+    def test_explicit_cases(self, doc):
+        assert dumps_report(doc) == indent2(doc)
+
+    def test_report_records_take_one_pass(self):
+        """Every record list a delaunay report and its mesh hold goes
+        through the one-pass path; the rest of the document does not."""
+        from hidra.meshio import _records
+
+        surface = torus_grid(4)
+        packing = checkerboard_packing(surface, 4, np.random.default_rng(0))
+        surface2, packing2, _ = hidra.make_weighted_delaunay(surface, packing)
+        state = newton_solve(surface2, packing2, np.full(16, 0.5), track_potential=False)
+        report = build_report(status=state.status, digest="0" * 64, state=state)
+        report["mesh"] = hidra.mesh_document(surface2, packing2, np.full(16, 0.5))
+        for rows in (report["vertices"], report["edges"], report["faces"],
+                     report["iteration_trace"], *report["mesh"].values()):
+            if isinstance(rows, list):
+                assert _records(rows, "\n  ") is not None
+        assert _records([{"edge": 0, "labels": {"a": 1.5}}], "\n  ") is None
+
 
 NON_NUMBERS = ["abc", None, True, [1.5], {"value": 1.5}]
 MALFORMED = (
@@ -528,6 +640,32 @@ class TestCLI:
         assert report["flip_log"] == [] and report["iteration_trace"] == []
         assert len(report["vertices"]) == 6
         assert min(e["delaunay_margin"] for e in report["edges"]) >= -1e-10
+
+    @pytest.mark.parametrize("name", ["torus1", "genus2", "octahedron"])
+    def test_every_output_is_indented_json(self, tmp_path, name):
+        """Each report, the flipped mesh and a failure report read as
+        ``json.dumps(doc, indent=2)`` writes them."""
+        mesh = fixture_path(f"{name}.json")
+        target = ["--target-uniform", "1.0"] if name == "torus1" else []
+        outputs = []
+        for command in ("validate", "curvature", "delaunay", "solve", "flow"):
+            out = tmp_path / f"{command}.json"
+            argv = [command, mesh, "--out", str(out)]
+            if command == "delaunay":
+                argv += ["--mesh-out", str(tmp_path / "mesh.json")]
+                outputs.append(tmp_path / "mesh.json")
+            elif command in ("solve", "flow"):
+                argv += target
+            assert self.run(*argv) == 0
+            outputs.append(out)
+        bad = tmp_path / "bad.json"
+        bad.write_text(open(mesh).read().replace('"radius": ', '"radius": -', 1))
+        assert self.run("validate", str(bad), "--out", str(tmp_path / "failed.json")) == 2
+        outputs.append(tmp_path / "failed.json")
+        for path in outputs:
+            text = path.read_text()
+            assert text == indent2(json.loads(text)), path.name
+        assert json.loads(outputs[-1].read_text())["status"] == "invalid_input"
 
     @pytest.mark.parametrize("command", ["solve", "flow", "delaunay"])
     def test_non_compact_start_keeps_the_input_state(self, tmp_path, command):
