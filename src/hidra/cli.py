@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .flips import make_weighted_delaunay
-from .geometry import TOL_DELAUNAY
+from .geometry import TOL_DELAUNAY, SurfaceMetrics, validate_packing
 from .meshio import build_report, dumps_report, mesh_document, parse_mesh
 from .solver import (
     DEFAULT_FLOW_DT,
@@ -120,17 +120,12 @@ def _failure_report(args, status, digest, exc, state=None):
 
 
 def cmd_validate(args, surface, packing, target, digest):
-    from .geometry import validate_packing
-
-    validate_packing(surface, packing)
+    metrics = validate_packing(surface, packing)
     if target is not None:
         validate_target(surface, target)
     report = build_report(
-        status="converged",
-        digest=digest,
-        surface=surface,
-        packing=packing,
-        target=target,
+        status="converged", digest=digest, surface=surface, packing=packing,
+        target=target, metrics=metrics,
     )
     _write_report(args, report)
     print(
@@ -141,13 +136,11 @@ def cmd_validate(args, surface, packing, target, digest):
 
 
 def cmd_curvature(args, surface, packing, target, digest):
-    K, area = curvatures(surface, packing)
+    metrics = SurfaceMetrics(surface, packing)
+    K, area = curvatures(surface, packing, metrics=metrics)
     report = build_report(
-        status="converged",
-        digest=digest,
-        surface=surface,
-        packing=packing,
-        target=target,
+        status="converged", digest=digest, surface=surface, packing=packing,
+        target=target, metrics=metrics,
     )
     _write_report(args, report)
     print(
@@ -170,12 +163,13 @@ def cmd_delaunay(args, surface, packing, target, digest):
         state = SolveState(surface, packing, u_from_r(packing.radii), None, None, None,
                            "surgery_diverged", 0)
         raise SurgeryDiverged(str(exc), state=state) from exc
-    K, area = curvatures(surface2, packing2)
+    metrics = SurfaceMetrics(surface2, packing2)
+    K, area = curvatures(surface2, packing2, metrics=metrics)
     state = SolveState(
         surface2, packing2, u_from_r(packing2.radii), None, K, area,
         "converged", 0, list(events), [],
     )
-    report = build_report(status="converged", digest=digest, state=state)
+    report = build_report(status="converged", digest=digest, state=state, metrics=metrics)
     report["mesh"] = mesh_document(surface2, packing2, target)
     _write_report(args, report)
     if args.mesh_out:

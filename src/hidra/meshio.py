@@ -209,13 +209,15 @@ def build_report(
     target=None,
     state=None,
     error=None,
+    metrics=None,
 ):
     """Assemble the full diagnostics document.
 
     Always schema-valid, even for failed runs: geometric sections are
     filled only as far as the state allows, and the status field is
     always populated.  All geometry comes from one evaluation of the
-    array kernel; the Hessian spectrum sign is the one recorded on
+    array kernel (``metrics``, the caller's kernel of the same surface and
+    packing, if given); the Hessian spectrum sign is the one recorded on
     ``state``, taken at the solver's exit state.
     """
     from .solver import _gauss_bonnet_residual, curvatures, u_from_r
@@ -250,7 +252,7 @@ def build_report(
     if surface is None or packing is None:
         return report
 
-    metrics = SurfaceMetrics(surface, packing)
+    metrics = metrics or SurfaceMetrics(surface, packing)
     try:
         K, area = curvatures(surface, packing, metrics=metrics)
         gb = _gauss_bonnet_residual(surface, K, area)

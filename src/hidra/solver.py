@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
 
 from .errors import (
     DegenerateTriangle,
@@ -48,9 +46,21 @@ SCAN_GRID = 64
 SCAN_DEPTH = 4
 SCAN_ROUNDING = 1e-12
 WALL_BISECTIONS = 40
-# The Gauss-Legendre rule, and the tolerances and subinterval cap of its
-# halving.
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# QUADPACK's qk15 rule (Piessens et al. 1983), symmetric about 0: on
+# [-1, 0], the 15-point Kronrod nodes and weights and the weights of its
+# embedded 7-point Gauss rule (zero at the Kronrod-only nodes); and the
+# tolerances and subinterval cap of the bisection.
+_QK15 = np.array([
+    [-0.991455371120812639, -0.949107912342758525, -0.864864423359769073,
+     -0.741531185599394440, -0.586087235467691130, -0.405845151377397167,
+     -0.207784955007898468, 0.0],
+    [0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+     0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+     0.204432940075298892, 0.209482141084727828],
+    [0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
+     0.0, 0.381830050505118945, 0.0, 0.417959183673469388],
+])
+KRONROD_NODES, KRONROD_WEIGHTS, GAUSS7_WEIGHTS = np.c_[_QK15, [[-1], [1], [1]] * _QK15[:, -2::-1]]
 QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-10, 1e-11, 100
 
 STATUS_CONVERGED = "converged"
@@ -110,6 +120,8 @@ def hessian(surface, packing, symmetrize=True, metrics=None):
     vertex pairs.  The analytic matrix is symmetric up to roundoff; with
     ``symmetrize`` it is averaged with its transpose.
     """
+    from scipy.sparse import csc_array  # imported on use: the CLI loads without scipy
+
     metrics = metrics or SurfaceMetrics(surface, packing)
     indptr, indices, slot = surface.hessian_pattern
     # dK_m/du_n = -(d angle_m / d r_n) dr_n/du_n, and dr/du = sinh r.
@@ -126,6 +138,9 @@ def _factor(H):
     diagonal pivots, so when no row is swapped it is P H P^T = L D L^T
     with D the diagonal of U.  None when SuperLU finds H exactly
     singular."""
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
     try:
         return splu(
             csc_array(H), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -183,49 +198,35 @@ def validate_target(surface, target):
     return target
 
 
-def _gauss_sums(f, lo, hi):
-    """Gauss-Legendre estimates of the integrals of f over the intervals
-    [lo_i, hi_i], from one call of f at all their nodes in ascending
-    order."""
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GAUSS_NODES
-    order = np.argsort(nodes, axis=None, kind="stable")
-    values = np.empty(nodes.size)
-    values[order] = f(nodes.ravel()[order])
-    return half * (values.reshape(nodes.shape) @ GAUSS_WEIGHTS)
-
-
 def _integrate(f, a, b):
-    """Integral of f over [a, b] by Gauss-Legendre with halving.
+    """Integral of f over [a, b] by Gauss-Kronrod G7/K15 with bisection.
 
     ``f`` maps an ascending array of points to the array of its values.
-    Each piece's rule is checked against the sum of the rule over its
-    two halves.  Pieces whose discrepancy exceeds their length's share of
-    max(QUAD_EPSABS, QUAD_EPSREL * |integral|) are halved again, one
-    call of f per level, while at most QUAD_LIMIT subintervals are used.
+    Each piece's K15 value is checked against its embedded G7 value.
+    Pieces whose discrepancy exceeds their length's share of
+    max(QUAD_EPSABS, QUAD_EPSREL * |integral|) are bisected, one call of f
+    per level at the nodes of all pieces (disjoint and sorted, so
+    ascending), while at most QUAD_LIMIT subintervals are used.
     """
-    lo, hi, whole = np.array([a]), np.array([b]), None
+    lo, hi = np.array([a]), np.array([b])
     total = error = 0.0  # over the accepted pieces
-    pieces = 2
+    pieces = 1
     while True:
-        mid = 0.5 * (lo + hi)
-        h_lo, h_hi = np.c_[lo, mid].ravel(), np.c_[mid, hi].ravel()
-        if whole is None:
-            whole, sums = np.split(_gauss_sums(f, np.r_[a, h_lo], np.r_[b, h_hi]), [1])
-        else:
-            sums = _gauss_sums(f, h_lo, h_hi)
-        halves = sums[0::2] + sums[1::2]
-        err = np.abs(halves - whole)
-        estimate = total + float(halves.sum())
+        half = 0.5 * (hi - lo)
+        nodes = (lo + half)[:, None] + half[:, None] * KRONROD_NODES
+        values = f(nodes.ravel()).reshape(nodes.shape)
+        kronrod = half * (values @ KRONROD_WEIGHTS)
+        err = np.abs(half * (values @ (KRONROD_WEIGHTS - GAUSS7_WEIGHTS)))
+        estimate = total + float(kronrod.sum())
         tol = max(QUAD_EPSABS, QUAD_EPSREL * abs(estimate))
         split = err > tol * (hi - lo) / (b - a)
-        pieces += 2 * int(split.sum())
+        pieces += int(split.sum())
         if error + err.sum() <= tol or not split.any() or pieces > QUAD_LIMIT:
             return estimate
-        total += float(halves[~split].sum())
+        total += float(kronrod[~split].sum())
         error += float(err[~split].sum())
-        lo, hi = h_lo.reshape(-1, 2)[split].ravel(), h_hi.reshape(-1, 2)[split].ravel()
-        whole = sums.reshape(-1, 2)[split].ravel()
+        mid = 0.5 * (lo + hi)[split]
+        lo, hi = np.c_[lo[split], mid].ravel(), np.c_[mid, hi[split]].ravel()
 
 
 # The monomials of the Xi form: the squares, then the products of the
@@ -320,6 +321,7 @@ def segment_potential(
     tol_delaunay=TOL_DELAUNAY,
     flip_budget=None,
     iteration=0,
+    forms=None,
 ):
     """Integral of (K - Kbar) . du over the straight u-segment.
 
@@ -339,11 +341,12 @@ def segment_potential(
     dyadic halves down to SCAN_DEPTH levels (outside: a wall the grid
     alone would miss).  The wall is then located by WALL_BISECTIONS
     kernel bisection steps on the worst edge margin, the smooth piece up
-    to it is integrated by Gauss-Legendre with halving, and flip surgery
+    to it is integrated by Gauss-Kronrod with bisection, and flip surgery
     moves the scan into the next cell.  The integrand is continuous
     across walls, so the piecewise sum is the path integral.  The first
     point the kernel finds undefined, and any quadrature node, raises the
-    single-packing kernel's exception.
+    single-packing kernel's exception.  ``forms`` are the caller's
+    ``_cosh_forms`` of the start triangulation, built here when None.
 
     Returns (value, end_surface, end_packing, wall_flip_events); the end
     packing carries the radii of u_end.  The flip budget bounds the
@@ -441,7 +444,7 @@ def segment_potential(
                 return bracket
         return None
 
-    forms = _cosh_forms(surf, inv)
+    forms = _cosh_forms(surf, inv) if forms is None else forms
     clear = certified([0.0], [1.0])[0]
     if not clear and not certified([0.0], [0.0])[0]:
         flip_to_delaunay(0.0)
@@ -481,13 +484,8 @@ def ricci_potential(
     u_end = u_from_r(packing.radii)
     start_packing = Packing(packing.inv, r_from_u(np.asarray(u_reference, float)))
     value, _, _, _ = segment_potential(
-        surface,
-        start_packing,
-        target,
-        u_reference,
-        u_end,
-        tol_delaunay=tol_delaunay,
-        flip_budget=flip_budget,
+        surface, start_packing, target, u_reference, u_end,
+        tol_delaunay=tol_delaunay, flip_budget=flip_budget,
     )
     return value
 
@@ -531,14 +529,15 @@ class _Run:
     iteration 0), a step to a trial point, its accept, and the SolveState
     of every exit.  ``steps`` counts accepted steps; the next step's
     flips are logged under steps + 1; ``metrics`` is the array kernel at
-    the run's point."""
+    the run's point; ``forms``, the cosh forms of its triangulation, are
+    built at the first tracked step on it."""
 
     def __init__(self, surface, packing, target, tol_delaunay, flip_budget):
         self.target = validate_target(surface, target)
         metrics = validate_packing(surface, packing)
         self.tol_delaunay, self.flip_budget = tol_delaunay, flip_budget
         self.surface, self.packing, self.u = surface, packing, u_from_r(packing.radii)
-        self.flip_log, self.trace, self.potential, self.steps = [], [], 0.0, 0
+        self.flip_log, self.trace, self.potential, self.steps, self.forms = [], [], 0.0, 0, None
         self.evaluate(metrics)
         try:  # flips keep the radii, so u stays
             self.surface, self.packing, self.flip_log = _flip_loop(
@@ -570,10 +569,12 @@ class _Run:
         stopped, reporting ``iterations``."""
         try:
             if track_potential:
+                if self.forms is None:
+                    self.forms = _cosh_forms(self.surface, self.packing.inv)
                 return segment_potential(
                     self.surface, self.packing, self.target, self.u, u_try,
                     tol_delaunay=self.tol_delaunay, flip_budget=self.flip_budget,
-                    iteration=self.steps + 1,
+                    iteration=self.steps + 1, forms=self.forms,
                 )
             return 0.0, *_flip_loop(
                 self.surface, trial.packing, trial.margins.copy(),
@@ -594,6 +595,7 @@ class _Run:
         self.potential += d_pot
         self.steps += 1
         self.flip_log += flips
+        self.forms = None if flips else self.forms
         self.evaluate(None if flips else trial)
         row.update(max_error=self.error, potential=self.potential, flips=len(flips))
         self.trace.append(row)

@@ -537,6 +537,48 @@ class TestCLI:
         margin = min(surface_delaunay_margins(surface2, packing2))
         assert capsys.readouterr().out == f"flips: 8  min margin: {margin:.3e}\n"
 
+    @pytest.mark.parametrize("command, kernels", [
+        ("validate", 1), ("curvature", 1), ("delaunay", 2),
+    ])
+    def test_one_kernel_per_cli_report(self, tmp_path, monkeypatch, command, kernels):
+        """validate and curvature evaluate the array kernel of the whole
+        surface once, for their checks and the report; delaunay twice,
+        for its entry margin scan and the flipped state.  The report is
+        the one build_report makes with its own kernel, byte for byte."""
+        from hidra.flips import make_weighted_delaunay
+        from hidra.geometry import SurfaceMetrics
+        from hidra.meshio import mesh_document
+        from hidra.solver import SolveState, curvatures, u_from_r
+
+        surface = torus_grid(4)
+        packing = checkerboard_packing(surface, 4, np.random.default_rng(0))
+        mesh, out = tmp_path / "in.json", tmp_path / "r.json"
+        mesh.write_text(dumps_mesh(surface, packing))
+        digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
+        if command == "delaunay":
+            surface2, packing2, events = make_weighted_delaunay(surface, packing)
+            assert events
+            state = SolveState(
+                surface2, packing2, u_from_r(packing2.radii), None,
+                *curvatures(surface2, packing2), "converged", 0, events, [],
+            )
+            expected = build_report(status="converged", digest=digest, state=state)
+            expected["mesh"] = mesh_document(surface2, packing2)
+        else:
+            expected = build_report(
+                status="converged", digest=digest, surface=surface, packing=packing
+            )
+        whole, init = [], SurfaceMetrics.__init__
+
+        def counted(self, surface, packing, faces=slice(None), edges=slice(None)):
+            whole.append(isinstance(faces, slice))
+            init(self, surface, packing, faces, edges)
+
+        monkeypatch.setattr(SurfaceMetrics, "__init__", counted)
+        assert self.run(command, str(mesh), "--out", str(out)) == 0
+        assert sum(whole) == kernels
+        assert out.read_text() == dumps_report(expected)
+
     def test_delaunay_budget_overrun_keeps_flip_log_and_digest(self, tmp_path):
         from hidra.checks import random_packing
         from hidra.complexes import one_vertex_genus2

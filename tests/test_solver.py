@@ -724,7 +724,7 @@ class TestPlantedWall:
         assert value == pytest.approx(ref, abs=1e-9)
 
 
-def test_gauss_legendre_halving():
+def test_gauss_kronrod_bisection():
     calls = []
 
     def f(x):
@@ -733,11 +733,127 @@ def test_gauss_legendre_halving():
         return 1.0 / (x + 1e-3)
 
     assert _integrate(f, 0.0, 1.0) == pytest.approx(math.log(1001.0), abs=1e-10)
-    assert calls[0] == 30 and len(calls) > 1  # the rule, its halves, then more
+    assert calls[0] == 15 and len(calls) > 1  # the rule on the whole, then bisections
+    assert all(n % 15 == 0 for n in calls)
+
+
+@given(st.integers(0, 13), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_gauss_kronrod_exact_to_degree_13(degree, seed):
+    """G7 is exact to degree 13 and K15 beyond, so their gap is roundoff
+    and the first 15-row call is accepted."""
+    rng = np.random.default_rng(seed)
+    poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+    a, b = np.sort(rng.uniform(0.0, 1.0, 2))
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return poly(x)
+
+    exact = poly.integ()(b) - poly.integ()(a)
+    assert _integrate(f, a, b) == pytest.approx(exact, abs=1e-14)
+    assert calls == [15]
+
+
+@given(st.sampled_from([1 / 3, 2 / 5, 4 / 7, 8 / 9, 6 / 11, 12 / 13]), st.floats(0.5, 4.0))
+@settings(max_examples=30)
+def test_gauss_kronrod_on_a_kink(kink, slope):
+    """A kink inside [0, 1] defeats the rule on the whole piece: the
+    bisection closes in on it, each level in one ascending batch, and the
+    value matches scipy's adaptive quad told where the kink is.  The
+    stop rests on the estimate |K15 - G7|, so the bound is ten times
+    QUAD_EPSABS.  The kink is p/q with q odd, so at least 1/q of a
+    piece's width from its ends at every level: a kink closer to an end
+    than the outermost node hides from both rules, as from any
+    fixed-node rule, which is why a potential segment's pieces end at
+    its walls."""
+    from scipy.integrate import quad
+
+    calls = []
+
+    def f(x):
+        assert np.all(np.diff(x) > 0.0)
+        calls.append(len(x))
+        return np.exp(x) + slope * np.abs(x - kink)
+
+    ref, _ = quad(lambda x: math.exp(x) + slope * abs(x - kink), 0.0, 1.0,
+                  points=[kink], epsabs=1e-13, epsrel=1e-13)
+    assert _integrate(f, 0.0, 1.0) == pytest.approx(ref, abs=10 * solver.QUAD_EPSABS)
+    assert calls[0] == 15 and len(calls) > 2
+    assert all(n % 15 == 0 for n in calls) and sum(calls) <= 15 * solver.QUAD_LIMIT
+
+
+class TestHeldForms:
+    """A run builds the cosh forms of its triangulation at its first
+    tracked step and again only after a step that flipped; a segment
+    builds them at its own wall surgery."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built, forms = [], solver._cosh_forms
+
+        def counted(surface, inv):
+            built.append(surface)
+            return forms(surface, inv)
+
+        monkeypatch.setattr(solver, "_cosh_forms", counted)
+        return built
+
+    @pytest.fixture
+    def grid(self):
+        surface = torus_grid(4)
+        packing = random_packing(
+            surface, np.random.default_rng(5), (0.5, 0.8), (1.05, 1.5), max_tries=5000
+        )
+        return surface, packing, np.full(16, 0.5)
+
+    def test_flip_free_solve_and_flow_build_once(self, grid, built):
+        state = newton_solve(*grid)
+        assert state.flip_log == [] and state.iterations >= 3
+        assert built == [grid[0]]
+        built.clear()
+        state = ricci_flow(*grid)
+        assert state.flip_log == [] and state.iterations >= 3
+        assert built == [grid[0]]
+
+    def test_untracked_solve_builds_none(self, grid, built):
+        state = newton_solve(*grid, track_potential=False)
+        assert state.status == "converged" and built == []
+
+    def test_wall_crossing_solve(self, built, monkeypatch):
+        """The octahedron of seed 6 flips once at the start and crosses
+        two walls in its first step: each triangulation is built once, and
+        the step's end triangulation once more by the run for its next
+        step."""
+        surgeries, flip = [], solver.make_weighted_delaunay
+
+        def counted(surface, packing, **kwargs):
+            out = flip(surface, packing, **kwargs)
+            surgeries.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "make_weighted_delaunay", counted)
+        octahedron = octahedron_sphere()
+        packing = random_packing(
+            octahedron, np.random.default_rng(6), inv_range=(1.05, 12.0), max_tries=5000
+        )
+        state = newton_solve(octahedron, packing, np.full(6, 5.0))
+        assert state.status == "converged"
+        assert len(surgeries) >= 2 and state.iterations >= 2
+        visited = {id(s) for s in built}
+        assert visited == {id(built[0])} | {id(s) for s in surgeries}
+        again = sum(row["flips"] > 0 for row in state.trace[:-1])
+        assert again >= 1 and len(built) == len(visited) + again
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    code = "import sys, hidra.cli; print('scipy.integrate' in sys.modules)"
+    """Neither scipy's quadrature nor its sparse package loads with the
+    CLI: only the Hessian and its factorization import them."""
+    code = (
+        "import sys, hidra.cli; "
+        "print(any(m in sys.modules for m in ('scipy.integrate', 'scipy.sparse')))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(hidra.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
