@@ -37,13 +37,14 @@ DEFAULT_FLOW_T_MAX = 200.0
 MIN_LINE_SEARCH_STEP = 1e-12
 MIN_FLOW_DT = 1e-12
 
-# The certified wall scan of a potential segment: the grid of its
-# fallback (the old march's checkpoints), the dyadic levels below a grid
-# interval at which the kernel still looks for a wall, the rounding
-# allowance of the bounds relative to the size of their terms, and the
-# kernel bisection steps that locate a wall.
+# The wall scan of a potential segment: the grid its bounds certify (the
+# old march's checkpoints), the points of an uncertified grid interval
+# (its nested dyadic midpoints and right end) that one kernel batch
+# probes for the interval's first wall, the rounding allowance of the
+# bounds relative to the size of their terms, and the halvings of a grid
+# interval that locate a wall.
 SCAN_GRID = 64
-SCAN_DEPTH = 4
+SCAN_POINTS = 16
 SCAN_ROUNDING = 1e-12
 WALL_BISECTIONS = 40
 # QUADPACK's qk15 rule (Piessens et al. 1983), symmetric about 0: on
@@ -335,23 +336,23 @@ def segment_potential(
     much above 0 and each length finite is certified to lie in the cell
     without a kernel call.  The scan certifies s = 0 (else the entry
     flips run), then the rest of the segment, else each interval of the
-    old march's 1/SCAN_GRID grid.  The kernel decides only where a bound
-    does not certify: at the right end of such a grid interval (outside:
-    the wall is bracketed by that interval), and at the midpoints of its
-    dyadic halves down to SCAN_DEPTH levels (outside: a wall the grid
-    alone would miss).  The wall is then located by WALL_BISECTIONS
-    kernel bisection steps on the worst edge margin, the smooth piece up
-    to it is integrated by Gauss-Kronrod with bisection, and flip surgery
-    moves the scan into the next cell.  The integrand is continuous
-    across walls, so the piecewise sum is the path integral.  The first
-    point the kernel finds undefined, and any quadrature node, raises the
-    single-packing kernel's exception.  ``forms`` are the caller's
-    ``_cosh_forms`` of the start triangulation, built here when None.
+    old march's 1/SCAN_GRID grid.  The kernel decides only in the
+    uncertified grid intervals, in s order: one batch at an interval's
+    SCAN_POINTS nested dyadic midpoints (the last its right end) finds
+    the first point outside the cell, and one-point bisection locates
+    the wall to WALL_BISECTIONS halvings of the interval.  The smooth
+    piece up to it is integrated by Gauss-Kronrod with bisection, and
+    flip surgery moves the scan into the next cell.  The integrand is
+    continuous across walls, so the piecewise sum is the path integral.
+    A probe whose first exit is undefined (domain, or some Xi <= 0), and
+    any such quadrature node, raises the single-packing kernel's
+    exception there.  ``forms`` are the caller's ``_cosh_forms`` of the
+    start triangulation, built here when None.
 
-    Returns (value, end_surface, end_packing, wall_flip_events); the end
-    packing carries the radii of u_end.  The flip budget bounds the
-    segment's flips together; an overrun raises SurgeryDiverged carrying
-    every flip of the segment so far.
+    Returns (value, end_surface, end_packing, wall_flip_events,
+    end_forms); the end packing carries the radii of u_end.  The flip
+    budget bounds the segment's flips together; an overrun raises
+    SurgeryDiverged carrying every flip of the segment so far.
     """
     u_start = np.asarray(u_start, dtype=float)
     u_end = np.asarray(u_end, dtype=float)
@@ -363,14 +364,11 @@ def segment_potential(
     events = []
 
     if not du.any():
-        return 0.0, surf, Packing(inv, r_from_u(u_end)), events
+        return 0.0, surf, Packing(inv, r_from_u(u_end)), events, forms
 
     def packing_at(s):
         """Packing at s, or a batch of them for an array of s."""
         return Packing(inv, r_from_u(u_start + np.multiply.outer(s, du)))
-
-    def min_margin(s):
-        return surface_delaunay_margins(surf, packing_at(s)).min()
 
     def integrand(s):
         K, _ = curvatures(surf, packing_at(s))
@@ -414,35 +412,33 @@ def segment_potential(
             & np.isfinite(cosh_length).all(axis=-1)
         )
 
-    def outside(s):
-        return not min_margin(s) >= -tol_delaunay
+    def first_outside(s):
+        """Index of the first ascending point ``s`` outside the cell or
+        undefined (then raised by the single-packing kernel), or None."""
+        metrics = SurfaceMetrics(surf, packing_at(s))
+        defined = (metrics.domain_ok & (metrics.xi > 0.0)).all(axis=-1)
+        inside = defined & (metrics.unchecked_margins >= -tol_delaunay).all(axis=-1)
+        if inside.all():
+            return None
+        k = int(inside.argmin())
+        if not defined[k]:
+            surface_delaunay_margins(surf, packing_at(s[k]))
+        return k
 
-    def split(lo, hi, depth):
-        """Bracket of the first wall in [lo, hi], whose ends are inside
-        the cell, found at the midpoints of its dyadic halves; or None."""
-        mid = 0.5 * (lo + hi)
-        left, right = certified([lo, mid], [mid, hi])
-        if not left:
-            if outside(mid):
-                return lo, mid
-            if depth > 1 and (bracket := split(lo, mid, depth - 1)):
-                return bracket
-        if not right and depth > 1:
-            return split(mid, hi, depth - 1)
-        return None
-
-    def grid_wall(start):
-        """Bracket (inside, outside) of the first wall past ``start`` on
-        the grid ahead, refined where no bound certifies; or None."""
-        s = [start]  # as the old sequential march stepped
-        while s[-1] < 1.0:
-            s.append(min(1.0, s[-1] + 1.0 / SCAN_GRID))
-        for k in np.flatnonzero(~certified(s[:-1], s[1:])):
-            if outside(s[k + 1]):
-                return s[k], s[k + 1]
-            if bracket := split(s[k], s[k + 1], SCAN_DEPTH):
-                return bracket
-        return None
+    def wall(lo, hi):
+        """Bracket (inside, outside) of the first wall in the grid
+        interval (lo, hi], or None; midpoints nest as in bisection."""
+        s = np.array([lo, hi])
+        while len(s) <= SCAN_POINTS:
+            s = np.insert(s, range(1, len(s)), 0.5 * (s[:-1] + s[1:]))
+        k = first_outside(s[1:])
+        if k is None:
+            return None
+        lo, hi = s[k], s[k + 1]
+        for _ in range(WALL_BISECTIONS - int(math.log2(SCAN_POINTS))):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if first_outside([mid]) is None else (lo, mid)
+        return lo, hi
 
     forms = _cosh_forms(surf, inv) if forms is None else forms
     clear = certified([0.0], [1.0])[0]
@@ -450,21 +446,21 @@ def segment_potential(
         flip_to_delaunay(0.0)
         clear = certified([0.0], [1.0])[0]
     total = piece_start = s_pos = 0.0
-    while not clear and (bracket := grid_wall(s_pos)) is not None:
-        # Shrink the bracket, keeping the outside end strictly outside.
+    while not clear:
+        grid = [s_pos]  # as the old sequential march stepped
+        while grid[-1] < 1.0:
+            grid.append(min(1.0, grid[-1] + 1.0 / SCAN_GRID))
+        walls = (wall(grid[k], grid[k + 1])
+                 for k in np.flatnonzero(~certified(grid[:-1], grid[1:])))
+        if (bracket := next(filter(None, walls), None)) is None:
+            break
         lo, hi = bracket
-        for _ in range(WALL_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if min_margin(mid) >= -tol_delaunay:
-                lo = mid
-            else:
-                hi = mid
         total += piece(piece_start, lo)
         flip_to_delaunay(hi)
         piece_start, s_pos = lo, hi
         clear = certified([hi], [1.0])[0]
     total += piece(piece_start, 1.0)
-    return total, surf, Packing(inv, r_from_u(u_end)), events
+    return total, surf, Packing(inv, r_from_u(u_end)), events, forms
 
 
 def ricci_potential(
@@ -483,7 +479,7 @@ def ricci_potential(
     """
     u_end = u_from_r(packing.radii)
     start_packing = Packing(packing.inv, r_from_u(np.asarray(u_reference, float)))
-    value, _, _, _ = segment_potential(
+    value, *_ = segment_potential(
         surface, start_packing, target, u_reference, u_end,
         tol_delaunay=tol_delaunay, flip_budget=flip_budget,
     )
@@ -530,7 +526,8 @@ class _Run:
     of every exit.  ``steps`` counts accepted steps; the next step's
     flips are logged under steps + 1; ``metrics`` is the array kernel at
     the run's point; ``forms``, the cosh forms of its triangulation, are
-    built at the first tracked step on it."""
+    built at its first tracked step and then taken from each step's
+    segment."""
 
     def __init__(self, surface, packing, target, tol_delaunay, flip_budget):
         self.target = validate_target(surface, target)
@@ -561,10 +558,11 @@ class _Run:
         return float(np.max(np.abs(self.curvature - self.target)))
 
     def step(self, u_try, track_potential, iterations, trial=None):
-        """(d_pot, surface, packing, flips) at u_try, weighted Delaunay:
-        tracked, where the potential segment ends (its certified scan ends
-        inside the cell); untracked, after flip surgery there from the
-        margins of ``trial`` (the kernel at u_try), d_pot 0.  A flip-budget
+        """(d_pot, surface, packing, flips, forms) at u_try, weighted
+        Delaunay: tracked, where the potential segment ends (its certified
+        scan ends inside the cell), with the segment's end forms;
+        untracked, after flip surgery there from the margins of ``trial``
+        (the kernel at u_try), d_pot 0 and no forms.  A flip-budget
         overrun raises SurgeryDiverged with the run so far, where the flips
         stopped, reporting ``iterations``."""
         try:
@@ -579,7 +577,7 @@ class _Run:
             return 0.0, *_flip_loop(
                 self.surface, trial.packing, trial.margins.copy(),
                 self.tol_delaunay, self.flip_budget, self.steps + 1,
-            )
+            ), None
         except SurgeryDiverged as exc:
             raise SurgeryDiverged(
                 str(exc), state=self.state("surgery_diverged", iterations, stop=exc.state)
@@ -590,12 +588,11 @@ class _Run:
         ``row`` with max_error, potential and flips set, keeping the
         place of the keys it already holds; ``trial`` serves the new
         point if the step made no flips."""
-        d_pot, self.surface, self.packing, flips = stepped
+        d_pot, self.surface, self.packing, flips, self.forms = stepped
         self.u = u_try
         self.potential += d_pot
         self.steps += 1
         self.flip_log += flips
-        self.forms = None if flips else self.forms
         self.evaluate(None if flips else trial)
         row.update(max_error=self.error, potential=self.potential, flips=len(flips))
         self.trace.append(row)

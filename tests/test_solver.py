@@ -305,9 +305,9 @@ class TestPotential:
         u0 = u_from_r(pk.radii)
         u1 = u0 - 0.3
         um = u0 - np.array([0.45])  # bent two-leg path via an overshoot
-        direct, _, _, _ = segment_potential(genus2, pk, target, u0, u1)
-        leg1, surf_m, pk_m, _ = segment_potential(genus2, pk, target, u0, um)
-        leg2, _, _, _ = segment_potential(surf_m, pk_m, target, um, u1)
+        direct, *_ = segment_potential(genus2, pk, target, u0, u1)
+        leg1, surf_m, pk_m, *_ = segment_potential(genus2, pk, target, u0, um)
+        leg2, *_ = segment_potential(surf_m, pk_m, target, um, u1)
         assert leg1 + leg2 == pytest.approx(direct, abs=1e-7)
 
     def test_midpoint_convexity(self, torus, torus_packing, rng):
@@ -617,7 +617,7 @@ class TestSegmentAcrossWalls:
                 with pytest.raises(type(exc)):
                     segment_potential(surface, pk, target, u0, u1)
                 continue
-            value, end_surface, end_pk, events = segment_potential(
+            value, end_surface, end_pk, events, _ = segment_potential(
                 surface, pk, target, u0, u1
             )
             assert events == ref_events
@@ -716,12 +716,104 @@ class TestPlantedWall:
         target = np.full(6, 0.5)
         ref, ref_events = sequential_segment(surface, pk, target, u0, u1)
         assert ref_events == []  # the old march steps over the dip
-        value, end_surface, end_pk, events = segment_potential(surface, pk, target, u0, u1)
+        value, end_surface, end_pk, events, _ = segment_potential(surface, pk, target, u0, u1)
         assert [ev.edge for ev in events] == [edge, edge]  # into the dip and out
         assert surface_delaunay_margins(end_surface, end_pk).min() >= -TOL_DELAUNAY
         assert all(ev.margin_before < -TOL_DELAUNAY for ev in events)
         assert surfaces_isomorphic(end_surface, surface)
         assert value == pytest.approx(ref, abs=1e-9)
+
+
+def planted_exit(seed):
+    """A segment of a Delaunay octahedron packing along a seeded ray in
+    u, on which a face's Xi reaches 0 near the middle of the last
+    interval of the 1/64 grid, and the tolerance at which the worst
+    margin crosses -tol a quarter of that interval earlier.  At the default
+    tolerance a margin wall comes long before any Xi zero (the cell's
+    faces stay compact), so the raised tolerance is what puts a wall
+    and a non-compact point in one grid interval.
+
+    Returns (surface, packing at u_start, u_start, u_end, face, edge, tol)."""
+    octahedron = octahedron_sphere()
+    rng = np.random.default_rng(seed)
+    pk = random_packing(octahedron, rng, (0.35, 0.9), (1.05, 4.0))
+    surface, pk, _ = make_weighted_delaunay(octahedron, pk)
+    u0, d = u_from_r(pk.radii), rng.normal(size=6)
+
+    def metrics(t):
+        return SurfaceMetrics(surface, Packing(pk.inv, r_from_u(u0 + np.multiply.outer(t, d))))
+
+    def compact(t):
+        m = metrics(t)
+        return (m.domain_ok & (m.xi > 0.0)).all(axis=-1)
+
+    t = np.linspace(0.0, np.min(-u0[d > 0] / d[d > 0]), 1001)[1:-1]
+    k = int(np.argmin(compact(t)))
+    lo, hi = t[k - 1], t[k]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if compact(mid) else (lo, mid)
+    face = int(np.argmin(metrics(hi).xi > 0.0))
+    length = hi * 64 / 63.45  # between two probe points
+    margins = metrics(hi - length / 256).unchecked_margins
+    edge = int(np.argmin(margins))
+    return surface, pk, u0, u0 + length * d, face, edge, -float(margins[edge])
+
+
+class TestBatchOrder:
+    """The kernel batch of a grid interval decides at its first point
+    outside the cell or undefined, whatever its later rows hold."""
+
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        """(defined, inside) rows of every wall-search batch that leaves
+        the cell, for the tolerance the test sets."""
+        batches, kernel = [], solver.SurfaceMetrics
+
+        def recorded(surface, packing, *args):
+            metrics = kernel(surface, packing, *args)
+            if packing.radii.shape[:-1] == (solver.SCAN_POINTS,):
+                batches.append(metrics)
+            return metrics
+
+        monkeypatch.setattr(solver, "SurfaceMetrics", recorded)
+
+        def rows(tol):
+            out = []
+            for m in batches:
+                defined = (m.domain_ok & (m.xi > 0.0)).all(axis=-1)
+                inside = defined & (m.unchecked_margins >= -tol).all(axis=-1)
+                if not inside.all():
+                    out.append((m, defined, inside))
+            return out
+
+        return rows
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_margin_exit_before_a_non_compact_row_flips(self, seed, exits):
+        surface, pk, u0, u1, face, edge, tol = planted_exit(seed)
+        value, end_surface, end_pk, events, _ = segment_potential(
+            surface, pk, np.full(6, 0.5), u0, u1, tol_delaunay=tol
+        )
+        [(_, defined, inside)] = exits(tol)
+        k = int(np.argmin(inside))
+        assert defined[k] and not defined[k + 1:].all()  # Xi <= 0 later on
+        assert [ev.edge for ev in events] == [edge] and edge in surface.sides[face]
+        assert surface_delaunay_margins(end_surface, end_pk).min() >= -tol
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_non_compact_first_exit_raises_the_kernels_error(self, seed, exits):
+        surface, pk, u0, u1, face, _, tol = planted_exit(seed)
+        with pytest.raises(NonCompactOrthocircle) as raised:
+            segment_potential(surface, pk, np.full(6, 0.5), u0, u1, tol_delaunay=100 * tol)
+        [(batch, defined, inside)] = exits(100 * tol)
+        k = int(np.argmin(inside))
+        assert not defined[k]
+        with pytest.raises(NonCompactOrthocircle) as single:
+            SurfaceMetrics(surface, Packing(pk.inv, batch.packing.radii[k])).margins
+        assert raised.value.face == single.value.face == face
+        assert str(raised.value) == str(single.value)
 
 
 def test_gauss_kronrod_bisection():
@@ -786,8 +878,8 @@ def test_gauss_kronrod_on_a_kink(kink, slope):
 
 class TestHeldForms:
     """A run builds the cosh forms of its triangulation at its first
-    tracked step and again only after a step that flipped; a segment
-    builds them at its own wall surgery."""
+    tracked step; a segment builds them at its own wall surgery and
+    hands the end triangulation's forms back to the run."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -823,9 +915,8 @@ class TestHeldForms:
 
     def test_wall_crossing_solve(self, built, monkeypatch):
         """The octahedron of seed 6 flips once at the start and crosses
-        two walls in its first step: each triangulation is built once, and
-        the step's end triangulation once more by the run for its next
-        step."""
+        two walls in its first step: each triangulation's forms are built
+        once, the step's end triangulation's by its segment alone."""
         surgeries, flip = [], solver.make_weighted_delaunay
 
         def counted(surface, packing, **kwargs):
@@ -843,8 +934,8 @@ class TestHeldForms:
         assert len(surgeries) >= 2 and state.iterations >= 2
         visited = {id(s) for s in built}
         assert visited == {id(built[0])} | {id(s) for s in surgeries}
-        again = sum(row["flips"] > 0 for row in state.trace[:-1])
-        assert again >= 1 and len(built) == len(visited) + again
+        assert any(row["flips"] > 0 for row in state.trace[:-1])
+        assert len(built) == len(visited)
 
 
 def test_cli_import_leaves_out_scipy_integrate():
