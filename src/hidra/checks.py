@@ -217,11 +217,11 @@ def xi_delta_residual(radii, inv):
     return abs(math.fsum(lhs_terms) - rhs) / scale
 
 
-def xi_equivalence_check(radii, inv, band=1e-12):
+def xi_equivalence_check(radii, inv):
     """sign(Xi) must match the conjunction of the three auxiliary-length
-    triangle inequalities; faces inside the band around Xi = 0 pass."""
+    triangle inequalities; faces within 1e-12 of Xi = 0 pass."""
     xi = xi_discriminant(radii, inv)
-    if abs(xi) <= band:
+    if abs(xi) <= 1e-12:
         return True
     hats = tuple(
         auxiliary_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
@@ -247,14 +247,6 @@ def conformal_roundtrip_check(surface, packing, flip_sequence):
     return float(np.max(np.abs(p.inv - original) / np.abs(original)))
 
 
-def replay_flips_reversed(surface, packing, flip_log):
-    """Undo a solve's flip log on its final state (radii untouched)."""
-    s, p = surface, packing
-    for event in reversed(flip_log):
-        s, p, _ = flip_edge(s, p, event.edge)
-    return s, p
-
-
 def random_packing(
     surface,
     rng,
@@ -278,11 +270,11 @@ def random_packing(
     raise ConstructionInvalid(f"no valid packing found in {max_tries} draws")
 
 
-def random_flip_sequence(surface, packing, rng, count, max_tries=50, cap=1e6):
+def random_flip_sequence(surface, packing, rng, count):
     """A sequence of legal flips, applied as drawn (later flips see the
-    surface produced by earlier ones).
+    surface produced by earlier ones), each from at most 50 draws.
 
-    Candidates whose new diagonal would exceed ``cap`` are skipped: on
+    Candidates whose new diagonal would exceed 1e6 are skipped: on
     small complexes repeated stretching flips grow inversive distances
     double-exponentially and would leave double range within a few dozen
     flips.  Undoing flips always stays below the cap, so a sequence of
@@ -291,13 +283,13 @@ def random_flip_sequence(surface, packing, rng, count, max_tries=50, cap=1e6):
     sequence = []
     s, p = surface, packing
     for _ in range(count):
-        for _ in range(max_tries):
+        for _ in range(50):
             eid = int(rng.integers(len(s.edges)))
             try:
                 s2, p2, event = flip_edge(s, p, eid)
             except FlipIllegal:
                 continue
-            if event.new_value > cap:
+            if event.new_value > 1e6:
                 continue
             s, p = s2, p2
             sequence.append(eid)
@@ -307,9 +299,9 @@ def random_flip_sequence(surface, packing, rng, count, max_tries=50, cap=1e6):
     return sequence
 
 
-def random_degenerate_hinge(rng, max_tries=200):
-    """Draw a degenerate hinge with disjoint circles by rejection."""
-    for _ in range(max_tries):
+def random_degenerate_hinge(rng):
+    """Draw a degenerate hinge with disjoint circles, by up to 200 rejections."""
+    for _ in range(200):
         rho = rng.uniform(0.3, 0.9)
         radii = rng.uniform(0.2, 0.7, size=4)
         gaps = rng.uniform(0.6, 1.0, size=4)
@@ -321,7 +313,7 @@ def random_degenerate_hinge(rng, max_tries=200):
             return degenerate_hinge(rho, radii, angles[:4])
         except ConstructionInvalid:
             continue
-    raise ConstructionInvalid(f"no degenerate hinge found in {max_tries} draws")
+    raise ConstructionInvalid("no degenerate hinge found in 200 draws")
 
 
 def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):

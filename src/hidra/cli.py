@@ -253,8 +253,7 @@ def _run_single(handler, args):
         _failure_report(args, "invalid_input", digest, exc)
         return EXIT_INVALID
     except (SolverStalled, MaxIterationsExceeded, FlowStalled) as exc:
-        status = exc.state.status if exc.state else "stalled"
-        _failure_report(args, status, digest, exc, exc.state)
+        _failure_report(args, exc.state.status, digest, exc, exc.state)
         return EXIT_NO_CONVERGENCE
     except SurgeryDiverged as exc:
         _failure_report(args, "surgery_diverged", digest, exc, exc.state)
@@ -273,7 +272,7 @@ def build_parser():
 
     def add_common(p, with_mesh=True):
         if with_mesh:
-            p.add_argument("mesh", nargs="+" if with_mesh == "many" else None)
+            p.add_argument("mesh", nargs="+")
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         p.add_argument("--jobs", type=int, default=1,
@@ -287,28 +286,28 @@ def build_parser():
                        help="uniform target curvature (overrides the mesh file)")
 
     p = sub.add_parser("validate", help="schema and geometry audit")
-    add_common(p, "many")
+    add_common(p)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("curvature", help="curvatures, areas, Gauss-Bonnet")
-    add_common(p, "many")
+    add_common(p)
     p.set_defaults(handler=cmd_curvature)
 
     p = sub.add_parser("delaunay", help="flip to weighted Delaunay")
-    add_common(p, "many")
+    add_common(p)
     p.add_argument("--mesh-out", dest="mesh_out", help="write the flipped mesh here")
     p.add_argument("--tol-delaunay", dest="tol_delaunay", type=float)
     p.add_argument("--flip-budget", dest="flip_budget", type=int)
     p.set_defaults(handler=cmd_delaunay)
 
     p = sub.add_parser("solve", help="Newton curvature prescription")
-    add_common(p, "many")
+    add_common(p)
     add_solver_flags(p)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("flow", help="discrete Ricci flow")
-    add_common(p, "many")
+    add_common(p)
     add_solver_flags(p)
     p.add_argument("--dt", type=float, help="initial flow step")
     p.add_argument("--t-max", dest="t_max", type=float, help="flow time budget")

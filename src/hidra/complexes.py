@@ -29,15 +29,6 @@ def one_vertex_genus2():
     return build_surface(1, [(0, 0)] * 9, faces)
 
 
-def two_triangle_sphere():
-    """Sphere from two triangles glued along their common boundary."""
-    return build_surface(
-        3,
-        [(1, 2), (2, 0), (0, 1)],
-        [((0, 1, 2), (0, 1, 2)), ((2, 1, 0), (2, 1, 0))],
-    )
-
-
 def tetrahedron_sphere():
     """Boundary of a tetrahedron: four vertices, six edges, four faces."""
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)]

@@ -49,10 +49,6 @@ class FlipEvent:
     iteration: int
     margin_before: float
 
-    def ptolemy_residual_relative(self):
-        sextuple = (*self.labels, self.new_value)
-        return ptolemy_residual(*sextuple) / ptolemy_residual_scale(*sextuple)
-
 
 def flip_edge(surface, packing, edge, iteration=0, margin_before=math.nan):
     """Flip one edge, returning (surface', packing', FlipEvent).

@@ -43,9 +43,6 @@ class Packing:
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=float))
         object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
 
-    def copy(self):
-        return Packing(self.inv.copy(), self.radii.copy())
-
 
 def validate_packing(surface, packing):
     """Operational validity check for a packing on a surface.

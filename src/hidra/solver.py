@@ -8,6 +8,7 @@ repaired to weighted Delaunay by flip surgery, and every flip is logged
 so the discrete conformal class can be audited afterwards.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -111,24 +112,24 @@ def _gauss_bonnet_residual(surface, K, area):
     return float(K.sum() - 2.0 * math.pi * euler_characteristic(surface) - area)
 
 
-def hessian(surface, packing, symmetrize=True, metrics=None):
+def hessian(surface, packing, metrics=None):
     """Jacobian dK/du as a sparse ``scipy.sparse.csc_array``, the
     compressed-column form the symmetric factorization takes.
 
     The per-face angle derivatives of the array kernel (``metrics`` if
     given) are summed into ``surface.hessian_pattern``, cached per
     triangulation, so entries lie only on the diagonal and at adjacent
-    vertex pairs.  The analytic matrix is symmetric up to roundoff; with
-    ``symmetrize`` it is averaged with its transpose.
+    vertex pairs.  The analytic matrix is symmetric up to roundoff and
+    is averaged with its transpose.
     """
     from scipy.sparse import csc_array  # imported on use: the CLI loads without scipy
 
     metrics = metrics or SurfaceMetrics(surface, packing)
     indptr, indices, slot = surface.hessian_pattern
-    # dK_m/du_n = -(d angle_m / d r_n) dr_n/du_n, and dr/du = sinh r.
+    # dK_m/du_n = -(d angle_m / d r_n) dr_n/du_n, and dr/du = sinh r;
+    # a face's entries (m, n) and (n, m) are transposes.
     data = -metrics.angle_radius_jacobian() * metrics.sinh_r[surface.corners][:, None, :]
-    if symmetrize:  # a face's entries (m, n) and (n, m) are transposes
-        data = 0.5 * (data + data.transpose(0, 2, 1))
+    data = 0.5 * (data + data.transpose(0, 2, 1))
     values = np.bincount(slot, data.ravel(), len(indices))
     n = surface.vertex_count
     return csc_array((values, indices, indptr), shape=(n, n))
@@ -521,27 +522,26 @@ def _clamped_step(u, delta):
 
 class _Run:
     """What Newton and the flow share: the start (the inputs validated,
-    the packing flipped to weighted Delaunay, its flips logged under
-    iteration 0), a step to a trial point, its accept, and the SolveState
-    of every exit.  ``steps`` counts accepted steps; the next step's
-    flips are logged under steps + 1; ``metrics`` is the array kernel at
-    the run's point; ``forms``, the cosh forms of its triangulation, are
-    built at its first tracked step and then taken from each step's
-    segment."""
+    the packing flipped to weighted Delaunay by an untracked step to its
+    own point, its flips logged under iteration 0), a step to a trial point,
+    its accept, and the SolveState of every exit.  ``steps`` counts
+    accepted steps (-1 during the start); the next step's flips are
+    logged under steps + 1; ``metrics`` is the array kernel at the run's
+    point; ``forms``, the cosh forms of its triangulation, are built at
+    its first tracked step and then taken from each step's segment."""
 
     def __init__(self, surface, packing, target, tol_delaunay, flip_budget):
         self.target = validate_target(surface, target)
         metrics = validate_packing(surface, packing)
         self.tol_delaunay, self.flip_budget = tol_delaunay, flip_budget
         self.surface, self.packing, self.u = surface, packing, u_from_r(packing.radii)
-        self.flip_log, self.trace, self.potential, self.steps, self.forms = [], [], 0.0, 0, None
+        self.flip_log, self.trace, self.potential, self.steps, self.forms = [], [], 0.0, -1, None
         self.evaluate(metrics)
         try:  # flips keep the radii, so u stays
-            self.surface, self.packing, self.flip_log = _flip_loop(
-                surface, packing, metrics.margins.copy(), tol_delaunay, flip_budget, 0
-            )
+            _, self.surface, self.packing, self.flip_log, _ = self.step(self.u, False, 0, metrics)
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(str(exc), state=self.state("surgery_diverged", 0)) from exc
+        self.steps = 0
         if self.flip_log:
             self.evaluate(None)
 
@@ -599,12 +599,13 @@ class _Run:
 
     def state(self, status, iterations, sign=0, stop=None):
         """The SolveState of an exit at the run's point, or for a
-        flip-budget overrun at ``stop``, the partial state where the flips
-        stopped, whose flips follow the run's."""
-        at, flips = (self, []) if stop is None else (stop, stop.flip_log)
+        flip-budget overrun at ``stop``, where the flips stopped: its
+        curvature taken there, its flips following the run's."""
+        at = stop or self
+        K, area = curvatures(at.surface, at.packing) if stop else (at.curvature, at.total_area)
         return SolveState(
-            at.surface, at.packing, at.u, self.target, at.curvature, at.total_area,
-            status, iterations, self.flip_log + flips, self.trace, self.potential, sign,
+            at.surface, at.packing, at.u, self.target, K, area, status, iterations,
+            self.flip_log + (stop.flip_log if stop else []), self.trace, self.potential, sign,
         )
 
 
@@ -620,33 +621,39 @@ def newton_solve(
 ):
     """Newton descent for the packing realizing the target curvature.
 
-    Each iteration factors the analytic curvature Jacobian H once, by a
-    symmetric sparse LU with diagonal pivots, and solves
-    H . delta = -(K - Kbar) with that factor; it clamps the step to keep
-    u negative, and backtracks on the Euclidean norm of the curvature
-    error.  Trial evaluations reuse the current triangulation: the
-    potential extends C1 across cell walls, so a marginally non-Delaunay
-    trial still measures progress.  With the potential tracked, the
-    accepted step ends where its potential segment ends, carried there
-    by the segment's logged wall flips; untracked, flip surgery runs at
-    the accepted point.  A flip-free step's trial kernel also gives the
-    accepted curvature, the untracked margins and the next Hessian.  A
-    face non-compact at the start raises SurgeryDiverged at the input.
-    The Hessian's spectrum sign, at the state returned or carried by the
-    raised SolverFailure, is read from the pivots of the same
-    factorization (Sylvester's law of inertia); a row swap or an exactly
-    singular H gives 0, and an exactly singular H before convergence
-    raises SolverStalled.  The flip budget bounds the flips of one step;
-    an overrun raises SurgeryDiverged with the solve's flip log and
-    trace at the state where the flips stopped (spectrum sign 0, not
-    taken), counting the iteration in progress; a non-compact face in a
-    step raises it at the last accepted iterate.
+    Each point factors the analytic curvature Jacobian H once, by a
+    symmetric sparse LU with diagonal pivots, which decides its exit:
+    converged, max_iterations once that many steps are taken, stalled on
+    an exactly singular H, or a step H . delta = -(K - Kbar), clamped to
+    keep u negative and backtracked on the Euclidean norm of the
+    curvature error.  Trial evaluations reuse the current triangulation:
+    the potential extends C1 across cell walls, so a marginally
+    non-Delaunay trial still measures progress.  With the potential
+    tracked, the accepted step ends where its potential segment ends,
+    carried there by the segment's logged wall flips; untracked, flip
+    surgery runs at the accepted point.  A flip-free step's trial kernel
+    also gives the accepted curvature, the untracked margins and the
+    next Hessian.  A face non-compact at the start raises SurgeryDiverged
+    at the input.  The Hessian's spectrum sign, at the state returned or
+    carried by the raised SolverFailure, is read from the pivots of the
+    same factorization (Sylvester's law of inertia); a row swap or an
+    exactly singular H gives 0.  The flip budget bounds the flips of the
+    start and of each step; an overrun raises SurgeryDiverged with the
+    solve's target, flip log and trace at the state where the flips
+    stopped (spectrum sign 0, not taken), counting the iteration in
+    progress (0 at the start); a non-compact face in a step raises it at
+    the last accepted iterate.
     """
     run = _Run(surface, packing, target, tol_delaunay, flip_budget)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in itertools.count(1):
         lu = _factor(hessian(run.surface, run.packing, metrics=run.metrics))
         if run.error <= tol:
             return run.state(STATUS_CONVERGED, iteration - 1, _factor_sign(lu))
+        if iteration > max_iterations:
+            raise MaxIterationsExceeded(
+                f"no convergence within {max_iterations} Newton iterations",
+                state=run.state(STATUS_MAX_ITERATIONS, max_iterations, _factor_sign(lu)),
+            )
         if lu is None:
             raise SolverStalled(
                 "Hessian is exactly singular", state=run.state("stalled", iteration)
@@ -690,14 +697,6 @@ def newton_solve(
             iteration=iteration, max_error=None, potential=None, step=step
         ), trial)
 
-    raise MaxIterationsExceeded(
-        f"no convergence within {max_iterations} Newton iterations",
-        state=run.state(
-            STATUS_MAX_ITERATIONS, max_iterations,
-            hessian_spectrum_sign(hessian(run.surface, run.packing, metrics=run.metrics)),
-        ),
-    )
-
 
 def ricci_flow(
     surface,
@@ -721,9 +720,9 @@ def ricci_flow(
     descent of the potential, so the recorded potential trace is
     non-increasing across accepted steps.  Stops once
     max|K - Kbar| <= tol or the flow time reaches t_max.  The flip
-    budget bounds the flips of one step; an overrun raises
-    SurgeryDiverged with the flow's flip log and trace at the state
-    where the flips stopped, counting the steps completed.
+    budget bounds the flips of the start and of each step; an overrun
+    raises SurgeryDiverged with the flow's target, flip log and trace at
+    the state where the flips stopped, counting the steps completed.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"flow step dt = {dt} must be positive and finite")

@@ -239,22 +239,3 @@ def flip_combinatorial(surface, edge):
     corners[[h.face_k, h.face_l]] = (h.v_k, h.v_i, h.v_l), (h.v_l, h.v_j, h.v_k)
     sides[[h.face_k, h.face_l]] = (h.e_b, h.edge, h.e_a), (h.e_d, h.edge, h.e_c)
     return TriSurface(surface.vertex_count, edges, corners, sides)
-
-
-def _canonical_cells(surface):
-    """Sorted edge end pairs, and faces as (corner, side) pair triples
-    each in its least rotation, sorted."""
-    edges = sorted(map(sorted, surface.edges.tolist()))
-    faces = map(tuple, np.stack([surface.corners, surface.sides], axis=-1).tolist())
-    return edges, sorted(min(f[r:] + f[:r] for r in range(3)) for f in faces)
-
-
-def surfaces_isomorphic(s1, s2):
-    """Equality of labelled complexes up to face rotation and order.
-
-    Vertex and edge ids must match; faces may be listed in any order and
-    each may be rotated (orientation-preserving relabelling only).
-    """
-    return s1.vertex_count == s2.vertex_count and (
-        _canonical_cells(s1) == _canonical_cells(s2)
-    )

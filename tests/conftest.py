@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import coo_array
 
 settings.register_profile("repeatable", settings(derandomize=True, deadline=None))
 settings.load_profile("repeatable")
@@ -10,10 +11,11 @@ from hidra.complexes import (
     one_vertex_genus2,
     one_vertex_torus,
     tetrahedron_sphere,
-    two_triangle_sphere,
 )
+from hidra.flips import flip_edge
 from hidra.geometry import Packing, SurfaceMetrics
 from hidra.meshio import dumps_report, mesh_document
+from hidra.ptolemy import ptolemy_residual, ptolemy_residual_scale
 from hidra.solver import curvatures, r_from_u, u_from_r
 from hidra.surface import build_surface
 
@@ -52,6 +54,67 @@ def torus_packing(torus):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def two_triangle_sphere():
+    """Sphere from two triangles glued along their common boundary."""
+    return build_surface(
+        3,
+        [(1, 2), (2, 0), (0, 1)],
+        [((0, 1, 2), (0, 1, 2)), ((2, 1, 0), (2, 1, 0))],
+    )
+
+
+def _canonical_cells(surface):
+    """Sorted edge end pairs, and faces as (corner, side) pair triples
+    each in its least rotation, sorted."""
+    edges = sorted(map(sorted, surface.edges.tolist()))
+    faces = map(tuple, np.stack([surface.corners, surface.sides], axis=-1).tolist())
+    return edges, sorted(min(f[r:] + f[:r] for r in range(3)) for f in faces)
+
+
+def surfaces_isomorphic(s1, s2):
+    """Equality of labelled complexes up to face rotation and order.
+
+    Vertex and edge ids must match; faces may be listed in any order and
+    each may be rotated (orientation-preserving relabelling only).
+    """
+    return s1.vertex_count == s2.vertex_count and (
+        _canonical_cells(s1) == _canonical_cells(s2)
+    )
+
+
+def replay_flips_reversed(surface, packing, flip_log):
+    """Undo a solve's flip log on its final state (radii untouched)."""
+    s, p = surface, packing
+    for event in reversed(flip_log):
+        s, p, _ = flip_edge(s, p, event.edge)
+    return s, p
+
+
+def ptolemy_residual_relative(event):
+    """The Ptolemy residual of a FlipEvent's labels and new value,
+    relative to the size of its terms."""
+    sextuple = (*event.labels, event.new_value)
+    return ptolemy_residual(*sextuple) / ptolemy_residual_scale(*sextuple)
+
+
+def coo_hessian(surface, packing, symmetrize=True):
+    """The oracle of ``hessian``'s cached pattern: the same per-face
+    entries as COO triplets, summed and ordered by scipy's ``tocsc``;
+    without ``symmetrize``, the raw analytic Jacobian."""
+    metrics = SurfaceMetrics(surface, packing)
+    corners = surface.corners
+    data = -metrics.angle_radius_jacobian() * metrics.sinh_r[corners][:, None, :]
+    rows = np.broadcast_to(corners[:, :, None], data.shape)
+    cols = np.broadcast_to(corners[:, None, :], data.shape)
+    if symmetrize:
+        data = 0.5 * np.concatenate([data, data])
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    n = surface.vertex_count
+    return coo_array(
+        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
+    ).tocsc()
 
 
 def dumps_mesh(surface, packing, target=None):

@@ -16,15 +16,15 @@ from hidra.checks import (
     random_degenerate_hinge,
     random_flip_sequence,
     random_packing,
-    replay_flips_reversed,
     run_verification_suite,
     xi_equivalence_check,
 )
 from hidra.errors import ConstructionInvalid
 from hidra.flips import ptolemy_flip_value
 from hidra.geometry import hinge_delaunay_margin, orthocircle_radius, face_metrics
-from hidra.surface import hinge, surfaces_isomorphic
+from hidra.surface import hinge
 
+from conftest import replay_flips_reversed, surfaces_isomorphic
 from geometry_oracle import dF_df_check
 
 SYM_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import checkerboard_packing, torus_grid
+from conftest import (
+    checkerboard_packing,
+    ptolemy_residual_relative,
+    surfaces_isomorphic,
+    torus_grid,
+)
 from hidra.checks import degenerate_hinge, random_flip_sequence, random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import DomainError, NonCompactOrthocircle, SurgeryDiverged
@@ -22,7 +27,7 @@ from hidra.flips import (
 from hidra.geometry import TOL_DELAUNAY, Packing, face_metrics, hinge_delaunay_margin
 from hidra.ptolemy import delta_discriminant, delta_identity_residuals
 from hidra.solver import SolveState, u_from_r
-from hidra.surface import hinge, surfaces_isomorphic
+from hidra.surface import hinge
 
 INV_FIVE = st.floats(min_value=1.05, max_value=6.0)
 
@@ -120,7 +125,7 @@ class TestFlipEdge:
             eid = int(rng.integers(9))
             _, _, event = flip_edge(surface, pk, eid, iteration=7)
             assert event.new_value > 1.0
-            assert abs(event.ptolemy_residual_relative()) <= 1e-9
+            assert abs(ptolemy_residual_relative(event)) <= 1e-9
             assert event.iteration == 7
             r1, r2 = delta_identity_residuals(*event.labels, event.new_value)
             assert r1 <= 1e-9 and r2 <= 1e-9

@@ -636,6 +636,33 @@ class TestCLI:
         mesh.write_text(dumps_mesh(surface, packing))
         self.check_solve_overrun(mesh, tmp_path / "report.json", "0.5")
 
+    @pytest.mark.parametrize("command", ["solve", "flow"])
+    def test_start_overrun_report_carries_the_target(self, tmp_path, command):
+        # The seed-6 octahedron needs one flip at the start: a budget of 0
+        # overruns there, and the report still holds the run's target.
+        mesh, out = self.octahedron_mesh(tmp_path, 6), tmp_path / "report.json"
+        code = self.run(
+            command, str(mesh), "--target-uniform", "5.0", "--flip-budget", "0",
+            "--out", str(out),
+        )
+        assert code == 4
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "surgery_diverged"
+        assert report["flip_log"] == [] and report["iteration_trace"] == []
+        assert [v["Kbar"] for v in report["vertices"]] == [5.0] * 6
+
+    def test_max_iters_allows_that_many_steps(self, tmp_path):
+        # genus2.json converges at its fifth Newton step.
+        out = tmp_path / "report.json"
+        code = self.run(
+            "solve", fixture_path("genus2.json"), "--max-iters", "5", "--out", str(out)
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "converged"
+        assert len(report["iteration_trace"]) == 5
+
     def check_solve_overrun(self, mesh, out, target):
         code = self.run(
             "solve", str(mesh), "--target-uniform", target, "--flip-budget", "1",
@@ -739,7 +766,7 @@ class TestCLI:
         from hidra import solver
         from scipy.sparse import csr_array
 
-        def singular_hessian(surface, packing, symmetrize=True, metrics=None):
+        def singular_hessian(surface, packing, metrics=None):
             # torus1 has one vertex: its zeroed row and column
             return csr_array((surface.vertex_count, surface.vertex_count))
 

@@ -10,10 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import csr_array
 
 import hidra
-from conftest import hessian_fd, torus_grid, unchecked_packing
+from conftest import (
+    coo_hessian,
+    hessian_fd,
+    replay_flips_reversed,
+    surfaces_isomorphic,
+    torus_grid,
+    two_triangle_sphere,
+    unchecked_packing,
+)
 from hidra import solver
 from hidra.checks import random_packing
 from hidra.complexes import (
@@ -21,11 +29,12 @@ from hidra.complexes import (
     one_vertex_genus2,
     one_vertex_torus,
     tetrahedron_sphere,
-    two_triangle_sphere,
 )
 from hidra.errors import (
+    DegenerateTriangle,
     DomainError,
     FlipIllegal,
+    MaxIterationsExceeded,
     NonCompactOrthocircle,
     SolverStalled,
     SurgeryDiverged,
@@ -33,6 +42,7 @@ from hidra.errors import (
 )
 from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
 from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
+from hidra.meshio import load_mesh
 from hidra.solver import (
     _cosh_forms,
     _factor,
@@ -50,7 +60,7 @@ from hidra.solver import (
     u_from_r,
     validate_target,
 )
-from hidra.surface import flip_combinatorial, surfaces_isomorphic
+from hidra.surface import flip_combinatorial
 
 TORUS_ANCHOR_K = 2.0 * math.pi - 6.0 * math.acos(2.0 / 3.0)
 
@@ -143,7 +153,7 @@ class TestHessian:
     def test_symmetry_before_averaging(self, octahedron, rng):
         for _ in range(10):
             pk = random_packing(octahedron, rng)
-            H = hessian(octahedron, pk, symmetrize=False)
+            H = coo_hessian(octahedron, pk, symmetrize=False)
             assert np.max(np.abs(H - H.T)) <= 1e-9
 
     def test_matches_finite_differences(self, rng):
@@ -176,23 +186,6 @@ class TestHessian:
         assert signs == {1}
 
 
-def coo_hessian(surface, packing, symmetrize=True):
-    """The oracle of ``hessian``'s cached pattern: the same per-face
-    entries as COO triplets, summed and ordered by scipy's ``tocsc``."""
-    metrics = SurfaceMetrics(surface, packing)
-    corners = surface.corners
-    data = -metrics.angle_radius_jacobian() * metrics.sinh_r[corners][:, None, :]
-    rows = np.broadcast_to(corners[:, :, None], data.shape)
-    cols = np.broadcast_to(corners[:, None, :], data.shape)
-    if symmetrize:
-        data = 0.5 * np.concatenate([data, data])
-        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    n = surface.vertex_count
-    return coo_array(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    ).tocsc()
-
-
 PATTERN_SURFACES = {
     "torus1": one_vertex_torus,
     "genus2": one_vertex_genus2,
@@ -208,10 +201,9 @@ PATTERN_SURFACES = {
     name=st.sampled_from(sorted(PATTERN_SURFACES)),
     seed=st.integers(0, 2**32 - 1),
     flips=st.sampled_from([0, 1, 5, 20]),
-    symmetrize=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
-def test_cached_pattern_matches_coo_oracle(name, seed, flips, symmetrize):
+def test_cached_pattern_matches_coo_oracle(name, seed, flips):
     """The Hessian summed into the surface's cached pattern against the
     COO assembly, after a random chain of flips: the oracle's canonical
     indptr and indices, and its values to 1e-14 of the matrix scale."""
@@ -224,12 +216,12 @@ def test_cached_pattern_matches_coo_oracle(name, seed, flips, symmetrize):
             pass
     packing = unchecked_packing(surface, rng, (0.5, 0.8), (1.05, 1.5))
     try:
-        oracle = coo_hessian(surface, packing, symmetrize)
+        oracle = coo_hessian(surface, packing)
     except DomainError as exc:
         with pytest.raises(type(exc)):
-            hessian(surface, packing, symmetrize)
+            hessian(surface, packing)
         return
-    H = hessian(surface, packing, symmetrize)
+    H = hessian(surface, packing)
     assert oracle.has_canonical_format
     assert np.array_equal(H.indptr, oracle.indptr)
     assert np.array_equal(H.indices, oracle.indices)
@@ -365,6 +357,39 @@ class TestNewtonSolve:
         state = newton_solve(torus, torus_packing, K)
         assert state.status == "converged"
         assert state.iterations == 0
+        capped = newton_solve(torus, torus_packing, K, max_iterations=0)
+        assert (capped.status, capped.iterations) == ("converged", 0)
+
+    def test_last_iterate_is_tested_before_max_iterations(self):
+        # The genus-2 fixture converges at its fifth step: a cap of five
+        # steps takes them all and tests the point the fifth step reached.
+        surface, packing, target, _ = load_mesh(
+            str(Path(hidra.__file__).parent / "fixtures" / "genus2.json")
+        )
+        free = newton_solve(surface, packing, target)
+        assert (free.status, free.iterations) == ("converged", 5)
+        capped = newton_solve(surface, packing, target, max_iterations=5)
+        assert (capped.status, capped.iterations) == ("converged", 5)
+        assert capped.u.tobytes() == free.u.tobytes()
+        assert capped.trace == free.trace and capped.hessian_sign == 1
+        with pytest.raises(MaxIterationsExceeded, match="within 4 Newton") as info:
+            newton_solve(surface, packing, target, max_iterations=4)
+        state = info.value.state
+        assert (state.status, state.iterations, len(state.trace)) == ("max_iterations", 4, 4)
+        assert state.trace == free.trace[:4] and state.hessian_sign == 1
+        assert state.max_error > 1e-10
+
+    def test_rejected_first_trial_backtracks(self, octahedron):
+        # Found by a seeded search (seeds 0-59, targets uniform in
+        # (-3, 6)): here the full first step raises |K - Kbar|, so the
+        # line search halves it, and the solve still converges.
+        rng = np.random.default_rng(59)
+        packing = random_packing(
+            octahedron, rng, (0.05, 0.98), (1.01, 20.0), max_tries=5000
+        )
+        state = newton_solve(octahedron, packing, rng.uniform(-3.0, 6.0, 6))
+        assert state.status == "converged" and state.max_error <= 1e-10
+        assert state.trace[0]["step"] < 1.0
 
     def test_genus2_uniqueness_under_radius_scaling(self, genus2, rng):
         base = random_packing(genus2, rng)
@@ -451,9 +476,9 @@ class TestNewtonSolve:
             assert state.flip_log == [] and state.trace == []
 
 
-def singular_hessian(surface, packing, symmetrize=True, metrics=None):
+def singular_hessian(surface, packing, metrics=None):
     """The Hessian with the first vertex's row and column zeroed."""
-    H = hessian(surface, packing, symmetrize, metrics).toarray()
+    H = hessian(surface, packing, metrics=metrics).toarray()
     H[0, :] = H[:, 0] = 0.0
     return csr_array(H)
 
@@ -483,11 +508,55 @@ class TestRicciFlow:
         pots = [row["potential"] for row in state.trace]
         assert all(b <= a + 1e-12 for a, b in zip(pots, pots[1:]))
 
+    def test_step_that_raises_halves_dt(self, genus2):
+        # Found by a seeded search: from this packing the first trial at
+        # dt = 3 leaves the domain, so the flow halves dt and goes on
+        # exactly as a flow started at dt = 1.5.
+        packing = random_packing(
+            genus2, np.random.default_rng(0), inv_range=(1.05, 12.0), max_tries=5000
+        )
+        target = np.array([1.0 - 4.0 * math.pi])
+        surface, start, _ = make_weighted_delaunay(genus2, packing)
+        u = u_from_r(start.radii)
+        K, _ = curvatures(surface, start)
+        with pytest.raises(DegenerateTriangle):
+            segment_potential(
+                surface, start, target, u, solver._clamped_step(u, 3.0 * (target - K))
+            )
+        flow = ricci_flow(genus2, packing, target, dt=3.0)
+        half = ricci_flow(genus2, packing, target, dt=1.5)
+        assert flow.status == "converged"
+        assert flow.trace == half.trace and flow.trace[0]["dt"] < 3.0
+        assert flow.u.tobytes() == half.u.tobytes()
+
     def test_time_budget_reports_max_iterations(self, torus, torus_packing):
         state = ricci_flow(
             torus, torus_packing, np.array([1.0]), dt=0.01, t_max=0.05, tol=1e-14
         )
         assert state.status == "max_iterations"
+
+
+class TestRunOverruns:
+    """A flip-budget overrun, at the start or in a step, reports the
+    run's target and the curvature where the flips stopped."""
+
+    @pytest.mark.parametrize("run", [newton_solve, ricci_flow])
+    @pytest.mark.parametrize("budget, iterations", [(0, []), (1, [0, 1])])
+    def test_overrun_state(self, octahedron, run, budget, iterations):
+        # The seed-6 octahedron flips once at the start and twice in its
+        # first step: a budget of 0 overruns at the start, 1 in step 1.
+        packing = random_packing(
+            octahedron, np.random.default_rng(6), inv_range=(1.05, 12.0), max_tries=5000
+        )
+        target = np.full(6, 5.0)
+        with pytest.raises(SurgeryDiverged, match="flip budget") as info:
+            run(octahedron, packing, target, flip_budget=budget)
+        state = info.value.state
+        assert state.target is target and state.status == "surgery_diverged"
+        assert [event.iteration for event in state.flip_log] == iterations
+        K, area = curvatures(state.surface, state.packing)
+        assert np.array_equal(state.curvature, K) and state.total_area == area
+        assert isinstance(state.max_error, float) and math.isfinite(state.max_error)
 
 
 class TestWallCrossingSolves:
@@ -513,9 +582,6 @@ class TestWallCrossingSolves:
         assert any(ev.iteration >= 1 for ev in state.flip_log)
 
     def test_flip_log_reversal_after_wall_crossing(self, tetra_wall_setup):
-        from hidra.checks import replay_flips_reversed
-        from hidra.surface import surfaces_isomorphic
-
         surface, start, target = tetra_wall_setup
         state = newton_solve(surface, start, target)
         s0, p0 = replay_flips_reversed(state.surface, state.packing, state.flip_log)

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import torus_grid
+from conftest import surfaces_isomorphic, torus_grid, two_triangle_sphere
 from hidra.complexes import (
     octahedron_sphere,
     one_vertex_genus2,
     one_vertex_torus,
     tetrahedron_sphere,
-    two_triangle_sphere,
 )
 from hidra.errors import (
     FlipIllegal,
@@ -32,7 +31,6 @@ from hidra.surface import (
     euler_characteristic,
     flip_combinatorial,
     hinge,
-    surfaces_isomorphic,
 )
 from surface_oracle import build_surface_loops
 
