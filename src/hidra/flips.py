@@ -99,11 +99,6 @@ def make_weighted_delaunay(
     packing and flip log reached so far.
     """
     margins = surface_delaunay_margins(surface, packing)
-    return _flip_loop(surface, packing, margins, tol, flip_budget, iteration)
-
-
-def _flip_loop(surface, packing, margins, tol, flip_budget, iteration):
-    """The loop from ``margins``, of (surface, packing), updated in place."""
     if flip_budget is None:
         flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)
     events = []

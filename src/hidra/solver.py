@@ -3,9 +3,9 @@
 The solver works in the coordinates u_i = log tanh(r_i / 2), in which
 the normalized Ricci potential (the path integral of (K - Kbar) . du)
 is convex and the flow is linear.  Radii are materialized only when the
-geometry is evaluated.  After every accepted step the triangulation is
-repaired to weighted Delaunay by flip surgery, and every flip is logged
-so the discrete conformal class can be audited afterwards.
+geometry is evaluated.  Every step walks its u-segment, flipping at each
+wall to keep the triangulation weighted Delaunay, and every flip is
+logged so the discrete conformal class can be audited afterwards.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from .errors import (
     SurgeryDiverged,
     TargetOutOfRange,
 )
-from .flips import _flip_loop, make_weighted_delaunay, surface_delaunay_margins
+from .flips import make_weighted_delaunay, surface_delaunay_margins
 from .geometry import (
     NEXT, PREV, TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing,
 )
@@ -348,24 +348,28 @@ def segment_potential(
     A probe whose first exit is undefined (domain, or some Xi <= 0), and
     any such quadrature node, raises the single-packing kernel's
     exception there.  ``forms`` are the caller's ``_cosh_forms`` of the
-    start triangulation, built here when None.
+    start triangulation, built here when None.  s = 0 is ``packing``'s
+    own radii, where a zero-length segment ends after its entry flips.
 
     Returns (value, end_surface, end_packing, wall_flip_events,
     end_forms); the end packing carries the radii of u_end.  The flip
     budget bounds the segment's flips together; an overrun raises
-    SurgeryDiverged carrying every flip of the segment so far.
+    SurgeryDiverged naming it, with every flip of the segment so far.
     """
+    return _walk(surface, packing, np.asarray(target, dtype=float), u_start, u_end,
+                 tol_delaunay, flip_budget, iteration, forms)
+
+
+def _walk(surface, packing, target, u_start, u_end, tol_delaunay, flip_budget,
+          iteration, forms):
+    """The walk of ``segment_potential``; target None skips quadrature."""
     u_start = np.asarray(u_start, dtype=float)
     u_end = np.asarray(u_end, dtype=float)
     du = u_end - u_start
-    target = np.asarray(target, dtype=float)
 
     surf = surface
     inv = packing.inv.copy()
     events = []
-
-    if not du.any():
-        return 0.0, surf, Packing(inv, r_from_u(u_end)), events, forms
 
     def packing_at(s):
         """Packing at s, or a batch of them for an array of s."""
@@ -376,19 +380,23 @@ def segment_potential(
         return (K - target) @ du
 
     def piece(a, b):
-        return 0.0 if b - a < 1e-14 else _integrate(integrand, a, b)
+        return 0.0 if target is None or b - a < 1e-14 else _integrate(integrand, a, b)
 
-    def flip_to_delaunay(s):
+    def flip_to_delaunay(pk):
         nonlocal surf, inv, forms
         try:
             surf, pk, ev = make_weighted_delaunay(
-                surf, packing_at(s), tol=tol_delaunay,
+                surf, pk, tol=tol_delaunay,
                 flip_budget=None if flip_budget is None else flip_budget - len(events),
                 iteration=iteration,
             )
         except SurgeryDiverged as exc:
             exc.state.flip_log = events + exc.state.flip_log
-            raise
+            if flip_budget is None:
+                raise
+            raise SurgeryDiverged(
+                f"exceeded flip budget of {flip_budget} flips", state=exc.state
+            ) from exc
         inv = pk.inv
         forms = _cosh_forms(surf, inv)
         events.extend(ev)
@@ -444,8 +452,10 @@ def segment_potential(
     forms = _cosh_forms(surf, inv) if forms is None else forms
     clear = certified([0.0], [1.0])[0]
     if not clear and not certified([0.0], [0.0])[0]:
-        flip_to_delaunay(0.0)
+        flip_to_delaunay(packing)
         clear = certified([0.0], [1.0])[0]
+    if not du.any():
+        return 0.0, surf, Packing(inv, packing.radii), events, forms
     total = piece_start = s_pos = 0.0
     while not clear:
         grid = [s_pos]  # as the old sequential march stepped
@@ -457,7 +467,7 @@ def segment_potential(
             break
         lo, hi = bracket
         total += piece(piece_start, lo)
-        flip_to_delaunay(hi)
+        flip_to_delaunay(packing_at(hi))
         piece_start, s_pos = lo, hi
         clear = certified([hi], [1.0])[0]
     total += piece(piece_start, 1.0)
@@ -522,13 +532,13 @@ def _clamped_step(u, delta):
 
 class _Run:
     """What Newton and the flow share: the start (the inputs validated,
-    the packing flipped to weighted Delaunay by an untracked step to its
-    own point, its flips logged under iteration 0), a step to a trial point,
-    its accept, and the SolveState of every exit.  ``steps`` counts
-    accepted steps (-1 during the start); the next step's flips are
-    logged under steps + 1; ``metrics`` is the array kernel at the run's
-    point; ``forms``, the cosh forms of its triangulation, are built at
-    its first tracked step and then taken from each step's segment."""
+    the packing flipped to weighted Delaunay by a zero-length step, its
+    flips logged under iteration 0), a step to a trial point, its accept,
+    and the SolveState of every exit.  ``steps`` counts accepted steps
+    (-1 during the start); the next step's flips are logged under
+    steps + 1; ``metrics`` is the array kernel at the run's point;
+    ``forms``, the cosh forms of its triangulation, are built by the
+    start and then taken from each step's segment."""
 
     def __init__(self, surface, packing, target, tol_delaunay, flip_budget):
         self.target = validate_target(surface, target)
@@ -538,7 +548,7 @@ class _Run:
         self.flip_log, self.trace, self.potential, self.steps, self.forms = [], [], 0.0, -1, None
         self.evaluate(metrics)
         try:  # flips keep the radii, so u stays
-            _, self.surface, self.packing, self.flip_log, _ = self.step(self.u, False, 0, metrics)
+            _, self.surface, self.packing, self.flip_log, self.forms = self.step(self.u, False, 0)
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(str(exc), state=self.state("surgery_diverged", 0)) from exc
         self.steps = 0
@@ -557,27 +567,17 @@ class _Run:
     def error(self):
         return float(np.max(np.abs(self.curvature - self.target)))
 
-    def step(self, u_try, track_potential, iterations, trial=None):
+    def step(self, u_try, track_potential, iterations):
         """(d_pot, surface, packing, flips, forms) at u_try, weighted
-        Delaunay: tracked, where the potential segment ends (its certified
-        scan ends inside the cell), with the segment's end forms;
-        untracked, after flip surgery there from the margins of ``trial``
-        (the kernel at u_try), d_pot 0 and no forms.  A flip-budget
-        overrun raises SurgeryDiverged with the run so far, where the flips
-        stopped, reporting ``iterations``."""
+        Delaunay, where the walk of the segment from the run's point ends,
+        flipping at each wall, with its end forms: ``segment_potential``
+        when tracked, else the same walk with no quadrature and d_pot 0.
+        A flip-budget overrun raises SurgeryDiverged with the run so far,
+        where the flips stopped, reporting ``iterations``."""
+        walk, target = (segment_potential, self.target) if track_potential else (_walk, None)
         try:
-            if track_potential:
-                if self.forms is None:
-                    self.forms = _cosh_forms(self.surface, self.packing.inv)
-                return segment_potential(
-                    self.surface, self.packing, self.target, self.u, u_try,
-                    tol_delaunay=self.tol_delaunay, flip_budget=self.flip_budget,
-                    iteration=self.steps + 1, forms=self.forms,
-                )
-            return 0.0, *_flip_loop(
-                self.surface, trial.packing, trial.margins.copy(),
-                self.tol_delaunay, self.flip_budget, self.steps + 1,
-            ), None
+            return walk(self.surface, self.packing, target, self.u, u_try, self.tol_delaunay,
+                        self.flip_budget, self.steps + 1, self.forms)
         except SurgeryDiverged as exc:
             raise SurgeryDiverged(
                 str(exc), state=self.state("surgery_diverged", iterations, stop=exc.state)
@@ -626,24 +626,26 @@ def newton_solve(
     converged, max_iterations once that many steps are taken, stalled on
     an exactly singular H, or a step H . delta = -(K - Kbar), clamped to
     keep u negative and backtracked on the Euclidean norm of the
-    curvature error.  Trial evaluations reuse the current triangulation:
-    the potential extends C1 across cell walls, so a marginally
-    non-Delaunay trial still measures progress.  With the potential
-    tracked, the accepted step ends where its potential segment ends,
-    carried there by the segment's logged wall flips; untracked, flip
-    surgery runs at the accepted point.  A flip-free step's trial kernel
-    also gives the accepted curvature, the untracked margins and the
-    next Hessian.  A face non-compact at the start raises SurgeryDiverged
-    at the input.  The Hessian's spectrum sign, at the state returned or
-    carried by the raised SolverFailure, is read from the pivots of the
-    same factorization (Sylvester's law of inertia); a row swap or an
-    exactly singular H gives 0.  The flip budget bounds the flips of the
-    start and of each step; an overrun raises SurgeryDiverged with the
-    solve's target, flip log and trace at the state where the flips
-    stopped (spectrum sign 0, not taken), counting the iteration in
-    progress (0 at the start); a non-compact face in a step raises it at
-    the last accepted iterate.
+    curvature error (``max_iterations`` < 0 raises DomainError).  Trial
+    evaluations reuse the current triangulation: the potential extends
+    C1 across cell walls, so a marginally non-Delaunay trial still
+    measures progress.  The accepted step ends where its potential
+    segment ends, carried there by the segment's logged wall flips;
+    ``track_potential`` decides only whether the segment is integrated.
+    A flip-free step's trial kernel also gives the accepted curvature and
+    the next Hessian.  A face non-compact at the start raises
+    SurgeryDiverged at the input.  The Hessian's spectrum sign, at the
+    state returned or carried by the raised SolverFailure, is read from
+    the pivots of the same factorization (Sylvester's law of inertia); a
+    row swap or an exactly singular H gives 0.  The flip budget bounds
+    the flips of the start and of each step; an overrun raises
+    SurgeryDiverged with the solve's target, flip log and trace at the
+    state where the flips stopped (spectrum sign 0, not taken), counting
+    the iteration in progress (0 at the start); a non-compact face in a
+    step raises it at the last accepted iterate.
     """
+    if max_iterations < 0:
+        raise DomainError(f"max_iterations = {max_iterations} must be non-negative")
     run = _Run(surface, packing, target, tol_delaunay, flip_budget)
     for iteration in itertools.count(1):
         lu = _factor(hessian(run.surface, run.packing, metrics=run.metrics))
@@ -686,7 +688,7 @@ def newton_solve(
                 )
 
         try:
-            stepped = run.step(u_try, track_potential, iteration, trial)
+            stepped = run.step(u_try, track_potential, iteration)
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(
                 str(exc),

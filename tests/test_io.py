@@ -663,6 +663,31 @@ class TestCLI:
         assert report["status"] == "converged"
         assert len(report["iteration_trace"]) == 5
 
+    def test_max_iters_must_not_be_negative(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = self.run(
+            "solve", fixture_path("genus2.json"), "--max-iters", "-2", "--out", str(out)
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "invalid_input"
+
+    def test_solve_overrun_names_the_budget_set(self, tmp_path, capsys):
+        # The seed-6 octahedron spends its budget of one at the start, and
+        # its first step's segment overruns it with none left.
+        mesh, out = self.octahedron_mesh(tmp_path, 6), tmp_path / "report.json"
+        code = self.run(
+            "solve", str(mesh), "--target-uniform", "5.0", "--flip-budget", "1",
+            "--out", str(out),
+        )
+        assert code == 4
+        message = "exceeded flip budget of 1 flips"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert json.loads(out.read_text())["error"] == message
+
     def check_solve_overrun(self, mesh, out, target):
         code = self.run(
             "solve", str(mesh), "--target-uniform", target, "--flip-budget", "1",

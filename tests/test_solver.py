@@ -360,6 +360,10 @@ class TestNewtonSolve:
         capped = newton_solve(torus, torus_packing, K, max_iterations=0)
         assert (capped.status, capped.iterations) == ("converged", 0)
 
+    def test_negative_max_iterations_is_a_domain_error(self, torus, torus_packing):
+        with pytest.raises(DomainError, match="max_iterations = -2"):
+            newton_solve(torus, torus_packing, np.array([1.0]), max_iterations=-2)
+
     def test_last_iterate_is_tested_before_max_iterations(self):
         # The genus-2 fixture converges at its fifth step: a cap of five
         # steps takes them all and tests the point the fifth step reached.
@@ -558,6 +562,17 @@ class TestRunOverruns:
         assert np.array_equal(state.curvature, K) and state.total_area == area
         assert isinstance(state.max_error, float) and math.isfinite(state.max_error)
 
+    @pytest.mark.parametrize("run", [newton_solve, ricci_flow])
+    def test_overrun_names_the_budget_set(self, octahedron, run):
+        # The budget of one is spent at the start, so step 1's segment
+        # overruns it with none left: the message names the one.
+        packing = random_packing(
+            octahedron, np.random.default_rng(6), inv_range=(1.05, 12.0), max_tries=5000
+        )
+        with pytest.raises(SurgeryDiverged) as info:
+            run(octahedron, packing, np.full(6, 5.0), flip_budget=1)
+        assert str(info.value) == "exceeded flip budget of 1 flips"
+
 
 class TestWallCrossingSolves:
     """Solves whose trajectory leaves the starting Delaunay cell, so the
@@ -608,6 +623,23 @@ class TestWallCrossingSolves:
         assert state.status == "surgery_diverged"
         assert state.iterations == len(state.trace) == 6
         assert state.target is target and state.flip_log == []
+
+    @pytest.mark.parametrize("name, seed", [("octahedron", 3), ("tetrahedron", 56), ("grid3", 2)])
+    def test_untracked_steps_flip_along_their_segment(self, name, seed):
+        # Found by a seeded search (seeds 0-59, tanh r in (0.05, 0.98),
+        # I in (1.01, 20), targets uniform in (-3, 6)): a step crosses a
+        # wall past which the old triangulation has a face with Xi <= 0,
+        # so an untracked step must flip at its walls as a tracked one does.
+        surface = {"octahedron": octahedron_sphere, "tetrahedron": tetrahedron_sphere,
+                   "grid3": lambda: torus_grid(3)}[name]()
+        rng = np.random.default_rng(seed)
+        packing = random_packing(surface, rng, (0.05, 0.98), (1.01, 20.0), max_tries=5000)
+        target = rng.uniform(-3.0, 6.0, surface.vertex_count)
+        tracked = newton_solve(surface, packing, target)
+        state = newton_solve(surface, packing, target, track_potential=False)
+        assert state.status == "converged" and state.max_error <= 1e-10
+        assert any(event.iteration >= 1 for event in state.flip_log)
+        assert np.max(np.abs(state.u - tracked.u)) <= 1e-10
 
     def test_octahedron_spread_targets_flip_mid_solve(self, octahedron, rng):
         hits = 0
@@ -943,9 +975,9 @@ def test_gauss_kronrod_on_a_kink(kink, slope):
 
 
 class TestHeldForms:
-    """A run builds the cosh forms of its triangulation at its first
-    tracked step; a segment builds them at its own wall surgery and
-    hands the end triangulation's forms back to the run."""
+    """A run builds the cosh forms of its triangulation at its start; a
+    segment builds them at its own wall surgery and hands the end
+    triangulation's forms back to the run."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -967,17 +999,18 @@ class TestHeldForms:
         return surface, packing, np.full(16, 0.5)
 
     def test_flip_free_solve_and_flow_build_once(self, grid, built):
-        state = newton_solve(*grid)
-        assert state.flip_log == [] and state.iterations >= 3
-        assert built == [grid[0]]
-        built.clear()
-        state = ricci_flow(*grid)
-        assert state.flip_log == [] and state.iterations >= 3
-        assert built == [grid[0]]
+        for run in (newton_solve, ricci_flow):
+            built.clear()
+            state = run(*grid)
+            assert state.status == "converged" and state.flip_log == []
+            assert state.iterations >= 3 and built == [grid[0]]
 
     def test_untracked_solve_builds_none(self, grid, built):
+        """None past its start's: an untracked step walks its segment on
+        the run's forms, as a tracked one does, and builds none itself."""
         state = newton_solve(*grid, track_potential=False)
-        assert state.status == "converged" and built == []
+        assert state.status == "converged" and state.flip_log == []
+        assert state.iterations >= 3 and built == [grid[0]]
 
     def test_wall_crossing_solve(self, built, monkeypatch):
         """The octahedron of seed 6 flips once at the start and crosses
