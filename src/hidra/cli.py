@@ -8,6 +8,7 @@ divergence.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -170,10 +171,12 @@ def cmd_delaunay(args, surface, packing, target, digest):
         "converged", 0, list(events), [],
     )
     report = build_report(status="converged", digest=digest, state=state, metrics=metrics)
-    report["mesh"] = mesh_document(surface2, packing2, target)
-    _write_report(args, report)
+    mesh = (args.out or args.mesh_out) and dumps_report(mesh_document(surface2, packing2, target))
+    if args.out:  # the mesh, last in the report, is its text one level in (no raw "\n" in JSON)
+        nested = mesh[:-1].replace("\n", "\n  ")
+        Path(args.out).write_text(dumps_report(report)[:-3] + f',\n  "mesh": {nested}\n}}\n')
     if args.mesh_out:
-        Path(args.mesh_out).write_text(dumps_report(report["mesh"]))
+        Path(args.mesh_out).write_text(mesh)
     margins = [edge["delaunay_margin"] for edge in report["edges"]]
     print(f"flips: {len(events)}  min margin: {min(margins):.3e}")
     return EXIT_OK
@@ -212,6 +215,7 @@ def cmd_flow(args, surface, packing, target_doc, digest):
         tol=settings["tol"],
         tol_delaunay=settings["tol_delaunay"],
         flip_budget=settings["flip_budget"],
+        max_iterations=int(settings["max_iters"]),
     )
     report = build_report(status=state.status, digest=digest, state=state)
     _write_report(args, report)
@@ -263,6 +267,7 @@ def _run_single(handler, args):
         return EXIT_INVALID
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hidra",
@@ -282,6 +287,7 @@ def build_parser():
         p.add_argument("--tol", type=float, help="curvature tolerance")
         p.add_argument("--tol-delaunay", dest="tol_delaunay", type=float)
         p.add_argument("--flip-budget", dest="flip_budget", type=int)
+        p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--target-uniform", dest="target_uniform", type=float,
                        help="uniform target curvature (overrides the mesh file)")
 
@@ -303,14 +309,13 @@ def build_parser():
     p = sub.add_parser("solve", help="Newton curvature prescription")
     add_common(p)
     add_solver_flags(p)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("flow", help="discrete Ricci flow")
     add_common(p)
     add_solver_flags(p)
     p.add_argument("--dt", type=float, help="initial flow step")
-    p.add_argument("--t-max", dest="t_max", type=float, help="flow time budget")
+    p.add_argument("--t-max", dest="t_max", type=float, help="flow time bound; none by default")
     p.set_defaults(handler=cmd_flow)
 
     p = sub.add_parser("verify", help="run the oracle suite")

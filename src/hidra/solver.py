@@ -34,7 +34,7 @@ from .surface import euler_characteristic
 DEFAULT_TOL_K = 1e-10
 DEFAULT_MAX_ITERATIONS = 100
 DEFAULT_FLOW_DT = 0.2
-DEFAULT_FLOW_T_MAX = 200.0
+DEFAULT_FLOW_T_MAX = math.inf
 MIN_LINE_SEARCH_STEP = 1e-12
 MIN_FLOW_DT = 1e-12
 
@@ -540,7 +540,9 @@ class _Run:
     ``forms``, the cosh forms of its triangulation, are built by the
     start and then taken from each step's segment."""
 
-    def __init__(self, surface, packing, target, tol_delaunay, flip_budget):
+    def __init__(self, surface, packing, target, tol_delaunay, flip_budget, max_iterations):
+        if max_iterations < 0:
+            raise DomainError(f"max_iterations = {max_iterations} must be non-negative")
         self.target = validate_target(surface, target)
         metrics = validate_packing(surface, packing)
         self.tol_delaunay, self.flip_budget = tol_delaunay, flip_budget
@@ -644,9 +646,7 @@ def newton_solve(
     the iteration in progress (0 at the start); a non-compact face in a
     step raises it at the last accepted iterate.
     """
-    if max_iterations < 0:
-        raise DomainError(f"max_iterations = {max_iterations} must be non-negative")
-    run = _Run(surface, packing, target, tol_delaunay, flip_budget)
+    run = _Run(surface, packing, target, tol_delaunay, flip_budget, max_iterations)
     for iteration in itertools.count(1):
         lu = _factor(hessian(run.surface, run.packing, metrics=run.metrics))
         if run.error <= tol:
@@ -709,31 +709,35 @@ def ricci_flow(
     tol=1e-8,
     tol_delaunay=TOL_DELAUNAY,
     flip_budget=None,
+    max_iterations=DEFAULT_MAX_ITERATIONS,
 ):
     """Discrete Ricci flow du/dt = -(K - Kbar) with flip surgery.
 
-    Explicit stepping from the initial step ``dt``, which must be
-    positive and finite (DomainError otherwise).  A step is accepted
-    only if it moves u and the normalized Ricci potential along its
-    segment does not increase; it ends where the segment ends, carried
-    there by the segment's logged wall flips.  A step that fails, or
-    meets a face outside the domain or a non-compact one, halves dt
-    (FlowStalled once dt falls below MIN_FLOW_DT).  The flow is gradient
-    descent of the potential, so the recorded potential trace is
-    non-increasing across accepted steps.  Stops once
-    max|K - Kbar| <= tol or the flow time reaches t_max.  The flip
-    budget bounds the flips of the start and of each step; an overrun
-    raises SurgeryDiverged with the flow's target, flip log and trace at
-    the state where the flips stopped, counting the steps completed.
+    Linearly implicit steps (I/dt + H) . delta = -(K - Kbar) on Newton's
+    sparse LU of H, the positive definite curvature Jacobian: stable for
+    any dt, Newton's step as dt grows.  A step is accepted, and dt
+    doubled, if it moves u and the potential along its segment does not
+    rise (so the trace's potential never does); it ends where the
+    segment ends, carried there by its wall flips.  A failed step, or
+    one meeting a face outside the domain or a non-compact one, halves
+    dt (FlowStalled below MIN_FLOW_DT).  Stops at max|K - Kbar| <= tol,
+    after ``max_iterations`` steps, or once t, the sum of accepted dt,
+    reaches t_max (none by default).  DomainError unless dt is positive
+    and finite and max_iterations non-negative.  The flip budget bounds
+    the start's flips and each step's; an overrun raises SurgeryDiverged
+    with the flow's target, flip log and trace where the flips stopped,
+    counting the steps completed.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"flow step dt = {dt} must be positive and finite")
-    run = _Run(surface, packing, target, tol_delaunay, flip_budget)
+    run = _Run(surface, packing, target, tol_delaunay, flip_budget, max_iterations)
     t = 0.0
-    while not (run.error <= tol or t >= t_max):
-        direction = -(run.curvature - run.target)
+    while not (run.error <= tol or t >= t_max or run.steps >= max_iterations):
+        H = hessian(run.surface, run.packing, metrics=run.metrics)
+        diagonal = H.diagonal()
         while True:
-            u_try = _clamped_step(run.u, dt * direction)
+            H.setdiag(diagonal + 1.0 / dt)
+            u_try = _clamped_step(run.u, _factor(H).solve(run.target - run.curvature))
             if not np.array_equal(u_try, run.u):
                 try:
                     stepped = run.step(u_try, True, run.steps)
@@ -748,6 +752,7 @@ def ricci_flow(
                 )
         t += dt
         run.accept(u_try, stepped, dict(step=run.steps + 1, t=t, dt=dt))
+        dt *= 2.0
 
     return run.state(
         STATUS_CONVERGED if run.error <= tol else STATUS_MAX_ITERATIONS, run.steps,

@@ -6,14 +6,16 @@ from scipy.sparse import coo_array
 settings.register_profile("repeatable", settings(derandomize=True, deadline=None))
 settings.load_profile("repeatable")
 
+from hidra import solver
 from hidra.complexes import (
     octahedron_sphere,
     one_vertex_genus2,
     one_vertex_torus,
     tetrahedron_sphere,
 )
+from hidra.errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
 from hidra.flips import flip_edge
-from hidra.geometry import Packing, SurfaceMetrics
+from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from hidra.meshio import dumps_report, mesh_document
 from hidra.ptolemy import ptolemy_residual, ptolemy_residual_scale
 from hidra.solver import curvatures, r_from_u, u_from_r
@@ -115,6 +117,30 @@ def coo_hessian(surface, packing, symmetrize=True):
     return coo_array(
         (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
     ).tocsc()
+
+
+def explicit_flow(surface, packing, target, dt=0.2, tol=1e-8, t_max=200.0):
+    """The explicit Euler flow u += dt (Kbar - K) with flip surgery, dt
+    halving on a trial that raises or raises the potential and never
+    growing: the reference trajectory for ``ricci_flow``'s linearly
+    implicit steps.  Returns the SolveState where it stops."""
+    run = solver._Run(surface, packing, target, TOL_DELAUNAY, None, solver.DEFAULT_MAX_ITERATIONS)
+    t = 0.0
+    while not (run.error <= tol or t >= t_max):
+        while True:
+            u_try = solver._clamped_step(run.u, dt * (run.target - run.curvature))
+            if not np.array_equal(u_try, run.u):
+                try:
+                    stepped = run.step(u_try, True, run.steps)
+                    if stepped[0] <= 0.0:
+                        break
+                except (DegenerateTriangle, DomainError, NonCompactOrthocircle):
+                    pass
+            dt *= 0.5
+            assert dt >= solver.MIN_FLOW_DT, "the explicit flow stalled"
+        t += dt
+        run.accept(u_try, stepped, dict(step=run.steps + 1, t=t, dt=dt))
+    return run.state("converged" if run.error <= tol else "max_iterations", run.steps)
 
 
 def dumps_mesh(surface, packing, target=None):

@@ -664,16 +664,54 @@ class TestCLI:
         assert len(report["iteration_trace"]) == 5
 
     def test_max_iters_must_not_be_negative(self, tmp_path, capsys):
+        for command in ("solve", "flow"):
+            out = tmp_path / f"{command}.json"
+            code = self.run(
+                command, fixture_path("genus2.json"), "--max-iters", "-2", "--out", str(out)
+            )
+            assert code == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            report = json.loads(out.read_text())
+            jsonschema.validate(report, schema("report.schema.json"))
+            assert report["status"] == "invalid_input"
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-iters", "3"],
+        ["--dt", "0.01", "--t-max", "0.05"],  # t = 0.01, 0.03, 0.07
+    ])
+    def test_flow_budget_stops_after_three_steps(self, tmp_path, flags):
+        # genus2.json's flow converges at its seventh step.
         out = tmp_path / "report.json"
-        code = self.run(
-            "solve", fixture_path("genus2.json"), "--max-iters", "-2", "--out", str(out)
-        )
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        code = self.run("flow", fixture_path("genus2.json"), *flags, "--out", str(out))
+        assert code == 3
         report = json.loads(out.read_text())
         jsonschema.validate(report, schema("report.schema.json"))
-        assert report["status"] == "invalid_input"
+        assert report["status"] == "max_iterations"
+        assert len(report["iteration_trace"]) == 3
+
+    @pytest.mark.parametrize("name", ["torus1", "genus2", "octahedron", "grid8"])
+    def test_default_flow_converges(self, tmp_path, name):
+        # The flow's dt doubles, so its time passes any fixed bound
+        # within a few steps: a default run is bounded by steps alone.
+        if name == "grid8":
+            from hidra.checks import random_packing
+
+            mesh = tmp_path / "grid8.json"
+            grid = torus_grid(8)
+            packing = random_packing(
+                grid, np.random.default_rng(5), (0.5, 0.8), (1.05, 1.5), max_tries=5000
+            )
+            mesh.write_text(dumps_mesh(grid, packing))
+            argv = [str(mesh), "--target-uniform", "0.5"]
+        else:
+            argv = [fixture_path(f"{name}.json")]
+            argv += ["--target-uniform", "1.0"] if name == "torus1" else []
+        out = tmp_path / "report.json"
+        assert self.run("flow", *argv, "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "converged"
+        assert max(abs(v["K"] - v["Kbar"]) for v in report["vertices"]) <= 1e-10
 
     def test_solve_overrun_names_the_budget_set(self, tmp_path, capsys):
         # The seed-6 octahedron spends its budget of one at the start, and
@@ -981,6 +1019,66 @@ class TestCLI:
             report = json.loads(out.read_text())
             jsonschema.validate(report, schema("report.schema.json"))
             assert report["status"] == status
+
+    def test_console_script_tiny_dt_flow_ends(self, tmp_path):
+        # dt doubles from 1e-11 after each accepted step, so the flow
+        # reaches Newton-sized steps within about 40; at a dt that never
+        # grows it would take t_max / dt steps.
+        out = tmp_path / "report.json"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hidra.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hidra.cli", "flow", fixture_path("torus1.json"),
+             "--target-uniform", "1.0", "--dt", "1e-11", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["status"] == "converged"
+
+    def test_parser_is_built_once_on_first_use(self):
+        import hidra.cli as cli
+
+        code = "import hidra.cli; print(hidra.cli.build_parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hidra.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "0"  # not built by the import
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        # Subcommands parsed one after another share no state.
+        first = parser.parse_args(
+            ["delaunay", "a.json", "--mesh-out", "m.json", "--flip-budget", "3"]
+        )
+        second = parser.parse_args(["flow", "b.json", "--max-iters", "2"])
+        third = parser.parse_args(["delaunay", "c.json"])
+        assert (first.handler, first.mesh, first.mesh_out, first.flip_budget) == (
+            cli.cmd_delaunay, ["a.json"], "m.json", 3)
+        assert (second.handler, second.mesh, second.max_iters, second.flip_budget) == (
+            cli.cmd_flow, ["b.json"], 2, None)
+        assert not hasattr(second, "mesh_out") and not hasattr(third, "max_iters")
+        assert (third.mesh, third.mesh_out, third.flip_budget) == (["c.json"], None, None)
+
+    def test_delaunay_encodes_the_mesh_once(self, tmp_path, monkeypatch):
+        """The report nests the flipped mesh that --mesh-out writes; its
+        text is encoded once and both files keep json.dumps's bytes."""
+        import hidra.cli as cli
+
+        meshes, encoded = [], []
+        document, dumps = cli.mesh_document, cli.dumps_report
+        monkeypatch.setattr(
+            cli, "mesh_document", lambda *a: meshes.append(document(*a)) or meshes[-1]
+        )
+        monkeypatch.setattr(cli, "dumps_report", lambda doc: encoded.append(doc) or dumps(doc))
+        mesh, grid = tmp_path / "in.json", torus_grid(4)
+        mesh.write_text(dumps_mesh(grid, checkerboard_packing(grid, 4, np.random.default_rng(0))))
+        out, mesh_out = tmp_path / "report.json", tmp_path / "mesh.json"
+        assert self.run("delaunay", str(mesh), "--out", str(out), "--mesh-out", str(mesh_out)) == 0
+        [flipped] = meshes
+        assert sum(doc is flipped or flipped in doc.values() for doc in encoded) == 1
+        report = json.loads(out.read_text())
+        assert report["flip_log"] and report["mesh"] == json.loads(mesh_out.read_text())
+        for path in (out, mesh_out):
+            assert path.read_text() == indent2(json.loads(path.read_text()))
 
     def test_console_script_installed(self):
         proc = subprocess.run(
