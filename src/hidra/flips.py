@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SurgeryDiverged
+from .errors import DomainError, SurgeryDiverged
 from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from .ptolemy import (
     delta_identity_residuals,
@@ -79,6 +79,15 @@ def surface_delaunay_margins(surface, packing):
     return SurfaceMetrics(surface, packing).margins
 
 
+def check_flip_settings(tol, flip_budget):
+    """DomainError on a NaN Delaunay tolerance or a negative flip budget.
+    A negative tolerance stays legal: it flips edges that are Delaunay."""
+    if math.isnan(tol):
+        raise DomainError(f"tol_delaunay = {tol} must be a number")
+    if flip_budget is not None and flip_budget < 0:
+        raise DomainError(f"flip_budget = {flip_budget} must be non-negative")
+
+
 def make_weighted_delaunay(
     surface,
     packing,
@@ -96,8 +105,10 @@ def make_weighted_delaunay(
     re-evaluates the five edges on them.  Returns the new surface,
     packing, and the ordered flip log.  Past the budget it raises
     SurgeryDiverged carrying the partial SolveState: the surface,
-    packing and flip log reached so far.
+    packing and flip log reached so far.  Settings that
+    ``check_flip_settings`` rejects raise DomainError.
     """
+    check_flip_settings(tol, flip_budget)
     margins = surface_delaunay_margins(surface, packing)
     if flip_budget is None:
         flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)

@@ -10,6 +10,7 @@ logged so the discrete conformal class can be audited afterwards.
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     SurgeryDiverged,
     TargetOutOfRange,
 )
-from .flips import make_weighted_delaunay, surface_delaunay_margins
+from .flips import check_flip_settings, make_weighted_delaunay, surface_delaunay_margins
 from .geometry import (
     NEXT, PREV, TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing,
 )
@@ -352,17 +353,12 @@ def segment_potential(
     own radii, where a zero-length segment ends after its entry flips.
 
     Returns (value, end_surface, end_packing, wall_flip_events,
-    end_forms); the end packing carries the radii of u_end.  The flip
-    budget bounds the segment's flips together; an overrun raises
-    SurgeryDiverged naming it, with every flip of the segment so far.
+    end_forms); the end packing carries the radii of u_end.  A target of
+    None walks the segment, flips and all, without quadrature, and the
+    value is 0.  The flip budget bounds the segment's flips together; an
+    overrun raises SurgeryDiverged naming it, with every flip of the
+    segment so far.
     """
-    return _walk(surface, packing, np.asarray(target, dtype=float), u_start, u_end,
-                 tol_delaunay, flip_budget, iteration, forms)
-
-
-def _walk(surface, packing, target, u_start, u_end, tol_delaunay, flip_budget,
-          iteration, forms):
-    """The walk of ``segment_potential``; target None skips quadrature."""
     u_start = np.asarray(u_start, dtype=float)
     u_end = np.asarray(u_end, dtype=float)
     du = u_end - u_start
@@ -530,40 +526,39 @@ def _clamped_step(u, delta):
     return out
 
 
+_Trial = namedtuple("_Trial", "d_pot surface packing flips forms u metrics curvature total_area")
+
+
 class _Run:
     """What Newton and the flow share: the start (the inputs validated,
     the packing flipped to weighted Delaunay by a zero-length step, its
-    flips logged under iteration 0), a step to a trial point, its accept,
-    and the SolveState of every exit.  ``steps`` counts accepted steps
-    (-1 during the start); the next step's flips are logged under
+    flips logged under iteration 0), a trial point, its accept, and the
+    SolveState of every exit.  ``steps`` counts accepted steps (-1
+    during the start); the next step's flips are logged under
     steps + 1; ``metrics`` is the array kernel at the run's point;
     ``forms``, the cosh forms of its triangulation, are built by the
     start and then taken from each step's segment."""
 
-    def __init__(self, surface, packing, target, tol_delaunay, flip_budget, max_iterations):
+    def __init__(self, surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations):
+        if not tol >= 0.0:
+            raise DomainError(f"tol = {tol} must be a non-negative number")
         if max_iterations < 0:
             raise DomainError(f"max_iterations = {max_iterations} must be non-negative")
+        check_flip_settings(tol_delaunay, flip_budget)
         self.target = validate_target(surface, target)
-        metrics = validate_packing(surface, packing)
+        self.metrics = validate_packing(surface, packing)
         self.tol_delaunay, self.flip_budget = tol_delaunay, flip_budget
         self.surface, self.packing, self.u = surface, packing, u_from_r(packing.radii)
         self.flip_log, self.trace, self.potential, self.steps, self.forms = [], [], 0.0, -1, None
-        self.evaluate(metrics)
+        self.curvature, self.total_area = curvatures(surface, packing, self.metrics)
         try:  # flips keep the radii, so u stays
             _, self.surface, self.packing, self.flip_log, self.forms = self.step(self.u, False, 0)
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(str(exc), state=self.state("surgery_diverged", 0)) from exc
         self.steps = 0
         if self.flip_log:
-            self.evaluate(None)
-
-    def evaluate(self, metrics):
-        """Take the kernel at the run's point (``metrics`` if given) and
-        the curvature from it."""
-        self.metrics = metrics or SurfaceMetrics(self.surface, self.packing)
-        self.curvature, self.total_area = curvatures(
-            self.surface, self.packing, self.metrics
-        )
+            self.metrics = SurfaceMetrics(self.surface, self.packing)
+            self.curvature, self.total_area = curvatures(self.surface, self.packing, self.metrics)
 
     @property
     def error(self):
@@ -571,31 +566,43 @@ class _Run:
 
     def step(self, u_try, track_potential, iterations):
         """(d_pot, surface, packing, flips, forms) at u_try, weighted
-        Delaunay, where the walk of the segment from the run's point ends,
-        flipping at each wall, with its end forms: ``segment_potential``
-        when tracked, else the same walk with no quadrature and d_pot 0.
-        A flip-budget overrun raises SurgeryDiverged with the run so far,
+        Delaunay, where ``segment_potential``'s walk of the segment from
+        the run's point ends, flipping at each wall, with its end forms;
+        untracked, the walk has no quadrature and d_pot is 0.  A
+        flip-budget overrun raises SurgeryDiverged with the run so far,
         where the flips stopped, reporting ``iterations``."""
-        walk, target = (segment_potential, self.target) if track_potential else (_walk, None)
         try:
-            return walk(self.surface, self.packing, target, self.u, u_try, self.tol_delaunay,
-                        self.flip_budget, self.steps + 1, self.forms)
+            return segment_potential(
+                self.surface, self.packing, self.target if track_potential else None,
+                self.u, u_try, self.tol_delaunay, self.flip_budget, self.steps + 1, self.forms,
+            )
         except SurgeryDiverged as exc:
             raise SurgeryDiverged(
                 str(exc), state=self.state("surgery_diverged", iterations, stop=exc.state)
             ) from exc
 
-    def accept(self, u_try, stepped, row, trial=None):
-        """Move the run to the end of a step and append its trace row:
+    def trial(self, u_try, track_potential, iterations):
+        """The _Trial at the end of the step to u_try: the step's
+        (d_pot, surface, packing, flips, forms), u_try, and the one kernel
+        and curvature there; None when the walk or that kernel meets a
+        point outside the domain or a non-compact face."""
+        try:
+            d_pot, surface, packing, flips, forms = self.step(u_try, track_potential, iterations)
+            metrics = SurfaceMetrics(surface, packing)
+            K, area = curvatures(surface, packing, metrics)
+        except (DegenerateTriangle, DomainError, NonCompactOrthocircle):
+            return None
+        return _Trial(d_pot, surface, packing, flips, forms, u_try, metrics, K, area)
+
+    def accept(self, trial, row):
+        """Move the run to a trial point and append its trace row:
         ``row`` with max_error, potential and flips set, keeping the
-        place of the keys it already holds; ``trial`` serves the new
-        point if the step made no flips."""
-        d_pot, self.surface, self.packing, flips, self.forms = stepped
-        self.u = u_try
+        place of the keys it already holds."""
+        (d_pot, self.surface, self.packing, flips, self.forms, self.u, self.metrics,
+         self.curvature, self.total_area) = trial
         self.potential += d_pot
         self.steps += 1
         self.flip_log += flips
-        self.evaluate(None if flips else trial)
         row.update(max_error=self.error, potential=self.potential, flips=len(flips))
         self.trace.append(row)
 
@@ -628,25 +635,25 @@ def newton_solve(
     converged, max_iterations once that many steps are taken, stalled on
     an exactly singular H, or a step H . delta = -(K - Kbar), clamped to
     keep u negative and backtracked on the Euclidean norm of the
-    curvature error (``max_iterations`` < 0 raises DomainError).  Trial
-    evaluations reuse the current triangulation: the potential extends
-    C1 across cell walls, so a marginally non-Delaunay trial still
-    measures progress.  The accepted step ends where its potential
-    segment ends, carried there by the segment's logged wall flips;
+    curvature error.  DomainError unless tol and max_iterations are
+    non-negative, tol_delaunay is a number and any flip budget is
+    non-negative.  Each trial point is where its segment's walk ends,
+    carried there by the walk's logged wall flips, and is judged by the
+    one kernel there, which also gives the accepted curvature and the
+    next Hessian; a trial whose walk meets a point outside the domain or
+    a non-compact face is halved like one that does not lower the error.
     ``track_potential`` decides only whether the segment is integrated.
-    A flip-free step's trial kernel also gives the accepted curvature and
-    the next Hessian.  A face non-compact at the start raises
-    SurgeryDiverged at the input.  The Hessian's spectrum sign, at the
-    state returned or carried by the raised SolverFailure, is read from
-    the pivots of the same factorization (Sylvester's law of inertia); a
-    row swap or an exactly singular H gives 0.  The flip budget bounds
-    the flips of the start and of each step; an overrun raises
-    SurgeryDiverged with the solve's target, flip log and trace at the
-    state where the flips stopped (spectrum sign 0, not taken), counting
-    the iteration in progress (0 at the start); a non-compact face in a
-    step raises it at the last accepted iterate.
+    A face non-compact at the start raises SurgeryDiverged at the input.
+    The Hessian's spectrum sign, at the state returned or carried by the
+    raised SolverFailure, is read from the pivots of the same
+    factorization (Sylvester's law of inertia); a row swap or an exactly
+    singular H gives 0.  The flip budget bounds the flips of the start
+    and of each step; an overrun raises SurgeryDiverged with the solve's
+    target, flip log and trace at the state where the flips stopped
+    (spectrum sign 0, not taken), counting the iteration in progress (0
+    at the start).
     """
-    run = _Run(surface, packing, target, tol_delaunay, flip_budget, max_iterations)
+    run = _Run(surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations)
     for iteration in itertools.count(1):
         lu = _factor(hessian(run.surface, run.packing, metrics=run.metrics))
         if run.error <= tol:
@@ -670,15 +677,8 @@ def newton_solve(
         base_norm = float(np.linalg.norm(residual))
         step = 1.0
         while True:
-            u_try = _clamped_step(run.u, step * delta)
-            try:
-                packing_try = Packing(run.packing.inv, r_from_u(u_try))
-                trial = SurfaceMetrics(run.surface, packing_try)
-                K_try, _ = curvatures(run.surface, packing_try, metrics=trial)
-                ok = float(np.linalg.norm(K_try - run.target)) < base_norm
-            except (DegenerateTriangle, DomainError):
-                ok = False
-            if ok:
+            trial = run.trial(_clamped_step(run.u, step * delta), track_potential, iteration)
+            if trial is not None and np.linalg.norm(trial.curvature - run.target) < base_norm:
                 break
             step *= 0.5
             if step < MIN_LINE_SEARCH_STEP:
@@ -686,18 +686,8 @@ def newton_solve(
                     "line search step underflow",
                     state=run.state("stalled", iteration, _factor_sign(lu)),
                 )
-
-        try:
-            stepped = run.step(u_try, track_potential, iteration)
-        except NonCompactOrthocircle as exc:
-            raise SurgeryDiverged(
-                str(exc),
-                state=run.state("surgery_diverged", iteration, _factor_sign(lu)),
-            ) from exc
         # Newton's rows put the step length after the potential.
-        run.accept(u_try, stepped, dict(
-            iteration=iteration, max_error=None, potential=None, step=step
-        ), trial)
+        run.accept(trial, dict(iteration=iteration, max_error=None, potential=None, step=step))
 
 
 def ricci_flow(
@@ -723,14 +713,15 @@ def ricci_flow(
     dt (FlowStalled below MIN_FLOW_DT).  Stops at max|K - Kbar| <= tol,
     after ``max_iterations`` steps, or once t, the sum of accepted dt,
     reaches t_max (none by default).  DomainError unless dt is positive
-    and finite and max_iterations non-negative.  The flip budget bounds
+    and finite and the other settings are as ``newton_solve`` takes
+    them.  The flip budget bounds
     the start's flips and each step's; an overrun raises SurgeryDiverged
     with the flow's target, flip log and trace where the flips stopped,
     counting the steps completed.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"flow step dt = {dt} must be positive and finite")
-    run = _Run(surface, packing, target, tol_delaunay, flip_budget, max_iterations)
+    run = _Run(surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations)
     t = 0.0
     while not (run.error <= tol or t >= t_max or run.steps >= max_iterations):
         H = hessian(run.surface, run.packing, metrics=run.metrics)
@@ -739,19 +730,16 @@ def ricci_flow(
             H.setdiag(diagonal + 1.0 / dt)
             u_try = _clamped_step(run.u, _factor(H).solve(run.target - run.curvature))
             if not np.array_equal(u_try, run.u):
-                try:
-                    stepped = run.step(u_try, True, run.steps)
-                    if stepped[0] <= 0.0:
-                        break
-                except (DegenerateTriangle, DomainError, NonCompactOrthocircle):
-                    pass
+                trial = run.trial(u_try, True, run.steps)
+                if trial is not None and trial.d_pot <= 0.0:
+                    break
             dt *= 0.5
             if not dt >= MIN_FLOW_DT:
                 raise FlowStalled(
                     "flow step size underflow", state=run.state("stalled", run.steps)
                 )
         t += dt
-        run.accept(u_try, stepped, dict(step=run.steps + 1, t=t, dt=dt))
+        run.accept(trial, dict(step=run.steps + 1, t=t, dt=dt))
         dt *= 2.0
 
     return run.state(

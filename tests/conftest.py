@@ -13,7 +13,6 @@ from hidra.complexes import (
     one_vertex_torus,
     tetrahedron_sphere,
 )
-from hidra.errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
 from hidra.flips import flip_edge
 from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from hidra.meshio import dumps_report, mesh_document
@@ -120,26 +119,27 @@ def coo_hessian(surface, packing, symmetrize=True):
 
 
 def explicit_flow(surface, packing, target, dt=0.2, tol=1e-8, t_max=200.0):
-    """The explicit Euler flow u += dt (Kbar - K) with flip surgery, dt
-    halving on a trial that raises or raises the potential and never
-    growing: the reference trajectory for ``ricci_flow``'s linearly
-    implicit steps.  Returns the SolveState where it stops."""
-    run = solver._Run(surface, packing, target, TOL_DELAUNAY, None, solver.DEFAULT_MAX_ITERATIONS)
+    """The explicit Euler flow u += dt (Kbar - K) with flip surgery, its
+    trials judged by ``ricci_flow``'s rule (the run's trial point, whose
+    walk meets no undefined point, and a potential that does not rise),
+    dt halving on a rejected one and never growing: the reference
+    trajectory for ``ricci_flow``'s linearly implicit steps.  Returns
+    the SolveState where it stops."""
+    run = solver._Run(
+        surface, packing, target, tol, TOL_DELAUNAY, None, solver.DEFAULT_MAX_ITERATIONS
+    )
     t = 0.0
     while not (run.error <= tol or t >= t_max):
         while True:
             u_try = solver._clamped_step(run.u, dt * (run.target - run.curvature))
             if not np.array_equal(u_try, run.u):
-                try:
-                    stepped = run.step(u_try, True, run.steps)
-                    if stepped[0] <= 0.0:
-                        break
-                except (DegenerateTriangle, DomainError, NonCompactOrthocircle):
-                    pass
+                trial = run.trial(u_try, True, run.steps)
+                if trial is not None and trial.d_pot <= 0.0:
+                    break
             dt *= 0.5
             assert dt >= solver.MIN_FLOW_DT, "the explicit flow stalled"
         t += dt
-        run.accept(u_try, stepped, dict(step=run.steps + 1, t=t, dt=dt))
+        run.accept(trial, dict(step=run.steps + 1, t=t, dt=dt))
     return run.state("converged" if run.error <= tol else "max_iterations", run.steps)
 
 

@@ -176,6 +176,15 @@ class TestMakeWeightedDelaunay:
         with pytest.raises(SurgeryDiverged):
             make_weighted_delaunay(surface, pk, flip_budget=0)
 
+    @pytest.mark.parametrize("setting, match", [
+        (dict(tol=math.nan), "tol_delaunay = nan"), (dict(flip_budget=-1), "flip_budget = -1"),
+    ], ids=["tol-nan", "flip_budget-negative"])
+    def test_bad_settings_are_domain_errors(self, torus, torus_packing, setting, match):
+        # A NaN tolerance flipped until the budget ran out, and a negative
+        # budget overran at its first flip or went unnoticed without one.
+        with pytest.raises(DomainError, match=match):
+            make_weighted_delaunay(torus, torus_packing, **setting)
+
     def test_flip_log_iteration_tag(self, rng):
         surface = one_vertex_genus2()
         while True:

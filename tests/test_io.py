@@ -676,6 +676,31 @@ class TestCLI:
             jsonschema.validate(report, schema("report.schema.json"))
             assert report["status"] == "invalid_input"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "tol", -1.0), ("solve", "tol", math.nan), ("flow", "tol", -1.0),
+        ("solve", "tol_delaunay", math.nan), ("delaunay", "tol_delaunay", math.nan),
+        ("flow", "flip_budget", -1), ("delaunay", "flip_budget", -1),
+    ])
+    def test_bad_setting_is_invalid_input(self, tmp_path, capsys, source, command, key, value):
+        # Before these were rejected, a NaN or negative tol ran to a
+        # line-search underflow and a NaN Delaunay tolerance or a negative
+        # flip budget to a flip-budget overrun.
+        out = tmp_path / "report.json"
+        argv = [command, fixture_path("genus2.json"), "--out", str(out)]
+        if source == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}))
+            argv += ["--config", str(config)]
+        assert self.run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} = ")
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "invalid_input"
+
     @pytest.mark.parametrize("flags", [
         ["--max-iters", "3"],
         ["--dt", "0.01", "--t-max", "0.05"],  # t = 0.01, 0.03, 0.07
@@ -746,7 +771,8 @@ class TestCLI:
         # step must cross walls unflipped: from a Delaunay start (the
         # seed-16 octahedron after its three start flips), a Delaunay
         # tolerance beyond every margin here lets the first Newton step's
-        # segment reach a face with Xi <= 0 in the carried triangulation.
+        # segment reach a face with Xi <= 0.  Each such trial is halved,
+        # and the line search underflows at iteration 25.
         from hidra.checks import random_packing
         from hidra.complexes import octahedron_sphere
         from hidra.flips import make_weighted_delaunay
@@ -763,15 +789,16 @@ class TestCLI:
             "solve", str(mesh), "--target-uniform", "5.0", "--tol-delaunay", "100",
             "--out", str(out),
         )
-        assert code == 4
+        assert code == 3
         report = json.loads(out.read_text())
         jsonschema.validate(report, schema("report.schema.json"))
-        assert report["status"] == "surgery_diverged"
-        assert "Xi" in report["error"]
+        assert report["status"] == "stalled"
+        assert report["error"] == "line search step underflow"
         assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
-        assert report["flip_log"] == [] and report["iteration_trace"] == []
+        assert report["flip_log"] == [] and len(report["iteration_trace"]) == 24
+        assert report["iteration_trace"][0]["step"] == 0.5
         assert len(report["vertices"]) == 6
-        assert min(e["delaunay_margin"] for e in report["edges"]) >= -1e-10
+        assert min(e["delaunay_margin"] for e in report["edges"]) >= -100.0
 
     @pytest.mark.parametrize("name", ["torus1", "genus2", "octahedron"])
     def test_every_output_is_indented_json(self, tmp_path, name):

@@ -364,6 +364,19 @@ class TestNewtonSolve:
         with pytest.raises(DomainError, match="max_iterations = -2"):
             newton_solve(torus, torus_packing, np.array([1.0]), max_iterations=-2)
 
+    @pytest.mark.parametrize("run", [newton_solve, ricci_flow])
+    @pytest.mark.parametrize("setting", [
+        dict(tol=-1.0), dict(tol=math.nan), dict(tol_delaunay=math.nan), dict(flip_budget=-1),
+    ], ids=["tol-negative", "tol-nan", "tol_delaunay-nan", "flip_budget-negative"])
+    def test_bad_settings_are_domain_errors(self, torus, torus_packing, run, setting):
+        # Before these were rejected, a NaN or negative tol ran to a
+        # line-search underflow or to the step cap, a NaN Delaunay
+        # tolerance to a flip-budget overrun, and a negative flip budget
+        # was never read on a flip-free run.
+        (key, value), = setting.items()
+        with pytest.raises(DomainError, match=f"^{key} = {value} "):
+            run(torus, torus_packing, np.array([1.0]), **setting)
+
     def test_last_iterate_is_tested_before_max_iterations(self):
         # The genus-2 fixture converges at its fifth step: a cap of five
         # steps takes them all and tests the point the fifth step reached.
@@ -383,17 +396,23 @@ class TestNewtonSolve:
         assert state.trace == free.trace[:4] and state.hessian_sign == 1
         assert state.max_error > 1e-10
 
-    def test_rejected_first_trial_backtracks(self, octahedron):
-        # Found by a seeded search (seeds 0-59, targets uniform in
-        # (-3, 6)): here the full first step raises |K - Kbar|, so the
-        # line search halves it, and the solve still converges.
-        rng = np.random.default_rng(59)
+    def test_rejected_trials_halve_until_the_line_search_underflows(self, octahedron):
+        # With walls left unflipped (a Delaunay tolerance beyond every
+        # margin), the seed-16 octahedron's first full step meets a face
+        # with Xi <= 0, so the trial is rejected and halved; later steps
+        # shrink until the step falls below MIN_LINE_SEARCH_STEP.
         packing = random_packing(
-            octahedron, rng, (0.05, 0.98), (1.01, 20.0), max_tries=5000
+            octahedron, np.random.default_rng(16), inv_range=(1.05, 12.0), max_tries=5000
         )
-        state = newton_solve(octahedron, packing, rng.uniform(-3.0, 6.0, 6))
-        assert state.status == "converged" and state.max_error <= 1e-10
-        assert state.trace[0]["step"] < 1.0
+        surface, packing, _ = make_weighted_delaunay(octahedron, packing)
+        with pytest.raises(SolverStalled, match="line search step underflow") as info:
+            newton_solve(surface, packing, np.full(6, 5.0), tol_delaunay=100.0)
+        state = info.value.state
+        assert (state.status, state.iterations, len(state.trace)) == ("stalled", 25, 24)
+        assert state.trace[0]["step"] == 0.5 and state.flip_log == []
+        steps = [row["step"] for row in state.trace]
+        assert all(step == 2.0 ** round(math.log2(step)) < 1.0 for step in steps)
+        assert state.max_error == state.trace[-1]["max_error"] and state.hessian_sign == 1
 
     def test_genus2_uniqueness_under_radius_scaling(self, genus2, rng):
         base = random_packing(genus2, rng)
@@ -463,6 +482,28 @@ class TestNewtonSolve:
         trials = sum(1 + round(-math.log2(row["step"])) for row in state.trace)
         assert len(built) == 1 + trials
         assert built[0] is packing
+
+    def test_every_step_walks_its_segment(self, monkeypatch):
+        """The start and each step of an untracked solve go through
+        ``segment_potential``, the one walk, with no target to integrate."""
+        surface = torus_grid(4)
+        packing = random_packing(
+            surface, np.random.default_rng(5), (0.5, 0.8), (1.05, 1.5), max_tries=5000
+        )
+        targets = []
+        walk = solver.segment_potential
+
+        def counted(*args, **kwargs):
+            targets.append(args[2])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "segment_potential", counted)
+        state = newton_solve(
+            surface, packing, np.full(16, 0.5), tol=1e-13, track_potential=False
+        )
+        assert state.status == "converged" and state.iterations >= 4
+        assert len(targets) == 1 + state.iterations
+        assert all(target is None for target in targets)
 
     def test_non_compact_start_raises_with_the_input(self, octahedron):
         packing = unchecked_packing(
