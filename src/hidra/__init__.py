@@ -19,13 +19,10 @@ from .geometry import (
     auxiliary_length,
     delta_discriminant,
     edge_cosh_length,
-    face_metrics,
-    hinge_delaunay_margin,
-    orthocircle_radius,
     validate_packing,
     xi_discriminant,
 )
-from .hyptrig import acosh_stable, angle_from_sides, hinge_diagonal
+from .hyptrig import acosh_stable, hinge_diagonal
 from .meshio import build_report, load_mesh, mesh_document, parse_mesh
 from .solver import (
     SolveState,

@@ -27,7 +27,6 @@ from .geometry import (
     Packing,
     SurfaceMetrics,
     auxiliary_length,
-    hinge_delaunay_margin,
     xi_discriminant,
 )
 from .hyptrig import acosh_stable, hinge_diagonal, sinh_from_cosh
@@ -377,10 +376,8 @@ def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):
     control_ok = True
     for _ in range(hinges):
         dh = random_degenerate_hinge(rng)
-        hv = hinge(dh.surface, dh.diagonal_edge)
-        worst_margin = max(
-            worst_margin, abs(hinge_delaunay_margin(hv, dh.packing))
-        )
+        margin = SurfaceMetrics(dh.surface, dh.packing).margins[dh.diagonal_edge]
+        worst_margin = max(worst_margin, abs(margin))
         worst_fF = max(
             worst_fF,
             abs(dh.sextuple[5] - ptolemy_flip_value(*dh.sextuple[:5]))

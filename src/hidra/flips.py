@@ -12,14 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SurgeryDiverged
-from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
+from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics, _delaunay_margin, _xi_numerator
 from .ptolemy import (
     delta_identity_residuals,
     ptolemy_flip_value,
     ptolemy_residual,
     ptolemy_residual_scale,
 )
-from .surface import flip_combinatorial, hinge
+from .surface import TriSurface, flip_combinatorial, hinge, hinge_from_slots, rewrite_hinge
 
 __all__ = [
     "FlipEvent",
@@ -55,22 +55,81 @@ def flip_edge(surface, packing, edge, iteration=0, margin_before=math.nan):
 
     The edge keeps its id; its inversive distance becomes the Ptolemy
     value of the hinge labels.  ``margin_before`` is logged as given:
-    ``make_weighted_delaunay`` passes the margin it picked the edge by,
+    ``make_weighted_delaunay`` logs the margin it picked the edge by,
     and a flip outside that loop logs NaN.
     """
     hv = hinge(surface, edge)
-    labels = tuple(float(packing.inv[eid]) for eid in hv.boundary_edges) + (
-        float(packing.inv[edge]),
-    )
     new_surface = flip_combinatorial(surface, hv)
-    f = float(ptolemy_flip_value(*labels))
+    event = _flip_event(hv, packing.inv, iteration, margin_before)
     new_inv = packing.inv.copy()
-    new_inv[edge] = f
-    return (
-        new_surface,
-        Packing(new_inv, packing.radii.copy()),
-        FlipEvent(edge, labels, f, iteration, float(margin_before)),
-    )
+    new_inv[edge] = event.new_value
+    return new_surface, Packing(new_inv, packing.radii.copy()), event
+
+
+def _flip_event(hv, inv, iteration, margin_before):
+    """FlipEvent of the hinge ``hv`` under the inversive distances ``inv``."""
+    labels = tuple(float(inv[eid]) for eid in (*hv.boundary_edges, hv.edge))
+    f = float(ptolemy_flip_value(*labels))
+    return FlipEvent(hv.edge, labels, f, iteration, float(margin_before))
+
+
+class _HeldTriangulation:
+    """The triangulation the flip loop rewrites in place: writable edge,
+    corner and side rows, the inversive distances, each edge's two flat
+    face slots in ascending order, and the entry kernel's tanh, cosh and
+    sinh radii (flips keep the radii)."""
+
+    def __init__(self, surface, packing, kernel):
+        self.vertex_count, self.radii, self.inv = surface.vertex_count, packing.radii, packing.inv.tolist()
+        self.rows = [rows.copy() for rows in (surface.edges, surface.corners, surface.sides)]
+        self.flat = [rows.ravel() for rows in self.rows[1:]]
+        self.slots = np.argsort(self.flat[1], kind="stable").reshape(-1, 2).tolist()
+        self.tanh_r, self.cosh_r, self.sinh_r = (
+            radii.tolist() for radii in (kernel.tanh_r, kernel.cosh_r, kernel.sinh_r))
+
+    def hinge(self, edge):
+        return hinge_from_slots(edge, *self.slots[edge], *self.flat)
+
+    def margin(self, edge):
+        """Delaunay margin of ``edge``, by the kernel's own formula."""
+        h, t = self.hinge(edge), self.tanh_r
+        labels = [self.inv[eid] for eid in (*h.boundary_edges, edge)]
+        return _delaunay_margin(labels, t[h.v_k], t[h.v_i], t[h.v_l], t[h.v_j])
+
+    def flip(self, edge, iteration, margin_before):
+        """Flip ``edge`` in place, re-filing the slots of the edges on the
+        two new faces; returns its FlipEvent and those edges.  A new face
+        outside the domain or non-compact raises the kernel's own fault,
+        which names it, since every other face passed."""
+        h = self.hinge(edge)
+        rewrite_hinge(h, *self.rows)
+        event = _flip_event(h, self.inv, iteration, margin_before)
+        f = self.inv[edge] = event.new_value
+        faces, (_, corners, sides), flat_sides = [h.face_k, h.face_l], self.rows, self.flat[1]
+        fresh = [3 * face + m for face in faces for m in range(3)]
+        touched = {int(flat_sides[slot]) for slot in fresh}
+        for eid in touched:
+            kept = [slot for slot in self.slots[eid] if slot // 3 not in faces]
+            self.slots[eid] = sorted(kept + [slot for slot in fresh if flat_sides[slot] == eid])
+        # The kernel's checks of the new faces; every other side passed
+        # them at entry.  The diagonal's length is formed in each face's
+        # slot order, so that it overflows exactly where the kernel's does.
+        c, s, k, l = self.cosh_r, self.sinh_r, h.v_k, h.v_l
+        if not (f > 1.0 and math.isfinite(c[l] * c[k] + f * s[l] * s[k])
+                and math.isfinite(c[k] * c[l] + f * s[k] * s[l])
+                and all(_xi_numerator(*(self.tanh_r[v] for v in corners[face]),
+                                      *(self.inv[eid] for eid in sides[face])) > 0.0
+                        for face in faces)):
+            SurfaceMetrics(*self.freeze()).margins  # raises
+        return event, touched
+
+    def freeze(self):
+        """The held triangulation as a TriSurface, its hinge slots taken
+        from the held ones, and a Packing; the held rows turn read-only."""
+        surface = TriSurface(self.vertex_count, *self.rows)
+        slot_k, slot_l = np.array(self.slots).T
+        vars(surface)["hinge_slots"] = hinge_from_slots(np.arange(len(slot_k)), slot_k, slot_l, *self.flat)
+        return surface, Packing(np.array(self.inv), self.radii.copy())
 
 
 def surface_delaunay_margins(surface, packing):
@@ -100,38 +159,40 @@ def make_weighted_delaunay(
     Scheduling is greedy worst-first: each round flips the edge with the
     most negative margin, ties broken by lowest edge id.  Edges within
     the tolerance band are treated as Delaunay and never flipped, which
-    prevents two-cycles at degenerate hinges.  After one full margin scan
-    at entry, each flip re-checks only its two rewritten faces and
-    re-evaluates the five edges on them.  Returns the new surface,
+    prevents two-cycles at degenerate hinges.  One array kernel scans
+    every margin at entry; a call without flips returns its inputs.  The
+    loop holds the triangulation it flips: each flip rewrites its hinge
+    in place (``rewrite_hinge``) and re-scores the five edges on the two
+    new faces by the kernel's margin formula; a new face outside the
+    domain or non-compact raises the kernel's error.  Returns the new surface,
     packing, and the ordered flip log.  Past the budget it raises
     SurgeryDiverged carrying the partial SolveState: the surface,
     packing and flip log reached so far.  Settings that
     ``check_flip_settings`` rejects raise DomainError.
     """
     check_flip_settings(tol, flip_budget)
-    margins = surface_delaunay_margins(surface, packing)
+    kernel = SurfaceMetrics(surface, packing)
+    margins = kernel.margins
     if flip_budget is None:
         flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)
-    events = []
+    events, held = [], None
     while True:
         worst = int(np.argmin(margins))  # first minimum: lowest edge id
         if margins[worst] >= -tol:
-            return surface, packing, events
+            return (*held.freeze(), events) if held else (surface, packing, events)
         if len(events) >= flip_budget:
             from .solver import SolveState, u_from_r  # solver imports this module
 
             raise SurgeryDiverged(
                 f"exceeded flip budget of {flip_budget} flips",
                 state=SolveState(
-                    surface, packing, u_from_r(packing.radii), None, None, None,
+                    *(held.freeze() if held else (surface, packing)),
+                    u_from_r(packing.radii), None, None, None,
                     "surgery_diverged", 0, events,
                 ),
             )
-        surface, packing, event = flip_edge(
-            surface, packing, worst, iteration, margins[worst]
-        )
+        held = held or _HeldTriangulation(surface, packing, kernel)
+        event, touched = held.flip(worst, iteration, margins[worst])
         events.append(event)
-        slots = surface.hinge_slots
-        faces = [slots.face_k[worst], slots.face_l[worst]]  # ascending
-        edges = surface.sides[faces]
-        margins[edges] = SurfaceMetrics(surface, packing, faces, edges).margins
+        for edge in touched:
+            margins[edge] = held.margin(edge)

@@ -6,9 +6,11 @@ is a pure function of (surface, packing): edge lengths, per-face
 discriminants, orthogonal circles and the local weighted Delaunay
 margin.
 
-Solvers, flip loop and reports take every metric quantity from one
-array kernel, ``SurfaceMetrics``; ``face_metrics`` and
-``hinge_delaunay_margin`` are its scalar reference.
+Solvers, flip loop, reports and ``verify`` take every metric quantity
+from one array kernel, ``SurfaceMetrics``.  ``face_metrics`` and
+``hinge_delaunay_margin``, its scalar reference, have no caller in the
+library; the benchmark imports and traces them.  The rest of the scalar
+route (corner angles, orthocircle radii) is in ``tests/geometry_oracle.py``.
 """
 
 import math
@@ -18,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
-from .hyptrig import TOL_DOMAIN, angle_from_sides
+from .hyptrig import TOL_DOMAIN
 from .ptolemy import delta_discriminant, ptolemy_flip_value
 
 # Margin band within which a hinge counts as Delaunay and is never
@@ -139,15 +141,6 @@ class FaceMetrics:
     xi: float
     delta: float
 
-    def angles(self):
-        """Corner angles (angle m at corner m)."""
-        x, y, z = self.cosh_lengths
-        return (
-            angle_from_sides(x, y, z),
-            angle_from_sides(y, z, x),
-            angle_from_sides(z, x, y),
-        )
-
 
 def face_metrics(surface, packing, face):
     """Evaluate FaceMetrics for one face of the surface (scalar
@@ -198,15 +191,13 @@ class SurfaceMetrics:
     inversive distance not above 1, or overflowing length), then
     DegenerateTriangle from ``angles`` or NonCompactOrthocircle from
     ``margins``; checked values hold no NaN.
-    Index arrays ``faces`` (ascending) and ``edges`` select faces and hinges.
     """
 
-    def __init__(self, surface, packing, faces=slice(None), edges=slice(None)):
-        self.surface, self.packing, self.edges = surface, packing, edges
-        self.faces = np.arange(surface.face_count)[faces]
-        self.corners = corners = surface.corners[faces]
+    def __init__(self, surface, packing):
+        self.surface, self.packing = surface, packing
+        self.corners = corners = surface.corners
         radii = packing.radii
-        self.inv = packing.inv[surface.sides[faces]]
+        self.inv = packing.inv[surface.sides]
         with np.errstate(over="ignore", invalid="ignore"):
             self.cosh_r = np.cosh(radii)
             self.sinh_r = np.sinh(radii)
@@ -228,7 +219,7 @@ class SurfaceMetrics:
         bad = ~(self.domain_ok & ok)
         if bad.any():
             at = np.unravel_index(bad.argmax(), bad.shape)
-            face = int(self.faces[at[-1]])
+            face = int(at[-1])
             if not self.domain_ok[at]:
                 raise DomainError(f"face {face} is outside the domain", face=face)
             raise error(face, at)
@@ -277,13 +268,10 @@ class SurfaceMetrics:
         """``margins`` without the checks: rows failing the domain test
         or holding a face with Xi <= 0 hold meaningless values, possibly
         NaN."""
-        h, e = self.surface.hinge_slots, self.edges
-        inv, t = self.packing.inv, self.tanh_r
-        labels = [inv[ids[e]] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge)]
+        h, inv, t = self.surface.hinge_slots, self.packing.inv, self.tanh_r
+        labels = [inv[ids] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _delaunay_margin(
-                labels, *(t[..., ids[e]] for ids in (h.v_k, h.v_i, h.v_l, h.v_j))
-            )
+            return _delaunay_margin(labels, *(t[..., ids] for ids in (h.v_k, h.v_i, h.v_l, h.v_j)))
 
     def angle_radius_jacobian(self):
         """(..., F, 3, 3) derivatives of corner angle m by corner radius n."""
@@ -308,22 +296,6 @@ class SurfaceMetrics:
         dT[..., slots, NEXT] = (Cp - C * Cn) / (Sn**2 * base)
         dT[..., slots, PREV] = (Cn - C * Cp) / (Sp**2 * base)
         return dT @ dC
-
-
-def orthocircle_radius(fm):
-    """Radius of the face's orthogonal circle.
-
-    sinh rho = sinh r_i sinh r_j sinh r_k sqrt(Delta / Xi); defined only
-    while the circle is compact (Xi > 0).
-    """
-    if fm.xi <= 0.0:
-        raise _non_compact(fm.face, fm.xi)
-    sinh_rho = (
-        math.prod(math.sinh(r) for r in fm.radii)
-        * math.sqrt(fm.delta)
-        / math.sqrt(fm.xi)
-    )
-    return math.asinh(sinh_rho)
 
 
 def _hinge_faces_metrics(hv, packing):

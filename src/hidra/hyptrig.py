@@ -51,18 +51,6 @@ def _acos_clamped(t):
     return math.acos(t)
 
 
-def angle_from_sides(x, y, z):
-    """Angle opposite the side of cosh-length x, given all three sides.
-
-    cos A = (cosh y cosh z - cosh x) / (sinh y sinh z)
-    """
-    sy = sinh_from_cosh(y)
-    sz = sinh_from_cosh(z)
-    if sy == 0.0 or sz == 0.0:
-        raise DegenerateTriangle("adjacent side has zero length")
-    return _acos_clamped((y * z - x) / (sy * sz))
-
-
 def hinge_diagonal(u, v, w, x, y):
     """cosh distance between the far vertices of a developed hinge.
 

@@ -24,17 +24,23 @@ def ptolemy_flip_value(a, b, c, d, e):
 
     f = (ab + cd + ace + bde + sqrt(D_ade) sqrt(D_bce)) / (e^2 - 1)
 
-    Elementwise on arrays of hinge labels.
+    Elementwise on arrays of hinge labels; on Python floats the domain
+    checks cost two comparisons.
     """
-    if np.any(np.less_equal(e, 1.0)):
+    if _anywhere(e <= 1.0):
         raise DomainError("diagonal inversive distance must exceed 1")
     d_ade = delta_discriminant(a, d, e)
     d_bce = delta_discriminant(b, c, e)
-    if np.any(np.less(d_ade, 0.0)) or np.any(np.less(d_bce, 0.0)):
+    if _anywhere(d_ade < 0.0) or _anywhere(d_bce < 0.0):
         raise DomainError("negative discriminant in flip value")
     return (a * b + c * d + a * c * e + b * d * e + np.sqrt(d_ade) * np.sqrt(d_bce)) / (
         e * e - 1.0
     )
+
+
+def _anywhere(mask):
+    """Whether a comparison (a bool on Python scalars) holds anywhere."""
+    return mask if type(mask) is bool else bool(mask.any())
 
 
 def _ptolemy_terms(a, b, c, d, e, f):

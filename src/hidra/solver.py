@@ -713,14 +713,16 @@ def ricci_flow(
     dt (FlowStalled below MIN_FLOW_DT).  Stops at max|K - Kbar| <= tol,
     after ``max_iterations`` steps, or once t, the sum of accepted dt,
     reaches t_max (none by default).  DomainError unless dt is positive
-    and finite and the other settings are as ``newton_solve`` takes
-    them.  The flip budget bounds
+    and finite, t_max is a non-negative number and the other settings
+    are as ``newton_solve`` takes them.  The flip budget bounds
     the start's flips and each step's; an overrun raises SurgeryDiverged
     with the flow's target, flip log and trace where the flips stopped,
     counting the steps completed.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"flow step dt = {dt} must be positive and finite")
+    if not t_max >= 0.0:
+        raise DomainError(f"t_max = {t_max} must be a non-negative number")
     run = _Run(surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations)
     t = 0.0
     while not (run.error <= tol or t >= t_max or run.steps >= max_iterations):

@@ -12,7 +12,9 @@ The complex is stored as three read-only int arrays and nothing else:
 arrays as in intrinsic-triangulation codes (Sharp, Soliman and Crane,
 "Navigating intrinsic triangulations", 2019).  The two face slots of
 each edge are derived from ``sides`` by one stable argsort.  Surfaces
-are immutable; a flip returns a new surface that differs in three rows.
+are immutable; a flip returns a new surface that differs in three rows,
+written by ``rewrite_hinge``, which the flip loop also applies in place
+to the writable rows it holds.
 """
 
 from dataclasses import dataclass, fields
@@ -107,14 +109,8 @@ class TriSurface:
         lists each edge's two slots (flat indices 3 * face + side) in
         (face, side) order."""
         slot = np.argsort(self.sides.ravel(), kind="stable").reshape(-1, 2).T
-        face, side = np.divmod(slot, 3)
-        nxt, prv = slot - side + (side + 1) % 3, slot - side + (side + 2) % 3
-        c, s = self.corners.ravel(), self.sides.ravel()
-        return HingeView(
-            edge=np.arange(len(self.edges)), face_k=face[0], face_l=face[1],
-            side_in_k=side[0], side_in_l=side[1], v_k=c[slot[0]], v_i=c[nxt[0]],
-            v_j=c[prv[0]], v_l=c[slot[1]], e_a=s[prv[0]], e_d=s[nxt[0]],
-            e_b=s[nxt[1]], e_c=s[prv[1]],
+        return hinge_from_slots(
+            np.arange(len(self.edges)), *slot, self.corners.ravel(), self.sides.ravel()
         )
 
     @cached_property
@@ -219,23 +215,43 @@ def hinge(surface, edge):
     return HingeView(*(int(getattr(slots, f.name)[edge]) for f in fields(HingeView)))
 
 
+def hinge_from_slots(edge, slot_k, slot_l, corners, sides):
+    """HingeView of ``edge`` from its two face slots: the flat indices
+    slot_k < slot_l into the flattened ``corners`` and ``sides``.
+    Elementwise on arrays of edges and slots."""
+    (face_k, side_k), (face_l, side_l) = divmod(slot_k, 3), divmod(slot_l, 3)
+    nxt_k, prv_k = slot_k - side_k + (side_k + 1) % 3, slot_k - side_k + (side_k + 2) % 3
+    nxt_l, prv_l = slot_l - side_l + (side_l + 1) % 3, slot_l - side_l + (side_l + 2) % 3
+    return HingeView(
+        edge=edge, face_k=face_k, face_l=face_l, side_in_k=side_k, side_in_l=side_l,
+        v_k=corners[slot_k], v_i=corners[nxt_k], v_j=corners[prv_k], v_l=corners[slot_l],
+        e_a=sides[prv_k], e_b=sides[nxt_l], e_c=sides[prv_l], e_d=sides[nxt_k],
+    )
+
+
+def rewrite_hinge(h, edges, corners, sides):
+    """Write the flip of the hinge ``h`` into the writable rows of
+    ``edges``, ``corners`` and ``sides``: the edge now joins the two
+    apexes.  Raises FlipIllegal only when both slots of the edge lie on
+    one face."""
+    if h.face_k == h.face_l:
+        raise FlipIllegal(f"edge {h.edge} has both sides on face {h.face_k}")
+    edges[h.edge] = h.v_k, h.v_l
+    corners[[h.face_k, h.face_l]] = (h.v_k, h.v_i, h.v_l), (h.v_l, h.v_j, h.v_k)
+    sides[[h.face_k, h.face_l]] = (h.e_b, h.edge, h.e_a), (h.e_d, h.edge, h.e_c)
+
+
 def flip_combinatorial(surface, edge):
     """Replace the diagonal of the hinge at ``edge`` by the other one.
 
     ``edge`` is an edge id or its HingeView.  The edge keeps its id but
     now joins the two apexes; V, E, F are unchanged and the global
     orientation is preserved.  Only the edge's row of ``edges`` and the
-    two faces' rows of ``corners`` and ``sides`` are rewritten, giving
-    what ``build_surface`` would.  Raises FlipIllegal only when both
-    slots of ``edge`` lie on one face.
+    two faces' rows of ``corners`` and ``sides`` are rewritten, by
+    ``rewrite_hinge``, giving what ``build_surface`` would.  Raises
+    FlipIllegal only when both slots of ``edge`` lie on one face.
     """
     h = edge if isinstance(edge, HingeView) else hinge(surface, edge)
-    if h.face_k == h.face_l:
-        raise FlipIllegal(f"edge {h.edge} has both sides on face {h.face_k}")
-    edges, corners, sides = (
-        array.copy() for array in (surface.edges, surface.corners, surface.sides)
-    )
-    edges[h.edge] = h.v_k, h.v_l
-    corners[[h.face_k, h.face_l]] = (h.v_k, h.v_i, h.v_l), (h.v_l, h.v_j, h.v_k)
-    sides[[h.face_k, h.face_l]] = (h.e_b, h.edge, h.e_a), (h.e_d, h.edge, h.e_c)
-    return TriSurface(surface.vertex_count, edges, corners, sides)
+    arrays = [array.copy() for array in (surface.edges, surface.corners, surface.sides)]
+    rewrite_hinge(h, *arrays)
+    return TriSurface(surface.vertex_count, *arrays)

@@ -1,5 +1,6 @@
 """The geometric route to the Delaunay predicate, kept as the oracle for
-the algebraic margin.
+the algebraic margin, and the scalar corner angles and orthocircle
+radii the array kernel is checked against.
 
 ``hinge_h_sum`` adds the signed distances from the two orthocircle
 centers of a hinge to its shared edge; its sign must agree with
@@ -20,9 +21,42 @@ from hidra.geometry import (
     _hinge_faces_metrics,
     _non_compact,
     hinge_delaunay_margin,
-    orthocircle_radius,
 )
-from hidra.hyptrig import acosh_stable, angle_from_sides, sinh_from_cosh
+from hidra.hyptrig import _acos_clamped, acosh_stable, sinh_from_cosh
+
+
+def angle_from_sides(x, y, z):
+    """Angle opposite the side of cosh-length x, given all three sides.
+
+    cos A = (cosh y cosh z - cosh x) / (sinh y sinh z)
+    """
+    sy = sinh_from_cosh(y)
+    sz = sinh_from_cosh(z)
+    if sy == 0.0 or sz == 0.0:
+        raise DegenerateTriangle("adjacent side has zero length")
+    return _acos_clamped((y * z - x) / (sy * sz))
+
+
+def face_angles(fm):
+    """Corner angles of FaceMetrics ``fm`` (angle m at corner m)."""
+    x, y, z = fm.cosh_lengths
+    return angle_from_sides(x, y, z), angle_from_sides(y, z, x), angle_from_sides(z, x, y)
+
+
+def orthocircle_radius(fm):
+    """Radius of the face's orthogonal circle.
+
+    sinh rho = sinh r_i sinh r_j sinh r_k sqrt(Delta / Xi); defined only
+    while the circle is compact (Xi > 0).
+    """
+    if fm.xi <= 0.0:
+        raise _non_compact(fm.face, fm.xi)
+    sinh_rho = (
+        math.prod(math.sinh(r) for r in fm.radii)
+        * math.sqrt(fm.delta)
+        / math.sqrt(fm.xi)
+    )
+    return math.asinh(sinh_rho)
 
 
 def inversive_from_length(r_i, r_j, cosh_l):

@@ -35,7 +35,7 @@ from hidra.flips import (
     ptolemy_residual_scale,
     surface_delaunay_margins,
 )
-from hidra.geometry import Packing, face_metrics, orthocircle_radius, xi_discriminant
+from hidra.geometry import Packing, face_metrics, xi_discriminant
 from hidra.ptolemy import delta_identity_residuals
 from hidra.solver import (
     curvatures,
@@ -46,6 +46,7 @@ from hidra.solver import (
     ricci_flow,
 )
 from conftest import coo_hessian, hessian_fd, replay_flips_reversed, surfaces_isomorphic
+from geometry_oracle import orthocircle_radius
 
 
 @contextmanager

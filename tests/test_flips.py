@@ -1,6 +1,7 @@
 """Ptolemy algebra and the flip-to-Delaunay loop."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     surfaces_isomorphic,
     torus_grid,
 )
+from hidra import flips
 from hidra.checks import degenerate_hinge, random_flip_sequence, random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import DomainError, NonCompactOrthocircle, SurgeryDiverged
@@ -24,10 +26,16 @@ from hidra.flips import (
     ptolemy_residual_scale,
     surface_delaunay_margins,
 )
-from hidra.geometry import TOL_DELAUNAY, Packing, face_metrics, hinge_delaunay_margin
+from hidra.geometry import (
+    TOL_DELAUNAY,
+    Packing,
+    SurfaceMetrics,
+    face_metrics,
+    hinge_delaunay_margin,
+)
 from hidra.ptolemy import delta_discriminant, delta_identity_residuals
 from hidra.solver import SolveState, u_from_r
-from hidra.surface import hinge
+from hidra.surface import HingeView, build_surface, hinge
 
 INV_FIVE = st.floats(min_value=1.05, max_value=6.0)
 
@@ -48,6 +56,42 @@ class TestPtolemyFlipValue:
     def test_rejects_degenerate_diagonal(self):
         with pytest.raises(DomainError):
             ptolemy_flip_value(2.0, 2.0, 2.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("labels, match", [
+        ((2.0, 2.0, 2.0, 2.0, 1.0), "diagonal inversive distance must exceed 1"),
+        ((2.0, 2.0, 2.0, 2.0, math.nan), None),
+        # D_ade = (a + d e)^2 - (d^2 - 1)(e^2 - 1) = -9 at a = -d e = -4.
+        ((-4.0, 2.0, 2.0, 2.0, 2.0), "negative discriminant in flip value"),
+        ((2.0, 2.0, -4.0, 2.0, 2.0), "negative discriminant in flip value"),
+    ], ids=["diagonal-1", "diagonal-nan", "d_ade", "d_bce"])
+    def test_domain_errors_on_scalars_and_arrays(self, labels, match):
+        # The same message whether the labels are Python floats, numpy
+        # scalars or arrays whose second hinge is the bad one; a NaN
+        # diagonal passes the checks, as np.less_equal let it.
+        good = (2.0, 2.0, 2.0, 2.0, 2.0)
+        inputs = [labels, tuple(map(np.float64, labels)),
+                  tuple(np.array([g, x]) for g, x in zip(good, labels))]
+        for args in inputs:
+            if match is None:
+                assert np.isnan(ptolemy_flip_value(*args)).any()
+            else:
+                with pytest.raises(DomainError, match=f"^{match}$"):
+                    ptolemy_flip_value(*args)
+
+    def test_scalar_values_are_the_array_values_bit_for_bit(self):
+        # The flip loop scores hinges on Python floats and must match the
+        # array kernel exactly; both must also keep the closed form.
+        rng = np.random.default_rng(19)
+        labels = rng.uniform(1.0 + 1e-9, 12.0, size=(5, 2000))
+        a, b, c, d, e = labels
+        closed_form = (
+            a * b + c * d + a * c * e + b * d * e
+            + np.sqrt(delta_discriminant(a, d, e)) * np.sqrt(delta_discriminant(b, c, e))
+        ) / (e * e - 1.0)
+        array = ptolemy_flip_value(*labels)
+        scalar = [ptolemy_flip_value(*column) for column in labels.T.tolist()]
+        assert array.tobytes() == closed_form.tobytes()
+        assert np.array(scalar).tobytes() == array.tobytes()
 
     @given(INV_FIVE, INV_FIVE, INV_FIVE, INV_FIVE, INV_FIVE)
     @settings(max_examples=500)
@@ -240,11 +284,68 @@ def loop_outcome(loop, surface, packing, **kwargs):
     return kind, end, packing.inv.tobytes(), packing.radii.tobytes(), repr(events)
 
 
+def assert_frozen_surface(surface):
+    """The surface is what ``build_surface`` makes of its own arrays:
+    equal rows, read-only, and the hinge slots of a fresh argsort."""
+    rebuilt = build_surface(surface.vertex_count, surface.edges.tolist(),
+                            list(zip(surface.corners.tolist(), surface.sides.tolist())))
+    assert surface == rebuilt
+    assert not any(rows.flags.writeable
+                   for rows in (surface.edges, surface.corners, surface.sides))
+    for field in fields(HingeView):
+        got, want = (getattr(s.hinge_slots, field.name) for s in (surface, rebuilt))
+        assert np.array_equal(got, want), field.name
+
+
+GRID_PACKINGS = {
+    "checkerboard": checkerboard_packing,
+    "random": lambda surface, n, rng: random_packing(
+        surface, rng, tanh_range=(0.2, 0.95), inv_range=(1.05, 6.0), max_tries=5000
+    ),
+}
+
+
 class TestIncrementalAgainstRescan:
     def assert_same(self, surface, packing, **kwargs):
         got = loop_outcome(make_weighted_delaunay, surface, packing, **kwargs)
         assert got == loop_outcome(rescan_weighted_delaunay, surface, packing, **kwargs)
+        if got[0] in ("done", "diverged"):
+            assert_frozen_surface(got[1])
         return got
+
+    @given(n=st.integers(3, 8), kind=st.sampled_from(sorted(GRID_PACKINGS)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_grids(self, n, kind, seed):
+        surface = torus_grid(n)
+        packing = GRID_PACKINGS[kind](surface, n, np.random.default_rng(seed))
+        assert self.assert_same(surface, packing, iteration=n)[0] == "done"
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_one_vertex_genus2(self, seed):
+        # Every edge is a loop and faces share several edges, so one
+        # flip re-files slots of edges that repeat on its two faces.
+        surface = one_vertex_genus2()
+        packing = random_packing(
+            surface, np.random.default_rng(seed), inv_range=(1.05, 12.0), max_tries=5000
+        )
+        assert self.assert_same(surface, packing)[0] == "done"
+
+    def test_one_kernel_per_loop(self, monkeypatch):
+        # The loop builds the entry kernel and none per flip.
+        built = []
+
+        class CountedMetrics(SurfaceMetrics):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(flips, "SurfaceMetrics", CountedMetrics)
+        surface = torus_grid(8)
+        packing = checkerboard_packing(surface, 8, np.random.default_rng(0))
+        _, _, events = make_weighted_delaunay(surface, packing)
+        assert (len(events), len(built)) == (32, 1)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_checkerboards(self, n):

@@ -17,7 +17,6 @@ from hidra.geometry import (
     edge_cosh_length,
     face_metrics,
     hinge_delaunay_margin,
-    orthocircle_radius,
     validate_packing,
     xi_discriminant,
 )
@@ -30,6 +29,7 @@ from geometry_oracle import (
     hinge_h_sum,
     inversive_from_length,
     is_local_delaunay,
+    orthocircle_radius,
     signed_center_distance,
     triangle_inequalities_hold,
 )

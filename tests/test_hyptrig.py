@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from hidra.errors import DegenerateTriangle, DomainError
 from hidra.hyptrig import (
     acosh_stable,
-    angle_from_sides,
     hinge_diagonal,
     sinh_from_cosh,
 )
 
-from geometry_oracle import hinge_poly_residual
+from geometry_oracle import angle_from_sides, hinge_poly_residual
 
 # The law of cosines for angles, which the library does not use, is the
 # round-trip oracle for angle_from_sides.

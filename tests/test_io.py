@@ -541,9 +541,9 @@ class TestCLI:
         ("validate", 1), ("curvature", 1), ("delaunay", 2),
     ])
     def test_one_kernel_per_cli_report(self, tmp_path, monkeypatch, command, kernels):
-        """validate and curvature evaluate the array kernel of the whole
-        surface once, for their checks and the report; delaunay twice,
-        for its entry margin scan and the flipped state.  The report is
+        """validate and curvature evaluate the array kernel once, for
+        their checks and the report; delaunay twice, for its entry margin
+        scan and the flipped state, and none per flip.  The report is
         the one build_report makes with its own kernel, byte for byte."""
         from hidra.flips import make_weighted_delaunay
         from hidra.geometry import SurfaceMetrics
@@ -568,15 +568,15 @@ class TestCLI:
             expected = build_report(
                 status="converged", digest=digest, surface=surface, packing=packing
             )
-        whole, init = [], SurfaceMetrics.__init__
+        built, init = [], SurfaceMetrics.__init__
 
-        def counted(self, surface, packing, faces=slice(None), edges=slice(None)):
-            whole.append(isinstance(faces, slice))
-            init(self, surface, packing, faces, edges)
+        def counted(self, surface, packing):
+            built.append(surface)
+            init(self, surface, packing)
 
         monkeypatch.setattr(SurfaceMetrics, "__init__", counted)
         assert self.run(command, str(mesh), "--out", str(out)) == 0
-        assert sum(whole) == kernels
+        assert len(built) == kernels
         assert out.read_text() == dumps_report(expected)
 
     def test_delaunay_budget_overrun_keeps_flip_log_and_digest(self, tmp_path):
@@ -681,11 +681,13 @@ class TestCLI:
         ("solve", "tol", -1.0), ("solve", "tol", math.nan), ("flow", "tol", -1.0),
         ("solve", "tol_delaunay", math.nan), ("delaunay", "tol_delaunay", math.nan),
         ("flow", "flip_budget", -1), ("delaunay", "flip_budget", -1),
+        ("flow", "t_max", math.nan), ("flow", "t_max", -1.0),
     ])
     def test_bad_setting_is_invalid_input(self, tmp_path, capsys, source, command, key, value):
         # Before these were rejected, a NaN or negative tol ran to a
-        # line-search underflow and a NaN Delaunay tolerance or a negative
-        # flip budget to a flip-budget overrun.
+        # line-search underflow, a NaN Delaunay tolerance or a negative
+        # flip budget to a flip-budget overrun, and a NaN t_max to the
+        # step cap or a negative one to a stop after 0 steps (exit 3).
         out = tmp_path / "report.json"
         argv = [command, fixture_path("genus2.json"), "--out", str(out)]
         if source == "flag":

@@ -29,6 +29,8 @@ from hidra.hyptrig import sinh_from_cosh
 from hidra.solver import curvatures, hessian
 from hidra.surface import hinge
 
+from geometry_oracle import face_angles
+
 REL_TOL = 1e-12
 
 
@@ -45,7 +47,7 @@ def scalar_faces(surface, packing):
     for fid in range(surface.face_count):
         try:
             fm = face_metrics(surface, packing, fid)
-            out.append((fm, fm.angles()))
+            out.append((fm, face_angles(fm)))
         except DomainError as exc:
             raise Raised(exc, fid) from exc
     return out

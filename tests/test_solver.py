@@ -576,6 +576,13 @@ class TestRicciFlow:
         assert flow.status == "converged"
         assert np.max(np.abs(flow.u - newton.u)) <= 1e-6
 
+    @pytest.mark.parametrize("t_max", [math.nan, -1.0])
+    def test_bad_time_bound_is_a_domain_error(self, torus, torus_packing, t_max):
+        # A NaN bound never stopped the flow and a negative one stopped it
+        # after 0 steps, both reported as max_iterations.
+        with pytest.raises(DomainError, match=f"^t_max = {t_max} "):
+            ricci_flow(torus, torus_packing, np.array([1.0]), t_max=t_max, max_iterations=3)
+
     def test_potential_nonincreasing(self, genus2, rng):
         pk = random_packing(genus2, rng)
         state = ricci_flow(genus2, pk, np.array([0.0]), dt=0.4, t_max=300.0, tol=1e-8)
