@@ -8,6 +8,7 @@ curvature-prescription solvers (Newton descent and discrete Ricci flow).
 from . import checks, complexes, errors
 from .flips import (
     FlipEvent,
+    HeldTriangulation,
     delta_identity_residuals,
     flip_edge,
     make_weighted_delaunay,

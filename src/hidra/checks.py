@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import one_vertex_genus2, one_vertex_torus, tetrahedron_sphere
-from .errors import ConstructionInvalid, FlipIllegal
+from .errors import ConstructionInvalid
 from .flips import (
+    HeldTriangulation,
     flip_edge,
     ptolemy_flip_value,
     ptolemy_residual,
@@ -235,15 +236,12 @@ def xi_equivalence_check(radii, inv):
 def conformal_roundtrip_check(surface, packing, flip_sequence):
     """Apply the flips forward then in reverse; the inversive distances
     must return to their originals.  Returns the max relative error."""
-    original = packing.inv.copy()
-    s, p = surface, packing
-    for eid in flip_sequence:
-        s, p, _ = flip_edge(s, p, eid)
-    for eid in reversed(flip_sequence):
-        s, p, _ = flip_edge(s, p, eid)
+    held, original = HeldTriangulation(surface, packing), packing.inv
+    for eid in (*flip_sequence, *reversed(flip_sequence)):
+        flip_edge(held, eid)
     if len(original) == 0:
         return 0.0
-    return float(np.max(np.abs(p.inv - original) / np.abs(original)))
+    return float(np.max(np.abs(np.array(held.inv) - original) / np.abs(original)))
 
 
 def random_packing(
@@ -279,18 +277,14 @@ def random_flip_sequence(surface, packing, rng, count):
     flips.  Undoing flips always stays below the cap, so a sequence of
     the requested length exists.
     """
-    sequence = []
-    s, p = surface, packing
+    sequence, held = [], HeldTriangulation(surface, packing)
     for _ in range(count):
         for _ in range(50):
-            eid = int(rng.integers(len(s.edges)))
-            try:
-                s2, p2, event = flip_edge(s, p, eid)
-            except FlipIllegal:
+            eid = int(rng.integers(len(held.inv)))
+            h = held.hinge(eid)  # both sides on one face: an illegal flip
+            if h.face_k == h.face_l or ptolemy_flip_value(*held.labels(h)) > 1e6:
                 continue
-            if event.new_value > 1e6:
-                continue
-            s, p = s2, p2
+            flip_edge(held, eid)
             sequence.append(eid)
             break
         else:

@@ -19,10 +19,11 @@ from .ptolemy import (
     ptolemy_residual,
     ptolemy_residual_scale,
 )
-from .surface import TriSurface, flip_combinatorial, hinge, hinge_from_slots, rewrite_hinge
+from .surface import TriSurface, hinge_from_slots, rewrite_hinge
 
 __all__ = [
     "FlipEvent",
+    "HeldTriangulation",
     "delta_identity_residuals",
     "flip_edge",
     "make_weighted_delaunay",
@@ -50,86 +51,80 @@ class FlipEvent:
     margin_before: float
 
 
-def flip_edge(surface, packing, edge, iteration=0, margin_before=math.nan):
-    """Flip one edge, returning (surface', packing', FlipEvent).
+class HeldTriangulation:
+    """A triangulation and packing held for flips in place: writable
+    edge, corner and side rows, the inversive distances, each edge's two
+    flat face slots in ascending order, and the tanh, cosh and sinh of
+    the radii, which flips keep.  ``flip_edge`` rewrites it; ``freeze``
+    hands it back as a TriSurface and a Packing and ends it."""
 
-    The edge keeps its id; its inversive distance becomes the Ptolemy
-    value of the hinge labels.  ``margin_before`` is logged as given:
-    ``make_weighted_delaunay`` logs the margin it picked the edge by,
-    and a flip outside that loop logs NaN.
-    """
-    hv = hinge(surface, edge)
-    new_surface = flip_combinatorial(surface, hv)
-    event = _flip_event(hv, packing.inv, iteration, margin_before)
-    new_inv = packing.inv.copy()
-    new_inv[edge] = event.new_value
-    return new_surface, Packing(new_inv, packing.radii.copy()), event
-
-
-def _flip_event(hv, inv, iteration, margin_before):
-    """FlipEvent of the hinge ``hv`` under the inversive distances ``inv``."""
-    labels = tuple(float(inv[eid]) for eid in (*hv.boundary_edges, hv.edge))
-    f = float(ptolemy_flip_value(*labels))
-    return FlipEvent(hv.edge, labels, f, iteration, float(margin_before))
-
-
-class _HeldTriangulation:
-    """The triangulation the flip loop rewrites in place: writable edge,
-    corner and side rows, the inversive distances, each edge's two flat
-    face slots in ascending order, and the entry kernel's tanh, cosh and
-    sinh radii (flips keep the radii)."""
-
-    def __init__(self, surface, packing, kernel):
+    def __init__(self, surface, packing):
         self.vertex_count, self.radii, self.inv = surface.vertex_count, packing.radii, packing.inv.tolist()
         self.rows = [rows.copy() for rows in (surface.edges, surface.corners, surface.sides)]
         self.flat = [rows.ravel() for rows in self.rows[1:]]
         self.slots = np.argsort(self.flat[1], kind="stable").reshape(-1, 2).tolist()
-        self.tanh_r, self.cosh_r, self.sinh_r = (
-            radii.tolist() for radii in (kernel.tanh_r, kernel.cosh_r, kernel.sinh_r))
+        with np.errstate(over="ignore"):  # as in SurfaceMetrics
+            self.tanh_r, self.cosh_r, self.sinh_r = (
+                fn(packing.radii).tolist() for fn in (np.tanh, np.cosh, np.sinh))
 
     def hinge(self, edge):
         return hinge_from_slots(edge, *self.slots[edge], *self.flat)
 
+    def labels(self, h):
+        """The labels (a, b, c, d, e) of the hinge ``h``."""
+        return [self.inv[eid] for eid in (*h.boundary_edges, h.edge)]
+
     def margin(self, edge):
         """Delaunay margin of ``edge``, by the kernel's own formula."""
         h, t = self.hinge(edge), self.tanh_r
-        labels = [self.inv[eid] for eid in (*h.boundary_edges, edge)]
-        return _delaunay_margin(labels, t[h.v_k], t[h.v_i], t[h.v_l], t[h.v_j])
+        return _delaunay_margin(self.labels(h), t[h.v_k], t[h.v_i], t[h.v_l], t[h.v_j])
 
-    def flip(self, edge, iteration, margin_before):
-        """Flip ``edge`` in place, re-filing the slots of the edges on the
-        two new faces; returns its FlipEvent and those edges.  A new face
-        outside the domain or non-compact raises the kernel's own fault,
-        which names it, since every other face passed."""
-        h = self.hinge(edge)
-        rewrite_hinge(h, *self.rows)
-        event = _flip_event(h, self.inv, iteration, margin_before)
-        f = self.inv[edge] = event.new_value
-        faces, (_, corners, sides), flat_sides = [h.face_k, h.face_l], self.rows, self.flat[1]
-        fresh = [3 * face + m for face in faces for m in range(3)]
-        touched = {int(flat_sides[slot]) for slot in fresh}
-        for eid in touched:
-            kept = [slot for slot in self.slots[eid] if slot // 3 not in faces]
-            self.slots[eid] = sorted(kept + [slot for slot in fresh if flat_sides[slot] == eid])
-        # The kernel's checks of the new faces; every other side passed
-        # them at entry.  The diagonal's length is formed in each face's
-        # slot order, so that it overflows exactly where the kernel's does.
-        c, s, k, l = self.cosh_r, self.sinh_r, h.v_k, h.v_l
-        if not (f > 1.0 and math.isfinite(c[l] * c[k] + f * s[l] * s[k])
-                and math.isfinite(c[k] * c[l] + f * s[k] * s[l])
+    def check(self, edge):
+        """The kernel's checks of the two faces of ``edge``, where every
+        other side passed them: its inversive distance above 1, its length
+        finite (formed in each face's slot order, so that it overflows
+        exactly where the kernel's does) and Xi > 0.  A failure raises the
+        kernel's own fault, which names the face.  Returns the edges of
+        the two faces."""
+        h, c, s, f = self.hinge(edge), self.cosh_r, self.sinh_r, self.inv[edge]
+        i, j, faces, (_, corners, sides) = h.v_i, h.v_j, [h.face_k, h.face_l], self.rows
+        if not (f > 1.0 and math.isfinite(c[i] * c[j] + f * s[i] * s[j])
+                and math.isfinite(c[j] * c[i] + f * s[j] * s[i])
                 and all(_xi_numerator(*(self.tanh_r[v] for v in corners[face]),
                                       *(self.inv[eid] for eid in sides[face])) > 0.0
                         for face in faces)):
             SurfaceMetrics(*self.freeze()).margins  # raises
-        return event, touched
+        return set(sides[faces].ravel().tolist())
 
     def freeze(self):
-        """The held triangulation as a TriSurface, its hinge slots taken
-        from the held ones, and a Packing; the held rows turn read-only."""
+        """The held triangulation as a TriSurface and a Packing; the held
+        rows turn read-only."""
         surface = TriSurface(self.vertex_count, *self.rows)
-        slot_k, slot_l = np.array(self.slots).T
-        vars(surface)["hinge_slots"] = hinge_from_slots(np.arange(len(slot_k)), slot_k, slot_l, *self.flat)
         return surface, Packing(np.array(self.inv), self.radii.copy())
+
+
+def flip_edge(held, edge, iteration=0, margin_before=math.nan):
+    """Flip one edge of the HeldTriangulation ``held`` in place and
+    return its FlipEvent.
+
+    The hinge's rows are rewritten by ``rewrite_hinge``, as in
+    ``flip_combinatorial``, and the slots of the edges on the two new
+    faces are re-filed.  The edge keeps its id; its inversive distance
+    becomes the Ptolemy value of the hinge labels.  ``margin_before`` is
+    logged as given: ``make_weighted_delaunay`` logs the margin it picked
+    the edge by, and a flip outside that loop logs NaN.  FlipIllegal
+    leaves ``held`` as it was.
+    """
+    h = held.hinge(edge)
+    rewrite_hinge(h, *held.rows)
+    labels = held.labels(h)
+    f = held.inv[edge] = float(ptolemy_flip_value(*labels))
+    faces, flat_sides = [h.face_k, h.face_l], held.flat[1]
+    fresh = [3 * face + m for face in faces for m in range(3)]
+    for eid in {int(flat_sides[slot]) for slot in fresh}:
+        kept = [slot for slot in held.slots[eid] if slot // 3 not in faces]
+        held.slots[eid] = sorted(kept + [slot for slot in fresh if flat_sides[slot] == eid])
+    return FlipEvent(edge, tuple(labels), f, iteration, float(margin_before))
 
 
 def surface_delaunay_margins(surface, packing):
@@ -160,19 +155,20 @@ def make_weighted_delaunay(
     most negative margin, ties broken by lowest edge id.  Edges within
     the tolerance band are treated as Delaunay and never flipped, which
     prevents two-cycles at degenerate hinges.  One array kernel scans
-    every margin at entry; a call without flips returns its inputs.  The
-    loop holds the triangulation it flips: each flip rewrites its hinge
-    in place (``rewrite_hinge``) and re-scores the five edges on the two
-    new faces by the kernel's margin formula; a new face outside the
-    domain or non-compact raises the kernel's error.  Returns the new surface,
+    every margin at entry; a call without flips returns its inputs.  At
+    its first flip the loop takes a HeldTriangulation, and each flip is
+    local: ``flip_edge`` rewrites the hinge in place, and the edges on
+    the two new faces are checked and re-scored by the kernel's own
+    formulas (a new face outside the domain or non-compact raises the
+    kernel's error).  The surface and packing are built once, at the end,
+    at a budget overrun or at a fault.  Returns the new surface,
     packing, and the ordered flip log.  Past the budget it raises
     SurgeryDiverged carrying the partial SolveState: the surface,
     packing and flip log reached so far.  Settings that
     ``check_flip_settings`` rejects raise DomainError.
     """
     check_flip_settings(tol, flip_budget)
-    kernel = SurfaceMetrics(surface, packing)
-    margins = kernel.margins
+    margins = surface_delaunay_margins(surface, packing)
     if flip_budget is None:
         flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)
     events, held = [], None
@@ -191,8 +187,7 @@ def make_weighted_delaunay(
                     "surgery_diverged", 0, events,
                 ),
             )
-        held = held or _HeldTriangulation(surface, packing, kernel)
-        event, touched = held.flip(worst, iteration, margins[worst])
-        events.append(event)
-        for edge in touched:
+        held = held or HeldTriangulation(surface, packing)
+        events.append(flip_edge(held, worst, iteration, margins[worst]))
+        for edge in held.check(worst):
             margins[edge] = held.margin(edge)

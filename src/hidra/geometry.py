@@ -8,14 +8,15 @@ margin.
 
 Solvers, flip loop, reports and ``verify`` take every metric quantity
 from one array kernel, ``SurfaceMetrics``.  ``face_metrics`` and
-``hinge_delaunay_margin``, its scalar reference, have no caller in the
-library; the benchmark imports and traces them.  The rest of the scalar
-route (corner angles, orthocircle radii) is in ``tests/geometry_oracle.py``.
+``hinge_delaunay_margin`` read one face's or one edge's values from it;
+nothing in the library calls them.  The scalar reference route the
+kernel is tested against is in ``tests/geometry_oracle.py``.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -123,52 +124,6 @@ def _xi_numerator(tp, tq, tr, a, b, c):
     )
 
 
-@dataclass(frozen=True)
-class FaceMetrics:
-    """All metric quantities of one face, slot-ordered by corner.
-
-    ``cosh_lengths[m]`` is the cosh length of the side opposite corner m,
-    ``inv[m]`` its inversive distance; radii follow the corners.
-    """
-
-    face: int
-    corners: tuple
-    sides: tuple
-    radii: tuple
-    cosh_radii: tuple
-    cosh_lengths: tuple
-    inv: tuple
-    xi: float
-    delta: float
-
-
-def face_metrics(surface, packing, face):
-    """Evaluate FaceMetrics for one face of the surface (scalar
-    reference of SurfaceMetrics)."""
-    corners, sides = surface.corners[face].tolist(), surface.sides[face].tolist()
-    return _face_metrics(packing, face, tuple(corners), tuple(sides))
-
-
-def _face_metrics(packing, face, corners, sides):
-    radii = tuple(float(packing.radii[v]) for v in corners)
-    inv = tuple(float(packing.inv[e]) for e in sides)
-    cosh_lengths = tuple(
-        edge_cosh_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
-        for m in range(3)
-    )
-    return FaceMetrics(
-        face=face,
-        corners=corners,
-        sides=sides,
-        radii=radii,
-        cosh_radii=tuple(math.cosh(r) for r in radii),
-        cosh_lengths=cosh_lengths,
-        inv=inv,
-        xi=xi_discriminant(radii, inv),
-        delta=delta_discriminant(*inv),
-    )
-
-
 def _non_compact(face, xi):
     return NonCompactOrthocircle(
         f"face {face} has Xi = {xi:.3e} <= 0", face=face, xi=float(xi)
@@ -184,10 +139,10 @@ class SurfaceMetrics:
 
     Radii are (V,), or (B, V) for a batch of packings that differ only
     in their radii; arrays then gain the leading batch axis.  Face
-    arrays are (..., F, 3), slot-ordered as in FaceMetrics, and computed
-    on first access.  Preconditions are checked on every face first; the
-    exception the scalar path raises names the lowest face at fault, of
-    the first row at fault: DomainError (radius not positive and finite,
+    arrays are (..., F, 3), slot m for corner m and the side opposite
+    it, and computed on first access.  Preconditions are checked on
+    every face first; the exception raised names the lowest face at
+    fault, of the first row at fault: DomainError (radius not positive and finite,
     inversive distance not above 1, or overflowing length), then
     DegenerateTriangle from ``angles`` or NonCompactOrthocircle from
     ``margins``; checked values hold no NaN.
@@ -258,8 +213,8 @@ class SurfaceMetrics:
 
     @cached_property
     def margins(self):
-        """(..., E) local Delaunay margin of every edge, as
-        ``hinge_delaunay_margin``; every face must be compact."""
+        """(..., E) local Delaunay margin of every edge (see
+        ``_delaunay_margin``); every face must be compact."""
         self.check(self.xi > 0.0, lambda face, at: _non_compact(face, self.xi[at]))
         return self.unchecked_margins
 
@@ -298,25 +253,22 @@ class SurfaceMetrics:
         return dT @ dC
 
 
-def _hinge_faces_metrics(hv, packing):
-    """FaceMetrics of the two hinge faces, hinge-labelled.
-
-    Both are built with corner order (i, j, apex), so slot 2 is the
-    shared edge in each.
-    """
-    return (
-        _face_metrics(
-            packing, hv.face_k, (hv.v_i, hv.v_j, hv.v_k), (hv.e_d, hv.e_a, hv.edge)
-        ),
-        _face_metrics(
-            packing, hv.face_l, (hv.v_i, hv.v_j, hv.v_l), (hv.e_c, hv.e_b, hv.edge)
-        ),
-    )
+def face_metrics(surface, packing, face):
+    """Face ``face``'s row of the array kernel: its Xi and the cosh
+    lengths of its sides (slot m opposite corner m), as floats."""
+    m = SurfaceMetrics(surface, packing)
+    return SimpleNamespace(face=face, xi=float(m.xi[face]),
+                           cosh_lengths=tuple(m.cosh_lengths[face].tolist()))
 
 
-def hinge_delaunay_margin(hv, packing):
-    """Algebraic local Delaunay margin of a hinge (RHS minus LHS of the
-    flip inequality).
+def hinge_delaunay_margin(surface, packing, edge):
+    """Delaunay margin of ``edge``, read from the array kernel."""
+    return float(SurfaceMetrics(surface, packing).margins[edge])
+
+
+def _delaunay_margin(labels, t_k, t_i, t_l, t_j):
+    """Algebraic local Delaunay margin of a hinge: RHS minus LHS of the
+    flip inequality; elementwise on arrays.
 
     With hinge labels (a, b, c, d, e), f the flip value of the diagonal,
     and hatted tanh radii, the edge is local weighted Delaunay iff
@@ -325,16 +277,6 @@ def hinge_delaunay_margin(hv, packing):
 
     Both faces must have compact orthocircles (Xi > 0).
     """
-    for fm in _hinge_faces_metrics(hv, packing):
-        if fm.xi <= 0.0:
-            raise _non_compact(fm.face, fm.xi)
-    labels = tuple(float(packing.inv[eid]) for eid in (*hv.boundary_edges, hv.edge))
-    t = (math.tanh(float(packing.radii[v])) for v in (hv.v_k, hv.v_i, hv.v_l, hv.v_j))
-    return float(_delaunay_margin(labels, *t))
-
-
-def _delaunay_margin(labels, t_k, t_i, t_l, t_j):
-    """RHS minus LHS of the flip inequality; elementwise on arrays."""
     a, b, c, d, e = labels
     f = ptolemy_flip_value(a, b, c, d, e)
     lhs = np.sqrt(delta_discriminant(b, c, e)) / t_k + np.sqrt(

@@ -13,7 +13,7 @@ from hidra.complexes import (
     one_vertex_torus,
     tetrahedron_sphere,
 )
-from hidra.flips import flip_edge
+from hidra.flips import HeldTriangulation, flip_edge
 from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from hidra.meshio import dumps_report, mesh_document
 from hidra.ptolemy import ptolemy_residual, ptolemy_residual_scale
@@ -87,10 +87,18 @@ def surfaces_isomorphic(s1, s2):
 
 def replay_flips_reversed(surface, packing, flip_log):
     """Undo a solve's flip log on its final state (radii untouched)."""
-    s, p = surface, packing
+    held = HeldTriangulation(surface, packing)
     for event in reversed(flip_log):
-        s, p, _ = flip_edge(s, p, event.edge)
-    return s, p
+        flip_edge(held, event.edge)
+    return held.freeze()
+
+
+def flipped(surface, packing, *args, **kwargs):
+    """(surface', packing', FlipEvent) of one ``flip_edge`` on a held copy
+    of (surface, packing), which stay as they are."""
+    held = HeldTriangulation(surface, packing)
+    event = flip_edge(held, *args, **kwargs)
+    return (*held.freeze(), event)
 
 
 def ptolemy_residual_relative(event):

@@ -1,28 +1,114 @@
-"""The geometric route to the Delaunay predicate, kept as the oracle for
-the algebraic margin, and the scalar corner angles and orthocircle
-radii the array kernel is checked against.
+"""The scalar reference route of the array kernel, and the geometric
+route to the Delaunay predicate, kept as oracles.
 
-``hinge_h_sum`` adds the signed distances from the two orthocircle
-centers of a hinge to its shared edge; its sign must agree with
-``hidra.geometry.hinge_delaunay_margin``.  ``develop_face_in_disk``
-places a face's circles in the Poincare disk, where the developed
-distances must reproduce the cosh lengths of ``face_metrics``.  The
-remaining helpers are round-trip and identity oracles of the length,
-hinge-diagonal and first-order matching formulas.
+``face_metrics`` and ``hinge_delaunay_margin`` evaluate one face or one
+hinge in Python floats, with corner angles and orthocircle radii on
+top; the array kernel ``hidra.geometry.SurfaceMetrics`` must agree
+with them.  ``hinge_h_sum`` adds the signed distances from the two
+orthocircle centers of a hinge to its shared edge; its sign must agree
+with ``hinge_delaunay_margin``.  ``develop_face_in_disk`` places a
+face's circles in the Poincare disk, where the developed distances must
+reproduce the cosh lengths of ``face_metrics``.  The remaining helpers
+are round-trip and identity oracles of the length, hinge-diagonal and
+first-order matching formulas.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 from hidra.checks import dF_df_discrepancy
 from hidra.errors import DegenerateTriangle, DomainError
 from hidra.geometry import (
     TOL_DELAUNAY,
-    _hinge_faces_metrics,
+    _delaunay_margin,
     _non_compact,
-    hinge_delaunay_margin,
+    edge_cosh_length,
+    xi_discriminant,
 )
 from hidra.hyptrig import _acos_clamped, acosh_stable, sinh_from_cosh
+from hidra.ptolemy import delta_discriminant
+
+
+@dataclass(frozen=True)
+class FaceMetrics:
+    """All metric quantities of one face, slot-ordered by corner.
+
+    ``cosh_lengths[m]`` is the cosh length of the side opposite corner m,
+    ``inv[m]`` its inversive distance; radii follow the corners.
+    """
+
+    face: int
+    corners: tuple
+    sides: tuple
+    radii: tuple
+    cosh_radii: tuple
+    cosh_lengths: tuple
+    inv: tuple
+    xi: float
+    delta: float
+
+
+def face_metrics(surface, packing, face):
+    """Evaluate FaceMetrics for one face of the surface (scalar
+    reference of SurfaceMetrics)."""
+    corners, sides = surface.corners[face].tolist(), surface.sides[face].tolist()
+    return _face_metrics(packing, face, tuple(corners), tuple(sides))
+
+
+def _face_metrics(packing, face, corners, sides):
+    radii = tuple(float(packing.radii[v]) for v in corners)
+    inv = tuple(float(packing.inv[e]) for e in sides)
+    cosh_lengths = tuple(
+        edge_cosh_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
+        for m in range(3)
+    )
+    return FaceMetrics(
+        face=face,
+        corners=corners,
+        sides=sides,
+        radii=radii,
+        cosh_radii=tuple(math.cosh(r) for r in radii),
+        cosh_lengths=cosh_lengths,
+        inv=inv,
+        xi=xi_discriminant(radii, inv),
+        delta=delta_discriminant(*inv),
+    )
+
+
+def _hinge_faces_metrics(hv, packing):
+    """FaceMetrics of the two hinge faces, hinge-labelled.
+
+    Both are built with corner order (i, j, apex), so slot 2 is the
+    shared edge in each.
+    """
+    return (
+        _face_metrics(
+            packing, hv.face_k, (hv.v_i, hv.v_j, hv.v_k), (hv.e_d, hv.e_a, hv.edge)
+        ),
+        _face_metrics(
+            packing, hv.face_l, (hv.v_i, hv.v_j, hv.v_l), (hv.e_c, hv.e_b, hv.edge)
+        ),
+    )
+
+
+def hinge_delaunay_margin(hv, packing):
+    """Algebraic local Delaunay margin of a hinge (RHS minus LHS of the
+    flip inequality).
+
+    With hinge labels (a, b, c, d, e), f the flip value of the diagonal,
+    and hatted tanh radii, the edge is local weighted Delaunay iff
+
+        sqrt(D_bce)/p^ + sqrt(D_ade)/r^ <= sqrt(D_cdf)/q^ + sqrt(D_abf)/s^
+
+    Both faces must have compact orthocircles (Xi > 0).
+    """
+    for fm in _hinge_faces_metrics(hv, packing):
+        if fm.xi <= 0.0:
+            raise _non_compact(fm.face, fm.xi)
+    labels = tuple(float(packing.inv[eid]) for eid in (*hv.boundary_edges, hv.edge))
+    t = (math.tanh(float(packing.radii[v])) for v in (hv.v_k, hv.v_i, hv.v_l, hv.v_j))
+    return float(_delaunay_margin(labels, *t))
 
 
 def angle_from_sides(x, y, z):

@@ -28,14 +28,13 @@ from hidra.complexes import (
     one_vertex_torus,
 )
 from hidra.flips import (
-    flip_edge,
     make_weighted_delaunay,
     ptolemy_flip_value,
     ptolemy_residual,
     ptolemy_residual_scale,
     surface_delaunay_margins,
 )
-from hidra.geometry import Packing, face_metrics, xi_discriminant
+from hidra.geometry import Packing, xi_discriminant
 from hidra.ptolemy import delta_identity_residuals
 from hidra.solver import (
     curvatures,
@@ -45,8 +44,8 @@ from hidra.solver import (
     newton_solve,
     ricci_flow,
 )
-from conftest import coo_hessian, hessian_fd, replay_flips_reversed, surfaces_isomorphic
-from geometry_oracle import orthocircle_radius
+from conftest import coo_hessian, flipped, hessian_fd, replay_flips_reversed, surfaces_isomorphic
+from geometry_oracle import face_metrics, orthocircle_radius
 
 
 @contextmanager
@@ -112,8 +111,8 @@ def test_criterion_3_delaunay_suite():
                 for fid in range(s2.face_count):
                     assert face_metrics(s2, p2, fid).xi > 0.0
                 eid = int(rng.integers(len(s2.edges)))
-                s3, p3, _ = flip_edge(s2, p2, eid)
-                _, p4, _ = flip_edge(s3, p3, eid)
+                s3, p3, _ = flipped(s2, p2, eid)
+                _, p4, _ = flipped(s3, p3, eid)
                 assert abs(p4.inv[eid] - p2.inv[eid]) / p2.inv[eid] <= 1e-8
         assert flips_total > 0  # the sweep exercised actual surgery
 

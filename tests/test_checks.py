@@ -21,11 +21,10 @@ from hidra.checks import (
 )
 from hidra.errors import ConstructionInvalid
 from hidra.flips import ptolemy_flip_value
-from hidra.geometry import hinge_delaunay_margin, face_metrics
 from hidra.surface import hinge
 
 from conftest import replay_flips_reversed, surfaces_isomorphic
-from geometry_oracle import dF_df_check, orthocircle_radius
+from geometry_oracle import dF_df_check, face_metrics, hinge_delaunay_margin, orthocircle_radius
 
 SYM_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 

@@ -15,8 +15,6 @@ from hidra.geometry import (
     auxiliary_length,
     delta_discriminant,
     edge_cosh_length,
-    face_metrics,
-    hinge_delaunay_margin,
     validate_packing,
     xi_discriminant,
 )
@@ -26,6 +24,8 @@ from hidra.surface import hinge
 from geometry_oracle import (
     develop_face_in_disk,
     disk_distance,
+    face_metrics,
+    hinge_delaunay_margin,
     hinge_h_sum,
     inversive_from_length,
     is_local_delaunay,
@@ -286,7 +286,7 @@ class TestLocalDelaunay:
         # a strictly non-Delaunay hinge becomes Delaunay after its flip
         from hidra.checks import random_packing
         from hidra.complexes import one_vertex_genus2
-        from hidra.flips import flip_edge
+        from conftest import flipped
 
         surface = one_vertex_genus2()
         seen = 0
@@ -297,7 +297,7 @@ class TestLocalDelaunay:
             for eid in range(len(surface.edges)):
                 margin = hinge_delaunay_margin(hinge(surface, eid), pk)
                 if margin < -1e-8:
-                    s2, p2, _ = flip_edge(surface, pk, eid)
+                    s2, p2, _ = flipped(surface, pk, eid)
                     margin2 = hinge_delaunay_margin(hinge(s2, eid), p2)
                     assert margin2 > -1e-10
                     seen += 1

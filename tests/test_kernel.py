@@ -1,8 +1,8 @@
 """The array metric kernel against the scalar per-face reference.
 
 The references below evaluate one face or hinge at a time with
-``face_metrics`` and ``hinge_delaunay_margin``, the way the library did
-before the kernel existed.  Each one records the face at which it
+``face_metrics`` and ``hinge_delaunay_margin`` of ``geometry_oracle``,
+the way the library did before the kernel existed.  Each one records the face at which it
 raises, so failures are compared by exception class and face as well.
 A batch of radii rows is checked against the kernel on each row alone.
 """
@@ -19,17 +19,13 @@ from hidra.checks import random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
 from hidra.flips import surface_delaunay_margins
-from hidra.geometry import (
-    Packing,
-    SurfaceMetrics,
-    face_metrics,
-    hinge_delaunay_margin,
-)
+from hidra import geometry
+from hidra.geometry import Packing, SurfaceMetrics
 from hidra.hyptrig import sinh_from_cosh
 from hidra.solver import curvatures, hessian
 from hidra.surface import hinge
 
-from geometry_oracle import face_angles
+from geometry_oracle import face_angles, face_metrics, hinge_delaunay_margin
 
 REL_TOL = 1e-12
 
@@ -169,6 +165,19 @@ def test_kernel_matches_scalar_reference(name, seed, compact):
         assert close(surface_delaunay_margins(surface, packing), ref)
     else:
         assert_same_failure(lambda: surface_delaunay_margins(surface, packing), raised)
+
+
+def test_single_face_and_edge_reads_of_the_kernel():
+    """``hidra.geometry.face_metrics`` and ``hinge_delaunay_margin`` read
+    one face's Xi and cosh lengths and one edge's margin of the kernel."""
+    surface = one_vertex_genus2()
+    packing = random_packing(surface, np.random.default_rng(3), inv_range=(1.05, 12.0),
+                             max_tries=5000)
+    for fid in range(surface.face_count):
+        got, want = geometry.face_metrics(surface, packing, fid), face_metrics(surface, packing, fid)
+        assert close(got.xi, want.xi) and close(got.cosh_lengths, want.cosh_lengths)
+    got = [geometry.hinge_delaunay_margin(surface, packing, e) for e in range(len(surface.edges))]
+    assert close(got, scalar_margins(surface, packing))
 
 
 def test_reference_failures_are_exercised():
