@@ -6,15 +6,7 @@ curvature-prescription solvers (Newton descent and discrete Ricci flow).
 """
 
 from . import checks, complexes, errors
-from .flips import (
-    FlipEvent,
-    HeldTriangulation,
-    delta_identity_residuals,
-    flip_edge,
-    make_weighted_delaunay,
-    ptolemy_flip_value,
-    ptolemy_residual,
-)
+from .flips import FlipEvent, HeldTriangulation, flip_edge, make_weighted_delaunay
 from .geometry import (
     Packing,
     auxiliary_length,
@@ -25,6 +17,7 @@ from .geometry import (
 )
 from .hyptrig import acosh_stable, hinge_diagonal
 from .meshio import build_report, load_mesh, mesh_document, parse_mesh
+from .ptolemy import delta_identity_residuals, ptolemy_flip_value, ptolemy_residual
 from .solver import (
     SolveState,
     curvatures,
@@ -42,7 +35,6 @@ from .surface import (
     TriSurface,
     build_surface,
     euler_characteristic,
-    flip_combinatorial,
     hinge,
 )
 

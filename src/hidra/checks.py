@@ -17,13 +17,7 @@ import numpy as np
 
 from .complexes import one_vertex_genus2, one_vertex_torus, tetrahedron_sphere
 from .errors import ConstructionInvalid
-from .flips import (
-    HeldTriangulation,
-    flip_edge,
-    ptolemy_flip_value,
-    ptolemy_residual,
-    ptolemy_residual_scale,
-)
+from .flips import HeldTriangulation, flip_edge
 from .geometry import (
     Packing,
     SurfaceMetrics,
@@ -31,7 +25,13 @@ from .geometry import (
     xi_discriminant,
 )
 from .hyptrig import acosh_stable, hinge_diagonal, sinh_from_cosh
-from .ptolemy import delta_discriminant, delta_identity_residuals
+from .ptolemy import (
+    delta_discriminant,
+    delta_identity_residuals,
+    ptolemy_flip_value,
+    ptolemy_residual,
+    ptolemy_residual_scale,
+)
 from .surface import hinge
 
 PARAMETER_NAMES = ("p", "q", "r", "s", "a", "b", "c", "d", "e")

@@ -60,6 +60,7 @@ DEFAULTS = {
     "t_max": DEFAULT_FLOW_T_MAX,
     "seed": 0,
 }
+INTEGER_SETTINGS = ("flip_budget", "max_iters", "seed")  # their flags are type=int
 
 
 def _say(msg):
@@ -69,8 +70,9 @@ def _say(msg):
 def _settings(args):
     """Effective options: CLI flags override the config file, which
     overrides the built-in defaults.  The config file must be a JSON
-    object of numbers keyed by DEFAULTS names (``flip_budget`` may be
-    null); anything else raises ValidationError."""
+    object of numbers keyed by DEFAULTS names, where ``max_iters``,
+    ``seed`` and ``flip_budget`` are integers, as their flags are
+    (``flip_budget`` may be null); anything else raises ValidationError."""
     merged = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -85,8 +87,9 @@ def _settings(args):
         for key, value in config.items():
             if key not in DEFAULTS:
                 raise ValidationError(f"config {config_path}: unknown key {key!r}")
-            if type(value) not in (int, float) and (key, value) != ("flip_budget", None):
-                raise ValidationError(f"config {config_path}: {key} must be a number")
+            kinds, what = ((int,), "an integer") if key in INTEGER_SETTINGS else ((int, float), "a number")
+            if type(value) not in kinds and (key, value) != ("flip_budget", None):
+                raise ValidationError(f"config {config_path}: {key} must be {what}")
         merged.update(config)
     for key in merged:
         value = getattr(args, key, None)
@@ -190,7 +193,7 @@ def cmd_solve(args, surface, packing, target_doc, digest):
         packing,
         target,
         tol=settings["tol"],
-        max_iterations=int(settings["max_iters"]),
+        max_iterations=settings["max_iters"],
         tol_delaunay=settings["tol_delaunay"],
         flip_budget=settings["flip_budget"],
     )
@@ -215,7 +218,7 @@ def cmd_flow(args, surface, packing, target_doc, digest):
         tol=settings["tol"],
         tol_delaunay=settings["tol_delaunay"],
         flip_budget=settings["flip_budget"],
-        max_iterations=int(settings["max_iters"]),
+        max_iterations=settings["max_iters"],
     )
     report = build_report(status=state.status, digest=digest, state=state)
     _write_report(args, report)
@@ -228,7 +231,7 @@ def cmd_flow(args, surface, packing, target_doc, digest):
 
 def cmd_verify(args):
     env_seed = os.environ.get("HIDRA_SEED")
-    seed = int(env_seed) if env_seed is not None else int(_settings(args)["seed"])
+    seed = int(env_seed) if env_seed is not None else _settings(args)["seed"]
     report = run_verification_suite(seed=seed, samples=args.samples)
     _write_report(args, report)
     for section in report["sections"]:

@@ -13,25 +13,8 @@ import numpy as np
 
 from .errors import DomainError, SurgeryDiverged
 from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics, _delaunay_margin, _xi_numerator
-from .ptolemy import (
-    delta_identity_residuals,
-    ptolemy_flip_value,
-    ptolemy_residual,
-    ptolemy_residual_scale,
-)
+from .ptolemy import ptolemy_flip_value
 from .surface import TriSurface, hinge_from_slots, rewrite_hinge
-
-__all__ = [
-    "FlipEvent",
-    "HeldTriangulation",
-    "delta_identity_residuals",
-    "flip_edge",
-    "make_weighted_delaunay",
-    "ptolemy_flip_value",
-    "ptolemy_residual",
-    "ptolemy_residual_scale",
-    "surface_delaunay_margins",
-]
 
 DEFAULT_FLIP_BUDGET_FACTOR = 100
 
@@ -107,13 +90,12 @@ def flip_edge(held, edge, iteration=0, margin_before=math.nan):
     """Flip one edge of the HeldTriangulation ``held`` in place and
     return its FlipEvent.
 
-    The hinge's rows are rewritten by ``rewrite_hinge``, as in
-    ``flip_combinatorial``, and the slots of the edges on the two new
-    faces are re-filed.  The edge keeps its id; its inversive distance
-    becomes the Ptolemy value of the hinge labels.  ``margin_before`` is
-    logged as given: ``make_weighted_delaunay`` logs the margin it picked
-    the edge by, and a flip outside that loop logs NaN.  FlipIllegal
-    leaves ``held`` as it was.
+    The hinge's rows are rewritten by ``rewrite_hinge``, and the slots of
+    the edges on the two new faces are re-filed.  The edge keeps its id;
+    its inversive distance becomes the Ptolemy value of the hinge labels.
+    ``margin_before`` is logged as given: ``make_weighted_delaunay`` logs
+    the margin it picked the edge by, and a flip outside that loop logs
+    NaN.  FlipIllegal leaves ``held`` as it was.
     """
     h = held.hinge(edge)
     rewrite_hinge(h, *held.rows)
@@ -134,11 +116,12 @@ def surface_delaunay_margins(surface, packing):
 
 
 def check_flip_settings(tol, flip_budget):
-    """DomainError on a NaN Delaunay tolerance or a negative flip budget.
-    A negative tolerance stays legal: it flips edges that are Delaunay."""
+    """DomainError on a NaN Delaunay tolerance or a NaN or negative flip
+    budget.  A negative tolerance stays legal: it flips edges that are
+    Delaunay."""
     if math.isnan(tol):
         raise DomainError(f"tol_delaunay = {tol} must be a number")
-    if flip_budget is not None and flip_budget < 0:
+    if flip_budget is not None and not flip_budget >= 0:
         raise DomainError(f"flip_budget = {flip_budget} must be non-negative")
 
 

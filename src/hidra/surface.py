@@ -12,12 +12,13 @@ The complex is stored as three read-only int arrays and nothing else:
 arrays as in intrinsic-triangulation codes (Sharp, Soliman and Crane,
 "Navigating intrinsic triangulations", 2019).  The two face slots of
 each edge are derived from ``sides`` by one stable argsort.  Surfaces
-are immutable; a flip returns a new surface that differs in three rows,
-written by ``rewrite_hinge``, which the flip loop also applies in place
-to the writable rows it holds.
+are immutable, and no flip returns a new one: ``flips.flip_edge``
+rewrites three rows of the writable copies a ``HeldTriangulation``
+holds, through ``rewrite_hinge``, and hands a surface back when frozen.
 """
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,8 +32,9 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class HingeView:
+class HingeView(namedtuple(
+    "HingeView", "edge face_k face_l side_in_k side_in_l v_k v_i v_l v_j e_a e_b e_c e_d"
+)):
     """An edge together with its two incident face slots.
 
     Vertex slots are labelled so the hinge reads: the edge runs from
@@ -46,19 +48,7 @@ class HingeView:
     labels for every edge at once, each field an (E,) index array.
     """
 
-    edge: int
-    face_k: int
-    face_l: int
-    side_in_k: int
-    side_in_l: int
-    v_k: int
-    v_i: int
-    v_l: int
-    v_j: int
-    e_a: int
-    e_b: int
-    e_c: int
-    e_d: int
+    __slots__ = ()
 
     @property
     def boundary_edges(self):
@@ -211,8 +201,7 @@ def euler_characteristic(surface):
 def hinge(surface, edge):
     """The labelled local picture of ``edge`` and its two faces: entry
     ``edge`` of ``surface.hinge_slots``."""
-    slots = surface.hinge_slots
-    return HingeView(*(int(getattr(slots, f.name)[edge]) for f in fields(HingeView)))
+    return HingeView(*(int(ids[edge]) for ids in surface.hinge_slots))
 
 
 def hinge_from_slots(edge, slot_k, slot_l, corners, sides):
@@ -240,18 +229,3 @@ def rewrite_hinge(h, edges, corners, sides):
     corners[[h.face_k, h.face_l]] = (h.v_k, h.v_i, h.v_l), (h.v_l, h.v_j, h.v_k)
     sides[[h.face_k, h.face_l]] = (h.e_b, h.edge, h.e_a), (h.e_d, h.edge, h.e_c)
 
-
-def flip_combinatorial(surface, edge):
-    """Replace the diagonal of the hinge at ``edge`` by the other one.
-
-    ``edge`` is an edge id or its HingeView.  The edge keeps its id but
-    now joins the two apexes; V, E, F are unchanged and the global
-    orientation is preserved.  Only the edge's row of ``edges`` and the
-    two faces' rows of ``corners`` and ``sides`` are rewritten, by
-    ``rewrite_hinge``, giving what ``build_surface`` would.  Raises
-    FlipIllegal only when both slots of ``edge`` lie on one face.
-    """
-    h = edge if isinstance(edge, HingeView) else hinge(surface, edge)
-    arrays = [array.copy() for array in (surface.edges, surface.corners, surface.sides)]
-    rewrite_hinge(h, *arrays)
-    return TriSurface(surface.vertex_count, *arrays)

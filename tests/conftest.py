@@ -101,6 +101,16 @@ def flipped(surface, packing, *args, **kwargs):
     return (*held.freeze(), event)
 
 
+def held_bare(surface):
+    """A HeldTriangulation of ``surface`` under uniform labels (inversive
+    distance 2, radius 0.5), for tests of the rows a flip rewrites,
+    which no label changes.  Hold each surface afresh: the labels of a
+    long flip chain grow past overflow."""
+    return HeldTriangulation(
+        surface, Packing(np.full(surface.edge_count, 2.0), np.full(surface.vertex_count, 0.5))
+    )
+
+
 def ptolemy_residual_relative(event):
     """The Ptolemy residual of a FlipEvent's labels and new value,
     relative to the size of its terms."""

@@ -27,15 +27,14 @@ from hidra.complexes import (
     one_vertex_genus2,
     one_vertex_torus,
 )
-from hidra.flips import (
-    make_weighted_delaunay,
+from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
+from hidra.geometry import Packing, xi_discriminant
+from hidra.ptolemy import (
+    delta_identity_residuals,
     ptolemy_flip_value,
     ptolemy_residual,
     ptolemy_residual_scale,
-    surface_delaunay_margins,
 )
-from hidra.geometry import Packing, xi_discriminant
-from hidra.ptolemy import delta_identity_residuals
 from hidra.solver import (
     curvatures,
     gauss_bonnet_residual,

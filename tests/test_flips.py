@@ -22,13 +22,16 @@ from hidra.flips import (
     HeldTriangulation,
     flip_edge,
     make_weighted_delaunay,
-    ptolemy_flip_value,
-    ptolemy_residual,
-    ptolemy_residual_scale,
     surface_delaunay_margins,
 )
 from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
-from hidra.ptolemy import delta_discriminant, delta_identity_residuals
+from hidra.ptolemy import (
+    delta_discriminant,
+    delta_identity_residuals,
+    ptolemy_flip_value,
+    ptolemy_residual,
+    ptolemy_residual_scale,
+)
 from hidra.solver import SolveState, u_from_r
 from hidra.surface import build_surface, hinge
 
@@ -231,10 +234,12 @@ class TestMakeWeightedDelaunay:
 
     @pytest.mark.parametrize("setting, match", [
         (dict(tol=math.nan), "tol_delaunay = nan"), (dict(flip_budget=-1), "flip_budget = -1"),
-    ], ids=["tol-nan", "flip_budget-negative"])
+        (dict(flip_budget=math.nan), "flip_budget = nan"),
+    ], ids=["tol-nan", "flip_budget-negative", "flip_budget-nan"])
     def test_bad_settings_are_domain_errors(self, torus, torus_packing, setting, match):
-        # A NaN tolerance flipped until the budget ran out, and a negative
-        # budget overran at its first flip or went unnoticed without one.
+        # A NaN tolerance flipped until the budget ran out, a negative
+        # budget overran at its first flip or went unnoticed without one,
+        # and a NaN budget left the loop without any budget.
         with pytest.raises(DomainError, match=match):
             make_weighted_delaunay(torus, torus_packing, **setting)
 

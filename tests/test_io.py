@@ -422,6 +422,10 @@ MALFORMED = (
     + [(None, None, None, text) for text in (
         "{not json", "[1, 2]", '{"bogus": 1}', '{"tol": "abc"}', '{"tol": null}',
         '{"max_iters": true}', b"\xff\xfe",
+        # json.loads reads NaN and Infinity; the integer settings take
+        # JSON integers only, as their flags do.
+        '{"max_iters": NaN}', '{"max_iters": Infinity}', '{"max_iters": 2.7}',
+        '{"seed": NaN}', '{"flip_budget": NaN}', '{"flip_budget": 2.5}',
     )]
     # mesh.schema.json: format_version is a string matching ^1\.
     + [(None, "format_version", v, None) for v in (1, 1.5, "1")]
@@ -918,6 +922,27 @@ class TestCLI:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert report["seed"] == 3
+
+    @pytest.mark.parametrize("command, config", [
+        ("solve", '{"max_iters": NaN}'), ("flow", '{"max_iters": NaN}'),
+        ("solve", '{"max_iters": Infinity}'), ("solve", '{"max_iters": 2.7}'),
+        ("verify", '{"seed": NaN}'),
+    ])
+    def test_non_integer_config_setting_is_invalid_input(
+        self, tmp_path, capsys, command, config
+    ):
+        # Unchecked, NaN and Infinity ended in a ValueError or
+        # OverflowError traceback, and 2.7 ran 2 Newton iterations.
+        path, out = tmp_path / "config.json", tmp_path / "report.json"
+        path.write_text(config)
+        argv = [command, "--config", str(path), "--out", str(out)]
+        argv += ["--samples", "50"] if command == "verify" else [fixture_path("genus2.json")]
+        assert self.run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config ")
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "invalid_input"
 
     def test_verify_env_seed_overrides_flag(self, tmp_path, monkeypatch):
         out = tmp_path / "verify.json"

@@ -16,6 +16,7 @@ import hidra
 from conftest import (
     coo_hessian,
     explicit_flow,
+    held_bare,
     hessian_fd,
     replay_flips_reversed,
     surfaces_isomorphic,
@@ -40,7 +41,7 @@ from hidra.errors import (
     SurgeryDiverged,
     TargetOutOfRange,
 )
-from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
+from hidra.flips import flip_edge, make_weighted_delaunay, surface_delaunay_margins
 from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from hidra.meshio import load_mesh
 from hidra.solver import (
@@ -60,7 +61,6 @@ from hidra.solver import (
     u_from_r,
     validate_target,
 )
-from hidra.surface import flip_combinatorial
 
 TORUS_ANCHOR_K = 2.0 * math.pi - 6.0 * math.acos(2.0 / 3.0)
 
@@ -210,10 +210,12 @@ def test_cached_pattern_matches_coo_oracle(name, seed, flips):
     rng = np.random.default_rng(seed)
     surface = PATTERN_SURFACES[name]()
     for _ in range(flips):
+        held = held_bare(surface)
         try:
-            surface = flip_combinatorial(surface, int(rng.integers(surface.edge_count)))
+            flip_edge(held, int(rng.integers(surface.edge_count)))
         except FlipIllegal:
-            pass
+            continue
+        surface = held.freeze()[0]
     packing = unchecked_packing(surface, rng, (0.5, 0.8), (1.05, 1.5))
     try:
         oracle = coo_hessian(surface, packing)

@@ -1,7 +1,6 @@
 """Combinatorial layer: validation, hinges, flips."""
 
 import copy
-from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import surfaces_isomorphic, torus_grid, two_triangle_sphere
+from conftest import held_bare, surfaces_isomorphic, torus_grid, two_triangle_sphere
 from hidra.complexes import (
     octahedron_sphere,
     one_vertex_genus2,
@@ -24,14 +23,9 @@ from hidra.errors import (
     NotOrientable,
     NotTriangulable,
 )
+from hidra.flips import flip_edge
 from hidra.meshio import load_mesh
-from hidra.surface import (
-    HingeView,
-    build_surface,
-    euler_characteristic,
-    flip_combinatorial,
-    hinge,
-)
+from hidra.surface import HingeView, build_surface, euler_characteristic, hinge
 from surface_oracle import build_surface_loops
 
 ALL_COMPLEXES = [
@@ -157,39 +151,48 @@ class TestHinge:
             assert a.boundary_edges == b.boundary_edges
 
     def test_flipped_hinge_relabels_cyclically(self, octahedron):
-        hv = hinge(octahedron, 4)
-        flipped = flip_combinatorial(octahedron, 4)
-        hv2 = hinge(flipped, 4)
+        hv, held = hinge(octahedron, 4), held_bare(octahedron)
+        flip_edge(held, 4)
+        hv2 = hinge(held.freeze()[0], 4)
         before = (hv.e_a, hv.e_b, hv.e_c, hv.e_d)
         after = (hv2.e_a, hv2.e_b, hv2.e_c, hv2.e_d)
         assert after == (before[1], before[2], before[3], before[0])
 
 
 class TestFlipCombinatorial:
+    """What ``flip_edge`` does to the rows of a held triangulation."""
+
     @pytest.mark.parametrize("builder", [one_vertex_torus, one_vertex_genus2])
     def test_counts_invariant(self, builder):
         s = builder()
         for eid in range(len(s.edges)):
-            s2 = flip_combinatorial(s, eid)
+            held = held_bare(s)
+            flip_edge(held, eid)
+            s2 = held.freeze()[0]
             assert s2.vertex_count == s.vertex_count
             assert len(s2.edges) == len(s.edges)
             assert s2.face_count == s.face_count
             assert euler_characteristic(s2) == euler_characteristic(s)
 
     def test_new_edge_joins_the_apexes(self, tetrahedron):
-        hv = hinge(tetrahedron, 4)
-        s2 = flip_combinatorial(tetrahedron, 4)
+        hv, held = hinge(tetrahedron, 4), held_bare(tetrahedron)
+        flip_edge(held, 4)
+        s2 = held.freeze()[0]
         assert sorted(s2.edges[4]) == sorted((hv.v_k, hv.v_l))
 
     def test_double_flip_is_isomorphic(self, octahedron):
         for eid in range(len(octahedron.edges)):
-            s2 = flip_combinatorial(flip_combinatorial(octahedron, eid), eid)
-            assert surfaces_isomorphic(octahedron, s2)
+            held = held_bare(octahedron)
+            flip_edge(held, eid)
+            flip_edge(held, eid)
+            assert surfaces_isomorphic(octahedron, held.freeze()[0])
 
     def test_double_flip_on_torus(self, torus):
         for eid in range(3):
-            s2 = flip_combinatorial(flip_combinatorial(torus, eid), eid)
-            assert surfaces_isomorphic(torus, s2)
+            held = held_bare(torus)
+            flip_edge(held, eid)
+            flip_edge(held, eid)
+            assert surfaces_isomorphic(torus, held.freeze()[0])
 
     def test_self_hinged_edge_is_not_flippable(self):
         # two self-folded triangles glued along their outer edge: edges 0
@@ -201,9 +204,9 @@ class TestFlipCombinatorial:
             [((0, 0, 0), (0, 0, 1)), ((0, 0, 0), (2, 2, 1))],
         )
         with pytest.raises(FlipIllegal):
-            flip_combinatorial(s, 0)
+            flip_edge(held_bare(s), 0)
         with pytest.raises(FlipIllegal):
-            flip_combinatorial(s, 2)
+            flip_edge(held_bare(s), 2)
 
     @pytest.mark.parametrize("name", [b.__name__ for b in ALL_COMPLEXES] + FIXTURES)
     @given(picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=25))
@@ -211,31 +214,36 @@ class TestFlipCombinatorial:
     def test_local_flip_equals_full_rebuild(self, name, picks):
         surface = start_surface(name)
         for pick in picks:
-            edge = pick % len(surface.edges)
+            edge, held = pick % len(surface.edges), held_bare(surface)
             try:
-                surface = flip_combinatorial(surface, edge)
+                flip_edge(held, edge)
             except FlipIllegal:
                 hv = hinge(surface, edge)
                 assert hv.face_k == hv.face_l
                 continue
             rebuilt = build_surface(
-                surface.vertex_count,
-                surface.edges,
-                list(zip(surface.corners, surface.sides)),
+                held.vertex_count, held.rows[0], list(zip(*held.rows[1:]))
             )
+            # the slots re-filed in place label every hinge as a rebuild does
+            assert [held.hinge(e) for e in range(len(surface.edges))] == [
+                hinge(rebuilt, e) for e in range(len(surface.edges))
+            ]
+            surface = held.freeze()[0]
             assert surface == rebuilt
             assert np.array_equal(surface.corners, rebuilt.corners)
             assert np.array_equal(surface.sides, rebuilt.sides)
-            for f in fields(HingeView):
+            for field in HingeView._fields:
                 assert np.array_equal(
-                    getattr(surface.hinge_slots, f.name),
-                    getattr(rebuilt.hinge_slots, f.name),
-                ), f.name
+                    getattr(surface.hinge_slots, field),
+                    getattr(rebuilt.hinge_slots, field),
+                ), field
 
     def test_orientation_preserved_after_flip(self, octahedron):
         # the flip rewrites two faces without validating the result, so
         # spot-check that every edge is still traversed both ways.
-        s2 = flip_combinatorial(octahedron, 0)
+        held = held_bare(octahedron)
+        flip_edge(held, 0)
+        s2 = held.freeze()[0]
         h = s2.hinge_slots
         slots = zip(h.face_k, h.side_in_k, h.face_l, h.side_in_l)
         for eid, (f1, s1, f2, s2_) in enumerate(slots):
