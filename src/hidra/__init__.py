@@ -26,7 +26,6 @@ from .solver import (
     newton_solve,
     r_from_u,
     ricci_flow,
-    ricci_potential,
     u_from_r,
     validate_target,
 )

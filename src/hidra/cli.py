@@ -230,8 +230,16 @@ def cmd_flow(args, surface, packing, target_doc, digest):
 
 
 def cmd_verify(args):
-    env_seed = os.environ.get("HIDRA_SEED")
-    seed = int(env_seed) if env_seed is not None else _settings(args)["seed"]
+    seed = os.environ.get("HIDRA_SEED")
+    if seed is None:
+        seed = _settings(args)["seed"]
+    else:
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise ValidationError(f"HIDRA_SEED = {seed!r} must be an integer") from None
+    if seed < 0:  # numpy's seeding takes none
+        raise ValidationError(f"seed = {seed} must be non-negative")
     report = run_verification_suite(seed=seed, samples=args.samples)
     _write_report(args, report)
     for section in report["sections"]:

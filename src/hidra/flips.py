@@ -35,27 +35,27 @@ class FlipEvent:
 
 
 class HeldTriangulation:
-    """A triangulation and packing held for flips in place: writable
-    edge, corner and side rows, the inversive distances, each edge's two
-    flat face slots in ascending order, and the tanh, cosh and sinh of
-    the radii, which flips keep.  ``flip_edge`` rewrites it; ``freeze``
-    hands it back as a TriSurface and a Packing and ends it."""
+    """A triangulation and packing held for flips in place, on plain
+    Python rows: the edge end pairs, the flat corners and sides (slot
+    3 * face + m), each edge's two face slots in ascending order, and the
+    inversive distances and the tanh, cosh and sinh of the radii as
+    floats, which flips keep.  ``flip_edge`` rewrites it; ``freeze``
+    builds the arrays once, as a TriSurface and a Packing."""
 
     def __init__(self, surface, packing):
         self.vertex_count, self.radii, self.inv = surface.vertex_count, packing.radii, packing.inv.tolist()
-        self.rows = [rows.copy() for rows in (surface.edges, surface.corners, surface.sides)]
-        self.flat = [rows.ravel() for rows in self.rows[1:]]
-        self.slots = np.argsort(self.flat[1], kind="stable").reshape(-1, 2).tolist()
+        self.rows = [surface.edges.tolist(), *(rows.ravel().tolist() for rows in (surface.corners, surface.sides))]
+        self.slots = np.argsort(surface.sides.ravel(), kind="stable").reshape(-1, 2).tolist()
         with np.errstate(over="ignore"):  # as in SurfaceMetrics
             self.tanh_r, self.cosh_r, self.sinh_r = (
                 fn(packing.radii).tolist() for fn in (np.tanh, np.cosh, np.sinh))
 
     def hinge(self, edge):
-        return hinge_from_slots(edge, *self.slots[edge], *self.flat)
+        return hinge_from_slots(edge, *self.slots[edge], *self.rows[1:])
 
     def labels(self, h):
         """The labels (a, b, c, d, e) of the hinge ``h``."""
-        return [self.inv[eid] for eid in (*h.boundary_edges, h.edge)]
+        return [self.inv[eid] for eid in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge)]
 
     def margin(self, edge):
         """Delaunay margin of ``edge``, by the kernel's own formula."""
@@ -69,21 +69,21 @@ class HeldTriangulation:
         exactly where the kernel's does) and Xi > 0.  A failure raises the
         kernel's own fault, which names the face.  Returns the edges of
         the two faces."""
-        h, c, s, f = self.hinge(edge), self.cosh_r, self.sinh_r, self.inv[edge]
-        i, j, faces, (_, corners, sides) = h.v_i, h.v_j, [h.face_k, h.face_l], self.rows
+        h, c, s, t, inv, f = self.hinge(edge), self.cosh_r, self.sinh_r, self.tanh_r, self.inv, self.inv[edge]
+        i, j, (_, corners, sides) = h.v_i, h.v_j, self.rows
+        faces = [range(3 * face, 3 * face + 3) for face in (h.face_k, h.face_l)]
         if not (f > 1.0 and math.isfinite(c[i] * c[j] + f * s[i] * s[j])
                 and math.isfinite(c[j] * c[i] + f * s[j] * s[i])
-                and all(_xi_numerator(*(self.tanh_r[v] for v in corners[face]),
-                                      *(self.inv[eid] for eid in sides[face])) > 0.0
+                and all(_xi_numerator(*[t[corners[m]] for m in face], *[inv[sides[m]] for m in face]) > 0.0
                         for face in faces)):
             SurfaceMetrics(*self.freeze()).margins  # raises
-        return set(sides[faces].ravel().tolist())
+        return {sides[m] for face in faces for m in face}
 
     def freeze(self):
-        """The held triangulation as a TriSurface and a Packing; the held
-        rows turn read-only."""
-        surface = TriSurface(self.vertex_count, *self.rows)
-        return surface, Packing(np.array(self.inv), self.radii.copy())
+        """The held triangulation as a TriSurface and a Packing, their
+        arrays built from the held rows."""
+        arrays = (np.array(row, dtype=np.intp).reshape(-1, width) for row, width in zip(self.rows, (2, 3, 3)))
+        return TriSurface(self.vertex_count, *arrays), Packing(np.array(self.inv), self.radii.copy())
 
 
 def flip_edge(held, edge, iteration=0, margin_before=math.nan):
@@ -100,12 +100,12 @@ def flip_edge(held, edge, iteration=0, margin_before=math.nan):
     h = held.hinge(edge)
     rewrite_hinge(h, *held.rows)
     labels = held.labels(h)
-    f = held.inv[edge] = float(ptolemy_flip_value(*labels))
-    faces, flat_sides = [h.face_k, h.face_l], held.flat[1]
+    f = held.inv[edge] = ptolemy_flip_value(*labels)
+    faces, sides = [h.face_k, h.face_l], held.rows[2]
     fresh = [3 * face + m for face in faces for m in range(3)]
-    for eid in {int(flat_sides[slot]) for slot in fresh}:
+    for eid in {sides[slot] for slot in fresh}:
         kept = [slot for slot in held.slots[eid] if slot // 3 not in faces]
-        held.slots[eid] = sorted(kept + [slot for slot in fresh if flat_sides[slot] == eid])
+        held.slots[eid] = sorted(kept + [slot for slot in fresh if sides[slot] == eid])
     return FlipEvent(edge, tuple(labels), f, iteration, float(margin_before))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
 from .hyptrig import TOL_DOMAIN
-from .ptolemy import delta_discriminant, ptolemy_flip_value
+from .ptolemy import _sqrt, delta_discriminant, ptolemy_flip_value
 
 # Margin band within which a hinge counts as Delaunay and is never
 # flipped; the transition is C1 there, so either choice is consistent,
@@ -275,14 +275,11 @@ def _delaunay_margin(labels, t_k, t_i, t_l, t_j):
 
         sqrt(D_bce)/p^ + sqrt(D_ade)/r^ <= sqrt(D_cdf)/q^ + sqrt(D_abf)/s^
 
-    Both faces must have compact orthocircles (Xi > 0).
+    Both faces must have compact orthocircles (Xi > 0).  On Python floats
+    (checked labels only: ``math.sqrt`` and ``/`` raise) as on arrays.
     """
     a, b, c, d, e = labels
     f = ptolemy_flip_value(a, b, c, d, e)
-    lhs = np.sqrt(delta_discriminant(b, c, e)) / t_k + np.sqrt(
-        delta_discriminant(a, d, e)
-    ) / t_l
-    rhs = np.sqrt(delta_discriminant(c, d, f)) / t_i + np.sqrt(
-        delta_discriminant(a, b, f)
-    ) / t_j
+    lhs = _sqrt(delta_discriminant(b, c, e)) / t_k + _sqrt(delta_discriminant(a, d, e)) / t_l
+    rhs = _sqrt(delta_discriminant(c, d, f)) / t_i + _sqrt(delta_discriminant(a, b, f)) / t_j
     return rhs - lhs

@@ -352,6 +352,22 @@ def _records(rows, pad):
     return "[" + row + "{" + key + body + row + "}" + pad + "]"
 
 
+def _nested_records(rows, pad):
+    """Records that each nest one flat dict (a flip log's labels) by two
+    ``_records`` passes, else None: the rows with that dict marked -inf (one
+    count a row proves no other "-Infinity" text), and the dicts one level in,
+    split at "}," + row pad + "{" (no deeper separator) and spliced at the marks."""
+    keys = [[k for k, v in row.items() if isinstance(v, dict)] if type(row) is dict else [] for row in rows]
+    if any(len(k) != 1 for k in keys):
+        return None
+    text = _records([{**row, k: -math.inf} for row, [k] in zip(rows, keys)], pad)
+    inner = _records([row[k] for row, [k] in zip(rows, keys)], pad + "  ")
+    if text is None or inner is None or text.count("-Infinity") != len(rows):
+        return None
+    parts, dicts = text.split("-Infinity"), inner[len(pad) + 6:-len(pad) - 4].split("}," + pad + "    {")
+    return "".join(part + "{" + d + "}" for part, d in zip(parts, dicts)) + parts[-1]
+
+
 def _indented(doc, pad):
     """``doc`` as ``json.dumps`` writes it at indent 2, on a line ``pad`` starts."""
     if not doc or not isinstance(doc, (dict, list, tuple)):
@@ -362,7 +378,7 @@ def _indented(doc, pad):
         keys = _ENCODER.encode(dict.fromkeys(doc, 0))[1:-3].split("\x1f0\x1e")
         items = [k + ": " + _indented(v, inner) for k, v in zip(keys, doc.values())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return _records(doc, pad) or "[" + inner + ("," + inner).join(
+    return _records(doc, pad) or _nested_records(doc, pad) or "[" + inner + ("," + inner).join(
         [_indented(v, inner) for v in doc]) + pad + "]"
 
 

@@ -24,8 +24,8 @@ def ptolemy_flip_value(a, b, c, d, e):
 
     f = (ab + cd + ace + bde + sqrt(D_ade) sqrt(D_bce)) / (e^2 - 1)
 
-    Elementwise on arrays of hinge labels; on Python floats the domain
-    checks cost two comparisons.
+    Elementwise on arrays of hinge labels; on Python scalars the domain
+    checks cost two comparisons and the roots are ``math.sqrt``'s.
     """
     if _anywhere(e <= 1.0):
         raise DomainError("diagonal inversive distance must exceed 1")
@@ -33,9 +33,13 @@ def ptolemy_flip_value(a, b, c, d, e):
     d_bce = delta_discriminant(b, c, e)
     if _anywhere(d_ade < 0.0) or _anywhere(d_bce < 0.0):
         raise DomainError("negative discriminant in flip value")
-    return (a * b + c * d + a * c * e + b * d * e + np.sqrt(d_ade) * np.sqrt(d_bce)) / (
-        e * e - 1.0
-    )
+    return (a * b + c * d + a * c * e + b * d * e + _sqrt(d_ade) * _sqrt(d_bce)) / (e * e - 1.0)
+
+
+def _sqrt(x):
+    """``np.sqrt``'s IEEE result, by ``math.sqrt`` on a Python float (which
+    raises where np.sqrt returns NaN, so only checked values may reach it)."""
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
 
 
 def _anywhere(mask):

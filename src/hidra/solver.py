@@ -470,29 +470,6 @@ def segment_potential(
     return total, surf, Packing(inv, r_from_u(u_end)), events, forms
 
 
-def ricci_potential(
-    surface,
-    packing,
-    target,
-    u_reference,
-    tol_delaunay=TOL_DELAUNAY,
-    flip_budget=None,
-):
-    """Normalized Ricci potential of the state relative to u_reference.
-
-    The potential is only defined up to a constant, so the reference
-    point is always explicit; path independence makes the straight
-    segment as good as any path.
-    """
-    u_end = u_from_r(packing.radii)
-    start_packing = Packing(packing.inv, r_from_u(np.asarray(u_reference, float)))
-    value, *_ = segment_potential(
-        surface, start_packing, target, u_reference, u_end,
-        tol_delaunay=tol_delaunay, flip_budget=flip_budget,
-    )
-    return value
-
-
 @dataclass
 class SolveState:
     """Result of a curvature-prescription run."""

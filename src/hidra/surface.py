@@ -13,8 +13,8 @@ arrays as in intrinsic-triangulation codes (Sharp, Soliman and Crane,
 "Navigating intrinsic triangulations", 2019).  The two face slots of
 each edge are derived from ``sides`` by one stable argsort.  Surfaces
 are immutable, and no flip returns a new one: ``flips.flip_edge``
-rewrites three rows of the writable copies a ``HeldTriangulation``
-holds, through ``rewrite_hinge``, and hands a surface back when frozen.
+rewrites the Python list rows a ``HeldTriangulation`` holds, through
+``rewrite_hinge``, and the held rows become arrays once, when frozen.
 """
 
 from collections import namedtuple
@@ -211,21 +211,20 @@ def hinge_from_slots(edge, slot_k, slot_l, corners, sides):
     (face_k, side_k), (face_l, side_l) = divmod(slot_k, 3), divmod(slot_l, 3)
     nxt_k, prv_k = slot_k - side_k + (side_k + 1) % 3, slot_k - side_k + (side_k + 2) % 3
     nxt_l, prv_l = slot_l - side_l + (side_l + 1) % 3, slot_l - side_l + (side_l + 2) % 3
-    return HingeView(
-        edge=edge, face_k=face_k, face_l=face_l, side_in_k=side_k, side_in_l=side_l,
-        v_k=corners[slot_k], v_i=corners[nxt_k], v_j=corners[prv_k], v_l=corners[slot_l],
-        e_a=sides[prv_k], e_b=sides[nxt_l], e_c=sides[prv_l], e_d=sides[nxt_k],
-    )
+    # By position, in field order (v_k, v_i, v_l, v_j, then e_a to e_d): a third the cost of keywords.
+    return HingeView(edge, face_k, face_l, side_k, side_l,
+                     corners[slot_k], corners[nxt_k], corners[slot_l], corners[prv_k],
+                     sides[prv_k], sides[nxt_l], sides[prv_l], sides[nxt_k])
 
 
 def rewrite_hinge(h, edges, corners, sides):
-    """Write the flip of the hinge ``h`` into the writable rows of
-    ``edges``, ``corners`` and ``sides``: the edge now joins the two
-    apexes.  Raises FlipIllegal only when both slots of the edge lie on
-    one face."""
+    """Write the flip of the hinge ``h`` into the writable rows held for
+    flips: the list of edge end pairs, and the flat ``corners`` and
+    ``sides`` (slot 3 * face + m).  The edge now joins the two apexes.
+    Raises FlipIllegal only when both slots of the edge lie on one face."""
     if h.face_k == h.face_l:
         raise FlipIllegal(f"edge {h.edge} has both sides on face {h.face_k}")
-    edges[h.edge] = h.v_k, h.v_l
-    corners[[h.face_k, h.face_l]] = (h.v_k, h.v_i, h.v_l), (h.v_l, h.v_j, h.v_k)
-    sides[[h.face_k, h.face_l]] = (h.e_b, h.edge, h.e_a), (h.e_d, h.edge, h.e_c)
-
+    k, l = 3 * h.face_k, 3 * h.face_l
+    edges[h.edge] = [h.v_k, h.v_l]
+    corners[k:k + 3], corners[l:l + 3] = (h.v_k, h.v_i, h.v_l), (h.v_l, h.v_j, h.v_k)
+    sides[k:k + 3], sides[l:l + 3] = (h.e_b, h.edge, h.e_a), (h.e_d, h.edge, h.e_c)

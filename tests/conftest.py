@@ -17,7 +17,7 @@ from hidra.flips import HeldTriangulation, flip_edge
 from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
 from hidra.meshio import dumps_report, mesh_document
 from hidra.ptolemy import ptolemy_residual, ptolemy_residual_scale
-from hidra.solver import curvatures, r_from_u, u_from_r
+from hidra.solver import curvatures, r_from_u, segment_potential, u_from_r
 from hidra.surface import build_surface
 
 
@@ -159,6 +159,16 @@ def explicit_flow(surface, packing, target, dt=0.2, tol=1e-8, t_max=200.0):
         t += dt
         run.accept(trial, dict(step=run.steps + 1, t=t, dt=dt))
     return run.state("converged" if run.error <= tol else "max_iterations", run.steps)
+
+
+def ricci_potential(surface, packing, target, u_reference):
+    """Normalized Ricci potential of the state relative to u_reference,
+    by ``segment_potential`` on the straight segment: the potential is
+    defined up to a constant, and path independence makes that segment
+    as good as any path."""
+    start = Packing(packing.inv, r_from_u(np.asarray(u_reference, float)))
+    value, *_ = segment_potential(surface, start, target, u_reference, u_from_r(packing.radii))
+    return value
 
 
 def dumps_mesh(surface, packing, target=None):

@@ -14,7 +14,7 @@ from conftest import (
     surfaces_isomorphic,
     torus_grid,
 )
-from hidra import flips
+from hidra import complexes, flips
 from hidra.checks import degenerate_hinge, random_flip_sequence, random_packing
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import DomainError, FlipIllegal, NonCompactOrthocircle, SurgeryDiverged
@@ -424,6 +424,72 @@ class TestIncrementalAgainstRescan:
         )
         got = self.assert_same(surface, packing, tol=-1e9)
         assert got[:2] == (NonCompactOrthocircle, face)
+
+    @pytest.mark.parametrize("value, fault", [
+        (1.0, DomainError), (0.5, DomainError), (1.7e308, DomainError), (1e6, NonCompactOrthocircle),
+    ], ids=["f-one", "f-below-one", "overflowing-length", "non-compact"])
+    def test_planted_new_value_raises_the_kernels_fault(self, monkeypatch, value, fault):
+        # Each flip's new value is planted: f <= 1, an f whose length
+        # overflows, or an f that leaves the new faces non-compact.  The
+        # held checks must hand each to the kernel before the float
+        # formulas meet it, where math.sqrt and "/" raise on what NumPy
+        # returns as NaN or inf.  Flipped, edge 2 joins two large circles
+        # (sinh r ~ 1.3), so that 1.7e308 overflows its length.
+        surface = torus_grid(4)
+        packing = checkerboard_packing(surface, 4, np.random.default_rng(0))
+        monkeypatch.setattr(flips, "ptolemy_flip_value", lambda *labels: value)
+        with pytest.raises(fault) as want:
+            SurfaceMetrics(*flipped(surface, packing, 2)[:2]).margins
+        held = HeldTriangulation(surface, packing)
+        flip_edge(held, 2)
+        with pytest.raises(fault) as got:
+            held.check(2)
+        h = hinge(surface, 2)
+        assert got.value.face == want.value.face == min(h.face_k, h.face_l)
+        # The loop's first flip, planted alike, raises as the rescan does.
+        got = loop_outcome(make_weighted_delaunay, surface, packing)
+        assert got == loop_outcome(rescan_weighted_delaunay, surface, packing)
+        assert got[0] in (DomainError, NonCompactOrthocircle)
+
+
+HELD_CASES = ["one_vertex_torus", "one_vertex_genus2", "octahedron_sphere",
+              "tetrahedron_sphere", "grid4", "grid6"]
+
+
+class TestHeldRowsMatchTheKernel:
+    """The held rows are Python lists and floats.  After each flip of a
+    random chain, every margin and flip value the held triangulation
+    scores is a float equal, bit for bit, to the array kernel's."""
+
+    @given(name=st.sampled_from(HELD_CASES), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_flip_chains(self, name, seed, picks):
+        surface = torus_grid(int(name[4:])) if name.startswith("grid") else getattr(complexes, name)()
+        packing = random_packing(surface, np.random.default_rng(seed), tanh_range=(0.2, 0.95),
+                                 inv_range=(1.05, 6.0), max_tries=5000)
+        held, edges = HeldTriangulation(surface, packing), range(surface.edge_count)
+        for pick in picks:
+            edge = pick % surface.edge_count
+            labels = held.labels(h := held.hinge(edge))
+            if h.face_k == h.face_l or ptolemy_flip_value(*labels) > 1e6:
+                continue  # as random_flip_sequence skips past-overflow chains
+            event = flip_edge(held, edge)
+            assert type(event.new_value) is float
+            want = ptolemy_flip_value(*np.array([labels]).T)
+            assert np.array([event.new_value]).tobytes() == want.tobytes()
+            try:
+                held.check(edge)
+            except (DomainError, NonCompactOrthocircle):
+                return  # the kernel's own fault, raised by the kernel
+            metrics = SurfaceMetrics(*held.freeze())
+            hs, inv = metrics.surface.hinge_slots, metrics.packing.inv
+            values = ptolemy_flip_value(*(inv[ids] for ids in (hs.e_a, hs.e_b, hs.e_c, hs.e_d, hs.edge)))
+            got = [ptolemy_flip_value(*held.labels(held.hinge(e))) for e in edges]
+            margins = [held.margin(e) for e in edges]
+            assert {type(x) for x in got + margins} == {float}
+            assert np.array(got).tobytes() == values.tobytes()
+            assert np.array(margins).tobytes() == metrics.margins.tobytes()
 
 
 class TestMarginBeforeFromKernel:

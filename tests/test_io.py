@@ -9,7 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import jsonschema
@@ -350,8 +350,17 @@ RECORDS = records(
 ) | records(
     st.sampled_from(["id", "ends"]) | TEXT, FLAT | st.lists(FLAT | TEXT, max_size=3) | TEXT
 )
+# Records that nest flat records, as a flip log's rows nest their labels:
+# those with one each take the nested one-pass path, the others leave it.
+FLAT_VALUES = FLAT | st.lists(FLAT, max_size=3)
+LABELS = st.dictionaries(st.sampled_from(["a", "b", "-Infinity"]) | TEXT, FLAT_VALUES, max_size=3)
+NESTED = st.lists(st.builds(
+    lambda row, key, labels: {**row, key: labels},
+    st.dictionaries(st.sampled_from(["edge", "f", "-Infinity"]), FLAT_VALUES | LABELS, max_size=3),
+    st.sampled_from(["labels", "edge"]), LABELS,
+), min_size=1, max_size=4)
 DOCS = st.recursive(
-    FLAT | TEXT | RECORDS,
+    FLAT | TEXT | RECORDS | NESTED,
     # Keys that are numbers, null or booleans are written as strings.
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT | FLAT, inner, max_size=3),
     max_leaves=12,
@@ -382,6 +391,15 @@ class TestWriter:
         [{}, {"a": 1}],
         # Keys the one-pass path writes as they are.
         [{"a}": 1, "b,:": [1, 2], "\n\u00e9": None}, {"a}": 2}],
+        # Each defeats one test of the nested one-pass path: two nested
+        # dicts in a row, a row without one, a -inf or a "-Infinity" key
+        # beside one, a list or a "}," + newline in a nested key.
+        [{"a": {"b": 1}, "c": {"d": 2}}],
+        [{"a": {"b": 1}}, {"a": 2}],
+        [{"a": {"b": 1}, "c": -math.inf}],
+        [{"-Infinity": 1, "a": {"b": 1}}],
+        [{"a": {"b": [1, 2], "c": 3}}, {"a": {"b]": 1}}],
+        [{"a": {"},\n  {": 1}}, {"a": {"b": -math.inf}}],
         {"flip_log": [{
             "edge": 7,
             "labels": {"a": 1.5, "b": 1.25, "c": 2.0, "d": 1.75, "e": 3.0},
@@ -395,14 +413,19 @@ class TestWriter:
 
     def test_report_records_take_one_pass(self):
         """Every record list a delaunay report and its mesh hold goes
-        through the one-pass path; the rest of the document does not."""
-        from hidra.meshio import _records
+        through a one-pass path, the flip log through the nested one; the
+        rest of the document does not."""
+        from hidra.meshio import _nested_records, _records
 
         surface = torus_grid(4)
         packing = checkerboard_packing(surface, 4, np.random.default_rng(0))
-        surface2, packing2, _ = hidra.make_weighted_delaunay(surface, packing)
+        surface2, packing2, events = hidra.make_weighted_delaunay(surface, packing)
         state = newton_solve(surface2, packing2, np.full(16, 0.5), track_potential=False)
-        report = build_report(status=state.status, digest="0" * 64, state=state)
+        report = build_report(status=state.status, digest="0" * 64,
+                              state=replace(state, flip_log=events))
+        flip_log = report["flip_log"]
+        assert len(flip_log) == len(events) >= 8 and _records(flip_log, "\n  ") is None
+        assert _nested_records(flip_log, "\n  ") == indent2({"f": flip_log})[9:-3]
         report["mesh"] = hidra.mesh_document(surface2, packing2, np.full(16, 0.5))
         for rows in (report["vertices"], report["edges"], report["faces"],
                      report["iteration_trace"], *report["mesh"].values()):
@@ -940,6 +963,28 @@ class TestCLI:
         assert self.run(*argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config ")
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "invalid_input"
+
+    @pytest.mark.parametrize("flags, config, env", [
+        (["--seed", "-1"], None, None), ([], '{"seed": -1}', None),
+        ([], None, "abc"), (["--seed", "3"], None, "-1"), ([], None, "1e3"),
+    ], ids=["flag", "config", "env-text", "env-negative", "env-float"])
+    def test_bad_verify_seed_is_invalid_input(
+        self, tmp_path, capsys, monkeypatch, flags, config, env
+    ):
+        # A negative seed ended in numpy's ValueError traceback and a
+        # HIDRA_SEED that int() cannot read in its own (exit 1).
+        out = tmp_path / "report.json"
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            flags = [*flags, "--config", str(tmp_path / "config.json")]
+        if env is not None:
+            monkeypatch.setenv("HIDRA_SEED", env)
+        assert self.run("verify", *flags, "--samples", "50", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
         report = json.loads(out.read_text())
         jsonschema.validate(report, schema("report.schema.json"))
         assert report["status"] == "invalid_input"

@@ -14,11 +14,13 @@ from scipy.sparse import csr_array
 
 import hidra
 from conftest import (
+    checkerboard_packing,
     coo_hessian,
     explicit_flow,
     held_bare,
     hessian_fd,
     replay_flips_reversed,
+    ricci_potential,
     surfaces_isomorphic,
     torus_grid,
     two_triangle_sphere,
@@ -35,6 +37,7 @@ from hidra.complexes import (
 from hidra.errors import (
     DomainError,
     FlipIllegal,
+    FlowStalled,
     MaxIterationsExceeded,
     NonCompactOrthocircle,
     SolverStalled,
@@ -56,7 +59,6 @@ from hidra.solver import (
     newton_solve,
     r_from_u,
     ricci_flow,
-    ricci_potential,
     segment_potential,
     u_from_r,
     validate_target,
@@ -617,6 +619,26 @@ class TestRicciFlow:
         assert flow.status == "converged"
         assert flow.trace == half.trace and flow.trace[0]["dt"] < 1.0
         assert flow.u.tobytes() == half.u.tobytes()
+
+    def test_stall_carries_the_flow_so_far(self):
+        # At tol = 0 the flow runs on into rounding noise, where its steps
+        # stop moving u or lowering the potential, so dt halves below
+        # MIN_FLOW_DT.  This grid flips at the start and in step 1.
+        grid = torus_grid(4)
+        packing = checkerboard_packing(grid, 4, np.random.default_rng(2))
+        _, _, entry = make_weighted_delaunay(grid, packing)
+        with pytest.raises(FlowStalled, match="^flow step size underflow$") as raised:
+            ricci_flow(grid, packing, np.full(16, 0.5), tol=0.0)
+        state = raised.value.state
+        assert state.status == "stalled" and state.max_error <= 1e-12
+        assert state.iterations == len(state.trace) > 1
+        assert [row["step"] for row in state.trace] == list(range(1, state.iterations + 1))
+        assert state.flip_log[:len(entry)] == entry and len(state.flip_log) > len(entry)
+        steps, flips = [ev.iteration for ev in state.flip_log[len(entry):]], [
+            row["flips"] for row in state.trace]
+        assert flips == [steps.count(row["step"]) for row in state.trace] and sum(flips) == len(steps)
+        pots = [row["potential"] for row in state.trace]
+        assert pots[-1] == state.potential and all(b <= a for a, b in zip(pots, pots[1:]))
 
     @pytest.mark.parametrize("name", ["torus1", "genus2", "tetra_wall", "octahedron6"])
     def test_ends_where_the_explicit_flow_ends(self, name):

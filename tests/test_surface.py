@@ -221,9 +221,9 @@ class TestFlipCombinatorial:
                 hv = hinge(surface, edge)
                 assert hv.face_k == hv.face_l
                 continue
-            rebuilt = build_surface(
-                held.vertex_count, held.rows[0], list(zip(*held.rows[1:]))
-            )
+            edges, corners, sides = held.rows  # flat corners and sides, slot 3 * face + m
+            rebuilt = build_surface(held.vertex_count, edges, [
+                (corners[k:k + 3], sides[k:k + 3]) for k in range(0, len(corners), 3)])
             # the slots re-filed in place label every hinge as a rebuild does
             assert [held.hinge(e) for e in range(len(surface.edges))] == [
                 hinge(rebuilt, e) for e in range(len(surface.edges))
