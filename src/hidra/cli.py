@@ -180,8 +180,7 @@ def cmd_delaunay(args, surface, packing, target, digest):
         Path(args.out).write_text(dumps_report(report)[:-3] + f',\n  "mesh": {nested}\n}}\n')
     if args.mesh_out:
         Path(args.mesh_out).write_text(mesh)
-    margins = [edge["delaunay_margin"] for edge in report["edges"]]
-    print(f"flips: {len(events)}  min margin: {min(margins):.3e}")
+    print(f"flips: {len(events)}  min margin: {metrics.margins.min():.3e}")
     return EXIT_OK
 
 

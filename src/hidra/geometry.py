@@ -52,7 +52,8 @@ def validate_packing(surface, packing):
 
     Requires I > 1 on every edge, r > 0 finite on every vertex, and
     that every face satisfies the triangle inequalities under the
-    induced edge lengths.  This proxy is weaker than bounding radii by
+    induced edge lengths, with every corner cosine in [-1, 1] as
+    ``angles`` checks it.  This proxy is weaker than bounding radii by
     injectivity radii, which is not computable from (I, r) alone; all
     downstream formulas depend only on the proxy.  Returns the array
     kernel of (surface, packing) it checked with.
@@ -67,10 +68,10 @@ def validate_packing(surface, packing):
         raise DomainError("inversive distances must exceed 1")
     m = SurfaceMetrics(surface, packing)
     C, S = m.cosh_lengths, m.sinh_lengths
-    m.check(
-        (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1),
-        lambda face, at: _degenerate(face, "violates the triangle inequalities"),
-    )
+    with np.errstate(over="ignore"):  # a length past the float range fails ``angles``
+        triangle = (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1)
+    m.check(triangle, lambda face, at: _degenerate(face, "violates the triangle inequalities"))
+    m.angles  # raises as ``curvatures`` does on this kernel
     return m
 
 
@@ -158,6 +159,7 @@ class SurfaceMetrics:
             self.sinh_r = np.sinh(radii)
             cr, sr = self.cosh_r[..., corners], self.sinh_r[..., corners]
             C = cr[..., NEXT] * cr[..., PREV] + self.inv * sr[..., NEXT] * sr[..., PREV]
+            self.sinh_lengths = np.sqrt(np.maximum(C - 1.0, 0.0) * (C + 1.0))
         self.tanh_r = np.tanh(radii)
         self.domain_ok = (
             (radii[..., corners] > 0.0).all(axis=-1)
@@ -165,7 +167,6 @@ class SurfaceMetrics:
             & np.isfinite(C).all(axis=-1)
         )
         self.cosh_lengths = C
-        self.sinh_lengths = np.sqrt(np.maximum(C - 1.0, 0.0) * (C + 1.0))
 
     def check(self, ok, error):
         """Raise for the lowest face failing the domain test (DomainError)
@@ -183,7 +184,7 @@ class SurfaceMetrics:
     def cos_angles(self):
         """(..., F, 3) corner cosines before clamping (law of cosines)."""
         C, S = self.cosh_lengths, self.sinh_lengths
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return (C[..., NEXT] * C[..., PREV] - C) / (S[..., NEXT] * S[..., PREV])
 
     @cached_property
@@ -207,8 +208,8 @@ class SurfaceMetrics:
         finite as tanh r rounds to 1."""
         corners = self.corners
         t = np.moveaxis(self.tanh_r[..., corners], -1, 0)
-        num = _xi_numerator(*t, *self.inv.T)
         with np.errstate(over="ignore", invalid="ignore"):
+            num = _xi_numerator(*t, *self.inv.T)
             return num * np.prod(self.cosh_r[..., corners], axis=-1) ** 2
 
     @cached_property

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -164,28 +164,64 @@ def parse_mesh(data):
     return surface, Packing(inv[edge_order], radii[np.argsort(vids)]), target
 
 
+def _scalar(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+class Records:
+    """A record section held by column, as the array kernel computes it.
+
+    Row i is the dict of each key's i-th value.  ``columns`` maps each key
+    to a list of ``n`` JSON scalars; to a tuple of such lists, whose row
+    value is the list of their i-th items (an edge's ``ends``); or to a
+    dict of them, whose row value is the dict of their i-th items (a
+    flip's ``labels``).  A non-finite number reads as None, and so does
+    a key's row value wherever ``missing[key]`` is true (a degenerate
+    face's ``angles``).  Indexing and iteration give the dict rows;
+    ``dumps_report`` writes the section from the columns.
+    """
+
+    def __init__(self, n, columns, missing=None):
+        self.n, self.columns, self.missing = n, columns, missing or {}
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        i = range(self.n)[i]
+        return {
+            key: None if key in self.missing and self.missing[key][i]
+            else _scalar(column[i]) if type(column) is list
+            else {name: _scalar(part[i]) for name, part in column.items()} if type(column) is dict
+            else [_scalar(part[i]) for part in column]
+            for key, column in self.columns.items()
+        }
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.n))
+
+    def __eq__(self, other):
+        return list(self) == other
+
+
 def mesh_document(surface, packing, target=None):
-    """JSON-ready dict for a surface + packing (inverse of parse_mesh)."""
+    """The mesh document of a surface + packing, its record lists Records;
+    ``dumps_report`` writes it as the text ``parse_mesh`` reads back."""
+    ids = list(range(surface.vertex_count))
     doc = {
         "format_version": FORMAT_VERSION,
-        "vertices": [
-            {"id": v, "radius": float(packing.radii[v])}
-            for v in range(surface.vertex_count)
-        ],
-        "edges": [
-            {"id": e, "ends": ends, "inversive_distance": float(packing.inv[e])}
-            for e, ends in enumerate(surface.edges.tolist())
-        ],
-        "faces": [
-            {"corners": corners, "sides": sides}
-            for corners, sides in zip(surface.corners.tolist(), surface.sides.tolist())
-        ],
+        "vertices": Records(len(ids), {"id": ids, "radius": packing.radii.tolist()}),
+        "edges": Records(surface.edge_count, {
+            "id": list(range(surface.edge_count)), "ends": tuple(surface.edges.T.tolist()),
+            "inversive_distance": packing.inv.tolist(),
+        }),
+        "faces": Records(surface.face_count, {
+            "corners": tuple(surface.corners.T.tolist()), "sides": tuple(surface.sides.T.tolist()),
+        }),
     }
     if target is not None:
-        doc["target_curvature"] = [
-            {"vid": v, "kbar": float(target[v])}
-            for v in range(surface.vertex_count)
-        ]
+        kbar = np.asarray(target, dtype=float).tolist()
+        doc["target_curvature"] = Records(len(ids), {"vid": ids, "kbar": kbar})
     return doc
 
 
@@ -197,58 +233,37 @@ def load_mesh(path):
     return surface, packing, target, hashlib.sha256(raw).hexdigest()
 
 
-def _finite_or_none(x):
-    return None if x is None or not math.isfinite(x) else float(x)
+_FLIP_FIELDS = attrgetter("edge", "labels", "new_value", "iteration", "margin_before")
 
 
-def build_report(
-    status,
-    digest=None,
-    surface=None,
-    packing=None,
-    target=None,
-    state=None,
-    error=None,
-    metrics=None,
-):
+def build_report(status, digest=None, surface=None, packing=None, target=None, state=None,
+                 error=None, metrics=None):
     """Assemble the full diagnostics document.
 
     Always schema-valid, even for failed runs: geometric sections are
     filled only as far as the state allows, and the status field is
-    always populated.  All geometry comes from one evaluation of the
-    array kernel (``metrics``, the caller's kernel of the same surface and
-    packing, if given); the Hessian spectrum sign is the one recorded on
-    ``state``, taken at the solver's exit state.
+    always populated.  Record sections are Records, their columns taken
+    from one evaluation of the array kernel (``metrics``, the caller's
+    kernel of the same surface and packing, if given); the Hessian
+    spectrum sign is the one recorded on ``state``, taken at the
+    solver's exit state.
     """
     from .solver import _gauss_bonnet_residual, curvatures, u_from_r
 
-    report = {
-        "format_version": FORMAT_VERSION,
-        "status": status,
-        "input_digest": digest,
-        "error": error,
-        "global": None,
-        "vertices": None,
-        "edges": None,
-        "faces": None,
-        "flip_log": None,
-        "iteration_trace": None,
-    }
+    report = {"format_version": FORMAT_VERSION, "status": status, "input_digest": digest, "error": error}
+    report.update(dict.fromkeys(("global", "vertices", "edges", "faces", "flip_log", "iteration_trace")))
     if state is not None:
-        surface = state.surface
-        packing = state.packing
-        target = state.target
-        report["iteration_trace"] = state.trace
-        report["flip_log"] = [
-            {
-                "edge": ev.edge,
-                "labels": dict(zip("abcde", ev.labels)),
-                "new_inversive_distance": ev.new_value,
-                "iteration": ev.iteration,
-                "margin_before": _finite_or_none(ev.margin_before),
-            }
-            for ev in state.flip_log
-        ]
+        surface, packing, target, trace = state.surface, state.packing, state.target, state.trace
+        report["iteration_trace"] = Records(
+            len(trace), {key: [row[key] for row in trace] for key in trace[:1] and trace[0]}
+        )
+        edge, labels, value, iteration, before = (
+            [list(c) for c in zip(*map(_FLIP_FIELDS, state.flip_log))] or [[]] * 5
+        )
+        report["flip_log"] = Records(len(edge), {
+            "edge": edge, "labels": dict(zip("abcde", zip(*labels))),
+            "new_inversive_distance": value, "iteration": iteration, "margin_before": before,
+        })
     if surface is None or packing is None:
         return report
 
@@ -262,7 +277,6 @@ def build_report(
         margins = metrics.margins
     except (DomainError, NonCompactOrthocircle):
         margins = None
-    u = u_from_r(packing.radii)
     slots = surface.hinge_slots
     lengths = metrics.cosh_lengths[slots.face_k, slots.side_in_k]
 
@@ -271,105 +285,99 @@ def build_report(
         "vertex_count": surface.vertex_count,
         "edge_count": surface.edge_count,
         "face_count": surface.face_count,
-        "total_area": _finite_or_none(area),
-        "gauss_bonnet_residual": _finite_or_none(gb),
+        "total_area": _scalar(area),
+        "gauss_bonnet_residual": _scalar(gb),
         "solver_status": status,
         "hessian_spectrum_sign": getattr(state, "hessian_sign", None),
-        "potential": _finite_or_none(getattr(state, "potential", math.nan)),
+        "potential": _scalar(getattr(state, "potential", math.nan)),
         # validity is the operational proxy (I > 1, triangle
         # inequalities), weaker than an injectivity-radius bound
         "weight_domain": "proxy",
     }
-    report["vertices"] = [
-        {
-            "id": v,
-            "radius": float(packing.radii[v]),
-            "u": float(u[v]),
-            "K": _finite_or_none(K[v]) if K is not None else None,
-            "Kbar": float(target[v]) if target is not None else None,
-        }
-        for v in range(surface.vertex_count)
-    ]
-    report["edges"] = [
-        {
-            "id": e,
-            "ends": ends,
-            "inversive_distance": float(packing.inv[e]),
-            "length": _finite_or_none(acosh_stable(lengths[e])),
-            "delaunay_margin": _finite_or_none(margins[e])
-            if margins is not None
-            else None,
-        }
-        for e, ends in enumerate(surface.edges.tolist())
-    ]
+    # The mesh's sections start the report's.  length and rho stay scalar
+    # acosh_stable and math.asinh: NumPy's log1p and arcsinh differ in last bits.
+    mesh, none = mesh_document(surface, packing, target), [None] * surface.vertex_count
+    report["vertices"] = Records(surface.vertex_count, {
+        **mesh["vertices"].columns,
+        "u": u_from_r(packing.radii).tolist(),
+        "K": none if K is None else K.tolist(),
+        "Kbar": none if target is None else mesh["target_curvature"].columns["kbar"],
+    })
+    report["edges"] = Records(surface.edge_count, {
+        **mesh["edges"].columns,
+        "length": [acosh_stable(c) for c in lengths.tolist()],
+        "delaunay_margin": [None] * surface.edge_count if margins is None else margins.tolist(),
+    })
     has_angles = metrics.domain_ok & metrics.angle_ok
     angles = np.arccos(np.clip(metrics.cos_angles, -1.0, 1.0))
     compact = metrics.domain_ok & (metrics.xi > 0.0)
-    delta = delta_discriminant(*metrics.inv.T)
-    with np.errstate(invalid="ignore"):
-        sinh_rho = (
-            np.prod(metrics.sinh_r[surface.corners], axis=1)
-            * np.sqrt(delta)
-            / np.sqrt(metrics.xi)
-        )
-    report["faces"] = [
-        {
-            "id": fid,
-            "corners": corners,
-            "sides": sides,
-            "xi": _finite_or_none(metrics.xi[fid]),
-            "delta": _finite_or_none(delta[fid]),
-            "rho": math.asinh(sinh_rho[fid]) if compact[fid] else None,
-            "area": math.pi - math.fsum(angles[fid]) if has_angles[fid] else None,
-            "angles": angles[fid].tolist() if has_angles[fid] else None,
-        }
-        for fid, (corners, sides) in enumerate(
-            zip(surface.corners.tolist(), surface.sides.tolist())
-        )
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = delta_discriminant(*metrics.inv.T)
+        sinh_rho = np.prod(metrics.sinh_r[surface.corners], axis=1) * np.sqrt(delta) / np.sqrt(metrics.xi)
+    report["faces"] = Records(surface.face_count, {
+        "id": list(range(surface.face_count)),
+        **mesh["faces"].columns,
+        "xi": metrics.xi.tolist(),
+        "delta": delta.tolist(),
+        "rho": [math.asinh(s) if c else None for s, c in zip(sinh_rho.tolist(), compact.tolist())],
+        "area": [math.pi - math.fsum(a) for a in angles.tolist()],
+        "angles": tuple(angles.T.tolist()),
+    }, missing=dict.fromkeys(("area", "angles"), (~has_angles).tolist()))
     return report
 
 
 # Control-character separators, never raw inside a string; documents are trees: no cycle check.
 _ENCODER = json.JSONEncoder(separators=("\x1e", "\x1f"), check_circular=False)
+_NON_FINITE = {"NaN": "null", "Infinity": "null", "-Infinity": "null"}
 
 
-def _records(rows, pad):
-    """Non-empty flat records (values numbers, null, booleans or non-empty
-    lists of those) by one C pass and a fixed chain of replacements, else
-    None.  Counts prove the shape: two quotes per key, one "{" per row (all
-    but the first after "}\x1e"), one "[" and "]" per record value besides
-    the outer pair; so no other string, dict or list, and no key holds one."""
-    text = _ENCODER.encode(rows)
-    if (text.count('"') != 2 * text.count("\x1f") or "[]" in text or "{}" in text
-            or not text.count("{") == text.count("}\x1e{") + 1 == len(rows)
-            or not text.count("[") == text.count("]") == text.count("\x1f[") + 1):
-        return None
+def _cells(values):
+    """JSON scalars as the C encoder writes each, in one pass; a
+    non-finite number as null (a string's text is quoted)."""
+    text = _ENCODER.encode(values)
+    cells = text[1:-1].split("\x1e")
+    return [_NON_FINITE.get(c, c) for c in cells] if "NaN" in text or "Infinity" in text else cells
+
+
+def _rows(template, cells, n):
+    return [template % row for row in (zip(*cells) if cells else [()] * n)]
+
+
+def _key(name):
+    return _ENCODER.encode(name).replace("%", "%%") + ": "
+
+
+def _section(records, pad):
+    """A Records section as ``json.dumps`` writes its rows at indent 2,
+    on a line ``pad`` starts: each column encoded once, each row by one
+    ``%`` template.  A tuple or dict column's items fill slots of their
+    own, unless a row of it is missing: then its row values fill one."""
+    if not records.n:
+        return "[]"
     row, key, item = pad + "  ", pad + "    ", pad + "      "
-    body = text[2:-2].replace("}\x1e{", row + "}," + row + "{" + key)
-    body = body.replace('\x1e"', "," + key + '"').replace("\x1f", ": ")
-    body = body.replace("[", "[" + item).replace("]", key + "]").replace("\x1e", "," + item)
-    return "[" + row + "{" + key + body + row + "}" + pad + "]"
-
-
-def _nested_records(rows, pad):
-    """Records that each nest one flat dict (a flip log's labels) by two
-    ``_records`` passes, else None: the rows with that dict marked -inf (one
-    count a row proves no other "-Infinity" text), and the dicts one level in,
-    split at "}," + row pad + "{" (no deeper separator) and spliced at the marks."""
-    keys = [[k for k, v in row.items() if isinstance(v, dict)] if type(row) is dict else [] for row in rows]
-    if any(len(k) != 1 for k in keys):
-        return None
-    text = _records([{**row, k: -math.inf} for row, [k] in zip(rows, keys)], pad)
-    inner = _records([row[k] for row, [k] in zip(rows, keys)], pad + "  ")
-    if text is None or inner is None or text.count("-Infinity") != len(rows):
-        return None
-    parts, dicts = text.split("-Infinity"), inner[len(pad) + 6:-len(pad) - 4].split("}," + pad + "    {")
-    return "".join(part + "{" + d + "}" for part, d in zip(parts, dicts)) + parts[-1]
+    slots, cells = [], []
+    for name, column in records.columns.items():
+        slot, parts = "%s", [column]
+        if type(column) is not list:
+            keys = [_key(k) for k in column] if type(column) is dict else [""] * len(column)
+            parts = list(column.values()) if type(column) is dict else column
+            start, end = "{}" if type(column) is dict else "[]"
+            slot = start + item + ("," + item).join(k + "%s" for k in keys) + key + end if keys else start + end
+        parts = [_cells(part) for part in parts]
+        missing = records.missing.get(name)
+        if missing is not None and any(missing):
+            rows = _rows(slot, parts, records.n)
+            slot, parts = "%s", [["null" if gone else text for gone, text in zip(missing, rows)]]
+        slots.append(_key(name) + slot)
+        cells += parts
+    template = "{" + key + ("," + key).join(slots) + row + "}" if slots else "{}"
+    return "[" + row + ("," + row).join(_rows(template, cells, records.n)) + pad + "]"
 
 
 def _indented(doc, pad):
     """``doc`` as ``json.dumps`` writes it at indent 2, on a line ``pad`` starts."""
+    if isinstance(doc, Records):
+        return _section(doc, pad)
     if not doc or not isinstance(doc, (dict, list, tuple)):
         return _ENCODER.encode(doc)  # a scalar, [] or {}
     inner = pad + "  "
@@ -378,10 +386,10 @@ def _indented(doc, pad):
         keys = _ENCODER.encode(dict.fromkeys(doc, 0))[1:-3].split("\x1f0\x1e")
         items = [k + ": " + _indented(v, inner) for k, v in zip(keys, doc.values())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return _records(doc, pad) or _nested_records(doc, pad) or "[" + inner + ("," + inner).join(
-        [_indented(v, inner) for v in doc]) + pad + "]"
+    return "[" + inner + ("," + inner).join([_indented(v, inner) for v in doc]) + pad + "]"
 
 
 def dumps_report(report):
-    """A report or any document in it, as ``json.dumps`` writes it at indent 2, and a newline."""
+    """A report or any document in it, as ``json.dumps`` writes it at
+    indent 2 (a Records section as its rows), and a newline."""
     return _indented(report, "\n") + "\n"

@@ -404,7 +404,7 @@ def segment_potential(
         # r rises with u, so the domain holds on an interval where it
         # holds for the smallest and the largest radii.
         u_a, u_b, _, _ = _x_range(u_start, du, lo, hi)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r_lo, r_hi = (2.0 * np.arctanh(np.exp(f(u_a, u_b)))
                           for f in (np.minimum, np.maximum))
             i, j = surf.edges.T

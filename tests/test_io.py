@@ -1,6 +1,8 @@
 """Mesh/report documents, schemas, and the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -22,9 +25,11 @@ from conftest import checkerboard_packing, dumps_mesh, torus_grid, unchecked_pac
 from mesh_oracle import parse_mesh_loops
 import hidra
 from hidra.cli import main
+from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import HidraError, ParseError, ValidationError
 from hidra.geometry import Packing
 from hidra.meshio import (
+    Records,
     build_report,
     dumps_report,
     parse_mesh,
@@ -328,7 +333,7 @@ def indent2(doc):
 # (signed zero, exponent forms, subnormals, nan, infinities), strings with
 # JSON's structural characters, its escapes, control characters and
 # non-ASCII text.
-TEXT = st.text(st.sampled_from('ab[]{},:"\\\x00\x1e\x1f\n\té☃\U0001f600'), max_size=4)
+TEXT = st.text(st.sampled_from('ab[]{},:%"\\\x00\x1e\x1f\n\té☃\U0001f600'), max_size=4)
 NUMBERS = (
     st.integers(-(2**70), 2**70)
     | st.sampled_from([2**63, -(2**63) - 1, 2**64])
@@ -343,15 +348,15 @@ def records(keys, values):
     return st.lists(st.dictionaries(keys, values, max_size=4), min_size=1, max_size=4)
 
 
-# Flat records with plain keys take the one-pass path; the others mix in
-# strings, as keys or values, which mostly leave it.
+# Record lists held as lists of dicts, which the recursive route writes:
+# flat records with plain keys, and records that mix in strings, as keys
+# or values.
 RECORDS = records(
     st.sampled_from(["id", "ends", "K"]), FLAT | st.lists(FLAT, max_size=3)
 ) | records(
     st.sampled_from(["id", "ends"]) | TEXT, FLAT | st.lists(FLAT | TEXT, max_size=3) | TEXT
 )
-# Records that nest flat records, as a flip log's rows nest their labels:
-# those with one each take the nested one-pass path, the others leave it.
+# Records that nest flat records, as a flip log's rows nest their labels.
 FLAT_VALUES = FLAT | st.lists(FLAT, max_size=3)
 LABELS = st.dictionaries(st.sampled_from(["a", "b", "-Infinity"]) | TEXT, FLAT_VALUES, max_size=3)
 NESTED = st.lists(st.builds(
@@ -365,6 +370,55 @@ DOCS = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT | FLAT, inner, max_size=3),
     max_leaves=12,
 )
+
+
+# Values a record section holds: every number class above, the float
+# range's ends and edges, null, booleans and strings that need escapes.
+SCALARS = NUMBERS | st.sampled_from([1e308, -1.7976931348623157e308, 2.2250738585072014e-308]) | (
+    st.none() | st.booleans() | TEXT
+)
+SECTION_KEYS = st.sampled_from(["id", "ends", "angles", "labels", "rho", "%s", "%%"]) | TEXT
+
+
+@st.composite
+def record_sections(draw):
+    """A Records of 0-4 rows: scalar columns, and tuple and dict columns
+    of width 0-3, some with missing rows (a degenerate face's angles)."""
+    n = draw(st.integers(0, 4))
+
+    def column():
+        return draw(st.lists(SCALARS, min_size=n, max_size=n))
+
+    columns, missing = {}, {}
+    for key in draw(st.lists(SECTION_KEYS, unique=True, max_size=4)):
+        kind = draw(st.sampled_from(["list", "tuple", "dict"]))
+        if kind == "list":
+            columns[key] = column()
+            continue
+        names = draw(st.lists(SECTION_KEYS, unique=True, max_size=3))
+        columns[key] = tuple(column() for _ in names) if kind == "tuple" else {
+            name: column() for name in names}
+        if draw(st.booleans()):
+            missing[key] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Records(n, columns, missing)
+
+
+SECTION_DOCS = st.recursive(
+    FLAT | TEXT | record_sections(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def rows_as_lists(doc):
+    """``doc`` with each Records section as the list of its dict rows."""
+    if isinstance(doc, Records):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {key: rows_as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [rows_as_lists(value) for value in doc]
+    return doc
 
 
 class TestWriter:
@@ -411,11 +465,41 @@ class TestWriter:
     def test_explicit_cases(self, doc):
         assert dumps_report(doc) == indent2(doc)
 
-    def test_report_records_take_one_pass(self):
-        """Every record list a delaunay report and its mesh hold goes
-        through a one-pass path, the flip log through the nested one; the
-        rest of the document does not."""
-        from hidra.meshio import _nested_records, _records
+    @given(SECTION_DOCS)
+    @settings(max_examples=300)
+    def test_sections_match_json_dumps_of_their_rows(self, doc):
+        """A Records section is written as ``json.dumps`` writes its rows,
+        which read each non-finite number and each missing row as null."""
+        assert dumps_report(doc) == indent2(rows_as_lists(doc))
+
+    def test_rows_read_as_the_columns_say(self):
+        rows = Records(2, {
+            "id": [0, 1],
+            "ends": ([3, 4], [5, 6]),
+            "labels": {"a": [1.5, math.nan]},
+            "angles": ([0.5, math.inf], [1.0, 2.0]),
+        }, missing={"angles": [False, True]})
+        assert rows[-1] == {"id": 1, "ends": [4, 6], "labels": {"a": None}, "angles": None}
+        assert rows == [
+            {"id": 0, "ends": [3, 5], "labels": {"a": 1.5}, "angles": [0.5, 1.0]}, rows[1],
+        ]
+        assert len(rows) == 2 and Records(0, {}) == []
+        with pytest.raises(IndexError):
+            rows[2]
+
+    def test_degenerate_face_sections(self, torus):
+        # Side 0 is longer than the other two together: faces without
+        # angles or rho, edges without margins, a vertex without K.
+        packing = Packing(np.array([30.0, 2.0, 2.0]), np.array([math.atanh(0.5)]))
+        report = build_report(status="invalid_input", surface=torus, packing=packing)
+        assert dumps_report(report) == indent2(rows_as_lists(report))
+        assert '"angles": null' in dumps_report(report)
+
+    def test_report_records_take_one_pass(self, monkeypatch):
+        """Every record section of a delaunay report and its mesh is a
+        Records, written from its columns by one row template: no row goes
+        through the recursive route, which writes the rest."""
+        import hidra.meshio as meshio
 
         surface = torus_grid(4)
         packing = checkerboard_packing(surface, 4, np.random.default_rng(0))
@@ -423,15 +507,17 @@ class TestWriter:
         state = newton_solve(surface2, packing2, np.full(16, 0.5), track_potential=False)
         report = build_report(status=state.status, digest="0" * 64,
                               state=replace(state, flip_log=events))
-        flip_log = report["flip_log"]
-        assert len(flip_log) == len(events) >= 8 and _records(flip_log, "\n  ") is None
-        assert _nested_records(flip_log, "\n  ") == indent2({"f": flip_log})[9:-3]
         report["mesh"] = hidra.mesh_document(surface2, packing2, np.full(16, 0.5))
-        for rows in (report["vertices"], report["edges"], report["faces"],
-                     report["iteration_trace"], *report["mesh"].values()):
-            if isinstance(rows, list):
-                assert _records(rows, "\n  ") is not None
-        assert _records([{"edge": 0, "labels": {"a": 1.5}}], "\n  ") is None
+        sections = [report[key] for key in ("vertices", "edges", "faces", "flip_log", "iteration_trace")]
+        sections += list(report["mesh"].values())[1:]
+        assert all(isinstance(rows, Records) for rows in sections)
+        assert len(report["flip_log"]) == len(events) >= 8 and len(report["iteration_trace"]) >= 1
+        assert report["flip_log"][0]["labels"] == dict(zip("abcde", events[0].labels))
+        written, indented = [], meshio._indented
+        monkeypatch.setattr(meshio, "_indented", lambda doc, pad: written.append(doc) or indented(doc, pad))
+        assert dumps_report(report) == indent2(rows_as_lists(report))
+        assert [doc for doc in written if isinstance(doc, Records)] == sections
+        assert [doc for doc in written if isinstance(doc, dict)] == [report, report["global"], report["mesh"]]
 
 
 NON_NUMBERS = ["abc", None, True, [1.5], {"value": 1.5}]
@@ -855,6 +941,32 @@ class TestCLI:
             assert text == indent2(json.loads(text)), path.name
         assert json.loads(outputs[-1].read_text())["status"] == "invalid_input"
 
+    @pytest.mark.parametrize("records, key, value, command, code, message", [
+        # At radius 180 the cosh of each length is about 1e156: finite, but
+        # its square is not, and the law of cosines gives inf / inf.
+        # validate accepted the packing (exit 0).
+        *[("vertices", "radius", 180.0, command, 2, "face 0 has a corner cosine outside [-1, 1]")
+          for command in ("validate", "curvature", "delaunay")],
+        # delaunay checks no triangle inequality before its margin scan,
+        # whose Xi and the report's Delta overflow at I = 1e300.
+        ("edges", "inversive_distance", 1e300, "validate", 2, "face 0 violates the triangle inequalities"),
+        ("edges", "inversive_distance", 1e300, "curvature", 2, "face 0 has a corner cosine outside [-1, 1]"),
+        ("edges", "inversive_distance", 1e300, "delaunay", 4, "face 0 has Xi = -inf <= 0"),
+    ])
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, records, key, value, command, code,
+                                        message):
+        """A value whose lengths or forms overflow ends in one error line
+        and a schema-valid report; NumPy overflow warnings reached stderr."""
+        doc = json.loads(open(fixture_path("torus1.json")).read())
+        doc[records][0][key] = value
+        mesh, out = tmp_path / "overflow.json", tmp_path / "report.json"
+        mesh.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.run(command, str(mesh), "--out", str(out)) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        jsonschema.validate(json.loads(out.read_text()), schema("report.schema.json"))
+
     @pytest.mark.parametrize("command", ["solve", "flow", "delaunay"])
     def test_non_compact_start_keeps_the_input_state(self, tmp_path, command):
         # Face 5 of this octahedron packing has Xi < 0 before any flip:
@@ -1188,3 +1300,70 @@ class TestCLI:
         )
         assert proc.returncode == 0
         assert "[pass]" in proc.stdout
+
+
+FUZZ_SURFACES = [one_vertex_torus(), one_vertex_genus2(), octahedron_sphere(), torus_grid(2)]
+REPORT_VALIDATOR = jsonschema.Draft7Validator(schema("report.schema.json"))
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+
+
+@st.composite
+def fuzz_meshes(draw):
+    """A mesh document on a bundled complex or the 2x2 torus grid: each
+    radius from tanh r in [1e-6, 0.999] or up to 200, each inversive
+    distance in [1 + 1e-9, 1e3], mostly below 3."""
+    surface = draw(st.sampled_from(FUZZ_SURFACES))
+    radius = st.floats(1e-6, 0.999).map(math.atanh) | st.floats(1e-3, 200.0)
+    inv = st.floats(1.0 + 1e-9, 3.0) | st.floats(1.0 + 1e-9, 1e3)
+    radii = draw(st.lists(radius, min_size=surface.vertex_count, max_size=surface.vertex_count))
+    invs = draw(st.lists(inv, min_size=surface.edge_count, max_size=surface.edge_count))
+    return dumps_mesh(surface, Packing(np.array(invs), np.array(radii)))
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v!r}"]))
+
+
+FUZZ_FLAGS = st.tuples(
+    _flag("--tol-delaunay", st.floats(-1e-3, 1e-3)),
+    _flag("--flip-budget", st.integers(0, 6)),
+    _flag("--max-iters", st.integers(0, 4)),
+    _flag("--tol", st.floats(1e-12, 1e-3)),
+    _flag("--dt", st.floats(1e-3, 4.0)),
+    st.floats(-1.0, 6.0).map(lambda k: [f"--target-uniform={k!r}"]),
+).map(lambda flags: [flag for one in flags for flag in one])
+COMMAND_FLAGS = {
+    "validate": (),
+    "curvature": (),
+    "delaunay": ("--tol-delaunay", "--flip-budget"),
+    "solve": ("--tol-delaunay", "--flip-budget", "--max-iters", "--tol", "--target-uniform"),
+    "flow": ("--tol-delaunay", "--flip-budget", "--max-iters", "--tol", "--target-uniform", "--dt"),
+}
+
+
+class TestCLIFuzz:
+    @given(fuzz_meshes(), FUZZ_FLAGS)
+    @settings(max_examples=100)
+    def test_every_command_exits_documented(self, tmp_path_factory, mesh_text, flags):
+        """Each command exits 0, 2, 3 or 4, leaves at most one stderr line,
+        an ``error:`` line, and writes a schema-valid report in
+        ``json.dumps(doc, indent=2)``'s bytes; no NumPy warning escapes."""
+        tmp = tmp_path_factory.mktemp("fuzz")
+        mesh, out = tmp / "in.json", tmp / "report.json"
+        mesh.write_text(mesh_text)
+        for command, names in COMMAND_FLAGS.items():
+            argv = [command, str(mesh), "--out", str(out)]
+            argv += [flag for flag in flags if flag.split("=")[0] in names]
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+            assert code in DOCUMENTED_EXITS, argv
+            lines = err.getvalue().splitlines()
+            assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), argv
+            text = out.read_text()
+            report = json.loads(text)
+            assert text == indent2(report), argv
+            assert next(REPORT_VALIDATOR.iter_errors(report), None) is None, argv
+            out.unlink()
