@@ -114,17 +114,7 @@ def degenerate_hinge(orthoradius, radii, angles):
             inversive[(m, n)] = val
 
     surface = tetrahedron_sphere()
-    # Tetrahedron edge order: (0,1),(1,2),(2,3),(0,3),(0,2),(1,3).
-    inv = np.array(
-        [
-            inversive[(0, 1)],
-            inversive[(1, 2)],
-            inversive[(2, 3)],
-            inversive[(0, 3)],
-            inversive[(0, 2)],
-            inversive[(1, 3)],
-        ]
-    )
+    inv = np.array([inversive[m, n] for m, n in surface.edges.tolist()])
     packing = Packing(inv, np.array(radii))
 
     hv = hinge(surface, 4)

@@ -20,14 +20,7 @@ import numpy as np
 
 from .checks import run_verification_suite
 from .errors import (
-    FlowStalled,
-    HidraError,
-    MaxIterationsExceeded,
-    NonCompactOrthocircle,
-    ParseError,
-    SolverStalled,
-    SurgeryDiverged,
-    TargetOutOfRange,
+    HidraError, NonCompactOrthocircle, SolverFailure, SurgeryDiverged, TargetOutOfRange,
     ValidationError,
 )
 from .flips import make_weighted_delaunay
@@ -38,6 +31,7 @@ from .solver import (
     DEFAULT_FLOW_T_MAX,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL_K,
+    STATUS_CONVERGED,
     SolveState,
     curvatures,
     newton_solve,
@@ -115,14 +109,6 @@ def _solver_target(args, surface, target_from_file):
     return target_from_file
 
 
-def _failure_report(args, status, digest, exc, state=None):
-    report = build_report(
-        status=status, digest=digest, state=state, error=str(exc)
-    )
-    _write_report(args, report)
-    _say(f"error: {exc}")
-
-
 def cmd_validate(args, surface, packing, target, digest):
     metrics = validate_packing(surface, packing)
     if target is not None:
@@ -163,17 +149,17 @@ def cmd_delaunay(args, surface, packing, target, digest):
             tol=settings["tol_delaunay"],
             flip_budget=settings["flip_budget"],
         )
-    except NonCompactOrthocircle as exc:  # the report takes K from the kernel
+    except NonCompactOrthocircle as exc:  # surgery failed, unless the input is invalid
+        validate_packing(surface, packing)
         state = SolveState(surface, packing, u_from_r(packing.radii), None, None, None,
                            "surgery_diverged", 0)
         raise SurgeryDiverged(str(exc), state=state) from exc
     metrics = SurfaceMetrics(surface2, packing2)
-    K, area = curvatures(surface2, packing2, metrics=metrics)
+    metrics.angles  # raises as ``curvatures`` does; the report takes K from this kernel
     state = SolveState(
-        surface2, packing2, u_from_r(packing2.radii), None, K, area,
-        "converged", 0, list(events), [],
+        surface2, packing2, u_from_r(packing2.radii), None, None, None, STATUS_CONVERGED, 0, events,
     )
-    report = build_report(status="converged", digest=digest, state=state, metrics=metrics)
+    report = build_report(status=STATUS_CONVERGED, digest=digest, state=state, metrics=metrics)
     mesh = (args.out or args.mesh_out) and dumps_report(mesh_document(surface2, packing2, target))
     if args.out:  # the mesh, last in the report, is its text one level in (no raw "\n" in JSON)
         nested = mesh[:-1].replace("\n", "\n  ")
@@ -184,48 +170,35 @@ def cmd_delaunay(args, surface, packing, target, digest):
     return EXIT_OK
 
 
-def cmd_solve(args, surface, packing, target_doc, digest):
+def _solve(args, surface, packing, target_doc, digest, run, counted, *flow_settings):
+    """Run ``run`` (newton_solve or ricci_flow, with the float settings
+    named in ``flow_settings``), write its report and a summary line
+    counting its ``counted``; exit 0 only if it converged."""
     settings = _settings(args)
-    target = _solver_target(args, surface, target_doc)
-    state = newton_solve(
+    state = run(
         surface,
         packing,
-        target,
+        _solver_target(args, surface, target_doc),
         tol=settings["tol"],
         max_iterations=settings["max_iters"],
         tol_delaunay=settings["tol_delaunay"],
         flip_budget=settings["flip_budget"],
+        **{key: float(settings[key]) for key in flow_settings},
     )
-    report = build_report(status=state.status, digest=digest, state=state)
-    _write_report(args, report)
+    _write_report(args, build_report(status=state.status, digest=digest, state=state))
     print(
-        f"status: {state.status}  iterations: {state.iterations}  "
+        f"status: {state.status}  {counted}: {state.iterations}  "
         f"max|K-Kbar| = {state.max_error:.3e}  flips: {len(state.flip_log)}"
     )
-    return EXIT_OK
+    return EXIT_OK if state.status == STATUS_CONVERGED else EXIT_NO_CONVERGENCE
 
 
-def cmd_flow(args, surface, packing, target_doc, digest):
-    settings = _settings(args)
-    target = _solver_target(args, surface, target_doc)
-    state = ricci_flow(
-        surface,
-        packing,
-        target,
-        dt=float(settings["dt"]),
-        t_max=float(settings["t_max"]),
-        tol=settings["tol"],
-        tol_delaunay=settings["tol_delaunay"],
-        flip_budget=settings["flip_budget"],
-        max_iterations=settings["max_iters"],
-    )
-    report = build_report(status=state.status, digest=digest, state=state)
-    _write_report(args, report)
-    print(
-        f"status: {state.status}  steps: {state.iterations}  "
-        f"max|K-Kbar| = {state.max_error:.3e}  flips: {len(state.flip_log)}"
-    )
-    return EXIT_OK if state.status == "converged" else EXIT_NO_CONVERGENCE
+def cmd_solve(args, *loaded):
+    return _solve(args, *loaded, newton_solve, "iterations")
+
+
+def cmd_flow(args, *loaded):
+    return _solve(args, *loaded, ricci_flow, "steps", "dt", "t_max")
 
 
 def cmd_verify(args):
@@ -253,30 +226,6 @@ def cmd_verify(args):
     return EXIT_OK if report["passed"] else EXIT_DIVERGED
 
 
-def _run_single(handler, args):
-    """Run one subcommand on its loaded mesh; failures become reports
-    that carry the input digest and any partial state."""
-    digest = None
-    try:
-        if getattr(args, "mesh", None) is None:
-            return handler(args)
-        raw = Path(args.mesh).read_bytes()
-        digest = hashlib.sha256(raw).hexdigest()
-        return handler(args, *parse_mesh(raw), digest)
-    except (ParseError, ValidationError, TargetOutOfRange, OSError) as exc:
-        _failure_report(args, "invalid_input", digest, exc)
-        return EXIT_INVALID
-    except (SolverStalled, MaxIterationsExceeded, FlowStalled) as exc:
-        _failure_report(args, exc.state.status, digest, exc, exc.state)
-        return EXIT_NO_CONVERGENCE
-    except SurgeryDiverged as exc:
-        _failure_report(args, "surgery_diverged", digest, exc, exc.state)
-        return EXIT_DIVERGED
-    except HidraError as exc:
-        _failure_report(args, "invalid_input", digest, exc)
-        return EXIT_INVALID
-
-
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -293,10 +242,13 @@ def build_parser():
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers when several meshes are given")
 
-    def add_solver_flags(p):
-        p.add_argument("--tol", type=float, help="curvature tolerance")
+    def add_flip_flags(p):
         p.add_argument("--tol-delaunay", dest="tol_delaunay", type=float)
         p.add_argument("--flip-budget", dest="flip_budget", type=int)
+
+    def add_solver_flags(p):
+        p.add_argument("--tol", type=float, help="curvature tolerance")
+        add_flip_flags(p)
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--target-uniform", dest="target_uniform", type=float,
                        help="uniform target curvature (overrides the mesh file)")
@@ -312,8 +264,7 @@ def build_parser():
     p = sub.add_parser("delaunay", help="flip to weighted Delaunay")
     add_common(p)
     p.add_argument("--mesh-out", dest="mesh_out", help="write the flipped mesh here")
-    p.add_argument("--tol-delaunay", dest="tol_delaunay", type=float)
-    p.add_argument("--flip-budget", dest="flip_budget", type=int)
+    add_flip_flags(p)
     p.set_defaults(handler=cmd_delaunay)
 
     p = sub.add_parser("solve", help="Newton curvature prescription")
@@ -338,13 +289,30 @@ def build_parser():
 
 
 def _run(args):
-    """Run one parsed command; an --out path that cannot be written
-    exits 2 with one error line."""
+    """Run one parsed command on its loaded mesh, if it takes one.  A
+    library failure becomes a report that carries the input digest and
+    any partial state, with one error line: a SolverFailure its state's
+    status, exit 4 for SurgeryDiverged and 3 for the others, and any
+    other failure invalid_input, exit 2; so does an --out path that
+    cannot be written."""
+    digest = state = None
     try:
-        return _run_single(args.handler, args)
+        if getattr(args, "mesh", None) is None:
+            return args.handler(args)
+        raw = Path(args.mesh).read_bytes()
+        digest = hashlib.sha256(raw).hexdigest()
+        return args.handler(args, *parse_mesh(raw), digest)
+    except SolverFailure as exc:
+        error, state, status = exc, exc.state, exc.state.status
+        code = EXIT_DIVERGED if isinstance(exc, SurgeryDiverged) else EXIT_NO_CONVERGENCE
+    except (HidraError, OSError) as exc:
+        error, status, code = exc, "invalid_input", EXIT_INVALID
+    try:
+        _write_report(args, build_report(status=status, digest=digest, state=state, error=str(error)))
     except OSError as exc:
-        _say(f"error: {exc}")
-        return EXIT_INVALID
+        error, code = exc, EXIT_INVALID
+    _say(f"error: {error}")
+    return code
 
 
 def main(argv=None):

@@ -25,7 +25,9 @@ from .errors import (
     SurgeryDiverged,
     TargetOutOfRange,
 )
-from .flips import check_flip_settings, make_weighted_delaunay, surface_delaunay_margins
+from .flips import (
+    DEFAULT_FLIP_BUDGET_FACTOR, check_flip_settings, make_weighted_delaunay, surface_delaunay_margins,
+)
 from .geometry import (
     NEXT, PREV, TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing,
 )
@@ -355,14 +357,17 @@ def segment_potential(
     Returns (value, end_surface, end_packing, wall_flip_events,
     end_forms); the end packing carries the radii of u_end.  A target of
     None walks the segment, flips and all, without quadrature, and the
-    value is 0.  The flip budget bounds the segment's flips together; an
-    overrun raises SurgeryDiverged naming it, with every flip of the
-    segment so far.
+    value is 0.  The flip budget (None: DEFAULT_FLIP_BUDGET_FACTOR times
+    the edge count) bounds the segment's flips together; an overrun
+    raises SurgeryDiverged naming it, with every flip of the segment so
+    far.
     """
     u_start = np.asarray(u_start, dtype=float)
     u_end = np.asarray(u_end, dtype=float)
     du = u_end - u_start
 
+    if flip_budget is None:
+        flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)
     surf = surface
     inv = packing.inv.copy()
     events = []
@@ -382,14 +387,11 @@ def segment_potential(
         nonlocal surf, inv, forms
         try:
             surf, pk, ev = make_weighted_delaunay(
-                surf, pk, tol=tol_delaunay,
-                flip_budget=None if flip_budget is None else flip_budget - len(events),
+                surf, pk, tol=tol_delaunay, flip_budget=flip_budget - len(events),
                 iteration=iteration,
             )
         except SurgeryDiverged as exc:
             exc.state.flip_log = events + exc.state.flip_log
-            if flip_budget is None:
-                raise
             raise SurgeryDiverged(
                 f"exceeded flip budget of {flip_budget} flips", state=exc.state
             ) from exc
@@ -526,6 +528,11 @@ class _Run:
         self.metrics = validate_packing(surface, packing)
         self.tol_delaunay, self.flip_budget = tol_delaunay, flip_budget
         self.surface, self.packing, self.u = surface, packing, u_from_r(packing.radii)
+        if (self.u >= 0.0).any():  # tanh(r/2) rounds to 1
+            v = int(np.argmax(self.u >= 0.0))
+            raise DomainError(
+                f"vertex {v} has radius {packing.radii[v]}, where u = log tanh(r/2) rounds to 0"
+            )
         self.flip_log, self.trace, self.potential, self.steps, self.forms = [], [], 0.0, -1, None
         self.curvature, self.total_area = curvatures(surface, packing, self.metrics)
         try:  # flips keep the radii, so u stays
@@ -613,22 +620,24 @@ def newton_solve(
     an exactly singular H, or a step H . delta = -(K - Kbar), clamped to
     keep u negative and backtracked on the Euclidean norm of the
     curvature error.  DomainError unless tol and max_iterations are
-    non-negative, tol_delaunay is a number and any flip budget is
-    non-negative.  Each trial point is where its segment's walk ends,
-    carried there by the walk's logged wall flips, and is judged by the
-    one kernel there, which also gives the accepted curvature and the
-    next Hessian; a trial whose walk meets a point outside the domain or
-    a non-compact face is halved like one that does not lower the error.
+    non-negative, tol_delaunay is a number, any flip budget is
+    non-negative and no radius is so large that its u rounds to 0.
+    Each trial point is where its segment's walk ends, carried there by
+    the walk's logged wall flips, and is judged by the one kernel there,
+    which also gives the accepted curvature and the next Hessian; a
+    trial whose walk meets a point outside the domain or a non-compact
+    face is halved like one that does not lower the error.
     ``track_potential`` decides only whether the segment is integrated.
     A face non-compact at the start raises SurgeryDiverged at the input.
     The Hessian's spectrum sign, at the state returned or carried by the
     raised SolverFailure, is read from the pivots of the same
     factorization (Sylvester's law of inertia); a row swap or an exactly
-    singular H gives 0.  The flip budget bounds the flips of the start
-    and of each step; an overrun raises SurgeryDiverged with the solve's
-    target, flip log and trace at the state where the flips stopped
-    (spectrum sign 0, not taken), counting the iteration in progress (0
-    at the start).
+    singular H gives 0.  The flip budget (None: DEFAULT_FLIP_BUDGET_FACTOR
+    times the edge count) bounds the flips of the start and of each
+    step; an overrun raises SurgeryDiverged with the solve's target,
+    flip log and trace at the state where the flips stopped (spectrum
+    sign 0, not taken), counting the iteration in progress (0 at the
+    start).
     """
     run = _Run(surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations)
     for iteration in itertools.count(1):

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from conftest import checkerboard_packing, dumps_mesh, torus_grid, unchecked_packing
 from mesh_oracle import parse_mesh_loops
 import hidra
+from hidra import errors
 from hidra.cli import main
 from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
 from hidra.errors import HidraError, ParseError, ValidationError
@@ -947,11 +948,11 @@ class TestCLI:
         # validate accepted the packing (exit 0).
         *[("vertices", "radius", 180.0, command, 2, "face 0 has a corner cosine outside [-1, 1]")
           for command in ("validate", "curvature", "delaunay")],
-        # delaunay checks no triangle inequality before its margin scan,
-        # whose Xi and the report's Delta overflow at I = 1e300.
+        # At I = 1e300 the margin scan's Xi overflows: delaunay checks the
+        # packing once the scan fails, and reports it as validate does.
         ("edges", "inversive_distance", 1e300, "validate", 2, "face 0 violates the triangle inequalities"),
         ("edges", "inversive_distance", 1e300, "curvature", 2, "face 0 has a corner cosine outside [-1, 1]"),
-        ("edges", "inversive_distance", 1e300, "delaunay", 4, "face 0 has Xi = -inf <= 0"),
+        ("edges", "inversive_distance", 1e300, "delaunay", 2, "face 0 violates the triangle inequalities"),
     ])
     def test_overflow_is_one_error_line(self, tmp_path, capsys, records, key, value, command, code,
                                         message):
@@ -1014,6 +1015,50 @@ class TestCLI:
         assert report["global"]["hessian_spectrum_sign"] == 0
         with open(mesh, "rb") as fh:
             assert report["input_digest"] == hashlib.sha256(fh.read()).hexdigest()
+
+    @pytest.mark.parametrize("command", ["solve", "flow"])
+    @pytest.mark.parametrize("error", sorted(
+        (cls for cls in vars(errors).values()
+         if isinstance(cls, type) and issubclass(cls, HidraError)
+         and cls not in (HidraError, errors.SolverFailure)),  # bases the library never raises
+        key=lambda cls: cls.__name__,
+    ) + [OSError], ids=lambda cls: cls.__name__)
+    def test_every_library_failure_meets_one_handler(self, tmp_path, monkeypatch, capsys,
+                                                     command, error):
+        """Each SolverFailure reports its state's status and flip log (exit
+        4 for SurgeryDiverged, 3 for the others); every other library
+        error, and an OSError, is invalid_input (exit 2); each with one
+        error line."""
+        import hidra.cli as cli
+
+        mesh, out = self.octahedron_mesh(tmp_path, 6), tmp_path / "report.json"
+        target = np.full(6, 5.0)
+        state = newton_solve(*parse_mesh(mesh.read_bytes())[:2], target)
+        assert len(state.flip_log) == 3
+        statuses = {errors.SurgeryDiverged: "surgery_diverged", errors.SolverStalled: "stalled",
+                    errors.MaxIterationsExceeded: "max_iterations", errors.FlowStalled: "stalled"}
+        if issubclass(error, errors.SolverFailure):
+            state.status = statuses[error]
+            failure = error("planted", state=state)
+            status, code = state.status, 4 if error is errors.SurgeryDiverged else 3
+        else:
+            failure, status, code = error("planted"), "invalid_input", 2
+
+        def run(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(cli, {"solve": "newton_solve", "flow": "ricci_flow"}[command], run)
+        assert self.run(command, str(mesh), "--target-uniform", "5.0", "--out", str(out)) == code
+        assert capsys.readouterr().err == "error: planted\n"
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert (report["status"], report["error"]) == (status, "planted")
+        assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
+        if code == 2:
+            assert report["flip_log"] is None and report["vertices"] is None
+        else:
+            assert [f["edge"] for f in report["flip_log"]] == [e.edge for e in state.flip_log]
+            assert [v["Kbar"] for v in report["vertices"]] == target.tolist()
 
     def test_solve_rejects_inadmissible_target(self, tmp_path):
         out = tmp_path / "report.json"
@@ -1230,6 +1275,26 @@ class TestCLI:
             report = json.loads(out.read_text())
             jsonschema.validate(report, schema("report.schema.json"))
             assert report["status"] == status
+
+    @pytest.mark.parametrize("command", ["solve", "flow"])
+    def test_console_script_radius_past_the_u_chart_exits_2(self, tmp_path, command):
+        # torus1 passes validate at radius 38, where u = log tanh(r/2)
+        # rounds to 0; solve and flow named a face of the walk.
+        doc = json.loads(open(fixture_path("torus1.json")).read())
+        doc["vertices"][0]["radius"] = 38.0
+        mesh, out = tmp_path / "mesh.json", tmp_path / "report.json"
+        mesh.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hidra.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hidra.cli", command, str(mesh), "--target-uniform", "1.0",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        message = "vertex 0 has radius 38.0, where u = log tanh(r/2) rounds to 0"
+        assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert (report["status"], report["error"]) == ("invalid_input", message)
 
     def test_console_script_tiny_dt_flow_ends(self, tmp_path):
         # dt doubles from 1e-11 after each accepted step, so the flow

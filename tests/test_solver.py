@@ -26,7 +26,7 @@ from conftest import (
     two_triangle_sphere,
     unchecked_packing,
 )
-from hidra import solver
+from hidra import flips, solver
 from hidra.checks import random_packing
 from hidra.complexes import (
     octahedron_sphere,
@@ -45,7 +45,7 @@ from hidra.errors import (
     TargetOutOfRange,
 )
 from hidra.flips import flip_edge, make_weighted_delaunay, surface_delaunay_margins
-from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
+from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing
 from hidra.meshio import load_mesh
 from hidra.solver import (
     _cosh_forms,
@@ -381,6 +381,16 @@ class TestNewtonSolve:
         with pytest.raises(DomainError, match=f"^{key} = {value} "):
             run(torus, torus_packing, np.array([1.0]), **setting)
 
+    @pytest.mark.parametrize("run", [newton_solve, ricci_flow])
+    def test_radius_the_u_chart_cannot_hold_is_a_domain_error(self, torus, run):
+        # At r = 38, tanh(r/2) rounds to 1 and u = log tanh(r/2) to 0: the
+        # packing is valid, but the run's own start has no radius.  The
+        # error names the vertex and its radius, not a face of the walk.
+        packing = Packing(np.full(3, 2.0), np.array([38.0]))
+        validate_packing(torus, packing)
+        with pytest.raises(DomainError, match=r"^vertex 0 has radius 38\.0, where u = "):
+            run(torus, packing, np.array([1.0]))
+
     def test_last_iterate_is_tested_before_max_iterations(self):
         # The genus-2 fixture converges at its fifth step: a cap of five
         # steps takes them all and tests the point the fifth step reached.
@@ -701,6 +711,23 @@ class TestRunOverruns:
         with pytest.raises(SurgeryDiverged) as info:
             run(octahedron, packing, np.full(6, 5.0), flip_budget=1)
         assert str(info.value) == "exceeded flip budget of 1 flips"
+
+
+    def test_default_budget_bounds_each_step(self, octahedron, monkeypatch):
+        # With the default factor shrunk to one flip on the octahedron's 12
+        # edges, the default budget acts as an explicit budget of one: the
+        # start flips once, and step 1's segment overruns it at its second
+        # wall.  Each wall's surgery used to get the whole default anew.
+        factor = 1 / len(octahedron.edges)
+        monkeypatch.setattr(solver, "DEFAULT_FLIP_BUDGET_FACTOR", factor, raising=False)
+        monkeypatch.setattr(flips, "DEFAULT_FLIP_BUDGET_FACTOR", factor)
+        packing = random_packing(
+            octahedron, np.random.default_rng(self.SEEDS[newton_solve]), inv_range=(1.05, 12.0),
+            max_tries=5000,
+        )
+        with pytest.raises(SurgeryDiverged, match="flip budget") as info:
+            newton_solve(octahedron, packing, np.full(6, 5.0))
+        assert [event.iteration for event in info.value.state.flip_log] == [0, 1]
 
 
 class TestWallCrossingSolves:
