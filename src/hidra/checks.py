@@ -152,12 +152,6 @@ def geometric_diagonal_value(params):
     return (z - p * r) / (sp * sr)
 
 
-def algebraic_flip_value(params):
-    """Ptolemy flip value as a function of the same nine coordinates
-    (it ignores the four radii)."""
-    return ptolemy_flip_value(*params[4:])
-
-
 def dF_df_discrepancy(params, parameter, step):
     """|dF - df| by central differences in one of the nine coordinates.
 
@@ -171,7 +165,7 @@ def dF_df_discrepancy(params, parameter, step):
     up[idx] += step
     dn[idx] -= step
     dF = (geometric_diagonal_value(up) - geometric_diagonal_value(dn)) / (2.0 * step)
-    df = (algebraic_flip_value(up) - algebraic_flip_value(dn)) / (2.0 * step)
+    df = (ptolemy_flip_value(*up[4:]) - ptolemy_flip_value(*dn[4:])) / (2.0 * step)
     return abs(dF - df)
 
 

@@ -131,6 +131,7 @@ def make_weighted_delaunay(
     tol=TOL_DELAUNAY,
     flip_budget=None,
     iteration=0,
+    flip_log=None,
 ):
     """Flip until every edge is local weighted Delaunay.
 
@@ -144,17 +145,20 @@ def make_weighted_delaunay(
     the two new faces are checked and re-scored by the kernel's own
     formulas (a new face outside the domain or non-compact raises the
     kernel's error).  The surface and packing are built once, at the end,
-    at a budget overrun or at a fault.  Returns the new surface,
-    packing, and the ordered flip log.  Past the budget it raises
-    SurgeryDiverged carrying the partial SolveState: the surface,
-    packing and flip log reached so far.  Settings that
+    at a budget overrun or at a fault.  Flips are appended to the
+    caller's ``flip_log`` (a new list when None), and the flip budget
+    (None: DEFAULT_FLIP_BUDGET_FACTOR times the edge count, its one
+    default) bounds that log's length, its entries at the call included.
+    Returns the new surface, packing and the log.  Past the budget it
+    raises SurgeryDiverged carrying the partial SolveState: the surface,
+    packing and whole log reached so far.  Settings that
     ``check_flip_settings`` rejects raise DomainError.
     """
     check_flip_settings(tol, flip_budget)
     margins = surface_delaunay_margins(surface, packing)
     if flip_budget is None:
         flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)
-    events, held = [], None
+    events, held = ([] if flip_log is None else flip_log), None
     while True:
         worst = int(np.argmin(margins))  # first minimum: lowest edge id
         if margins[worst] >= -tol:

@@ -239,18 +239,20 @@ class SurfaceMetrics:
         corners, inv, slots = self.corners, self.inv, np.arange(3)
         cr, sr = self.cosh_r[..., corners], self.sinh_r[..., corners]
         crn, crp, srn, srp = cr[..., NEXT], cr[..., PREV], sr[..., NEXT], sr[..., PREV]
-        C, S = self.cosh_lengths, self.sinh_lengths
-        Cn, Cp, Sn, Sp = C[..., NEXT], C[..., PREV], S[..., NEXT], S[..., PREV]
+        S, cos = self.sinh_lengths, self.cos_angles
+        Sn, Sp = S[..., NEXT], S[..., PREV]
         # dC[..., f, s, n]: derivative of cosh length s by radius n (0 at n = s).
-        dC = np.zeros(C.shape + (3,))
+        dC = np.zeros(S.shape + (3,))
         dC[..., slots, NEXT] = srn * crp + inv * crn * srp
         dC[..., slots, PREV] = srp * crn + inv * crp * srn
-        # dT[..., f, m, s]: derivative of angle m by cosh length s.
+        # dT[..., f, m, s]: derivative of angle m by cosh length s; off the
+        # diagonal, the law of cosines enters through the cosines of the
+        # corners NEXT[m] and PREV[m].
         base = Sn * Sp * sin_a
         dT = np.empty_like(dC)
         dT[..., slots, slots] = 1.0 / base
-        dT[..., slots, NEXT] = (Cp - C * Cn) / (Sn**2 * base)
-        dT[..., slots, PREV] = (Cn - C * Cp) / (Sp**2 * base)
+        dT[..., slots, NEXT] = -cos[..., PREV] * S / (Sn * base)
+        dT[..., slots, PREV] = -cos[..., NEXT] * S / (Sp * base)
         return dT @ dC
 
 

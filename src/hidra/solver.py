@@ -25,9 +25,7 @@ from .errors import (
     SurgeryDiverged,
     TargetOutOfRange,
 )
-from .flips import (
-    DEFAULT_FLIP_BUDGET_FACTOR, check_flip_settings, make_weighted_delaunay, surface_delaunay_margins,
-)
+from .flips import check_flip_settings, make_weighted_delaunay, surface_delaunay_margins
 from .geometry import (
     NEXT, PREV, TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing,
 )
@@ -41,12 +39,12 @@ DEFAULT_FLOW_T_MAX = math.inf
 MIN_LINE_SEARCH_STEP = 1e-12
 MIN_FLOW_DT = 1e-12
 
-# The wall scan of a potential segment: the grid its bounds certify (the
-# old march's checkpoints), the points of an uncertified grid interval
-# (its nested dyadic midpoints and right end) that one kernel batch
-# probes for the interval's first wall, the rounding allowance of the
-# bounds relative to the size of their terms, and the halvings of a grid
-# interval that locate a wall.
+# The wall scan of a potential segment: the grid k / SCAN_GRID its bounds
+# certify, the points of an uncertified grid interval (its nested dyadic
+# midpoints and right end) that one kernel batch probes for the
+# interval's first wall, the rounding allowance of the bounds relative
+# to the size of their terms, and the halvings of a grid interval that
+# locate a wall.
 SCAN_GRID = 64
 SCAN_POINTS = 16
 SCAN_ROUNDING = 1e-12
@@ -340,7 +338,7 @@ def segment_potential(
     much above 0 and each length finite is certified to lie in the cell
     without a kernel call.  The scan certifies s = 0 (else the entry
     flips run), then the rest of the segment, else each interval of the
-    old march's 1/SCAN_GRID grid.  The kernel decides only in the
+    fixed grid k/SCAN_GRID from there on.  The kernel decides only in the
     uncertified grid intervals, in s order: one batch at an interval's
     SCAN_POINTS nested dyadic midpoints (the last its right end) finds
     the first point outside the cell, and one-point bisection locates
@@ -357,17 +355,15 @@ def segment_potential(
     Returns (value, end_surface, end_packing, wall_flip_events,
     end_forms); the end packing carries the radii of u_end.  A target of
     None walks the segment, flips and all, without quadrature, and the
-    value is 0.  The flip budget (None: DEFAULT_FLIP_BUDGET_FACTOR times
-    the edge count) bounds the segment's flips together; an overrun
-    raises SurgeryDiverged naming it, with every flip of the segment so
-    far.
+    value is 0.  The segment's flips go to one log, which each wall's
+    ``make_weighted_delaunay`` extends and whose length the flip budget
+    bounds: an overrun is that loop's SurgeryDiverged, carrying every
+    flip of the segment so far.
     """
     u_start = np.asarray(u_start, dtype=float)
     u_end = np.asarray(u_end, dtype=float)
     du = u_end - u_start
 
-    if flip_budget is None:
-        flip_budget = DEFAULT_FLIP_BUDGET_FACTOR * len(surface.edges)
     surf = surface
     inv = packing.inv.copy()
     events = []
@@ -385,19 +381,11 @@ def segment_potential(
 
     def flip_to_delaunay(pk):
         nonlocal surf, inv, forms
-        try:
-            surf, pk, ev = make_weighted_delaunay(
-                surf, pk, tol=tol_delaunay, flip_budget=flip_budget - len(events),
-                iteration=iteration,
-            )
-        except SurgeryDiverged as exc:
-            exc.state.flip_log = events + exc.state.flip_log
-            raise SurgeryDiverged(
-                f"exceeded flip budget of {flip_budget} flips", state=exc.state
-            ) from exc
+        surf, pk, _ = make_weighted_delaunay(
+            surf, pk, tol=tol_delaunay, flip_budget=flip_budget, iteration=iteration, flip_log=events,
+        )
         inv = pk.inv
         forms = _cosh_forms(surf, inv)
-        events.extend(ev)
 
     def certified(lo, hi):
         """Per interval [lo_b, hi_b]: whether its bounds put every point
@@ -456,9 +444,7 @@ def segment_potential(
         return 0.0, surf, Packing(inv, packing.radii), events, forms
     total = piece_start = s_pos = 0.0
     while not clear:
-        grid = [s_pos]  # as the old sequential march stepped
-        while grid[-1] < 1.0:
-            grid.append(min(1.0, grid[-1] + 1.0 / SCAN_GRID))
+        grid = np.r_[s_pos, np.arange(int(s_pos * SCAN_GRID) + 1, SCAN_GRID + 1) / SCAN_GRID]
         walls = (wall(grid[k], grid[k + 1])
                  for k in np.flatnonzero(~certified(grid[:-1], grid[1:])))
         if (bracket := next(filter(None, walls), None)) is None:

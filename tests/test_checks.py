@@ -8,7 +8,6 @@ import pytest
 
 from hidra.checks import (
     PARAMETER_NAMES,
-    algebraic_flip_value,
     conformal_roundtrip_check,
     dF_df_discrepancy,
     degenerate_hinge,
@@ -82,7 +81,7 @@ class TestFirstOrderMatching:
         dh = degenerate_hinge(0.6, [0.3, 0.5, 0.45, 0.35], (0.1, 1.3, 3.0, 4.9))
         params = dh.parameters()
         assert geometric_diagonal_value(params) == pytest.approx(
-            algebraic_flip_value(params), rel=1e-12
+            ptolemy_flip_value(*params[4:]), rel=1e-12
         )
 
     def test_discrepancy_decays_for_all_nine_parameters(self):

@@ -714,13 +714,12 @@ class TestRunOverruns:
 
 
     def test_default_budget_bounds_each_step(self, octahedron, monkeypatch):
-        # With the default factor shrunk to one flip on the octahedron's 12
-        # edges, the default budget acts as an explicit budget of one: the
-        # start flips once, and step 1's segment overruns it at its second
-        # wall.  Each wall's surgery used to get the whole default anew.
-        factor = 1 / len(octahedron.edges)
-        monkeypatch.setattr(solver, "DEFAULT_FLIP_BUDGET_FACTOR", factor, raising=False)
-        monkeypatch.setattr(flips, "DEFAULT_FLIP_BUDGET_FACTOR", factor)
+        # With the flip loop's default factor shrunk to one flip on the
+        # octahedron's 12 edges, the default budget acts as an explicit
+        # budget of one: the start flips once, and step 1's segment overruns
+        # it at its second wall.  The loop holds the one default; a walk
+        # that read its own copy would converge with 3 flips.
+        monkeypatch.setattr(flips, "DEFAULT_FLIP_BUDGET_FACTOR", 1 / len(octahedron.edges))
         packing = random_packing(
             octahedron, np.random.default_rng(self.SEEDS[newton_solve]), inv_range=(1.05, 12.0),
             max_tries=5000,
