@@ -9,9 +9,12 @@ from . import checks, complexes, errors
 from .flips import FlipEvent, HeldTriangulation, flip_edge, make_weighted_delaunay
 from .geometry import (
     Packing,
+    SolveState,
     auxiliary_length,
     delta_discriminant,
     edge_cosh_length,
+    r_from_u,
+    u_from_r,
     validate_packing,
     xi_discriminant,
 )
@@ -19,14 +22,11 @@ from .hyptrig import acosh_stable, hinge_diagonal
 from .meshio import build_report, load_mesh, mesh_document, parse_mesh
 from .ptolemy import delta_identity_residuals, ptolemy_flip_value, ptolemy_residual
 from .solver import (
-    SolveState,
     curvatures,
     gauss_bonnet_residual,
     hessian,
     newton_solve,
-    r_from_u,
     ricci_flow,
-    u_from_r,
     validate_target,
 )
 from .surface import (

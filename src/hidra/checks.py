@@ -22,6 +22,7 @@ from .geometry import (
     Packing,
     SurfaceMetrics,
     auxiliary_length,
+    edge_cosh_length,
     xi_discriminant,
 )
 from .hyptrig import acosh_stable, hinge_diagonal, sinh_from_cosh
@@ -176,8 +177,6 @@ def xi_delta_residual(radii, inv):
 
     with x, y, z the cosh lengths and p, q, r the cosh radii of a face.
     """
-    from .geometry import edge_cosh_length
-
     x, y, z = (
         edge_cosh_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
         for m in range(3)

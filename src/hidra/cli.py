@@ -24,19 +24,16 @@ from .errors import (
     ValidationError,
 )
 from .flips import make_weighted_delaunay
-from .geometry import TOL_DELAUNAY, SurfaceMetrics, validate_packing
+from .geometry import STATUS_CONVERGED, TOL_DELAUNAY, SolveState, SurfaceMetrics, validate_packing
 from .meshio import build_report, dumps_report, mesh_document, parse_mesh
 from .solver import (
     DEFAULT_FLOW_DT,
     DEFAULT_FLOW_T_MAX,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL_K,
-    STATUS_CONVERGED,
-    SolveState,
     curvatures,
     newton_solve,
     ricci_flow,
-    u_from_r,
     validate_target,
 )
 
@@ -151,14 +148,11 @@ def cmd_delaunay(args, surface, packing, target, digest):
         )
     except NonCompactOrthocircle as exc:  # surgery failed, unless the input is invalid
         validate_packing(surface, packing)
-        state = SolveState(surface, packing, u_from_r(packing.radii), None, None, None,
-                           "surgery_diverged", 0)
+        state = SolveState(surface, packing, status="surgery_diverged")
         raise SurgeryDiverged(str(exc), state=state) from exc
     metrics = SurfaceMetrics(surface2, packing2)
     metrics.angles  # raises as ``curvatures`` does; the report takes K from this kernel
-    state = SolveState(
-        surface2, packing2, u_from_r(packing2.radii), None, None, None, STATUS_CONVERGED, 0, events,
-    )
+    state = SolveState(surface2, packing2, flip_log=events)
     report = build_report(status=STATUS_CONVERGED, digest=digest, state=state, metrics=metrics)
     mesh = (args.out or args.mesh_out) and dumps_report(mesh_document(surface2, packing2, target))
     if args.out:  # the mesh, last in the report, is its text one level in (no raw "\n" in JSON)
@@ -212,6 +206,8 @@ def cmd_verify(args):
             raise ValidationError(f"HIDRA_SEED = {seed!r} must be an integer") from None
     if seed < 0:  # numpy's seeding takes none
         raise ValidationError(f"seed = {seed} must be non-negative")
+    if args.samples < 1:  # no sample drawn, no identity checked
+        raise ValidationError(f"samples = {args.samples} must be positive")
     report = run_verification_suite(seed=seed, samples=args.samples)
     _write_report(args, report)
     for section in report["sections"]:

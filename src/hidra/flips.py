@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SurgeryDiverged
-from .geometry import TOL_DELAUNAY, Packing, SurfaceMetrics, _delaunay_margin, _xi_numerator
+from .geometry import TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _delaunay_margin, _xi_numerator
 from .ptolemy import ptolemy_flip_value
 from .surface import TriSurface, hinge_from_slots, rewrite_hinge
 
@@ -164,16 +164,9 @@ def make_weighted_delaunay(
         if margins[worst] >= -tol:
             return (*held.freeze(), events) if held else (surface, packing, events)
         if len(events) >= flip_budget:
-            from .solver import SolveState, u_from_r  # solver imports this module
-
-            raise SurgeryDiverged(
-                f"exceeded flip budget of {flip_budget} flips",
-                state=SolveState(
-                    *(held.freeze() if held else (surface, packing)),
-                    u_from_r(packing.radii), None, None, None,
-                    "surgery_diverged", 0, events,
-                ),
-            )
+            state = SolveState(*(held.freeze() if held else (surface, packing)),
+                               status="surgery_diverged", flip_log=events)
+            raise SurgeryDiverged(f"exceeded flip budget of {flip_budget} flips", state=state)
         held = held or HeldTriangulation(surface, packing)
         events.append(flip_edge(held, worst, iteration, margins[worst]))
         for edge in held.check(worst):

@@ -4,7 +4,7 @@ A packing assigns a radius to every vertex and an inversive distance
 greater than 1 to every edge (disjoint-circle regime).  Everything here
 is a pure function of (surface, packing): edge lengths, per-face
 discriminants, orthogonal circles and the local weighted Delaunay
-margin.
+margin.  The u chart and SolveState, a run's record, are here too.
 
 Solvers, flip loop, reports and ``verify`` take every metric quantity
 from one array kernel, ``SurfaceMetrics``.  ``face_metrics`` and
@@ -14,7 +14,7 @@ kernel is tested against is in ``tests/geometry_oracle.py``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -45,6 +45,53 @@ class Packing:
     def __post_init__(self):
         object.__setattr__(self, "inv", np.asarray(self.inv, dtype=float))
         object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
+
+
+STATUS_CONVERGED = "converged"
+
+
+def u_from_r(radii):
+    """u = log tanh(r/2) componentwise; the image is (-inf, 0)."""
+    radii = np.asarray(radii, dtype=float)
+    if np.any(radii <= 0.0):
+        raise DomainError("radii must be positive")
+    return np.log(np.tanh(0.5 * radii))
+
+
+def r_from_u(u):
+    """r = 2 artanh(exp(u)); inverse of u_from_r."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u >= 0.0):
+        raise DomainError("u-coordinates must be negative")
+    return 2.0 * np.arctanh(np.exp(u))
+
+
+@dataclass
+class SolveState:
+    """Result of a curvature-prescription run or of flip surgery alone.
+    Omitted, ``u`` is u_from_r of the radii; surgery alone has no target,
+    curvature or area, 0 iterations and, by default, status converged."""
+
+    surface: object
+    packing: Packing
+    u: np.ndarray = None
+    target: np.ndarray = None
+    curvature: np.ndarray = None
+    total_area: float = None
+    status: str = STATUS_CONVERGED
+    iterations: int = 0
+    flip_log: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
+    potential: float = 0.0
+    hessian_sign: int = 0
+
+    def __post_init__(self):
+        if self.u is None:
+            self.u = u_from_r(self.packing.radii)
+
+    @property
+    def max_error(self):
+        return float(np.max(np.abs(self.curvature - self.target)))
 
 
 def validate_packing(surface, packing):

@@ -21,9 +21,10 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .geometry import Packing, SurfaceMetrics
+from .geometry import Packing, SurfaceMetrics, u_from_r
 from .hyptrig import acosh_stable
 from .ptolemy import delta_discriminant
+from .solver import _gauss_bonnet_residual, curvatures
 from .surface import build_surface, euler_characteristic
 
 FORMAT_VERSION = "1.0"
@@ -248,8 +249,6 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
     spectrum sign is the one recorded on ``state``, taken at the
     solver's exit state.
     """
-    from .solver import _gauss_bonnet_residual, curvatures, u_from_r
-
     report = {"format_version": FORMAT_VERSION, "status": status, "input_digest": digest, "error": error}
     report.update(dict.fromkeys(("global", "vertices", "edges", "faces", "flip_log", "iteration_trace")))
     if state is not None:

@@ -11,7 +11,6 @@ logged so the discrete conformal class can be audited afterwards.
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from .errors import (
 )
 from .flips import check_flip_settings, make_weighted_delaunay, surface_delaunay_margins
 from .geometry import (
-    NEXT, PREV, TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing,
+    NEXT, PREV, STATUS_CONVERGED, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, r_from_u,
+    u_from_r, validate_packing,
 )
 from .ptolemy import delta_discriminant, ptolemy_flip_value
 from .surface import euler_characteristic
@@ -66,24 +66,7 @@ _QK15 = np.array([
 KRONROD_NODES, KRONROD_WEIGHTS, GAUSS7_WEIGHTS = np.c_[_QK15, [[-1], [1], [1]] * _QK15[:, -2::-1]]
 QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-10, 1e-11, 100
 
-STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
-
-
-def u_from_r(radii):
-    """u = log tanh(r/2) componentwise; the image is (-inf, 0)."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0.0):
-        raise DomainError("radii must be positive")
-    return np.log(np.tanh(0.5 * radii))
-
-
-def r_from_u(u):
-    """r = 2 artanh(exp(u)); inverse of u_from_r."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u >= 0.0):
-        raise DomainError("u-coordinates must be negative")
-    return 2.0 * np.arctanh(np.exp(u))
 
 
 def curvatures(surface, packing, metrics=None):
@@ -155,11 +138,16 @@ def _factor(H):
         return None
 
 
-def _factor_sign(lu):
-    """Spectrum sign of the matrix factored into ``lu``, read from its
-    pivots (Sylvester's law of inertia).  A row swap means a zero
-    diagonal pivot, so that matrix, like an exactly singular one (None),
-    is not definite and gives 0."""
+def hessian_spectrum_sign(H):
+    """+1 / -1 when all eigenvalues of the symmetric H (sparse or dense)
+    share that sign, else 0.
+
+    The sign is read from the pivots of one symmetric sparse
+    factorization, ``_factor``'s, the one ``newton_solve`` steps on
+    (Sylvester's law of inertia); no dense matrix is built.  A row swap
+    (a zero diagonal pivot) or an exactly singular H gives 0.
+    """
+    lu = _factor(H)
     if lu is None or np.any(lu.perm_r != lu.perm_c):
         return 0
     pivots = lu.U.diagonal()
@@ -168,18 +156,6 @@ def _factor_sign(lu):
     if np.all(pivots < 0.0):
         return -1
     return 0
-
-
-def hessian_spectrum_sign(H):
-    """+1 / -1 when all eigenvalues of the symmetric H (sparse or dense)
-    share that sign, else 0.
-
-    The sign is read from the pivots of one symmetric sparse
-    factorization (Sylvester's law of inertia), the same factorization
-    ``newton_solve`` takes its step from; no dense matrix is built.  A
-    row swap (a zero pivot) or an exactly singular H gives 0.
-    """
-    return _factor_sign(_factor(H))
 
 
 def validate_target(surface, target):
@@ -458,28 +434,6 @@ def segment_potential(
     return total, surf, Packing(inv, r_from_u(u_end)), events, forms
 
 
-@dataclass
-class SolveState:
-    """Result of a curvature-prescription run."""
-
-    surface: object
-    packing: Packing
-    u: np.ndarray
-    target: np.ndarray
-    curvature: np.ndarray
-    total_area: float
-    status: str
-    iterations: int
-    flip_log: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
-    potential: float = 0.0
-    hessian_sign: int = 0
-
-    @property
-    def max_error(self):
-        return float(np.max(np.abs(self.curvature - self.target)))
-
-
 def _clamped_step(u, delta):
     """Take u + delta in (-inf, 0)^V: any component that would reach 0
     is reflected back to the half-way point u/2 instead."""
@@ -601,10 +555,10 @@ def newton_solve(
     """Newton descent for the packing realizing the target curvature.
 
     Each point factors the analytic curvature Jacobian H once, by a
-    symmetric sparse LU with diagonal pivots, which decides its exit:
-    converged, max_iterations once that many steps are taken, stalled on
-    an exactly singular H, or a step H . delta = -(K - Kbar), clamped to
-    keep u negative and backtracked on the Euclidean norm of the
+    symmetric sparse LU with diagonal pivots: for the exit's spectrum
+    sign if converged or after max_iterations steps; else to stall on
+    an exactly singular H, or to step H . delta = -(K - Kbar), clamped
+    to keep u negative and backtracked on the Euclidean norm of the
     curvature error.  DomainError unless tol and max_iterations are
     non-negative, tol_delaunay is a number, any flip budget is
     non-negative and no radius is so large that its u rounds to 0.
@@ -616,26 +570,25 @@ def newton_solve(
     ``track_potential`` decides only whether the segment is integrated.
     A face non-compact at the start raises SurgeryDiverged at the input.
     The Hessian's spectrum sign, at the state returned or carried by the
-    raised SolverFailure, is read from the pivots of the same
-    factorization (Sylvester's law of inertia); a row swap or an exactly
-    singular H gives 0.  The flip budget (None: DEFAULT_FLIP_BUDGET_FACTOR
-    times the edge count) bounds the flips of the start and of each
-    step; an overrun raises SurgeryDiverged with the solve's target,
-    flip log and trace at the state where the flips stopped (spectrum
-    sign 0, not taken), counting the iteration in progress (0 at the
-    start).
+    raised SolverFailure, is hessian_spectrum_sign's (a line-search stall
+    factors its H once more for it; an exactly singular H gives 0).  The
+    flip budget (None: DEFAULT_FLIP_BUDGET_FACTOR times the edge count)
+    bounds the flips of the start and of each step; an overrun raises
+    SurgeryDiverged with the solve's target, flip log and trace at the
+    state where the flips stopped (spectrum sign 0, not taken), counting
+    the iteration in progress (0 at the start).
     """
     run = _Run(surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations)
     for iteration in itertools.count(1):
-        lu = _factor(hessian(run.surface, run.packing, metrics=run.metrics))
+        H = hessian(run.surface, run.packing, metrics=run.metrics)
         if run.error <= tol:
-            return run.state(STATUS_CONVERGED, iteration - 1, _factor_sign(lu))
+            return run.state(STATUS_CONVERGED, iteration - 1, hessian_spectrum_sign(H))
         if iteration > max_iterations:
             raise MaxIterationsExceeded(
                 f"no convergence within {max_iterations} Newton iterations",
-                state=run.state(STATUS_MAX_ITERATIONS, max_iterations, _factor_sign(lu)),
+                state=run.state(STATUS_MAX_ITERATIONS, max_iterations, hessian_spectrum_sign(H)),
             )
-        if lu is None:
+        if (lu := _factor(H)) is None:
             raise SolverStalled(
                 "Hessian is exactly singular", state=run.state("stalled", iteration)
             )
@@ -656,7 +609,7 @@ def newton_solve(
             if step < MIN_LINE_SEARCH_STEP:
                 raise SolverStalled(
                     "line search step underflow",
-                    state=run.state("stalled", iteration, _factor_sign(lu)),
+                    state=run.state("stalled", iteration, hessian_spectrum_sign(H)),
                 )
         # Newton's rows put the step length after the potential.
         run.accept(trial, dict(iteration=iteration, max_error=None, potential=None, step=step))

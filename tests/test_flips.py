@@ -24,7 +24,7 @@ from hidra.flips import (
     make_weighted_delaunay,
     surface_delaunay_margins,
 )
-from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics
+from hidra.geometry import TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics
 from hidra.ptolemy import (
     delta_discriminant,
     delta_identity_residuals,
@@ -32,7 +32,6 @@ from hidra.ptolemy import (
     ptolemy_residual,
     ptolemy_residual_scale,
 )
-from hidra.solver import SolveState, u_from_r
 from hidra.surface import build_surface, hinge
 
 from geometry_oracle import face_metrics, hinge_delaunay_margin
@@ -272,10 +271,7 @@ def rescan_weighted_delaunay(
         if len(events) >= flip_budget:
             raise SurgeryDiverged(
                 f"exceeded flip budget of {flip_budget} flips",
-                state=SolveState(
-                    surface, packing, u_from_r(packing.radii), None, None, None,
-                    "surgery_diverged", 0, events,
-                ),
+                state=SolveState(surface, packing, status="surgery_diverged", flip_log=events),
             )
         surface, packing, event = flipped(
             surface, packing, worst, iteration, margins[worst]

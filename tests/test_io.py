@@ -626,8 +626,8 @@ class TestCLI:
         # The --mesh-out file, the report and the summary line are what
         # the library gives for the flipped state, byte for byte.
         from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
+        from hidra.geometry import SolveState
         from hidra.meshio import mesh_document
-        from hidra.solver import SolveState, curvatures, u_from_r
 
         surface = torus_grid(4)
         packing = checkerboard_packing(surface, 4, np.random.default_rng(0))
@@ -640,10 +640,7 @@ class TestCLI:
         surface2, packing2, events = make_weighted_delaunay(surface, packing)
         assert len(events) == 8
         assert mesh_out.read_text() == dumps_mesh(surface2, packing2)
-        state = SolveState(
-            surface2, packing2, u_from_r(packing2.radii), None,
-            *curvatures(surface2, packing2), "converged", 0, events, [],
-        )
+        state = SolveState(surface2, packing2, flip_log=events)
         digest = hashlib.sha256(mesh.read_bytes()).hexdigest()
         report = build_report(status="converged", digest=digest, state=state)
         report["mesh"] = mesh_document(surface2, packing2)
@@ -660,9 +657,8 @@ class TestCLI:
         scan and the flipped state, and none per flip.  The report is
         the one build_report makes with its own kernel, byte for byte."""
         from hidra.flips import make_weighted_delaunay
-        from hidra.geometry import SurfaceMetrics
+        from hidra.geometry import SolveState, SurfaceMetrics
         from hidra.meshio import mesh_document
-        from hidra.solver import SolveState, curvatures, u_from_r
 
         surface = torus_grid(4)
         packing = checkerboard_packing(surface, 4, np.random.default_rng(0))
@@ -672,10 +668,7 @@ class TestCLI:
         if command == "delaunay":
             surface2, packing2, events = make_weighted_delaunay(surface, packing)
             assert events
-            state = SolveState(
-                surface2, packing2, u_from_r(packing2.radii), None,
-                *curvatures(surface2, packing2), "converged", 0, events, [],
-            )
+            state = SolveState(surface2, packing2, flip_log=events)
             expected = build_report(status="converged", digest=digest, state=state)
             expected["mesh"] = mesh_document(surface2, packing2)
         else:
@@ -1142,6 +1135,19 @@ class TestCLI:
         assert self.run("verify", *flags, "--samples", "50", "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "invalid_input"
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_verify_without_samples_is_invalid_input(self, tmp_path, capsys, samples):
+        # With no sample drawn, the Ptolemy and compactness sections
+        # passed with residual 0.000e+00 and verify exited 0.
+        out = tmp_path / "report.json"
+        assert self.run("verify", "--samples", samples, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: samples = {samples} must be positive\n"
         report = json.loads(out.read_text())
         jsonschema.validate(report, schema("report.schema.json"))
         assert report["status"] == "invalid_input"

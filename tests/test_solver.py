@@ -45,7 +45,9 @@ from hidra.errors import (
     TargetOutOfRange,
 )
 from hidra.flips import flip_edge, make_weighted_delaunay, surface_delaunay_margins
-from hidra.geometry import TOL_DELAUNAY, Packing, SurfaceMetrics, validate_packing
+from hidra.geometry import (
+    TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, r_from_u, u_from_r, validate_packing,
+)
 from hidra.meshio import load_mesh
 from hidra.solver import (
     _cosh_forms,
@@ -57,10 +59,8 @@ from hidra.solver import (
     hessian,
     hessian_spectrum_sign,
     newton_solve,
-    r_from_u,
     ricci_flow,
     segment_potential,
-    u_from_r,
     validate_target,
 )
 
@@ -93,6 +93,18 @@ class TestUCoordinates:
     @settings(max_examples=300)
     def test_roundtrip(self, r):
         assert r_from_u(u_from_r([r]))[0] == pytest.approx(r, rel=1e-12)
+
+    def test_surgery_state_takes_the_chart_of_its_radii(self, torus, torus_packing):
+        # A SolveState given no u takes u_from_r of its radii, bit for
+        # bit, and no target, curvature or area; a given u is kept.  The
+        # solver binds the names geometry defines.
+        state = SolveState(torus, torus_packing)
+        assert state.u.tobytes() == u_from_r(torus_packing.radii).tobytes()
+        assert (state.target, state.curvature, state.total_area) == (None, None, None)
+        assert (state.status, state.iterations, state.flip_log, state.trace) == ("converged", 0, [], [])
+        u = np.array([-0.5])
+        assert SolveState(torus, torus_packing, u).u is u
+        assert (solver.SolveState, solver.u_from_r, solver.r_from_u) == (SolveState, u_from_r, r_from_u)
 
 
 class TestCurvatures:
@@ -427,6 +439,40 @@ class TestNewtonSolve:
         steps = [row["step"] for row in state.trace]
         assert all(step == 2.0 ** round(math.log2(step)) < 1.0 for step in steps)
         assert state.max_error == state.trace[-1]["max_error"] and state.hessian_sign == 1
+
+    @pytest.mark.parametrize("exit", ["converged", "max_iterations", "stalled"])
+    def test_every_exit_sign_comes_from_the_public_reader(self, octahedron, monkeypatch, exit):
+        # Each exit reads its Hessian's spectrum sign through one
+        # hessian_spectrum_sign call.  Each point factors its H once, for
+        # a step or for the exit's sign, and a line-search stall factors
+        # its H once more for the sign: iterations + 1 factorizations.
+        if exit == "stalled":  # the seed-16 octahedron of the test above
+            packing = random_packing(
+                octahedron, np.random.default_rng(16), inv_range=(1.05, 12.0), max_tries=5000
+            )
+            surface, packing, _ = make_weighted_delaunay(octahedron, packing)
+            args, settings = (surface, packing, np.full(6, 5.0)), dict(tol_delaunay=100.0)
+        else:
+            args = load_mesh(str(Path(hidra.__file__).parent / "fixtures" / "genus2.json"))[:3]
+            settings = dict(max_iterations=4) if exit == "max_iterations" else {}
+        calls = {"sign": 0, "factor": 0}
+
+        def counted(name, func):
+            def wrapper(H):
+                calls[name] += 1
+                return func(H)
+            return wrapper
+
+        monkeypatch.setattr(solver, "hessian_spectrum_sign", counted("sign", hessian_spectrum_sign))
+        monkeypatch.setattr(solver, "_factor", counted("factor", _factor))
+        try:
+            state = newton_solve(*args, **settings)
+        except (MaxIterationsExceeded, SolverStalled) as exc:
+            state = exc.state
+        monkeypatch.undo()
+        assert state.status == exit
+        assert calls == {"sign": 1, "factor": state.iterations + 1}
+        assert state.hessian_sign == hessian_spectrum_sign(hessian(state.surface, state.packing)) == 1
 
     def test_genus2_uniqueness_under_radius_scaling(self, genus2, rng):
         base = random_packing(genus2, rng)
