@@ -222,8 +222,6 @@ def conformal_roundtrip_check(surface, packing, flip_sequence):
     held, original = HeldTriangulation(surface, packing), packing.inv
     for eid in (*flip_sequence, *reversed(flip_sequence)):
         flip_edge(held, eid)
-    if len(original) == 0:
-        return 0.0
     return float(np.max(np.abs(np.array(held.inv) - original) / np.abs(original)))
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SurgeryDiverged
-from .geometry import TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _delaunay_margin, _xi_numerator
+from .geometry import (TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_length, _delaunay_margin,
+                       _radius_functions, _xi_numerator)
 from .ptolemy import ptolemy_flip_value
 from .surface import TriSurface, hinge_from_slots, rewrite_hinge
 
@@ -46,9 +47,7 @@ class HeldTriangulation:
         self.vertex_count, self.radii, self.inv = surface.vertex_count, packing.radii, packing.inv.tolist()
         self.rows = [surface.edges.tolist(), *(rows.ravel().tolist() for rows in (surface.corners, surface.sides))]
         self.slots = np.argsort(surface.sides.ravel(), kind="stable").reshape(-1, 2).tolist()
-        with np.errstate(over="ignore"):  # as in SurfaceMetrics
-            self.tanh_r, self.cosh_r, self.sinh_r = (
-                fn(packing.radii).tolist() for fn in (np.tanh, np.cosh, np.sinh))
+        self.tanh_r, self.cosh_r, self.sinh_r = (x.tolist() for x in _radius_functions(packing.radii))
 
     def hinge(self, edge):
         return hinge_from_slots(edge, *self.slots[edge], *self.rows[1:])
@@ -60,7 +59,7 @@ class HeldTriangulation:
     def margin(self, edge):
         """Delaunay margin of ``edge``, by the kernel's own formula."""
         h, t = self.hinge(edge), self.tanh_r
-        return _delaunay_margin(self.labels(h), t[h.v_k], t[h.v_i], t[h.v_l], t[h.v_j])
+        return _delaunay_margin(self.labels(h), t[h.v_i], t[h.v_j], t[h.v_k], t[h.v_l])
 
     def check(self, edge):
         """The kernel's checks of the two faces of ``edge``, where every
@@ -72,8 +71,8 @@ class HeldTriangulation:
         h, c, s, t, inv, f = self.hinge(edge), self.cosh_r, self.sinh_r, self.tanh_r, self.inv, self.inv[edge]
         i, j, (_, corners, sides) = h.v_i, h.v_j, self.rows
         faces = [range(3 * face, 3 * face + 3) for face in (h.face_k, h.face_l)]
-        if not (f > 1.0 and math.isfinite(c[i] * c[j] + f * s[i] * s[j])
-                and math.isfinite(c[j] * c[i] + f * s[j] * s[i])
+        if not (f > 1.0 and math.isfinite(_cosh_length(c[i], s[i], c[j], s[j], f))
+                and math.isfinite(_cosh_length(c[j], s[j], c[i], s[i], f))
                 and all(_xi_numerator(*[t[corners[m]] for m in face], *[inv[sides[m]] for m in face]) > 0.0
                         for face in faces)):
             SurfaceMetrics(*self.freeze()).margins  # raises

@@ -7,10 +7,12 @@ discriminants, orthogonal circles and the local weighted Delaunay
 margin.  The u chart and SolveState, a run's record, are here too.
 
 Solvers, flip loop, reports and ``verify`` take every metric quantity
-from one array kernel, ``SurfaceMetrics``.  ``face_metrics`` and
-``hinge_delaunay_margin`` read one face's or one edge's values from it;
-nothing in the library calls them.  The scalar reference route the
-kernel is tested against is in ``tests/geometry_oracle.py``.
+from one array kernel, ``SurfaceMetrics``, whose formulas also serve the
+flip loop's held rows and the walk's certificate (``_cosh_forms``).
+``face_metrics`` and ``hinge_delaunay_margin`` read one face's or one
+edge's values from it; nothing in the library calls them.  The scalar
+reference route the kernel is tested against is in
+``tests/geometry_oracle.py``.
 """
 
 import math
@@ -129,7 +131,18 @@ def edge_cosh_length(r_i, r_j, inv):
         raise DomainError("radii must be positive")
     if inv <= 1.0:
         raise DomainError("inversive distance must exceed 1")
-    return math.cosh(r_i) * math.cosh(r_j) + inv * math.sinh(r_i) * math.sinh(r_j)
+    return _cosh_length(math.cosh(r_i), math.sinh(r_i), math.cosh(r_j), math.sinh(r_j), inv)
+
+
+def _cosh_length(c_i, s_i, c_j, s_j, inv):
+    """The length law, from the cosh and sinh of the end radii; elementwise."""
+    return c_i * c_j + inv * s_i * s_j
+
+
+def _radius_functions(radii):
+    """tanh, cosh and sinh of the radii; cosh and sinh overflow to inf."""
+    with np.errstate(over="ignore"):
+        return np.tanh(radii), np.cosh(radii), np.sinh(radii)
 
 
 def auxiliary_length(r_i, r_j, inv):
@@ -201,13 +214,11 @@ class SurfaceMetrics:
         self.corners = corners = surface.corners
         radii = packing.radii
         self.inv = packing.inv[surface.sides]
+        self.tanh_r, self.cosh_r, self.sinh_r = _radius_functions(radii)
+        cr, sr = self.cosh_r[..., corners], self.sinh_r[..., corners]
         with np.errstate(over="ignore", invalid="ignore"):
-            self.cosh_r = np.cosh(radii)
-            self.sinh_r = np.sinh(radii)
-            cr, sr = self.cosh_r[..., corners], self.sinh_r[..., corners]
-            C = cr[..., NEXT] * cr[..., PREV] + self.inv * sr[..., NEXT] * sr[..., PREV]
+            C = _cosh_length(cr[..., NEXT], sr[..., NEXT], cr[..., PREV], sr[..., PREV], self.inv)
             self.sinh_lengths = np.sqrt(np.maximum(C - 1.0, 0.0) * (C + 1.0))
-        self.tanh_r = np.tanh(radii)
         self.domain_ok = (
             (radii[..., corners] > 0.0).all(axis=-1)
             & (self.inv > 1.0).all(axis=-1)
@@ -274,7 +285,7 @@ class SurfaceMetrics:
         h, inv, t = self.surface.hinge_slots, self.packing.inv, self.tanh_r
         labels = [inv[ids] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _delaunay_margin(labels, *(t[..., ids] for ids in (h.v_k, h.v_i, h.v_l, h.v_j)))
+            return _delaunay_margin(labels, *(t[..., ids] for ids in (h.v_i, h.v_j, h.v_k, h.v_l)))
 
     def angle_radius_jacobian(self):
         """(..., F, 3, 3) derivatives of corner angle m by corner radius n."""
@@ -316,20 +327,115 @@ def hinge_delaunay_margin(surface, packing, edge):
     return float(SurfaceMetrics(surface, packing).margins[edge])
 
 
-def _delaunay_margin(labels, t_k, t_i, t_l, t_j):
+def _margin_roots(a, b, c, d, e):
+    """sqrt(D_cdf), sqrt(D_abf), sqrt(D_bce) and sqrt(D_ade), f the flip
+    value: the margin's coefficients of 1 / tanh r at the hinge vertices
+    i, j, k and l.  On Python floats (checked labels only: ``math.sqrt``
+    raises) as on arrays."""
+    f = ptolemy_flip_value(a, b, c, d, e)
+    return (_sqrt(delta_discriminant(c, d, f)), _sqrt(delta_discriminant(a, b, f)),
+            _sqrt(delta_discriminant(b, c, e)), _sqrt(delta_discriminant(a, d, e)))
+
+
+def _delaunay_margin(labels, t_i, t_j, t_k, t_l):
     """Algebraic local Delaunay margin of a hinge: RHS minus LHS of the
-    flip inequality; elementwise on arrays.
+    flip inequality, on floats as on arrays (see ``_margin_roots``).
 
     With hinge labels (a, b, c, d, e), f the flip value of the diagonal,
     and hatted tanh radii, the edge is local weighted Delaunay iff
 
         sqrt(D_bce)/p^ + sqrt(D_ade)/r^ <= sqrt(D_cdf)/q^ + sqrt(D_abf)/s^
 
-    Both faces must have compact orthocircles (Xi > 0).  On Python floats
-    (checked labels only: ``math.sqrt`` and ``/`` raise) as on arrays.
+    Both faces must have compact orthocircles (Xi > 0).
     """
-    a, b, c, d, e = labels
-    f = ptolemy_flip_value(a, b, c, d, e)
-    lhs = _sqrt(delta_discriminant(b, c, e)) / t_k + _sqrt(delta_discriminant(a, d, e)) / t_l
-    rhs = _sqrt(delta_discriminant(c, d, f)) / t_i + _sqrt(delta_discriminant(a, b, f)) / t_j
-    return rhs - lhs
+    r_i, r_j, r_k, r_l = _margin_roots(*labels)
+    return (r_i / t_i + r_j / t_j) - (r_k / t_k + r_l / t_l)
+
+
+# The monomials of the Xi form: the squares, then the products of the
+# corners NEXT[o] and PREV[o] for each slot o.
+XI_P = np.array([0, 1, 2, 1, 2, 0])
+XI_Q = np.array([0, 1, 2, 2, 0, 1])
+
+
+def _cosh_forms(surface, inv):
+    """Every Delaunay margin and every face's Xi as forms in x = cosh u.
+
+    Since 1 / tanh r = cosh u, the margin of an edge is
+    sqrt(D_cdf) x_i + sqrt(D_abf) x_j - sqrt(D_bce) x_k - sqrt(D_ade) x_l,
+    and Xi / prod(tanh^2 r) is the quadratic form
+    sum_m (1 - I_m^2) x_m^2 + 2 sum_{m<n} (I_o + I_m I_n) x_m x_n over the
+    corners (o the third slot); neither involves the radii otherwise.
+    A form is (c, p, q), (K, N) arrays with row n the sum over k of
+    c x[p] x[q], or of c x[p] when q is None (the margins).  Terms on
+    one monomial are merged, so a form on a single vertex (every form of
+    a one-vertex surface) is bounded exactly.
+    """
+    h = surface.hinge_slots
+    roots = np.stack(_margin_roots(*(inv[ids] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge))))
+    roots[2:] *= -1.0
+    margin = _merged(roots, np.stack([h.v_i, h.v_j, h.v_k, h.v_l]), None)
+    I, corners = inv[surface.sides].T, surface.corners.T
+    xi = _merged(
+        np.concatenate([1.0 - I**2, 2.0 * (I + I[NEXT] * I[PREV])]),
+        corners[XI_P], corners[XI_Q],
+    )
+    return margin, xi
+
+
+def _merged(c, p, q):
+    """The form (c, p, q) with the coefficients of equal monomials
+    summed onto their first term and zeroed elsewhere."""
+    if q is not None:
+        p, q = np.minimum(p, q), np.maximum(p, q)
+    key = p if q is None else p * (q.max() + 1) + q
+    ordered = np.sort(key, axis=0)
+    rows = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
+    if len(rows):
+        k = key[:, rows]
+        same = k[:, None, :] == k[None, :, :]
+        first = ~(same & np.tri(len(k), k=-1, dtype=bool)[:, :, None]).any(axis=1)
+        c = c.copy()
+        c[:, rows] = np.where(first, np.einsum("jkn,kn->jn", same, c[:, rows]), 0.0)
+    return c, p, q
+
+
+def _monomials(x, p, q):
+    """x[p] x[q] (x[p] when q is None), gathered along the last axis."""
+    v = np.take(x, p, axis=-1)
+    return v if q is None else v * np.take(x, q, axis=-1)
+
+
+def _x_range(u_start, du, lo, hi):
+    """u at the ends of each s-interval [lo_b, hi_b] of u_start + s du,
+    and the range of x = cosh u on it: u stays negative, so x falls as u
+    grows, monotone in s."""
+    u_a, u_b = (u_start + np.multiply.outer(np.asarray(s, dtype=float), du)
+                for s in (lo, hi))
+    return u_a, u_b, np.cosh(np.maximum(u_a, u_b)), np.cosh(np.minimum(u_a, u_b))
+
+
+def _scan_bounds(forms, x_lo, x_hi):
+    """Lower bounds over each s-interval whose x ranges ``_x_range`` gives
+    of every margin and every Xi form of ``_cosh_forms``, each with the
+    size of its terms, which scales its rounding: (margins, their sizes,
+    Xi forms, their sizes), arrays (B, E) and (B, F).  Each monomial
+    grows with every x > 0, so a term is smallest at the low end of the
+    x ranges when its coefficient is positive and at the high end else."""
+    bounds = []
+    for c, p, q in forms:
+        low, high = _monomials(x_lo, p, q), _monomials(x_hi, p, q)
+        bounds += [(c * np.where(c > 0.0, low, high)).sum(axis=-2),
+                   (np.abs(c) * high).sum(axis=-2)]
+    return bounds
+
+
+def _domain_bound(surface, inv, u_a, u_b):
+    """Per s-interval with ends u_a and u_b (of ``_x_range``): whether
+    every radius on it is positive and every length finite.  r rises with
+    u, so this holds where it holds for the smallest and largest radii."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_lo, r_hi = (2.0 * np.arctanh(np.exp(f(u_a, u_b))) for f in (np.minimum, np.maximum))
+        (i, j), (_, ch, sh) = surface.edges.T, _radius_functions(r_hi)
+        cosh_length = _cosh_length(ch[..., i], sh[..., i], ch[..., j], sh[..., j], inv)
+    return (r_lo > 0.0).all(axis=-1) & np.isfinite(cosh_length).all(axis=-1)

@@ -26,10 +26,9 @@ from .errors import (
 )
 from .flips import check_flip_settings, make_weighted_delaunay, surface_delaunay_margins
 from .geometry import (
-    NEXT, PREV, STATUS_CONVERGED, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, r_from_u,
-    u_from_r, validate_packing,
+    STATUS_CONVERGED, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound,
+    _scan_bounds, _x_range, r_from_u, u_from_r, validate_packing,
 )
-from .ptolemy import delta_discriminant, ptolemy_flip_value
 from .surface import euler_characteristic
 
 DEFAULT_TOL_K = 1e-10
@@ -208,89 +207,6 @@ def _integrate(f, a, b):
         lo, hi = np.c_[lo[split], mid].ravel(), np.c_[mid, hi[split]].ravel()
 
 
-# The monomials of the Xi form: the squares, then the products of the
-# corners NEXT[o] and PREV[o] for each slot o.
-XI_P = np.array([0, 1, 2, 1, 2, 0])
-XI_Q = np.array([0, 1, 2, 2, 0, 1])
-
-
-def _cosh_forms(surface, inv):
-    """Every Delaunay margin and every face's Xi as forms in x = cosh u.
-
-    Since 1 / tanh r = cosh u, the margin of an edge is
-    sqrt(D_cdf) x_i + sqrt(D_abf) x_j - sqrt(D_bce) x_k - sqrt(D_ade) x_l,
-    and Xi / prod(tanh^2 r) is the quadratic form
-    sum_m (1 - I_m^2) x_m^2 + 2 sum_{m<n} (I_o + I_m I_n) x_m x_n over the
-    corners (o the third slot); neither involves the radii otherwise.
-    A form is (c, p, q), (K, N) arrays with row n the sum over k of
-    c x[p] x[q], or of c x[p] when q is None (the margins).  Terms on
-    one monomial are merged, so a form on a single vertex (every form of
-    a one-vertex surface) is bounded exactly.
-    """
-    h = surface.hinge_slots
-    a, b, c, d, e = (inv[ids] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge))
-    f = ptolemy_flip_value(a, b, c, d, e)
-    roots = np.sqrt(delta_discriminant(
-        np.stack([c, a, b, a]), np.stack([d, b, c, d]), np.stack([f, f, e, e])
-    ))
-    roots[2:] *= -1.0
-    margin = _merged(roots, np.stack([h.v_i, h.v_j, h.v_k, h.v_l]), None)
-    I, corners = inv[surface.sides].T, surface.corners.T
-    xi = _merged(
-        np.concatenate([1.0 - I**2, 2.0 * (I + I[NEXT] * I[PREV])]),
-        corners[XI_P], corners[XI_Q],
-    )
-    return margin, xi
-
-
-def _merged(c, p, q):
-    """The form (c, p, q) with the coefficients of equal monomials
-    summed onto their first term and zeroed elsewhere."""
-    if q is not None:
-        p, q = np.minimum(p, q), np.maximum(p, q)
-    key = p if q is None else p * (q.max() + 1) + q
-    ordered = np.sort(key, axis=0)
-    rows = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
-    if len(rows):
-        k = key[:, rows]
-        same = k[:, None, :] == k[None, :, :]
-        first = ~(same & np.tri(len(k), k=-1, dtype=bool)[:, :, None]).any(axis=1)
-        c = c.copy()
-        c[:, rows] = np.where(first, np.einsum("jkn,kn->jn", same, c[:, rows]), 0.0)
-    return c, p, q
-
-
-def _monomials(x, p, q):
-    """x[p] x[q] (x[p] when q is None), gathered along the last axis."""
-    v = np.take(x, p, axis=-1)
-    return v if q is None else v * np.take(x, q, axis=-1)
-
-
-def _x_range(u_start, du, lo, hi):
-    """u at the ends of each s-interval [lo_b, hi_b] of u_start + s du,
-    and the range of x = cosh u on it: u stays negative, so x falls as u
-    grows, monotone in s."""
-    u_a, u_b = (u_start + np.multiply.outer(np.asarray(s, dtype=float), du)
-                for s in (lo, hi))
-    return u_a, u_b, np.cosh(np.maximum(u_a, u_b)), np.cosh(np.minimum(u_a, u_b))
-
-
-def _scan_bounds(forms, u_start, du, lo, hi):
-    """Lower bounds over each s-interval [lo_b, hi_b] of u_start + s du
-    of every margin and every Xi form of ``_cosh_forms``, each with the
-    size of its terms, which scales its rounding: (margins, their sizes,
-    Xi forms, their sizes), arrays (B, E) and (B, F).  Each monomial
-    grows with every x > 0, so a term is smallest at the low end of the
-    x ranges when its coefficient is positive and at the high end else."""
-    _, _, x_lo, x_hi = _x_range(u_start, du, lo, hi)
-    bounds = []
-    for c, p, q in forms:
-        low, high = _monomials(x_lo, p, q), _monomials(x_hi, p, q)
-        bounds += [(c * np.where(c > 0.0, low, high)).sum(axis=-2),
-                   (np.abs(c) * high).sum(axis=-2)]
-    return bounds
-
-
 def segment_potential(
     surface,
     packing,
@@ -366,21 +282,12 @@ def segment_potential(
     def certified(lo, hi):
         """Per interval [lo_b, hi_b]: whether its bounds put every point
         of it inside the cell."""
-        m, m_size, q, q_size = _scan_bounds(forms, u_start, du, lo, hi)
-        # r rises with u, so the domain holds on an interval where it
-        # holds for the smallest and the largest radii.
-        u_a, u_b, _, _ = _x_range(u_start, du, lo, hi)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r_lo, r_hi = (2.0 * np.arctanh(np.exp(f(u_a, u_b)))
-                          for f in (np.minimum, np.maximum))
-            i, j = surf.edges.T
-            ch, sh = np.cosh(r_hi), np.sinh(r_hi)
-            cosh_length = ch[..., i] * ch[..., j] + inv * sh[..., i] * sh[..., j]
+        u_a, u_b, x_lo, x_hi = _x_range(u_start, du, lo, hi)
+        m, m_size, q, q_size = _scan_bounds(forms, x_lo, x_hi)
         return (
             (m >= -tol_delaunay + SCAN_ROUNDING * m_size).all(axis=-1)
             & (q > SCAN_ROUNDING * q_size).all(axis=-1)
-            & (r_lo > 0.0).all(axis=-1)
-            & np.isfinite(cosh_length).all(axis=-1)
+            & _domain_bound(surf, inv, u_a, u_b)
         )
 
     def first_outside(s):
@@ -461,7 +368,7 @@ class _Run:
     def __init__(self, surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations):
         if not tol >= 0.0:
             raise DomainError(f"tol = {tol} must be a non-negative number")
-        if max_iterations < 0:
+        if not max_iterations >= 0:
             raise DomainError(f"max_iterations = {max_iterations} must be non-negative")
         check_flip_settings(tol_delaunay, flip_budget)
         self.target = validate_target(surface, target)
@@ -484,9 +391,7 @@ class _Run:
             self.metrics = SurfaceMetrics(self.surface, self.packing)
             self.curvature, self.total_area = curvatures(self.surface, self.packing, self.metrics)
 
-    @property
-    def error(self):
-        return float(np.max(np.abs(self.curvature - self.target)))
+    error = SolveState.max_error  # read on the run's own curvature and target
 
     def step(self, u_try, track_potential, iterations):
         """(d_pot, surface, packing, flips, forms) at u_try, weighted
@@ -560,7 +465,7 @@ def newton_solve(
     an exactly singular H, or to step H . delta = -(K - Kbar), clamped
     to keep u negative and backtracked on the Euclidean norm of the
     curvature error.  DomainError unless tol and max_iterations are
-    non-negative, tol_delaunay is a number, any flip budget is
+    non-negative numbers, tol_delaunay is a number, any flip budget is
     non-negative and no radius is so large that its u rounds to 0.
     Each trial point is where its segment's walk ends, carried there by
     the walk's logged wall flips, and is judged by the one kernel there,

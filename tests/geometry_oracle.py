@@ -107,7 +107,7 @@ def hinge_delaunay_margin(hv, packing):
         if fm.xi <= 0.0:
             raise _non_compact(fm.face, fm.xi)
     labels = tuple(float(packing.inv[eid]) for eid in (*hv.boundary_edges, hv.edge))
-    t = (math.tanh(float(packing.radii[v])) for v in (hv.v_k, hv.v_i, hv.v_l, hv.v_j))
+    t = (math.tanh(float(packing.radii[v])) for v in (hv.v_i, hv.v_j, hv.v_k, hv.v_l))
     return float(_delaunay_margin(labels, *t))
 
 

@@ -391,3 +391,11 @@ class TestValidatePacking:
         bad = Packing(torus_packing.inv, np.array([-1.0]))
         with pytest.raises(DomainError):
             validate_packing(torus, bad)
+
+    @pytest.mark.parametrize("inv, radii, message", [
+        ([2.0, 2.0], [1.0], "inversive distance count does not match edge count"),
+        ([2.0, 2.0, 2.0], [1.0, 1.0], "radius count does not match vertex count"),
+    ])
+    def test_rejects_count_mismatch(self, torus, inv, radii, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            validate_packing(torus, Packing(np.array(inv), np.array(radii)))

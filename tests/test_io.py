@@ -810,6 +810,26 @@ class TestCLI:
         jsonschema.validate(report, schema("report.schema.json"))
         assert report["status"] == "invalid_input"
 
+    @pytest.mark.parametrize("command", ["solve", "flow"])
+    @pytest.mark.parametrize("flags, message", [
+        ([], "no target curvature: none in the mesh file and no --target-uniform"),
+        (["--target-uniform", "1.0", "--config", "{tmp_path}"], "config {tmp_path}: cannot be read: "),
+    ], ids=["no-target", "config-directory"])
+    def test_no_target_or_unreadable_config_is_invalid_input(self, tmp_path, capsys, command, flags,
+                                                              message):
+        # torus1.json carries no target curvature, and a config path that
+        # is a directory cannot be read.
+        mesh, out = fixture_path("torus1.json"), tmp_path / "report.json"
+        flags = [flag.format(tmp_path=tmp_path) for flag in flags]
+        assert self.run(command, mesh, *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message.format(tmp_path=tmp_path)}")
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema("report.schema.json"))
+        assert report["status"] == "invalid_input"
+        with open(mesh, "rb") as fh:
+            assert report["input_digest"] == hashlib.sha256(fh.read()).hexdigest()
+
     @pytest.mark.parametrize("flags", [
         ["--max-iters", "3"],
         ["--dt", "0.01", "--t-max", "0.05"],  # t = 0.01, 0.03, 0.07

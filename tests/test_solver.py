@@ -46,14 +46,13 @@ from hidra.errors import (
 )
 from hidra.flips import flip_edge, make_weighted_delaunay, surface_delaunay_margins
 from hidra.geometry import (
-    TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, r_from_u, u_from_r, validate_packing,
+    TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound, _scan_bounds,
+    _x_range, r_from_u, u_from_r, validate_packing,
 )
 from hidra.meshio import load_mesh
 from hidra.solver import (
-    _cosh_forms,
     _factor,
     _integrate,
-    _scan_bounds,
     curvatures,
     gauss_bonnet_residual,
     hessian,
@@ -344,6 +343,15 @@ class TestValidateTarget:
         with pytest.raises(TargetOutOfRange):
             validate_target(torus, np.array([2.0 * math.pi]))
 
+    @pytest.mark.parametrize("target, message", [
+        ([1.0, 1.0], "target length does not match vertex count"),
+        ([math.nan], "target curvature must be finite"),
+        ([-math.inf], "target curvature must be finite"),
+    ])
+    def test_rejects_malformed_target(self, torus, target, message):
+        with pytest.raises(TargetOutOfRange, match=f"^{message}$"):
+            validate_target(torus, np.array(target))
+
     def test_genus2_near_lower_bound(self, genus2):
         validate_target(genus2, np.array([-4.0 * math.pi + 1e-6]))
         with pytest.raises(TargetOutOfRange):
@@ -383,12 +391,14 @@ class TestNewtonSolve:
     @pytest.mark.parametrize("run", [newton_solve, ricci_flow])
     @pytest.mark.parametrize("setting", [
         dict(tol=-1.0), dict(tol=math.nan), dict(tol_delaunay=math.nan), dict(flip_budget=-1),
-    ], ids=["tol-negative", "tol-nan", "tol_delaunay-nan", "flip_budget-negative"])
+        dict(max_iterations=math.nan),
+    ], ids=["tol-negative", "tol-nan", "tol_delaunay-nan", "flip_budget-negative", "max_iterations-nan"])
     def test_bad_settings_are_domain_errors(self, torus, torus_packing, run, setting):
         # Before these were rejected, a NaN or negative tol ran to a
         # line-search underflow or to the step cap, a NaN Delaunay
         # tolerance to a flip-budget overrun, and a negative flip budget
-        # was never read on a flip-free run.
+        # was never read on a flip-free run; a NaN max_iterations ran as
+        # if there were no cap.
         (key, value), = setting.items()
         with pytest.raises(DomainError, match=f"^{key} = {value} "):
             run(torus, torus_packing, np.array([1.0]), **setting)
@@ -933,7 +943,7 @@ class TestCoshForms:
         pk = random_packing(surface, np.random.default_rng(seed), max_tries=5000)
         u = u_from_r(pk.radii)
         forms = _cosh_forms(surface, pk.inv)
-        m, m_size, q, _ = _scan_bounds(forms, u, 0.0 * u, 0.0, 0.0)  # at one point
+        m, m_size, q, _ = _scan_bounds(forms, *_x_range(u, 0.0 * u, 0.0, 0.0)[2:])  # at one point
         kernel = SurfaceMetrics(surface, pk)
         assert np.all(np.abs(m - kernel.margins) <= 1e-13 * m_size)
         assert np.array_equal(np.sign(q), np.sign(kernel.xi))
@@ -949,7 +959,7 @@ class TestCoshForms:
         lo, hi = np.sort(rng.uniform(0.0, 1.0, (2, 6)), axis=0)
         lo[0], hi[0] = 0.0, 1.0
         forms = _cosh_forms(surface, pk.inv)
-        m, m_size, q, q_size = _scan_bounds(forms, u0, du, lo, hi)
+        m, m_size, q, q_size = _scan_bounds(forms, *_x_range(u0, du, lo, hi)[2:])
         for b in range(len(lo)):
             s = np.linspace(lo[b], hi[b], 20)
             radii = r_from_u(u0 + np.multiply.outer(s, du))
@@ -959,6 +969,36 @@ class TestCoshForms:
             q_at = metrics.xi / np.prod(sinh_r, axis=-1) ** 2
             assert np.all(m[b] <= metrics.unchecked_margins + 1e-13 * m_size[b])
             assert np.all(q[b] <= q_at + 1e-13 * q_size[b])
+
+    @pytest.mark.parametrize("u_a, u_b, inside", [
+        (-1.0, -0.5, True),
+        (-1.0, -1e-17, False),  # exp(u) rounds to 1: r is inf, so is each length
+        (-746.0, -1.0, False),  # exp(u) underflows: r is 0
+        (-700.0, -1e-16, True),  # r from 2e-304 to 37.4: both ends finite and positive
+    ])
+    def test_domain_bound_at_both_edges_of_the_domain(self, torus, torus_packing, u_a, u_b, inside):
+        u_a, u_b = np.array([[u_a]]), np.array([[u_b]])
+        with np.errstate(divide="ignore"):  # r = inf at u = -1e-17
+            ends = [SurfaceMetrics(torus, Packing(torus_packing.inv, r_from_u(u))) for u in (u_a, u_b)]
+        assert all(m.domain_ok.all() for m in ends) == inside
+        assert _domain_bound(torus, torus_packing.inv, u_a, u_b).tolist() == [inside]
+        assert _domain_bound(torus, torus_packing.inv, u_b, u_a).tolist() == [inside]
+
+    @given(st.sampled_from(sorted(SIGN_SURFACES)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_domain_bound_is_the_kernel_at_the_corners(self, name, seed):
+        # True exactly where the kernel's domain test passes at the
+        # smallest radii and at the largest: every u from -800 (r = 0) to
+        # -1e-17 (r = inf), and inversive distances up to 1e300, whose
+        # lengths overflow at moderate radii.
+        surface, rng = SIGN_SURFACES[name](), np.random.default_rng(seed)
+        n = surface.vertex_count
+        u_a, u_b = -(10.0 ** rng.uniform(-17.0, np.log10(800.0), (2, 8, n)))
+        inv = 1.0 + 10.0 ** rng.uniform(-2.0, rng.choice([1.0, 300.0]), len(surface.edges))
+        with np.errstate(divide="ignore"):
+            at = [SurfaceMetrics(surface, Packing(inv, r_from_u(f(u_a, u_b)))).domain_ok.all(axis=-1)
+                  for f in (np.minimum, np.maximum)]
+        assert np.array_equal(_domain_bound(surface, inv, u_a, u_b), at[0] & at[1])
 
 
 def planted_wall(k, depth):
