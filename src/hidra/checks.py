@@ -299,14 +299,14 @@ def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):
     rng = np.random.default_rng(seed)
     report = {"seed": int(seed), "sections": [], "passed": True}
 
-    def section(name, checks):
-        sec = {
-            "name": name,
-            "passed": all(c["passed"] for c in checks),
-            "checks": checks,
-        }
-        report["sections"].append(sec)
-        report["passed"] = report["passed"] and sec["passed"]
+    def check(name, value, tolerance, passed=None):
+        """A check's row: it passes with ``value`` at or below ``tolerance``, or as ``passed`` says."""
+        passed = value <= tolerance if passed is None else passed
+        return {"name": name, "passed": bool(passed), "value": float(value), "tolerance": tolerance}
+
+    def section(name, *checks):
+        report["sections"].append({"name": name, "passed": all(c["passed"] for c in checks), "checks": list(checks)})
+        report["passed"] = report["passed"] and report["sections"][-1]["passed"]
 
     # Generalized Ptolemy identities.
     worst_q = worst_d = 0.0
@@ -320,14 +320,8 @@ def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):
         )
         worst_d = max(worst_d, *delta_identity_residuals(a, b, c, d, e, f))
     anchor = abs(ptolemy_flip_value(2, 2, 2, 2, 2) - 17.0)
-    section(
-        "ptolemy_identities",
-        [
-            {"name": "quadratic_residual", "passed": bool(worst_q <= 1e-9), "value": float(worst_q), "tolerance": 1e-9},
-            {"name": "delta_identities", "passed": bool(worst_d <= 1e-9), "value": float(worst_d), "tolerance": 1e-9},
-            {"name": "symmetric_anchor_17", "passed": bool(anchor <= 1e-12), "value": float(anchor), "tolerance": 1e-12},
-        ],
-    )
+    section("ptolemy_identities", check("quadratic_residual", worst_q, 1e-9),
+            check("delta_identities", worst_d, 1e-9), check("symmetric_anchor_17", anchor, 1e-12))
 
     # Compactness discriminant.
     worst_xi = 0.0
@@ -337,13 +331,8 @@ def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):
         inv = rng.uniform(1.01, 5.0, size=3)
         worst_xi = max(worst_xi, xi_delta_residual(radii, inv))
         agree = agree and xi_equivalence_check(radii, inv)
-    section(
-        "compactness_discriminant",
-        [
-            {"name": "xi_delta_identity", "passed": bool(worst_xi <= 1e-9), "value": float(worst_xi), "tolerance": 1e-9},
-            {"name": "sign_equivalence", "passed": bool(agree), "value": float(agree), "tolerance": 1.0},
-        ],
-    )
+    section("compactness_discriminant", check("xi_delta_identity", worst_xi, 1e-9),
+            check("sign_equivalence", agree, 1.0, agree))
 
     # Degenerate hinges: equality locus, F = f, first-order matching.
     worst_margin = worst_fF = 0.0
@@ -371,15 +360,9 @@ def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):
             c1 = dF_df_discrepancy(perturbed, name, 1e-4)
             c2 = dF_df_discrepancy(perturbed, name, 5e-5)
             control_ok = control_ok and c2 >= 1e-3 and c2 >= 0.5 * c1
-    section(
-        "degenerate_hinges",
-        [
-            {"name": "margin_at_equality", "passed": bool(worst_margin <= 1e-9), "value": float(worst_margin), "tolerance": 1e-9},
-            {"name": "geometric_vs_flip_value", "passed": bool(worst_fF <= 1e-9), "value": float(worst_fF), "tolerance": 1e-9},
-            {"name": "first_order_matching", "passed": bool(decay_ok), "value": float(decay_ok), "tolerance": 1.0},
-            {"name": "negative_control", "passed": bool(control_ok), "value": float(control_ok), "tolerance": 1.0},
-        ],
-    )
+    section("degenerate_hinges", check("margin_at_equality", worst_margin, 1e-9),
+            check("geometric_vs_flip_value", worst_fF, 1e-9),
+            check("first_order_matching", decay_ok, 1.0, decay_ok), check("negative_control", control_ok, 1.0, control_ok))
 
     # Conformal class preserved along flip chains.
     worst_rt = 0.0
@@ -387,10 +370,5 @@ def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):
         packing = random_packing(surface, rng)
         seq = random_flip_sequence(surface, packing, rng, flip_chain)
         worst_rt = max(worst_rt, conformal_roundtrip_check(surface, packing, seq))
-    section(
-        "conformal_roundtrip",
-        [
-            {"name": "flip_chain_roundtrip", "passed": bool(worst_rt <= 1e-8), "value": float(worst_rt), "tolerance": 1e-8},
-        ],
-    )
+    section("conformal_roundtrip", check("flip_chain_roundtrip", worst_rt, 1e-8))
     return report

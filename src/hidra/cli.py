@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +341,8 @@ def main(argv=None):
             _say(f"error: {exc}")
             return EXIT_INVALID
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported on use: the CLI loads without it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             return max(pool.map(_run, jobs))
     return max(map(_run, jobs))

@@ -56,24 +56,26 @@ def _fields(records, keys, not_object, missing):
 
 
 def _ids(lists, owners, message, valid=_INTP_RANGE):
-    """Check that the id ``lists`` hold JSON integers, not booleans, in
-    ``valid``; the first other value v, in the list of ``owner``, raises
-    ValidationError(message.format(owner, v))."""
+    """The ids of ``lists`` as one flat intp array, once checked to be
+    JSON integers, not booleans, in ``valid``; the first other value v,
+    in the list of ``owner``, raises ValidationError(message.format(owner, v))."""
     flat = list(chain.from_iterable(lists))
     if set(map(type, flat)) <= {int} and (
         not flat or min(flat) in valid and max(flat) in valid
     ):
-        return
+        return np.array(flat, dtype=np.intp)
     ok = [type(v) is int and v in valid for v in flat]
     owner, v = [(o, v) for o, ids in zip(owners, lists) for v in ids][ok.index(False)]
     raise ValidationError(message.format(owner, v))
 
 
 def _permutation(ids, kind):
-    """Check that the record ids ``ids`` list each of 0 .. len(ids) - 1 once."""
-    _ids([ids], [kind], "{} id {} out of range", range(len(ids)))
-    first = {}  # id -> index of the first record that holds it
-    _each([first.setdefault(i, k) == k for k, i in enumerate(ids)], ids, f"duplicate {kind} id {{}}")
+    """The record ids ``ids`` as an array, checked to list each of 0 .. len(ids) - 1 once."""
+    array = _ids([ids], [kind], "{} id {} out of range", range(len(ids)))
+    if (np.bincount(array, minlength=len(ids)) > 1).any():
+        first = {}  # id -> index of the first record that holds it
+        _each([first.setdefault(i, k) == k for k, i in enumerate(ids)], ids, f"duplicate {kind} id {{}}")
+    return array
 
 
 def _float(value):
@@ -86,7 +88,8 @@ def _float(value):
 def _numbers(values, ids, message):
     """``values`` as floats, an integer past the float range as inf; the first
     that is not a JSON number raises ValidationError(message.format(its id))."""
-    _each([type(v) in (int, float) for v in values], ids, message)
+    if not set(map(type, values)) <= {int, float}:
+        _each([type(v) in (int, float) for v in values], ids, message)
     return np.array(list(map(_float, values)), dtype=float)
 
 
@@ -119,7 +122,7 @@ def parse_mesh(data):
         doc["vertices"], ("id", "radius"),
         "vertex records must be objects", "vertex needs id and radius",
     )
-    _permutation(vids, "vertex")
+    vids = _permutation(vids, "vertex")
     radii = _numbers(radii, vids, "vertex {}: radius must be a number")
     _each(np.isfinite(radii) & (radii > 0.0), vids, "vertex {}: radius must be positive")
 
@@ -127,9 +130,10 @@ def parse_mesh(data):
         doc["edges"], ("id", "ends", "inversive_distance"),
         "edge records must be objects", "edge needs id, ends and inversive_distance",
     )
-    _permutation(eids, "edge")
-    _each([isinstance(p, list) and len(p) == 2 for p in ends], eids, "edge {}: ends must be a pair")
-    _ids(ends, eids, "edge {}: unknown vertex {}")
+    eids = _permutation(eids, "edge")
+    if not (set(map(type, ends)) <= {list} and set(map(len, ends)) <= {2}):
+        _each([isinstance(p, list) and len(p) == 2 for p in ends], eids, "edge {}: ends must be a pair")
+    ends = _ids(ends, eids, "edge {}: unknown vertex {}")
     inv = _numbers(inv, eids, "edge {}: inversive_distance must be a number")
     _require(np.all(np.isfinite(inv) & (inv > 1.0)), "inversive_distance must exceed 1")
 
@@ -137,15 +141,18 @@ def parse_mesh(data):
         doc["faces"], ("corners", "sides"),
         "face records must be objects", "face {} needs corners and sides",
     )
-    faces = range(len(corners))
+    faces, flat = range(len(corners)), []
     for name, kind, lists in (("corners", "vertex", corners), ("sides", "edge", sides)):
-        _each([isinstance(ids, list) for ids in lists], faces, f"face {{}}: {name} must be a triple")
-        _ids(lists, faces, f"face {{}}: unknown {kind} {{}}")
+        if not set(map(type, lists)) <= {list}:
+            _each([isinstance(ids, list) for ids in lists], faces, f"face {{}}: {name} must be a triple")
+        flat.append(_ids(lists, faces, f"face {{}}: unknown {kind} {{}}"))
+    # (F, 2, 3) ids when every face is a pair of triples; else build_surface names the first that is not.
+    cells = (np.stack([ids.reshape(-1, 3) for ids in flat], axis=1)
+             if set(map(len, corners)) | set(map(len, sides)) <= {3} else list(zip(corners, sides)))
 
     edge_order = np.argsort(eids)
-    edges = np.array(ends, dtype=np.intp).reshape(-1, 2)[edge_order]
     try:
-        surface = build_surface(len(vids), edges, list(zip(corners, sides)))
+        surface = build_surface(len(vids), ends.reshape(-1, 2)[edge_order], cells)
     except MeshError as exc:
         raise ValidationError(str(exc)) from exc
 

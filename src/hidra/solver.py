@@ -118,38 +118,71 @@ def hessian(surface, packing, metrics=None):
     return csc_array((values, indices, indptr), shape=(n, n))
 
 
-def _factor(H):
-    """Symmetric sparse LU of H: a symmetric minimum-degree order and
-    diagonal pivots, so when no row is swapped it is P H P^T = L D L^T
-    with D the diagonal of U.  None when SuperLU finds H exactly
-    singular."""
+class _Plan:
+    """A run's plan for the Hessians of its triangulation, empty until
+    their first factorization orders them (``order``); then ``matrix``,
+    their pattern permuted to that order, whose data ``gather`` indexes
+    in H's, so that each later factorization is numeric only."""
+
+    order = None
+
+
+class _Factor(namedtuple("_Factor", "lu order")):
+    """SuperLU's factor ``lu`` of H[order][:, order]; ``solve(b)`` is x with H x = b."""
+
+    def solve(self, b):
+        x = np.empty(len(b))
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+
+def _factor(H, plan=None):
+    """Symmetric sparse LU of H in a fill-reducing order, with diagonal
+    pivots: when no row is swapped it is P H P^T = L D L^T with D the
+    diagonal of U.  The first factorization on ``plan``, the _Plan of H's
+    pattern (a new one when None), orders and fills it; later ones refactor
+    in its order.  SuperLU's supernode relaxation and panel size are fixed
+    by measurement.  None when SuperLU finds H exactly singular."""
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
+    plan = plan or _Plan()
+    if fresh := plan.order is None:
+        H = csc_array(H)
+    else:
+        np.take(H.data, plan.gather, out=plan.matrix.data)
     try:
-        return splu(
-            csc_array(H), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        lu = splu(H if fresh else plan.matrix, permc_spec="MMD_AT_PLUS_A" if fresh else "NATURAL",
+                  diag_pivot_thresh=0.0, relax=1, panel_size=1, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
         return None
+    n = H.shape[0]
+    if fresh:  # the k-th entry of H[order][:, order], by column * n + row, is H.data[gather[k]]
+        keys = lu.perm_c[np.repeat(np.arange(n), np.diff(H.indptr))] * n + lu.perm_c[H.indices]
+        plan.gather = np.argsort(keys)
+        keys = keys[plan.gather]
+        plan.matrix = csc_array((H.data[plan.gather], (keys % n).astype(np.intc),
+                                 np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)), shape=(n, n))
+        plan.order = np.argsort(lu.perm_c)
+    return _Factor(lu, np.arange(n) if fresh else plan.order)
 
 
-def hessian_spectrum_sign(H):
+def hessian_spectrum_sign(H, plan=None):
     """+1 / -1 when all eigenvalues of the symmetric H (sparse or dense)
     share that sign, else 0.
 
     The sign is read from the pivots of one symmetric sparse
-    factorization, ``_factor``'s, the one ``newton_solve`` steps on
-    (Sylvester's law of inertia); no dense matrix is built.  A row swap
-    (a zero diagonal pivot) or an exactly singular H gives 0.
+    factorization, ``_factor``'s on ``plan`` (if given, the _Plan of H's
+    pattern), the one ``newton_solve`` steps on (Sylvester's law of
+    inertia); no dense matrix is built.  A row swap (a zero diagonal
+    pivot) or an exactly singular H gives 0.
     """
-    lu = _factor(H)
-    if lu is None or np.any(lu.perm_r != lu.perm_c):
+    factor = _factor(H, plan)
+    if factor is None or np.any(factor.lu.perm_r != factor.lu.perm_c):
         return 0
-    pivots = lu.U.diagonal()
+    pivots = factor.lu.U.diagonal()
     if np.all(pivots > 0.0):
         return 1
     if np.all(pivots < 0.0):
@@ -363,7 +396,9 @@ class _Run:
     during the start); the next step's flips are logged under
     steps + 1; ``metrics`` is the array kernel at the run's point;
     ``forms``, the cosh forms of its triangulation, are built by the
-    start and then taken from each step's segment."""
+    start and then taken from each step's segment; ``plan``, the _Plan
+    of its Hessians, is new at the start and after each step that
+    flips."""
 
     def __init__(self, surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations):
         if not tol >= 0.0:
@@ -386,7 +421,7 @@ class _Run:
             _, self.surface, self.packing, self.flip_log, self.forms = self.step(self.u, False, 0)
         except NonCompactOrthocircle as exc:
             raise SurgeryDiverged(str(exc), state=self.state("surgery_diverged", 0)) from exc
-        self.steps = 0
+        self.steps, self.plan = 0, _Plan()
         if self.flip_log:
             self.metrics = SurfaceMetrics(self.surface, self.packing)
             self.curvature, self.total_area = curvatures(self.surface, self.packing, self.metrics)
@@ -427,6 +462,8 @@ class _Run:
         """Move the run to a trial point and append its trace row:
         ``row`` with max_error, potential and flips set, keeping the
         place of the keys it already holds."""
+        if trial.surface is not self.surface:  # flipped: a new Hessian pattern
+            self.plan = _Plan()
         (d_pot, self.surface, self.packing, flips, self.forms, self.u, self.metrics,
          self.curvature, self.total_area) = trial
         self.potential += d_pot
@@ -487,13 +524,13 @@ def newton_solve(
     for iteration in itertools.count(1):
         H = hessian(run.surface, run.packing, metrics=run.metrics)
         if run.error <= tol:
-            return run.state(STATUS_CONVERGED, iteration - 1, hessian_spectrum_sign(H))
+            return run.state(STATUS_CONVERGED, iteration - 1, hessian_spectrum_sign(H, run.plan))
         if iteration > max_iterations:
             raise MaxIterationsExceeded(
                 f"no convergence within {max_iterations} Newton iterations",
-                state=run.state(STATUS_MAX_ITERATIONS, max_iterations, hessian_spectrum_sign(H)),
+                state=run.state(STATUS_MAX_ITERATIONS, max_iterations, hessian_spectrum_sign(H, run.plan)),
             )
-        if (lu := _factor(H)) is None:
+        if (lu := _factor(H, run.plan)) is None:
             raise SolverStalled(
                 "Hessian is exactly singular", state=run.state("stalled", iteration)
             )
@@ -514,7 +551,7 @@ def newton_solve(
             if step < MIN_LINE_SEARCH_STEP:
                 raise SolverStalled(
                     "line search step underflow",
-                    state=run.state("stalled", iteration, hessian_spectrum_sign(H)),
+                    state=run.state("stalled", iteration, hessian_spectrum_sign(H, run.plan)),
                 )
         # Newton's rows put the step length after the potential.
         run.accept(trial, dict(iteration=iteration, max_error=None, potential=None, step=step))
@@ -560,7 +597,7 @@ def ricci_flow(
         diagonal = H.diagonal()
         while True:
             H.setdiag(diagonal + 1.0 / dt)
-            u_try = _clamped_step(run.u, _factor(H).solve(run.target - run.curvature))
+            u_try = _clamped_step(run.u, _factor(H, run.plan).solve(run.target - run.curvature))
             if not np.array_equal(u_try, run.u):
                 trial = run.trial(u_try, True, run.steps)
                 if trial is not None and trial.d_pot <= 0.0:
@@ -576,5 +613,5 @@ def ricci_flow(
 
     return run.state(
         STATUS_CONVERGED if run.error <= tol else STATUS_MAX_ITERATIONS, run.steps,
-        hessian_spectrum_sign(hessian(run.surface, run.packing, metrics=run.metrics)),
+        hessian_spectrum_sign(hessian(run.surface, run.packing, metrics=run.metrics), run.plan),
     )

@@ -118,7 +118,8 @@ def build_surface(vertex_count, edges, faces):
     """Validate a raw mesh description and freeze it into a TriSurface.
 
     ``edges`` is a sequence of (end_a, end_b) vertex pairs, ``faces`` a
-    sequence of (corners, sides) triple pairs.  Raises the specific
+    sequence of (corners, sides) triple pairs, such as an (F, 2, 3)
+    array, walked in Python only to name a face that is not.  Raises the specific
     MeshError subclass naming the first violated invariant, at the
     lowest id that violates it.
     """
@@ -129,13 +130,15 @@ def build_surface(vertex_count, edges, faces):
     if bad.any():
         raise InconsistentIncidence(f"edge {bad.argmax()} references unknown vertex")
 
-    triangle = [len(c) == len(s) == 3 for c, s in faces]
-    cells = _id_array(
-        [(*c, *s) if ok else (0,) * 6 for (c, s), ok in zip(faces, triangle)], 6
-    )
-    corners, sides = cells[:, :3].copy(), cells[:, 3:].copy()
+    try:
+        cells = _id_array(faces, 2, 3)
+        triangle = np.ones(len(cells), dtype=bool)
+    except ValueError:  # some face is not a pair of triples: padded, and named below
+        triangle = np.array([len(c) == len(s) == 3 for c, s in faces], dtype=bool)
+        cells = _id_array([(c, s) if ok else [(0,) * 3] * 2 for (c, s), ok in zip(faces, triangle)], 2, 3)
+    corners, sides = cells[:, 0].copy(), cells[:, 1].copy()
     bad = np.stack([
-        ~np.array(triangle, dtype=bool).reshape(-1),
+        ~triangle,
         ((corners < 0) | (corners >= vertex_count)).any(axis=1),
         ((sides < 0) | (sides >= len(edges))).any(axis=1),
     ])
@@ -181,16 +184,16 @@ def build_surface(vertex_count, edges, faces):
     return surface
 
 
-def _id_array(rows, width):
-    """``rows`` as an (n, width) intp array.  An id no intp can hold is
+def _id_array(rows, *shape):
+    """``rows`` as an (n, *shape) intp array.  An id no intp can hold is
     read as -1, which the range checks reject like any unknown id; only
-    then are the rows walked in Python."""
+    then are the ids held as Python ints."""
     try:
-        return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+        return np.array(rows, dtype=np.intp).reshape(len(rows), *shape)
     except OverflowError:
+        ids = np.array(rows, dtype=object).reshape(len(rows), *shape)
         lo, hi = np.iinfo(np.intp).min, np.iinfo(np.intp).max
-        rows = [[i if lo <= i <= hi else -1 for i in row] for row in rows]
-        return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+        return np.where((ids >= lo) & (ids <= hi), ids, -1).astype(np.intp)
 
 
 def euler_characteristic(surface):

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+import scipy.sparse.linalg
+from scipy.sparse import csc_array, csr_array
+from scipy.sparse.linalg import splu
 
 import hidra
 from conftest import (
@@ -301,6 +303,71 @@ class TestSpectrumSign:
             assert np.linalg.norm(H @ delta + rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+class TestFactorPlan:
+    """A _Plan's numeric-only factor against a fresh minimum-degree
+    analysis, on matrices that share a Hessian's pattern: the plan is
+    made by the Hessian of one packing and refactors matrices built from
+    another's."""
+
+    @staticmethod
+    def cases(surface, rng):
+        """(first, matrices): the matrix that makes the plan and those it
+        refactors, for the Hessian pattern and for the zero-diagonal block
+        pattern [[0, H], [H, 0]]; the last on the Hessian pattern is
+        exactly singular."""
+        H0, H1 = (hessian(surface, random_packing(surface, rng, max_tries=5000)) for _ in range(2))
+        n = H1.shape[0]
+        diagonal = H1.indices == np.repeat(np.arange(n), np.diff(H1.indptr))
+        values = [H1.data, -H1.data]
+        if n > 1:  # shift between two adjacent eigenvalues: indefinite
+            eigs = np.linalg.eigvalsh(H1.toarray())
+            k = int(rng.integers(1, n))
+            values.append(H1.data - 0.5 * (eigs[k - 1] + eigs[k]) * diagonal)
+        j = int(rng.integers(n))
+        column = np.repeat(np.arange(n), np.diff(H1.indptr))
+        values.append(np.where((H1.indices == j) | (column == j), 0.0, H1.data))  # the pattern kept
+        on_pattern = [csc_array((data, H1.indices, H1.indptr), shape=H1.shape) for data in values]
+        block = [scipy.sparse.block_array([[None, H], [H, None]], format="csc") for H in (H0, H1)]
+        return [(H0, on_pattern[:-1], on_pattern[-1]), (block[0], block[1:], None)]
+
+    @given(st.sampled_from(["genus2", "octahedron", "grid6"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_a_fresh_analysis(self, name, seed):
+        surface = SIGN_SURFACES[name]()
+        rng = np.random.default_rng(seed)
+        for first, matrices, singular in self.cases(surface, rng):
+            plan = solver._Plan()
+            _factor(first, plan)
+            if singular is not None:
+                assert _factor(singular, plan) is None and _factor(singular) is None
+                assert hessian_spectrum_sign(singular, plan) == hessian_spectrum_sign(singular) == 0
+            for M in matrices:
+                sign = hessian_spectrum_sign(M, plan)
+                assert sign == hessian_spectrum_sign(M)  # a fresh analysis
+                lam = np.abs(np.linalg.eigvalsh(M.toarray()))
+                if lam.min() >= 1e-8 * lam.max():
+                    assert sign == dense_spectrum_sign(M.toarray())
+                b = rng.standard_normal(M.shape[0])
+                x = _factor(M, plan).solve(b)
+                assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_a_factor_outlives_the_next(self, rng):
+        # A factor holds its own L and U: the next factorization on the
+        # plan overwrites the plan's matrix, not an earlier solve.
+        surface = torus_grid(6)
+        H0, H1, H2 = (hessian(surface, random_packing(surface, rng, max_tries=5000)) for _ in range(3))
+        plan = solver._Plan()
+        _factor(H0, plan)
+        factor = _factor(H1, plan)
+        b = rng.standard_normal(36)
+        x = factor.solve(b)
+        values = plan.matrix.data.copy()
+        _factor(H2, plan)
+        assert not np.array_equal(plan.matrix.data, values)
+        assert factor.solve(b).tobytes() == x.tobytes()
+        assert np.linalg.norm(H1 @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 class TestPotential:
     def test_zero_at_reference(self, torus, torus_packing):
         u0 = u_from_r(torus_packing.radii)
@@ -450,38 +517,54 @@ class TestNewtonSolve:
         assert all(step == 2.0 ** round(math.log2(step)) < 1.0 for step in steps)
         assert state.max_error == state.trace[-1]["max_error"] and state.hessian_sign == 1
 
-    @pytest.mark.parametrize("exit", ["converged", "max_iterations", "stalled"])
+    @pytest.mark.parametrize("exit", ["converged", "max_iterations", "stalled", "flipped"])
     def test_every_exit_sign_comes_from_the_public_reader(self, octahedron, monkeypatch, exit):
         # Each exit reads its Hessian's spectrum sign through one
         # hessian_spectrum_sign call.  Each point factors its H once, for
         # a step or for the exit's sign, and a line-search stall factors
         # its H once more for the sign: iterations + 1 factorizations.
-        if exit == "stalled":  # the seed-16 octahedron of the test above
+        # Of these, the first on each triangulation is its one
+        # minimum-degree analysis, the rest refactor on its plan: the
+        # seed-6 octahedron flips in its first step, and the new
+        # triangulation is analysed afresh.
+        if exit in ("stalled", "flipped"):  # the seed-16 octahedron of the test above
+            seed = 16 if exit == "stalled" else 6
             packing = random_packing(
-                octahedron, np.random.default_rng(16), inv_range=(1.05, 12.0), max_tries=5000
+                octahedron, np.random.default_rng(seed), inv_range=(1.05, 12.0), max_tries=5000
             )
             surface, packing, _ = make_weighted_delaunay(octahedron, packing)
-            args, settings = (surface, packing, np.full(6, 5.0)), dict(tol_delaunay=100.0)
+            args = (surface, packing, np.full(6, 5.0))
+            settings = dict(tol_delaunay=100.0) if exit == "stalled" else {}
         else:
             args = load_mesh(str(Path(hidra.__file__).parent / "fixtures" / "genus2.json"))[:3]
             settings = dict(max_iterations=4) if exit == "max_iterations" else {}
-        calls = {"sign": 0, "factor": 0}
+        calls = {"sign": 0, "factor": 0, "MMD_AT_PLUS_A": 0, "NATURAL": 0}
 
         def counted(name, func):
-            def wrapper(H):
+            def wrapper(H, plan=None):
                 calls[name] += 1
-                return func(H)
+                return func(H, plan)
             return wrapper
+
+        def counted_splu(A, permc_spec, **options):
+            calls[permc_spec] += 1
+            return splu(A, permc_spec, **options)
 
         monkeypatch.setattr(solver, "hessian_spectrum_sign", counted("sign", hessian_spectrum_sign))
         monkeypatch.setattr(solver, "_factor", counted("factor", _factor))
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
         try:
             state = newton_solve(*args, **settings)
         except (MaxIterationsExceeded, SolverStalled) as exc:
             state = exc.state
         monkeypatch.undo()
-        assert state.status == exit
-        assert calls == {"sign": 1, "factor": state.iterations + 1}
+        assert state.status == ("converged" if exit == "flipped" else exit)
+        triangulations = 1 + sum(row["flips"] > 0 for row in state.trace)
+        assert triangulations == (2 if exit == "flipped" else 1)
+        assert calls == {
+            "sign": 1, "factor": state.iterations + 1, "MMD_AT_PLUS_A": triangulations,
+            "NATURAL": state.iterations + 1 - triangulations,
+        }
         assert state.hessian_sign == hessian_spectrum_sign(hessian(state.surface, state.packing)) == 1
 
     def test_genus2_uniqueness_under_radius_scaling(self, genus2, rng):
@@ -720,6 +803,28 @@ class TestRicciFlow:
         s0, p0 = replay_flips_reversed(state.surface, state.packing, state.flip_log)
         assert surfaces_isomorphic(s0, surface)
         assert np.max(np.abs(p0.inv - packing.inv) / packing.inv) <= 1e-8
+
+    def test_each_triangulation_is_analysed_once(self, octahedron, monkeypatch):
+        # The seed-6 octahedron's flow flips in steps 1 and 2.  Every
+        # factorization, of each trial's H + I/dt and of the exit's H, on
+        # one triangulation shares its one minimum-degree analysis; each
+        # step that flips starts a new one.
+        packing = random_packing(
+            octahedron, np.random.default_rng(6), inv_range=(1.05, 12.0), max_tries=5000
+        )
+        calls = {"MMD_AT_PLUS_A": 0, "NATURAL": 0}
+
+        def counted_splu(A, permc_spec, **options):
+            calls[permc_spec] += 1
+            return splu(A, permc_spec, **options)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        state = ricci_flow(octahedron, packing, np.full(6, 5.0))
+        monkeypatch.undo()
+        assert state.status == "converged" and state.hessian_sign == 1
+        assert [row["flips"] > 0 for row in state.trace][:3] == [True, True, False]
+        assert calls["MMD_AT_PLUS_A"] == 1 + sum(row["flips"] > 0 for row in state.trace) == 3
+        assert calls["NATURAL"] >= state.iterations + 1 - 3
 
     def test_time_budget_reports_max_iterations(self, torus, torus_packing):
         state = ricci_flow(
