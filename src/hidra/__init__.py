@@ -11,8 +11,10 @@ from .geometry import (
     Packing,
     SolveState,
     auxiliary_length,
+    curvatures,
     delta_discriminant,
     edge_cosh_length,
+    gauss_bonnet_residual,
     r_from_u,
     u_from_r,
     validate_packing,
@@ -22,8 +24,6 @@ from .hyptrig import acosh_stable, hinge_diagonal
 from .meshio import build_report, load_mesh, mesh_document, parse_mesh
 from .ptolemy import delta_identity_residuals, ptolemy_flip_value, ptolemy_residual
 from .solver import (
-    curvatures,
-    gauss_bonnet_residual,
     hessian,
     newton_solve,
     ricci_flow,

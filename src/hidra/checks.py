@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import one_vertex_genus2, one_vertex_torus, tetrahedron_sphere
+from .complexes import one_vertex_genus, one_vertex_torus, tetrahedron_sphere
 from .errors import ConstructionInvalid
 from .flips import HeldTriangulation, flip_edge
 from .geometry import (
@@ -366,7 +366,7 @@ def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):
 
     # Conformal class preserved along flip chains.
     worst_rt = 0.0
-    for surface in (one_vertex_torus(), one_vertex_genus2()):
+    for surface in (one_vertex_torus(), one_vertex_genus(2)):
         packing = random_packing(surface, rng)
         seq = random_flip_sequence(surface, packing, rng, flip_chain)
         worst_rt = max(worst_rt, conformal_roundtrip_check(surface, packing, seq))

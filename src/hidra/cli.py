@@ -26,14 +26,8 @@ from .flips import make_weighted_delaunay
 from .geometry import STATUS_CONVERGED, TOL_DELAUNAY, SolveState, SurfaceMetrics, validate_packing
 from .meshio import build_report, dumps_report, mesh_document, parse_mesh
 from .solver import (
-    DEFAULT_FLOW_DT,
-    DEFAULT_FLOW_T_MAX,
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOL_K,
-    curvatures,
-    newton_solve,
-    ricci_flow,
-    validate_target,
+    DEFAULT_FLOW_DT, DEFAULT_FLOW_T_MAX, DEFAULT_MAX_ITERATIONS, DEFAULT_TOL_K,
+    newton_solve, ricci_flow, validate_target,
 )
 
 EXIT_OK = 0
@@ -123,15 +117,16 @@ def cmd_validate(args, surface, packing, target, digest):
 
 def cmd_curvature(args, surface, packing, target, digest):
     metrics = SurfaceMetrics(surface, packing)
-    K, area = curvatures(surface, packing, metrics=metrics)
+    metrics.angles  # raises as ``curvatures`` does; the report takes K from this kernel
     report = build_report(
         status="converged", digest=digest, surface=surface, packing=packing,
         target=target, metrics=metrics,
     )
     _write_report(args, report)
+    K, summary = np.array(report["vertices"].columns["K"]), report["global"]
     print(
-        f"K = {np.array2string(K, precision=12)}  area = {area:.12g}  "
-        f"gauss_bonnet_residual = {report['global']['gauss_bonnet_residual']:.3e}"
+        f"K = {np.array2string(K, precision=12)}  area = {summary['total_area']:.12g}  "
+        f"gauss_bonnet_residual = {summary['gauss_bonnet_residual']:.3e}"
     )
     return EXIT_OK
 
@@ -140,18 +135,18 @@ def cmd_delaunay(args, surface, packing, target, digest):
     settings = _settings(args)
     try:
         surface2, packing2, events = make_weighted_delaunay(
-            surface,
-            packing,
-            tol=settings["tol_delaunay"],
-            flip_budget=settings["flip_budget"],
+            surface, packing, tol=settings["tol_delaunay"], flip_budget=settings["flip_budget"]
         )
     except NonCompactOrthocircle as exc:  # surgery failed, unless the input is invalid
         validate_packing(surface, packing)
-        state = SolveState(surface, packing, status="surgery_diverged")
+        state = SolveState(surface, packing, target=target, status="surgery_diverged")
         raise SurgeryDiverged(str(exc), state=state) from exc
+    except SurgeryDiverged as exc:  # a budget overrun, reported at the mesh's target
+        exc.state.target = target
+        raise
     metrics = SurfaceMetrics(surface2, packing2)
     metrics.angles  # raises as ``curvatures`` does; the report takes K from this kernel
-    state = SolveState(surface2, packing2, flip_log=events)
+    state = SolveState(surface2, packing2, target=target, flip_log=events)
     report = build_report(status=STATUS_CONVERGED, digest=digest, state=state, metrics=metrics)
     mesh = (args.out or args.mesh_out) and dumps_report(mesh_document(surface2, packing2, target))
     if args.out:  # the mesh, last in the report, is its text one level in (no raw "\n" in JSON)
@@ -312,6 +307,9 @@ def _run(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.jobs < 1:
+        _say(f"error: --jobs {args.jobs} must be at least 1")
+        return EXIT_INVALID
     meshes = getattr(args, "mesh", None)
     if meshes is None or len(meshes) == 1:
         if meshes is not None:
@@ -343,7 +341,8 @@ def main(argv=None):
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported on use: the CLI loads without it
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # The pool starts all its workers at the first job: no more than there are jobs.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             return max(pool.map(_run, jobs))
     return max(map(_run, jobs))
 

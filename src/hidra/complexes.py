@@ -12,21 +12,15 @@ def one_vertex_torus():
     )
 
 
-def one_vertex_genus2():
-    """Genus-2 surface from the standard octagon gluing, fan-triangulated.
-
-    One vertex, nine edges (four octagon side classes plus five
-    diagonals), six faces; Euler characteristic -2.
-    """
-    faces = [
-        ((0, 0, 0), (1, 4, 0)),
-        ((0, 0, 0), (0, 5, 4)),
-        ((0, 0, 0), (1, 6, 5)),
-        ((0, 0, 0), (2, 7, 6)),
-        ((0, 0, 0), (3, 8, 7)),
-        ((0, 0, 0), (2, 3, 8)),
-    ]
-    return build_surface(1, [(0, 0)] * 9, faces)
+def one_vertex_genus(g):
+    """Genus-g surface on one vertex: the 4g-gon a1 b1 a1^-1 b1^-1 ... with
+    side i the edge w[i] (a_k is 2k, b_k is 2k + 1), fan-triangulated from a
+    corner.  Face j has sides w[j+1], 2g + j and 2g - 1 + j, with w[-1] and
+    w[0] for the missing last and first diagonals; E = 6g - 3, F = 4g - 2."""
+    w = [2 * i + k for i in range(g) for k in (0, 1, 0, 1)]
+    diagonals = [w[0], *range(2 * g, 6 * g - 3), w[-1]]
+    faces = [((0, 0, 0), (w[j + 1], diagonals[j + 1], diagonals[j])) for j in range(4 * g - 2)]
+    return build_surface(1, [(0, 0)] * (6 * g - 3), faces)
 
 
 def tetrahedron_sphere():

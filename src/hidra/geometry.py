@@ -3,8 +3,8 @@
 A packing assigns a radius to every vertex and an inversive distance
 greater than 1 to every edge (disjoint-circle regime).  Everything here
 is a pure function of (surface, packing): edge lengths, per-face
-discriminants, orthogonal circles and the local weighted Delaunay
-margin.  The u chart and SolveState, a run's record, are here too.
+discriminants, orthogonal circles, curvatures and area, and the local
+weighted Delaunay margin.  The u chart and SolveState are here too.
 
 Solvers, flip loop, reports and ``verify`` take every metric quantity
 from one array kernel, ``SurfaceMetrics``, whose formulas also serve the
@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
 from .hyptrig import TOL_DOMAIN
 from .ptolemy import _sqrt, delta_discriminant, ptolemy_flip_value
+from .surface import euler_characteristic
 
 # Margin band within which a hinge counts as Delaunay and is never
 # flipped; the transition is C1 there, so either choice is consistent,
@@ -71,8 +72,8 @@ def r_from_u(u):
 @dataclass
 class SolveState:
     """Result of a curvature-prescription run or of flip surgery alone.
-    Omitted, ``u`` is u_from_r of the radii; surgery alone has no target,
-    curvature or area, 0 iterations and, by default, status converged."""
+    Omitted, ``u`` is u_from_r of the radii; surgery alone has no target, curvature,
+    area, potential or spectrum sign, 0 iterations and, by default, status converged."""
 
     surface: object
     packing: Packing
@@ -84,8 +85,8 @@ class SolveState:
     iterations: int = 0
     flip_log: list = field(default_factory=list)
     trace: list = field(default_factory=list)
-    potential: float = 0.0
-    hessian_sign: int = 0
+    potential: float = None
+    hessian_sign: int = None
 
     def __post_init__(self):
         if self.u is None:
@@ -251,13 +252,35 @@ class SurfaceMetrics:
         return (np.abs(self.cos_angles) <= 1.0 + TOL_DOMAIN).all(axis=-1)
 
     @cached_property
+    def unchecked_angles(self):
+        """(..., F, 3) corner angles, cosines clamped into [-1, 1]; unchecked."""
+        return np.arccos(np.clip(self.cos_angles, -1.0, 1.0))
+
+    @cached_property
     def angles(self):
-        """(..., F, 3) corner angles, cosines clamped into [-1, 1]."""
+        """``unchecked_angles``, every face checked."""
         self.check(
             self.angle_ok,
             lambda face, at: _degenerate(face, "has a corner cosine outside [-1, 1]"),
         )
-        return np.arccos(np.clip(self.cos_angles, -1.0, 1.0))
+        return self.unchecked_angles
+
+    @cached_property
+    def face_areas(self):
+        """(..., F) areas pi minus the angle sum, of ``unchecked_angles``."""
+        return math.pi - self.unchecked_angles.sum(axis=-1)
+
+    @cached_property
+    def delta(self):
+        """(..., F) Delta discriminant of each face's three inversive distances."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return delta_discriminant(*self.inv.T)
+
+    @cached_property
+    def sinh_rho(self):
+        """(..., F) sinh of the orthocircle radius, prod sinh r sqrt(Delta / Xi)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.prod(self.sinh_r[..., self.corners], axis=-1) * np.sqrt(self.delta) / np.sqrt(self.xi)
 
     @cached_property
     def xi(self):
@@ -312,6 +335,34 @@ class SurfaceMetrics:
         dT[..., slots, NEXT] = -cos[..., PREV] * S / (Sn * base)
         dT[..., slots, PREV] = -cos[..., NEXT] * S / (Sp * base)
         return dT @ dC
+
+
+def curvatures(surface, packing, metrics=None):
+    """Vertex curvatures 2*pi minus cone angle, and the total area.
+
+    Corner angles come from the array kernel (``metrics`` if given);
+    those at self-glued faces count with multiplicity.  The returned
+    pair satisfies sum(K) = 2*pi*chi + area by construction.  A batch of
+    (B, V) radii rows gives (B, V) curvatures and (B,) areas, and raises
+    as the kernel does for its first row at fault.
+    """
+    metrics = metrics or SurfaceMetrics(surface, packing)
+    angles = metrics.angles
+    n, rows = surface.vertex_count, angles.shape[:-2]
+    # One bincount for all rows: row b's vertex ids are offset by b * n.
+    index = surface.corners.ravel() + n * np.arange(math.prod(rows))[:, None]
+    angle_sum = np.bincount(index.ravel(), angles.ravel(), n * len(index))
+    area = np.sum(metrics.face_areas, axis=-1)
+    return 2.0 * math.pi - angle_sum.reshape(rows + (n,)), area if rows else float(area)
+
+
+def gauss_bonnet_residual(surface, packing):
+    """sum(K) - 2 pi chi - area; zero up to roundoff on any valid state."""
+    return _gauss_bonnet_residual(surface, *curvatures(surface, packing))
+
+
+def _gauss_bonnet_residual(surface, K, area):
+    return float(K.sum() - 2.0 * math.pi * euler_characteristic(surface) - area)
 
 
 def face_metrics(surface, packing, face):

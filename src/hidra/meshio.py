@@ -14,17 +14,9 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    MeshError,
-    NonCompactOrthocircle,
-    ParseError,
-    ValidationError,
-)
-from .geometry import Packing, SurfaceMetrics, u_from_r
+from .errors import DomainError, MeshError, NonCompactOrthocircle, ParseError, ValidationError
+from .geometry import Packing, SurfaceMetrics, _gauss_bonnet_residual, curvatures, u_from_r
 from .hyptrig import acosh_stable
-from .ptolemy import delta_discriminant
-from .solver import _gauss_bonnet_residual, curvatures
 from .surface import build_surface, euler_characteristic
 
 FORMAT_VERSION = "1.0"
@@ -295,7 +287,7 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
         "gauss_bonnet_residual": _scalar(gb),
         "solver_status": status,
         "hessian_spectrum_sign": getattr(state, "hessian_sign", None),
-        "potential": _scalar(getattr(state, "potential", math.nan)),
+        "potential": _scalar(getattr(state, "potential", None)),
         # validity is the operational proxy (I > 1, triangle
         # inequalities), weaker than an injectivity-radius bound
         "weight_domain": "proxy",
@@ -315,19 +307,15 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
         "delaunay_margin": [None] * surface.edge_count if margins is None else margins.tolist(),
     })
     has_angles = metrics.domain_ok & metrics.angle_ok
-    angles = np.arccos(np.clip(metrics.cos_angles, -1.0, 1.0))
     compact = metrics.domain_ok & (metrics.xi > 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = delta_discriminant(*metrics.inv.T)
-        sinh_rho = np.prod(metrics.sinh_r[surface.corners], axis=1) * np.sqrt(delta) / np.sqrt(metrics.xi)
     report["faces"] = Records(surface.face_count, {
         "id": list(range(surface.face_count)),
         **mesh["faces"].columns,
         "xi": metrics.xi.tolist(),
-        "delta": delta.tolist(),
-        "rho": [math.asinh(s) if c else None for s, c in zip(sinh_rho.tolist(), compact.tolist())],
-        "area": [math.pi - math.fsum(a) for a in angles.tolist()],
-        "angles": tuple(angles.T.tolist()),
+        "delta": metrics.delta.tolist(),
+        "rho": [math.asinh(s) if c else None for s, c in zip(metrics.sinh_rho.tolist(), compact.tolist())],
+        "area": metrics.face_areas.tolist(),
+        "angles": tuple(metrics.unchecked_angles.T.tolist()),
     }, missing=dict.fromkeys(("area", "angles"), (~has_angles).tolist()))
     return report
 

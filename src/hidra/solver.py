@@ -15,19 +15,14 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import (
-    DegenerateTriangle,
-    DomainError,
-    FlowStalled,
-    MaxIterationsExceeded,
-    NonCompactOrthocircle,
-    SolverStalled,
-    SurgeryDiverged,
-    TargetOutOfRange,
+    DegenerateTriangle, DomainError, FlowStalled, MaxIterationsExceeded, NonCompactOrthocircle,
+    SolverStalled, SurgeryDiverged, TargetOutOfRange,
 )
 from .flips import check_flip_settings, make_weighted_delaunay, surface_delaunay_margins
-from .geometry import (
+from .geometry import (  # curvatures and the Gauss-Bonnet residuals: still bound here for callers
     STATUS_CONVERGED, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound,
-    _scan_bounds, _x_range, r_from_u, u_from_r, validate_packing,
+    _gauss_bonnet_residual, _scan_bounds, _x_range, curvatures, gauss_bonnet_residual, r_from_u,
+    u_from_r, validate_packing,
 )
 from .surface import euler_characteristic
 
@@ -66,33 +61,6 @@ KRONROD_NODES, KRONROD_WEIGHTS, GAUSS7_WEIGHTS = np.c_[_QK15, [[-1], [1], [1]] *
 QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-10, 1e-11, 100
 
 STATUS_MAX_ITERATIONS = "max_iterations"
-
-
-def curvatures(surface, packing, metrics=None):
-    """Vertex curvatures 2*pi minus cone angle, and the total area.
-
-    Corner angles come from the array kernel (``metrics`` if given);
-    those at self-glued faces count with multiplicity.  The returned
-    pair satisfies sum(K) = 2*pi*chi + area by construction.  A batch of
-    (B, V) radii rows gives (B, V) curvatures and (B,) areas, and raises
-    as the kernel does for its first row at fault.
-    """
-    angles = (metrics or SurfaceMetrics(surface, packing)).angles
-    n, rows = surface.vertex_count, angles.shape[:-2]
-    # One bincount for all rows: row b's vertex ids are offset by b * n.
-    index = surface.corners.ravel() + n * np.arange(math.prod(rows))[:, None]
-    angle_sum = np.bincount(index.ravel(), angles.ravel(), n * len(index))
-    area = np.sum(math.pi - angles.sum(axis=-1), axis=-1)
-    return 2.0 * math.pi - angle_sum.reshape(rows + (n,)), area if rows else float(area)
-
-
-def gauss_bonnet_residual(surface, packing):
-    """sum(K) - 2 pi chi - area; zero up to roundoff on any valid state."""
-    return _gauss_bonnet_residual(surface, *curvatures(surface, packing))
-
-
-def _gauss_bonnet_residual(surface, K, area):
-    return float(K.sum() - 2.0 * math.pi * euler_characteristic(surface) - area)
 
 
 def hessian(surface, packing, metrics=None):

@@ -9,7 +9,7 @@ settings.load_profile("repeatable")
 from hidra import solver
 from hidra.complexes import (
     octahedron_sphere,
-    one_vertex_genus2,
+    one_vertex_genus,
     one_vertex_torus,
     tetrahedron_sphere,
 )
@@ -55,6 +55,23 @@ def torus_packing(torus):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+# The genus-2 fan triangulation as it was once written out by hand,
+# (corners, sides) face by face; one_vertex_genus(2) must equal it.
+GENUS2_FACES = [
+    ((0, 0, 0), (1, 4, 0)),
+    ((0, 0, 0), (0, 5, 4)),
+    ((0, 0, 0), (1, 6, 5)),
+    ((0, 0, 0), (2, 7, 6)),
+    ((0, 0, 0), (3, 8, 7)),
+    ((0, 0, 0), (2, 3, 8)),
+]
+
+
+def one_vertex_genus2():
+    """The one-vertex genus-2 surface: nine loop edges, six faces."""
+    return one_vertex_genus(2)
 
 
 def two_triangle_sphere():

@@ -24,7 +24,6 @@ from hidra.checks import (
 )
 from hidra.complexes import (
     octahedron_sphere,
-    one_vertex_genus2,
     one_vertex_torus,
 )
 from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
@@ -43,7 +42,9 @@ from hidra.solver import (
     newton_solve,
     ricci_flow,
 )
-from conftest import coo_hessian, flipped, hessian_fd, replay_flips_reversed, surfaces_isomorphic
+from conftest import (
+    coo_hessian, flipped, hessian_fd, one_vertex_genus2, replay_flips_reversed, surfaces_isomorphic,
+)
 from geometry_oracle import face_metrics, orthocircle_radius
 
 

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from conftest import (
     checkerboard_packing,
     flipped,
+    one_vertex_genus2,
     ptolemy_residual_relative,
     surfaces_isomorphic,
     torus_grid,
 )
 from hidra import complexes, flips
 from hidra.checks import degenerate_hinge, random_flip_sequence, random_packing
-from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
+from hidra.complexes import octahedron_sphere, one_vertex_torus
 from hidra.errors import DomainError, FlipIllegal, NonCompactOrthocircle, SurgeryDiverged
 from hidra.flips import (
     HeldTriangulation,
@@ -448,8 +449,9 @@ class TestIncrementalAgainstRescan:
         assert got[0] in (DomainError, NonCompactOrthocircle)
 
 
-HELD_CASES = ["one_vertex_torus", "one_vertex_genus2", "octahedron_sphere",
-              "tetrahedron_sphere", "grid4", "grid6"]
+HELD_CASES = {"one_vertex_torus": one_vertex_torus, "one_vertex_genus2": one_vertex_genus2,
+              "octahedron_sphere": octahedron_sphere, "tetrahedron_sphere": complexes.tetrahedron_sphere,
+              "grid4": lambda: torus_grid(4), "grid6": lambda: torus_grid(6)}
 
 
 class TestHeldRowsMatchTheKernel:
@@ -457,11 +459,11 @@ class TestHeldRowsMatchTheKernel:
     random chain, every margin and flip value the held triangulation
     scores is a float equal, bit for bit, to the array kernel's."""
 
-    @given(name=st.sampled_from(HELD_CASES), seed=st.integers(0, 2**32 - 1),
+    @given(name=st.sampled_from(list(HELD_CASES)), seed=st.integers(0, 2**32 - 1),
            picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_random_flip_chains(self, name, seed, picks):
-        surface = torus_grid(int(name[4:])) if name.startswith("grid") else getattr(complexes, name)()
+        surface = HELD_CASES[name]()
         packing = random_packing(surface, np.random.default_rng(seed), tanh_range=(0.2, 0.95),
                                  inv_range=(1.05, 6.0), max_tries=5000)
         held, edges = HeldTriangulation(surface, packing), range(surface.edge_count)

@@ -199,7 +199,7 @@ class TestOrthocircle:
         assert math.cosh(rho) ** 2 == pytest.approx(1.25, abs=1e-12)
 
     def test_cosh_sinh_consistency_random(self, rng):
-        from hidra.complexes import one_vertex_genus2
+        from conftest import one_vertex_genus2
 
         surface = one_vertex_genus2()
         from hidra.checks import random_packing
@@ -265,7 +265,7 @@ class TestLocalDelaunay:
 
     def test_margin_routes_agree_in_sign(self, rng):
         from hidra.checks import random_packing
-        from hidra.complexes import one_vertex_genus2
+        from conftest import one_vertex_genus2
 
         surface = one_vertex_genus2()
         agreements = 0
@@ -285,7 +285,7 @@ class TestLocalDelaunay:
     def test_flip_negates_the_decision(self, rng):
         # a strictly non-Delaunay hinge becomes Delaunay after its flip
         from hidra.checks import random_packing
-        from hidra.complexes import one_vertex_genus2
+        from conftest import one_vertex_genus2
         from conftest import flipped
 
         surface = one_vertex_genus2()
@@ -317,7 +317,8 @@ class TestDelaunayCompactnessContainment:
         # non-negative (the kernel's margins without the compactness
         # gate), every face must have Xi > 0, and Xi > 0 must imply the
         # triangle inequalities on that face
-        from hidra.complexes import one_vertex_genus2, one_vertex_torus
+        from conftest import one_vertex_genus2
+        from hidra.complexes import one_vertex_torus
 
         delaunay_states = 0
         for builder in (one_vertex_torus, one_vertex_genus2):
@@ -362,7 +363,7 @@ class TestDevelopFaceInDisk:
 
     def test_random_faces_reproduce_distances(self, rng):
         from hidra.checks import random_packing
-        from hidra.complexes import one_vertex_genus2
+        from conftest import one_vertex_genus2
 
         surface = one_vertex_genus2()
         for _ in range(10):

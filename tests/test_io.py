@@ -21,12 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import checkerboard_packing, dumps_mesh, torus_grid, unchecked_packing
+from conftest import (
+    checkerboard_packing, dumps_mesh, one_vertex_genus2, torus_grid, unchecked_packing,
+)
 from mesh_oracle import parse_mesh_loops
 import hidra
 from hidra import errors
 from hidra.cli import main
-from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
+from hidra.complexes import octahedron_sphere, one_vertex_torus
 from hidra.errors import HidraError, ParseError, ValidationError
 from hidra.geometry import Packing
 from hidra.meshio import (
@@ -324,6 +326,68 @@ class TestReports:
         assert len(built) == 1
         assert None not in [e["delaunay_margin"] for e in report["edges"]]
         assert None not in [v["K"] for v in report["vertices"]]
+
+
+    @pytest.mark.parametrize("case", [
+        "torus1", "genus2", "octahedron", "grid4",
+        "degenerate", "torus1:r180", "torus1:i1e300", "non_compact",
+    ])
+    def test_report_columns_are_the_kernel_arrays(self, case):
+        """Each vertex and face column is the array kernel's, null where a
+        face fails its check; summed as the kernel sums them, the face
+        areas are the total area, bit for bit."""
+        from hidra.geometry import SurfaceMetrics, curvatures
+
+        surface, packing = report_case(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = build_report(status="converged", surface=surface, packing=packing)
+        m, everywhere = SurfaceMetrics(surface, packing), [True] * surface.face_count
+        has_angles = (m.domain_ok & m.angle_ok).tolist()
+        try:
+            K, area = curvatures(surface, packing, m)
+        except errors.DomainError:
+            K, area = np.full(surface.vertex_count, np.nan), None
+        faces, vertices = report["faces"], report["vertices"]
+        assert [f["xi"] for f in faces] == masked(m.xi.tolist(), everywhere)
+        assert [f["delta"] for f in faces] == masked(m.delta.tolist(), everywhere)
+        assert [f["area"] for f in faces] == masked(m.face_areas.tolist(), has_angles)
+        assert [f["angles"] for f in faces] == masked(m.unchecked_angles.tolist(), has_angles)
+        compact = (m.domain_ok & (m.xi > 0.0)).tolist()
+        assert [f["rho"] for f in faces] == masked([math.asinh(v) for v in m.sinh_rho.tolist()], compact)
+        assert [f["corners"] for f in faces] == surface.corners.tolist()
+        assert [f["sides"] for f in faces] == surface.sides.tolist()
+        assert [v["K"] for v in vertices] == masked(K.tolist(), [True] * len(K))
+        assert [v["radius"] for v in vertices] == packing.radii.tolist()
+        assert report["global"]["total_area"] == area
+        if area is not None:
+            assert np.sum(np.array([f["area"] for f in faces])) == area
+
+
+def report_case(name):
+    """(surface, packing) of a valid packing (a fixture, a checkerboard
+    grid) or of an invalid one: a degenerate face, an overflowing length
+    or Xi, a non-compact face."""
+    if name == "grid4":
+        surface = torus_grid(4)
+        return surface, checkerboard_packing(surface, 4, np.random.default_rng(0))
+    if name == "non_compact":
+        surface = octahedron_sphere()
+        return surface, unchecked_packing(surface, np.random.default_rng(0), inv_range=(1.05, 12.0))
+    if name == "degenerate":
+        return one_vertex_torus(), Packing(np.array([30.0, 2.0, 2.0]), np.array([math.atanh(0.5)]))
+    surface, packing, _ = parse_mesh(open(fixture_path(name.split(":")[0] + ".json"), "rb").read())
+    if name.endswith(":r180"):
+        return surface, Packing(packing.inv, np.full(1, 180.0))
+    if name.endswith(":i1e300"):
+        return surface, Packing(np.r_[1e300, packing.inv[1:]], packing.radii)
+    return surface, packing
+
+
+def masked(values, ok):
+    """Report cells: None where ``ok`` is false or a number is not finite."""
+    return [v if k and not (isinstance(v, float) and not math.isfinite(v)) else None
+            for v, k in zip(values, ok)]
 
 
 def indent2(doc):
@@ -654,8 +718,9 @@ class TestCLI:
     def test_one_kernel_per_cli_report(self, tmp_path, monkeypatch, command, kernels):
         """validate and curvature evaluate the array kernel once, for
         their checks and the report; delaunay twice, for its entry margin
-        scan and the flipped state, and none per flip.  The report is
-        the one build_report makes with its own kernel, byte for byte."""
+        scan and the flipped state, and none per flip.  Each evaluates
+        the curvatures once, for the report.  The report is the one
+        build_report makes with its own kernel, byte for byte."""
         from hidra.flips import make_weighted_delaunay
         from hidra.geometry import SolveState, SurfaceMetrics
         from hidra.meshio import mesh_document
@@ -682,13 +747,34 @@ class TestCLI:
             init(self, surface, packing)
 
         monkeypatch.setattr(SurfaceMetrics, "__init__", counted)
+        evaluated, curvatures = [], hidra.curvatures
+        for module in [m for name, m in sys.modules.items() if name.startswith("hidra")]:
+            for attr, value in list(vars(module).items()):
+                if value is curvatures:
+                    monkeypatch.setattr(module, attr, lambda *a, **k: evaluated.append(1) or curvatures(*a, **k))
         assert self.run(command, str(mesh), "--out", str(out)) == 0
         assert len(built) == kernels
+        assert len(evaluated) == 1
         assert out.read_text() == dumps_report(expected)
+
+    @pytest.mark.parametrize("fixture", ["torus1.json", "genus2.json", "octahedron.json"])
+    def test_delaunay_reports_as_validate_does(self, tmp_path, fixture):
+        """On a mesh that needs no flip, delaunay's sections are validate's:
+        the mesh's target as Kbar, and no spectrum sign or potential,
+        since no Hessian or potential was taken."""
+        reports = {}
+        for command in ("validate", "delaunay"):
+            out = tmp_path / f"{command}.json"
+            assert self.run(command, fixture_path(fixture), "--out", str(out)) == 0
+            reports[command] = json.loads(out.read_text())
+        delaunay = reports["delaunay"]
+        assert delaunay.pop("mesh") and delaunay["flip_log"] == []
+        for key in ("global", "vertices", "edges", "faces"):
+            assert delaunay[key] == reports["validate"][key]
+        assert delaunay["global"]["hessian_spectrum_sign"] is None and delaunay["global"]["potential"] is None
 
     def test_delaunay_budget_overrun_keeps_flip_log_and_digest(self, tmp_path):
         from hidra.checks import random_packing
-        from hidra.complexes import one_vertex_genus2
         from hidra.flips import make_weighted_delaunay
 
         surface, rng = one_vertex_genus2(), np.random.default_rng(0)
@@ -697,7 +783,7 @@ class TestCLI:
             if len(make_weighted_delaunay(surface, packing)[2]) >= 3:
                 break
         mesh = tmp_path / "in.json"
-        mesh.write_text(dumps_mesh(surface, packing))
+        mesh.write_text(dumps_mesh(surface, packing, target=[-0.5]))
         out = tmp_path / "report.json"
         code = self.run("delaunay", str(mesh), "--flip-budget", "2", "--out", str(out))
         assert code == 4
@@ -707,6 +793,9 @@ class TestCLI:
         assert len(report["flip_log"]) == 2
         assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
         assert report["global"]["edge_count"] == 9
+        # The mesh's target, and no spectrum sign or potential: none was taken.
+        assert [v["Kbar"] for v in report["vertices"]] == [-0.5]
+        assert report["global"]["hessian_spectrum_sign"] is None and report["global"]["potential"] is None
 
     @staticmethod
     def octahedron_mesh(tmp_path, seed):
@@ -1264,6 +1353,42 @@ class TestCLI:
         for name in ("genus2.report.json", "octahedron.report.json"):
             report = json.loads((out_dir / name).read_text())
             assert report["status"] == "converged"
+
+    @pytest.mark.parametrize("jobs, meshes, workers", [(8, 2, 2), (2, 3, 2), (1, 2, None)])
+    def test_pool_has_no_more_workers_than_jobs(self, monkeypatch, capsys, jobs, meshes, workers):
+        # The pool starts all max_workers at its first job: --jobs 8 on two
+        # meshes must not fork eight workers.  A recording fake stands in.
+        import concurrent.futures
+
+        made = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        fixtures = [fixture_path(f"{name}.json") for name in ("torus1", "genus2", "octahedron")]
+        assert self.run("curvature", *fixtures[:meshes], "--jobs", str(jobs)) == 0
+        assert made == ([] if workers is None else [workers])
+        assert capsys.readouterr().out.count("gauss_bonnet_residual") == meshes
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_invalid_input(self, tmp_path, capsys, jobs):
+        for meshes in (["torus1.json"], ["torus1.json", "genus2.json"]):
+            out = tmp_path / "out"
+            code = self.run("curvature", *map(fixture_path, meshes), "--jobs", jobs, "--out", str(out))
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: --jobs {jobs} must be at least 1\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("case, code, status", [
         ("--dt=0", 2, "invalid_input"),

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import two_triangle_sphere, unchecked_packing
+from conftest import one_vertex_genus2, two_triangle_sphere, unchecked_packing
 from hidra.checks import random_packing
-from hidra.complexes import octahedron_sphere, one_vertex_genus2, one_vertex_torus
+from hidra.complexes import octahedron_sphere, one_vertex_torus
 from hidra.errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
 from hidra.flips import surface_delaunay_margins
 from hidra import geometry

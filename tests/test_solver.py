@@ -21,6 +21,7 @@ from conftest import (
     explicit_flow,
     held_bare,
     hessian_fd,
+    one_vertex_genus2,
     replay_flips_reversed,
     ricci_potential,
     surfaces_isomorphic,
@@ -32,7 +33,6 @@ from hidra import flips, solver
 from hidra.checks import random_packing
 from hidra.complexes import (
     octahedron_sphere,
-    one_vertex_genus2,
     one_vertex_torus,
     tetrahedron_sphere,
 )

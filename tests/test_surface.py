@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import held_bare, surfaces_isomorphic, torus_grid, two_triangle_sphere
+from conftest import (
+    GENUS2_FACES, held_bare, one_vertex_genus2, surfaces_isomorphic, torus_grid, two_triangle_sphere,
+)
 from hidra.complexes import (
     octahedron_sphere,
-    one_vertex_genus2,
+    one_vertex_genus,
     one_vertex_torus,
     tetrahedron_sphere,
 )
@@ -24,7 +26,8 @@ from hidra.errors import (
     NotTriangulable,
 )
 from hidra.flips import flip_edge
-from hidra.meshio import load_mesh
+from hidra.geometry import Packing
+from hidra.meshio import dumps_report, load_mesh, mesh_document, parse_mesh
 from hidra.surface import HingeView, build_surface, euler_characteristic, hinge
 from surface_oracle import build_surface_loops
 
@@ -111,6 +114,26 @@ class TestEulerCharacteristic:
 
     def test_sphere(self, sphere2):
         assert euler_characteristic(sphere2) == 2
+
+
+class TestOneVertexGenus:
+    def test_genus2_equals_the_hand_table(self):
+        table, surface = build_surface(1, [(0, 0)] * 9, GENUS2_FACES), one_vertex_genus(2)
+        for name in ("edges", "corners", "sides"):
+            np.testing.assert_array_equal(getattr(surface, name), getattr(table, name))
+
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_counts_and_euler_characteristic(self, g):
+        surface = one_vertex_genus(g)
+        assert (surface.vertex_count, surface.edge_count, surface.face_count) == (1, 6 * g - 3, 4 * g - 2)
+        assert euler_characteristic(surface) == 2 - 2 * g
+
+    def test_genus3_round_trips_through_the_mesh_document(self):
+        surface = one_vertex_genus(3)
+        packing = Packing(np.full(surface.edge_count, 1.5), np.full(1, 0.6))
+        back, _, _ = parse_mesh(dumps_report(mesh_document(surface, packing)))
+        for name in ("edges", "corners", "sides"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(surface, name))
 
 
 class TestHinge:
