@@ -73,7 +73,8 @@ def r_from_u(u):
 class SolveState:
     """Result of a curvature-prescription run or of flip surgery alone.
     Omitted, ``u`` is u_from_r of the radii; surgery alone has no target, curvature,
-    area, potential or spectrum sign, 0 iterations and, by default, status converged."""
+    area, potential or spectrum sign, 0 iterations and, by default, status converged.
+    ``metrics``, if given, is the array kernel of the state's surface and packing."""
 
     surface: object
     packing: Packing
@@ -87,6 +88,7 @@ class SolveState:
     trace: list = field(default_factory=list)
     potential: float = None
     hessian_sign: int = None
+    metrics: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u is None:
@@ -227,6 +229,16 @@ class SurfaceMetrics:
         )
         self.cosh_lengths = C
 
+    def row(self, b):
+        """Row ``b`` of a batch as the kernel of its packing alone, the arrays
+        evaluated so far copied out, so that the batch can be freed."""
+        shared, rows = ("surface", "corners", "inv", "delta"), {}  # no batch axis; one copy per array
+        out = object.__new__(SurfaceMetrics)
+        out.__dict__ = {k: v if k in shared else rows.setdefault(id(v), v[b].copy())
+                        for k, v in vars(self).items() if k != "packing"}
+        out.packing = Packing(self.packing.inv, self.packing.radii[b].copy())
+        return out
+
     def check(self, ok, error):
         """Raise for the lowest face failing the domain test (DomainError)
         or the (..., F) mask ``ok`` (``error(face, at)``, with ``at`` the
@@ -343,8 +355,8 @@ def curvatures(surface, packing, metrics=None):
     Corner angles come from the array kernel (``metrics`` if given);
     those at self-glued faces count with multiplicity.  The returned
     pair satisfies sum(K) = 2*pi*chi + area by construction.  A batch of
-    (B, V) radii rows gives (B, V) curvatures and (B,) areas, and raises
-    as the kernel does for its first row at fault.
+    (B, V) radii rows gives (B, V) curvatures and (B,) areas, each row bit
+    for bit its packing's alone, and raises as the kernel does for its first row at fault.
     """
     metrics = metrics or SurfaceMetrics(surface, packing)
     angles = metrics.angles
@@ -352,7 +364,7 @@ def curvatures(surface, packing, metrics=None):
     # One bincount for all rows: row b's vertex ids are offset by b * n.
     index = surface.corners.ravel() + n * np.arange(math.prod(rows))[:, None]
     angle_sum = np.bincount(index.ravel(), angles.ravel(), n * len(index))
-    area = np.sum(metrics.face_areas, axis=-1)
+    area = np.sum(np.ascontiguousarray(metrics.face_areas), axis=-1)
     return 2.0 * math.pi - angle_sum.reshape(rows + (n,)), area if rows else float(area)
 
 

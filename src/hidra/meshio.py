@@ -82,7 +82,10 @@ def _numbers(values, ids, message):
     that is not a JSON number raises ValidationError(message.format(its id))."""
     if not set(map(type, values)) <= {int, float}:
         _each([type(v) in (int, float) for v in values], ids, message)
-    return np.array(list(map(_float, values)), dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array(list(map(_float, values)), dtype=float)
 
 
 def parse_mesh(data):
@@ -243,8 +246,8 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
     Always schema-valid, even for failed runs: geometric sections are
     filled only as far as the state allows, and the status field is
     always populated.  Record sections are Records, their columns taken
-    from one evaluation of the array kernel (``metrics``, the caller's
-    kernel of the same surface and packing, if given); the Hessian
+    from one evaluation of the array kernel (``metrics``, the caller's or
+    the state's kernel of the same surface and packing, if any); the Hessian
     spectrum sign is the one recorded on ``state``, taken at the
     solver's exit state.
     """
@@ -252,6 +255,7 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
     report.update(dict.fromkeys(("global", "vertices", "edges", "faces", "flip_log", "iteration_trace")))
     if state is not None:
         surface, packing, target, trace = state.surface, state.packing, state.target, state.trace
+        metrics = metrics or state.metrics
         report["iteration_trace"] = Records(
             len(trace), {key: [row[key] for row in trace] for key in trace[:1] and trace[0]}
         )

@@ -73,26 +73,39 @@ def hessian(surface, packing, metrics=None):
     vertex pairs.  The analytic matrix is symmetric up to roundoff and
     is averaged with its transpose.
     """
-    from scipy.sparse import csc_array  # imported on use: the CLI loads without scipy
+    return _Plan().fill(surface, metrics or SurfaceMetrics(surface, packing))
 
-    metrics = metrics or SurfaceMetrics(surface, packing)
-    indptr, indices, slot = surface.hessian_pattern
+
+def _hessian_values(surface, metrics):
+    """The data of ``hessian`` on ``surface.hessian_pattern``, from the kernel ``metrics``."""
+    _, indices, slot = surface.hessian_pattern
     # dK_m/du_n = -(d angle_m / d r_n) dr_n/du_n, and dr/du = sinh r;
     # a face's entries (m, n) and (n, m) are transposes.
     data = -metrics.angle_radius_jacobian() * metrics.sinh_r[surface.corners][:, None, :]
     data = 0.5 * (data + data.transpose(0, 2, 1))
-    values = np.bincount(slot, data.ravel(), len(indices))
-    n = surface.vertex_count
-    return csc_array((values, indices, indptr), shape=(n, n))
+    return np.bincount(slot, data.ravel(), len(indices))
 
 
 class _Plan:
-    """A run's plan for the Hessians of its triangulation, empty until
-    their first factorization orders them (``order``); then ``matrix``,
-    their pattern permuted to that order, whose data ``gather`` indexes
-    in H's, so that each later factorization is numeric only."""
+    """A run's plan for the Hessians of its triangulation: ``fill`` writes
+    one into ``matrix``, its diagonal at ``diagonal``.  Their first
+    factorization orders them (``order``) and permutes ``matrix``, its data
+    then gathered by ``gather`` from H's, so each later one is numeric only."""
 
     order = None
+
+    def fill(self, surface, metrics):
+        """``matrix`` holding the Hessian at ``metrics``; a new one until the plan is ordered."""
+        from scipy.sparse import csc_array  # imported on use: the CLI loads without scipy
+
+        values = _hessian_values(surface, metrics)
+        if self.order is not None:
+            np.take(values, self.gather, out=self.matrix.data)
+            return self.matrix
+        (indptr, indices, _), n = surface.hessian_pattern, surface.vertex_count
+        self.diagonal = np.flatnonzero(indices == np.repeat(np.arange(n), np.diff(indptr)))
+        self.matrix = csc_array((values, indices, indptr), shape=(n, n))
+        return self.matrix
 
 
 class _Factor(namedtuple("_Factor", "lu order")):
@@ -109,15 +122,16 @@ def _factor(H, plan=None):
     pivots: when no row is swapped it is P H P^T = L D L^T with D the
     diagonal of U.  The first factorization on ``plan``, the _Plan of H's
     pattern (a new one when None), orders and fills it; later ones refactor
-    in its order.  SuperLU's supernode relaxation and panel size are fixed
-    by measurement.  None when SuperLU finds H exactly singular."""
+    in its order, from H's values unless H is its ``matrix``.  SuperLU's
+    supernode relaxation and panel size are fixed by measurement.  None
+    when SuperLU finds H exactly singular."""
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
     plan = plan or _Plan()
     if fresh := plan.order is None:
         H = csc_array(H)
-    else:
+    elif H is not plan.matrix:
         np.take(H.data, plan.gather, out=plan.matrix.data)
     try:
         lu = splu(H if fresh else plan.matrix, permc_spec="MMD_AT_PLUS_A" if fresh else "NATURAL",
@@ -133,6 +147,7 @@ def _factor(H, plan=None):
         keys = keys[plan.gather]
         plan.matrix = csc_array((H.data[plan.gather], (keys % n).astype(np.intc),
                                  np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)), shape=(n, n))
+        plan.diagonal = np.flatnonzero(keys % n == keys // n)
         plan.order = np.argsort(lu.perm_c)
     return _Factor(lu, np.arange(n) if fresh else plan.order)
 
@@ -218,6 +233,7 @@ def segment_potential(
     flip_budget=None,
     iteration=0,
     forms=None,
+    metrics=None,
 ):
     """Integral of (K - Kbar) . du over the straight u-segment.
 
@@ -243,12 +259,16 @@ def segment_potential(
     any such quadrature node, raises the single-packing kernel's
     exception there.  ``forms`` are the caller's ``_cosh_forms`` of the
     start triangulation, built here when None.  s = 0 is ``packing``'s
-    own radii, where a zero-length segment ends after its entry flips.
+    own radii, where a zero-length segment ends after its entry flips, at
+    ``metrics`` (the caller's kernel of ``packing``) if it flips nothing.
 
     Returns (value, end_surface, end_packing, wall_flip_events,
-    end_forms); the end packing carries the radii of u_end.  A target of
-    None walks the segment, flips and all, without quadrature, and the
-    value is 0.  The segment's flips go to one log, which each wall's
+    end_forms, end_metrics, end_curvature, end_area): the end packing
+    carries the radii of u_end; its kernel, curvatures and area are the
+    extra row that the first quadrature batch of the last piece (which
+    ends at s = 1) carries, else built here.  A target of None walks the
+    segment, flips and all, without quadrature, and the value is 0.  The
+    segment's flips go to one log, which each wall's
     ``make_weighted_delaunay`` extends and whose length the flip budget
     bounds: an overrun is that loop's SurgeryDiverged, carrying every
     flip of the segment so far.
@@ -265,12 +285,28 @@ def segment_potential(
         """Packing at s, or a batch of them for an array of s."""
         return Packing(inv, r_from_u(u_start + np.multiply.outer(s, du)))
 
-    def integrand(s):
-        K, _ = curvatures(surf, packing_at(s))
-        return (K - target) @ du
+    end = []  # the end's kernel, curvatures and area
+
+    def integrand(s, carry):
+        """(K - Kbar) . du at the points s; ``carry`` adds u_end's row to the batch, kept in ``end``."""
+        u = u_start + np.multiply.outer(s, du)
+        m = SurfaceMetrics(surf, Packing(inv, r_from_u(np.vstack([u, u_end]) if carry else u)))
+        K, area = curvatures(surf, m.packing, m)
+        if carry:
+            end[:] = m.row(-1), K[-1].copy(), float(area[-1])
+        return (K[:len(s)] - target) @ du
 
     def piece(a, b):
-        return 0.0 if target is None or b - a < 1e-14 else _integrate(integrand, a, b)
+        return 0.0 if target is None or b - a < 1e-14 else _integrate(
+            lambda s: integrand(s, b == 1.0 and not end), a, b)
+
+    def finish(value):
+        """The walk's result; the end's kernel unless a batch carried it."""
+        if not end:
+            m = metrics if metrics and not (du.any() or events) else SurfaceMetrics(
+                surf, Packing(inv, r_from_u(u_end) if du.any() else packing.radii))
+            end[:] = m, *curvatures(surf, m.packing, m)
+        return value, surf, end[0].packing, events, forms, *end
 
     def flip_to_delaunay(pk):
         nonlocal surf, inv, forms
@@ -325,7 +361,7 @@ def segment_potential(
         flip_to_delaunay(packing)
         clear = certified([0.0], [1.0])[0]
     if not du.any():
-        return 0.0, surf, Packing(inv, packing.radii), events, forms
+        return finish(0.0)
     total = piece_start = s_pos = 0.0
     while not clear:
         grid = np.r_[s_pos, np.arange(int(s_pos * SCAN_GRID) + 1, SCAN_GRID + 1) / SCAN_GRID]
@@ -339,7 +375,7 @@ def segment_potential(
         piece_start, s_pos = lo, hi
         clear = certified([hi], [1.0])[0]
     total += piece(piece_start, 1.0)
-    return total, surf, Packing(inv, r_from_u(u_end)), events, forms
+    return finish(total)
 
 
 def _clamped_step(u, delta):
@@ -353,7 +389,7 @@ def _clamped_step(u, delta):
     return out
 
 
-_Trial = namedtuple("_Trial", "d_pot surface packing flips forms u metrics curvature total_area")
+_Trial = namedtuple("_Trial", "d_pot surface packing flips forms metrics curvature total_area u")
 
 
 class _Run:
@@ -384,29 +420,27 @@ class _Run:
                 f"vertex {v} has radius {packing.radii[v]}, where u = log tanh(r/2) rounds to 0"
             )
         self.flip_log, self.trace, self.potential, self.steps, self.forms = [], [], 0.0, -1, None
-        self.curvature, self.total_area = curvatures(surface, packing, self.metrics)
         try:  # flips keep the radii, so u stays
-            _, self.surface, self.packing, self.flip_log, self.forms = self.step(self.u, False, 0)
+            (_, self.surface, self.packing, self.flip_log, self.forms, self.metrics, self.curvature,
+             self.total_area) = self.step(self.u, False, 0)
         except NonCompactOrthocircle as exc:
+            self.curvature, self.total_area = curvatures(surface, packing, self.metrics)
             raise SurgeryDiverged(str(exc), state=self.state("surgery_diverged", 0)) from exc
         self.steps, self.plan = 0, _Plan()
-        if self.flip_log:
-            self.metrics = SurfaceMetrics(self.surface, self.packing)
-            self.curvature, self.total_area = curvatures(self.surface, self.packing, self.metrics)
 
     error = SolveState.max_error  # read on the run's own curvature and target
 
     def step(self, u_try, track_potential, iterations):
-        """(d_pot, surface, packing, flips, forms) at u_try, weighted
-        Delaunay, where ``segment_potential``'s walk of the segment from
-        the run's point ends, flipping at each wall, with its end forms;
-        untracked, the walk has no quadrature and d_pot is 0.  A
+        """``segment_potential``'s walk of the segment from the run's point
+        to u_try, flipping at each wall: its values at the end, weighted
+        Delaunay; untracked, the walk has no quadrature and d_pot is 0.  A
         flip-budget overrun raises SurgeryDiverged with the run so far,
         where the flips stopped, reporting ``iterations``."""
         try:
             return segment_potential(
                 self.surface, self.packing, self.target if track_potential else None,
                 self.u, u_try, self.tol_delaunay, self.flip_budget, self.steps + 1, self.forms,
+                self.metrics,
             )
         except SurgeryDiverged as exc:
             raise SurgeryDiverged(
@@ -414,17 +448,13 @@ class _Run:
             ) from exc
 
     def trial(self, u_try, track_potential, iterations):
-        """The _Trial at the end of the step to u_try: the step's
-        (d_pot, surface, packing, flips, forms), u_try, and the one kernel
-        and curvature there; None when the walk or that kernel meets a
+        """The _Trial at the end of the step to u_try: the step's values
+        and u_try; None when the walk, its end kernel included, meets a
         point outside the domain or a non-compact face."""
         try:
-            d_pot, surface, packing, flips, forms = self.step(u_try, track_potential, iterations)
-            metrics = SurfaceMetrics(surface, packing)
-            K, area = curvatures(surface, packing, metrics)
+            return _Trial(*self.step(u_try, track_potential, iterations), u_try)
         except (DegenerateTriangle, DomainError, NonCompactOrthocircle):
             return None
-        return _Trial(d_pot, surface, packing, flips, forms, u_try, metrics, K, area)
 
     def accept(self, trial, row):
         """Move the run to a trial point and append its trace row:
@@ -432,8 +462,8 @@ class _Run:
         place of the keys it already holds."""
         if trial.surface is not self.surface:  # flipped: a new Hessian pattern
             self.plan = _Plan()
-        (d_pot, self.surface, self.packing, flips, self.forms, self.u, self.metrics,
-         self.curvature, self.total_area) = trial
+        (d_pot, self.surface, self.packing, flips, self.forms, self.metrics, self.curvature,
+         self.total_area, self.u) = trial
         self.potential += d_pot
         self.steps += 1
         self.flip_log += flips
@@ -441,14 +471,15 @@ class _Run:
         self.trace.append(row)
 
     def state(self, status, iterations, sign=0, stop=None):
-        """The SolveState of an exit at the run's point, or for a
-        flip-budget overrun at ``stop``, where the flips stopped: its
+        """The SolveState of an exit at the run's point, with its kernel, or
+        for a flip-budget overrun at ``stop``, where the flips stopped: its
         curvature taken there, its flips following the run's."""
         at = stop or self
         K, area = curvatures(at.surface, at.packing) if stop else (at.curvature, at.total_area)
         return SolveState(
             at.surface, at.packing, at.u, self.target, K, area, status, iterations,
             self.flip_log + (stop.flip_log if stop else []), self.trace, self.potential, sign,
+            None if stop else self.metrics,
         )
 
 
@@ -490,7 +521,7 @@ def newton_solve(
     """
     run = _Run(surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations)
     for iteration in itertools.count(1):
-        H = hessian(run.surface, run.packing, metrics=run.metrics)
+        H = run.plan.fill(run.surface, run.metrics)
         if run.error <= tol:
             return run.state(STATUS_CONVERGED, iteration - 1, hessian_spectrum_sign(H, run.plan))
         if iteration > max_iterations:
@@ -505,6 +536,7 @@ def newton_solve(
 
         residual = run.curvature - run.target
         delta = lu.solve(-residual)
+        del lu  # the line search takes no factor: its L and U are freed before the trials' kernels
         sup = float(np.max(np.abs(delta)))
         if sup > 1.0:
             delta *= 1.0 / sup
@@ -543,9 +575,9 @@ def ricci_flow(
     any dt, Newton's step as dt grows.  A step is accepted, and dt
     doubled, if it moves u and the potential along its segment does not
     rise (so the trace's potential never does); it ends where the
-    segment ends, carried there by its wall flips.  A failed step, or
-    one meeting a face outside the domain or a non-compact one, halves
-    dt (FlowStalled below MIN_FLOW_DT).  Stops at max|K - Kbar| <= tol,
+    segment ends, carried there by its wall flips.  A failed step (also
+    an exactly singular I/dt + H, or a face outside the domain or non-compact)
+    halves dt (FlowStalled below MIN_FLOW_DT).  Stops at max|K - Kbar| <= tol,
     after ``max_iterations`` steps, or once t, the sum of accepted dt,
     reaches t_max (none by default).  DomainError unless dt is positive
     and finite, t_max is a non-negative number and the other settings
@@ -561,11 +593,13 @@ def ricci_flow(
     run = _Run(surface, packing, target, tol, tol_delaunay, flip_budget, max_iterations)
     t = 0.0
     while not (run.error <= tol or t >= t_max or run.steps >= max_iterations):
-        H = hessian(run.surface, run.packing, metrics=run.metrics)
-        diagonal = H.diagonal()
+        H = run.plan.fill(run.surface, run.metrics)
+        on_diagonal = run.plan.diagonal  # H's own, kept when a first factorization permutes the plan
+        diagonal = H.data[on_diagonal]
         while True:
-            H.setdiag(diagonal + 1.0 / dt)
-            u_try = _clamped_step(run.u, _factor(H, run.plan).solve(run.target - run.curvature))
+            H.data[on_diagonal] = diagonal + 1.0 / dt
+            lu = _factor(H, run.plan)  # None, exactly singular: the trial fails
+            u_try = run.u if lu is None else _clamped_step(run.u, lu.solve(run.target - run.curvature))
             if not np.array_equal(u_try, run.u):
                 trial = run.trial(u_try, True, run.steps)
                 if trial is not None and trial.d_pot <= 0.0:
@@ -581,5 +615,5 @@ def ricci_flow(
 
     return run.state(
         STATUS_CONVERGED if run.error <= tol else STATUS_MAX_ITERATIONS, run.steps,
-        hessian_spectrum_sign(hessian(run.surface, run.packing, metrics=run.metrics), run.plan),
+        hessian_spectrum_sign(run.plan.fill(run.surface, run.metrics), run.plan),
     )

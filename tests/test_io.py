@@ -307,7 +307,8 @@ class TestReports:
 
     def test_one_kernel_per_report(self, monkeypatch):
         """Curvatures, margins and the per-face sections of a report all
-        come from one evaluation of the array kernel."""
+        come from one evaluation of the array kernel: the report's own for
+        a state without one, else the state's, byte for byte alike."""
         from hidra.checks import random_packing
         from hidra.geometry import SurfaceMetrics
 
@@ -322,10 +323,12 @@ class TestReports:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(SurfaceMetrics, "__init__", counted)
-        report = build_report(status=state.status, digest="0" * 64, state=state)
+        report = build_report(status=state.status, digest="0" * 64, state=replace(state, metrics=None))
         assert len(built) == 1
         assert None not in [e["delaunay_margin"] for e in report["edges"]]
         assert None not in [v["K"] for v in report["vertices"]]
+        carried = build_report(status=state.status, digest="0" * 64, state=state)
+        assert len(built) == 1 and dumps_report(carried) == dumps_report(report)
 
 
     @pytest.mark.parametrize("case", [
@@ -757,6 +760,38 @@ class TestCLI:
         assert len(evaluated) == 1
         assert out.read_text() == dumps_report(expected)
 
+    @pytest.mark.parametrize("command, solver_name", [("solve", "newton_solve"), ("flow", "ricci_flow")])
+    def test_no_kernel_after_the_run(self, tmp_path, monkeypatch, command, solver_name):
+        """solve and flow report their exit state from the run's own
+        kernel: none is built once the solver returns, and the report is
+        the one build_report makes with a kernel of its own, byte for byte."""
+        from hidra import cli
+        from hidra.geometry import SurfaceMetrics
+
+        events, states, init, run = [], [], SurfaceMetrics.__init__, getattr(cli, solver_name)
+
+        def counted(self, surface, packing):
+            events.append("kernel")
+            init(self, surface, packing)
+
+        def recorded(*args, **kwargs):
+            states.append(run(*args, **kwargs))
+            events.append("returned")
+            return states[-1]
+
+        monkeypatch.setattr(SurfaceMetrics, "__init__", counted)
+        monkeypatch.setattr(cli, solver_name, recorded)
+        mesh, out = fixture_path("genus2.json"), tmp_path / "r.json"
+        assert self.run(command, mesh, "--out", str(out)) == 0
+        monkeypatch.undo()
+        assert events.count("returned") == 1 and events[-1] == "returned" and "kernel" in events
+        (state,) = states
+        assert state.metrics is not None
+        with open(mesh, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        expected = build_report(status=state.status, digest=digest, state=replace(state, metrics=None))
+        assert out.read_text() == dumps_report(expected)
+
     @pytest.mark.parametrize("fixture", ["torus1.json", "genus2.json", "octahedron.json"])
     def test_delaunay_reports_as_validate_does(self, tmp_path, fixture):
         """On a mesh that needs no flip, delaunay's sections are validate's:
@@ -1098,13 +1133,12 @@ class TestCLI:
 
     def test_solve_singular_hessian_is_reported(self, tmp_path, monkeypatch):
         from hidra import solver
-        from scipy.sparse import csr_array
 
-        def singular_hessian(surface, packing, metrics=None):
+        def singular_hessian_values(surface, metrics):
             # torus1 has one vertex: its zeroed row and column
-            return csr_array((surface.vertex_count, surface.vertex_count))
+            return np.zeros(len(surface.hessian_pattern[1]))
 
-        monkeypatch.setattr(solver, "hessian", singular_hessian)
+        monkeypatch.setattr(solver, "_hessian_values", singular_hessian_values)
         mesh, out = fixture_path("torus1.json"), tmp_path / "report.json"
         code = self.run(
             "solve", mesh, "--target-uniform", "1.0", "--out", str(out)

@@ -263,6 +263,53 @@ def test_batched_kernel_matches_single_packings(name, seed, rows, fault):
         assert_same_failure(lambda: curvatures(surface, Packing(inv, radii)), raised)
 
 
+def same_bits(row, single):
+    """Arrays equal bit for bit, or the same failure from both calls."""
+    got, want = (first_failure(call) for call in (row, single))
+    if want is not None:
+        assert type(got) is type(want) and got.face == want.face
+    else:
+        assert got is None and np.array_equal(row(), single())
+
+
+@given(
+    name=st.sampled_from(sorted(BUILDERS)),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_batch_row_is_the_single_kernel_bit_for_bit(name, seed, rows):
+    """``row(b)`` of a batch whose curvatures were taken, as the walk's
+    quadrature takes them, against SurfaceMetrics of row b's radii alone:
+    every array it copied out and every later evaluation on it equal bit
+    for bit, and so are the batch's curvature and area rows and the
+    batch's radii from a batch of u (the walk's end kernel is such a row)."""
+    surface = BUILDERS[name]()
+    rng = np.random.default_rng(seed)
+    inv = unchecked_packing(surface, rng, inv_range=(1.05, 12.0)).inv
+    u = np.log(rng.uniform(0.35, 0.9, size=(rows, surface.vertex_count)))
+    radii = geometry.r_from_u(u)
+    fine = [first_failure(lambda r=r: SurfaceMetrics(surface, Packing(inv, r)).angles) is None
+            for r in radii]
+    assume(any(fine))
+    radii = radii[fine]
+    batch = SurfaceMetrics(surface, Packing(inv, radii))
+    K, area = curvatures(surface, batch.packing, batch)
+    for b, r in enumerate(radii):
+        row, single = batch.row(b), SurfaceMetrics(surface, Packing(inv, r))
+        assert np.array_equal(r, geometry.r_from_u(u[fine][b]))
+        assert np.array_equal(row.packing.radii, r) and row.packing.inv is inv
+        copied = [k for k, v in vars(row).items() if isinstance(v, np.ndarray)]
+        assert {"cos_angles", "angles", "face_areas"} <= set(copied)
+        assert row.angles is row.unchecked_angles  # one copy of the batch's one array
+        for key in copied + ["xi", "margins"]:
+            same_bits(lambda: getattr(row, key), lambda: getattr(single, key))
+        same_bits(row.angle_radius_jacobian, single.angle_radius_jacobian)
+        K1, area1 = curvatures(surface, single.packing, single)
+        assert np.array_equal(K[b], K1) and area[b] == area1
+        assert np.array_equal(curvatures(surface, row.packing, row)[0], K1)
+
+
 def mp_cosines(radii, inv):
     """Corner cosines of one face by the hyperbolic law of cosines, in
     the working precision of mpmath (slot m opposite corner m)."""

@@ -54,6 +54,7 @@ from hidra.geometry import (
 from hidra.meshio import load_mesh
 from hidra.solver import (
     _factor,
+    _hessian_values,
     _integrate,
     curvatures,
     gauss_bonnet_residual,
@@ -600,7 +601,7 @@ class TestNewtonSolve:
 
     def test_singular_hessian_stalls_with_state(self, octahedron, rng, monkeypatch):
         pk = random_packing(octahedron, rng)
-        monkeypatch.setattr(solver, "hessian", singular_hessian)
+        monkeypatch.setattr(solver, "_hessian_values", singular_hessian_values)
         with pytest.raises(SolverStalled) as info:
             newton_solve(octahedron, pk, np.full(6, 2.5))
         state = info.value.state
@@ -614,7 +615,9 @@ class TestNewtonSolve:
         """An untracked, flip-free solve evaluates the array kernel once
         per point: the start, then each line-search trial, which also
         serves the accepted curvature, the margin scan and the next
-        Hessian."""
+        Hessian.  Tracked, every kernel after the start is a quadrature
+        batch, and the first batch of each trial's segment carries the
+        trial point as one more row: no trial builds a kernel of its own."""
         surface = torus_grid(4)
         packing = random_packing(
             surface, np.random.default_rng(5), (0.5, 0.8), (1.05, 1.5), max_tries=5000
@@ -635,6 +638,16 @@ class TestNewtonSolve:
         trials = sum(1 + round(-math.log2(row["step"])) for row in state.trace)
         assert len(built) == 1 + trials
         assert built[0] is packing
+
+        built.clear()
+        tracked = newton_solve(surface, packing, np.full(16, 0.5), tol=1e-13)
+        assert tracked.status == "converged" and tracked.iterations >= 4
+        assert tracked.flip_log == []
+        trials = sum(1 + round(-math.log2(row["step"])) for row in tracked.trace)
+        batches = [len(pk.radii) for pk in built[1:] if pk.radii.ndim == 2]
+        assert built[0] is packing and len(batches) == len(built) - 1
+        assert [rows % len(solver.KRONROD_NODES) for rows in batches].count(1) == trials
+        assert all(rows % len(solver.KRONROD_NODES) in (0, 1) for rows in batches)
 
     def test_every_step_walks_its_segment(self, monkeypatch):
         """The start and each step of an untracked solve go through
@@ -674,11 +687,11 @@ class TestNewtonSolve:
             assert state.flip_log == [] and state.trace == []
 
 
-def singular_hessian(surface, packing, metrics=None):
-    """The Hessian with the first vertex's row and column zeroed."""
-    H = hessian(surface, packing, metrics=metrics).toarray()
-    H[0, :] = H[:, 0] = 0.0
-    return csr_array(H)
+def singular_hessian_values(surface, metrics):
+    """The Hessian's values with the first vertex's row and column zeroed."""
+    indptr, indices, _ = surface.hessian_pattern
+    column = np.repeat(np.arange(surface.vertex_count), np.diff(indptr))
+    return np.where((indices == 0) | (column == 0), 0.0, _hessian_values(surface, metrics))
 
 
 def tetra_wall():
@@ -788,6 +801,37 @@ class TestRicciFlow:
         assert flips == [steps.count(row["step"]) for row in state.trace] and sum(flips) == len(steps)
         pots = [row["potential"] for row in state.trace]
         assert pots[-1] == state.potential and all(b <= a for a, b in zip(pots, pots[1:]))
+
+    def test_singular_shifted_matrix_halves_dt(self, monkeypatch):
+        # An exactly singular I/dt + H fails its trial like a step that
+        # does not lower the potential: once at dt = 0.5, the flow is the
+        # one started at dt = 0.25, whose first factorization still
+        # analyses the pattern.
+        surface, packing, target = flow_case("octahedron6")
+        want = ricci_flow(surface, packing, target, dt=0.25)
+        calls = []
+
+        def singular_once(H, plan=None):
+            calls.append(H.shape)
+            return None if len(calls) == 1 else _factor(H, plan)
+
+        monkeypatch.setattr(solver, "_factor", singular_once)
+        got = ricci_flow(surface, packing, target, dt=0.5)
+        assert got.status == want.status == "converged" and got.trace[0]["dt"] == 0.25
+        assert got.trace == want.trace and got.flip_log == want.flip_log
+        assert got.u.tobytes() == want.u.tobytes() and got.hessian_sign == want.hessian_sign == 1
+
+    def test_singular_shifted_matrices_stall_with_state(self, monkeypatch):
+        surface, packing, target = flow_case("genus2")
+        factored = []
+        monkeypatch.setattr(solver, "_factor", lambda H, plan=None: factored.append(1))
+        with pytest.raises(FlowStalled, match="^flow step size underflow$") as raised:
+            ricci_flow(surface, packing, target)
+        state = raised.value.state
+        assert (state.status, state.iterations, state.hessian_sign) == ("stalled", 0, 0)
+        assert state.trace == [] and np.array_equal(state.packing.radii, packing.radii)
+        # dt halves from its default until it falls below MIN_FLOW_DT.
+        assert len(factored) == math.ceil(math.log2(solver.DEFAULT_FLOW_DT / solver.MIN_FLOW_DT))
 
     @pytest.mark.parametrize("name", ["torus1", "genus2", "tetra_wall", "octahedron6"])
     def test_ends_where_the_explicit_flow_ends(self, name):
@@ -1025,7 +1069,7 @@ class TestSegmentAcrossWalls:
                 with pytest.raises(type(exc)):
                     segment_potential(surface, pk, target, u0, u1)
                 continue
-            value, end_surface, end_pk, events, _ = segment_potential(
+            value, end_surface, end_pk, events, *_ = segment_potential(
                 surface, pk, target, u0, u1
             )
             assert events == ref_events
@@ -1154,7 +1198,7 @@ class TestPlantedWall:
         target = np.full(6, 0.5)
         ref, ref_events = sequential_segment(surface, pk, target, u0, u1)
         assert ref_events == []  # the old march steps over the dip
-        value, end_surface, end_pk, events, _ = segment_potential(surface, pk, target, u0, u1)
+        value, end_surface, end_pk, events, *_ = segment_potential(surface, pk, target, u0, u1)
         assert [ev.edge for ev in events] == [edge, edge]  # into the dip and out
         assert surface_delaunay_margins(end_surface, end_pk).min() >= -TOL_DELAUNAY
         assert all(ev.margin_before < -TOL_DELAUNAY for ev in events)
@@ -1230,7 +1274,7 @@ class TestBatchOrder:
     @pytest.mark.parametrize("seed", [0, 4, 7])
     def test_margin_exit_before_a_non_compact_row_flips(self, seed, exits):
         surface, pk, u0, u1, face, edge, tol = planted_exit(seed)
-        value, end_surface, end_pk, events, _ = segment_potential(
+        value, end_surface, end_pk, events, *_ = segment_potential(
             surface, pk, np.full(6, 0.5), u0, u1, tol_delaunay=tol
         )
         [(_, defined, inside)] = exits(tol)
