@@ -429,10 +429,11 @@ def _cosh_forms(surface, inv):
     and Xi / prod(tanh^2 r) is the quadratic form
     sum_m (1 - I_m^2) x_m^2 + 2 sum_{m<n} (I_o + I_m I_n) x_m x_n over the
     corners (o the third slot); neither involves the radii otherwise.
-    A form is (c, p, q), (K, N) arrays with row n the sum over k of
+    A form is (c, w, p, q), (K, N) arrays with row n the sum over k of
     c x[p] x[q], or of c x[p] when q is None (the margins).  Terms on
     one monomial are merged, so a form on a single vertex (every form of
-    a one-vertex surface) is bounded exactly.
+    a one-vertex surface) is bounded exactly; w holds the sums of |c|
+    over the merged terms, which size the kernel's rounding of them.
     """
     h = surface.hinge_slots
     roots = np.stack(_margin_roots(*(inv[ids] for ids in (h.e_a, h.e_b, h.e_c, h.e_d, h.edge))))
@@ -447,20 +448,22 @@ def _cosh_forms(surface, inv):
 
 
 def _merged(c, p, q):
-    """The form (c, p, q) with the coefficients of equal monomials
-    summed onto their first term and zeroed elsewhere."""
+    """The form (c, w, p, q): the coefficients c and their magnitudes w,
+    each summed over equal monomials onto their first term, zeroed elsewhere."""
     if q is not None:
         p, q = np.minimum(p, q), np.maximum(p, q)
     key = p if q is None else p * (q.max() + 1) + q
     ordered = np.sort(key, axis=0)
     rows = np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0))
+    w = np.abs(c)
     if len(rows):
         k = key[:, rows]
         same = k[:, None, :] == k[None, :, :]
         first = ~(same & np.tri(len(k), k=-1, dtype=bool)[:, :, None]).any(axis=1)
         c = c.copy()
-        c[:, rows] = np.where(first, np.einsum("jkn,kn->jn", same, c[:, rows]), 0.0)
-    return c, p, q
+        for a in (c, w):
+            a[:, rows] = np.where(first, np.einsum("jkn,kn->jn", same, a[:, rows]), 0.0)
+    return c, w, p, q
 
 
 def _monomials(x, p, q):
@@ -481,15 +484,14 @@ def _x_range(u_start, du, lo, hi):
 def _scan_bounds(forms, x_lo, x_hi):
     """Lower bounds over each s-interval whose x ranges ``_x_range`` gives
     of every margin and every Xi form of ``_cosh_forms``, each with the
-    size of its terms, which scales its rounding: (margins, their sizes,
-    Xi forms, their sizes), arrays (B, E) and (B, F).  Each monomial
-    grows with every x > 0, so a term is smallest at the low end of the
-    x ranges when its coefficient is positive and at the high end else."""
+    size of its terms before merging, which scales its rounding: (margins,
+    their sizes, Xi forms, their sizes), arrays (B, E) and (B, F).  Each
+    monomial grows with every x > 0, so a term is smallest at the low end
+    of the x ranges when its coefficient is positive and at the high end else."""
     bounds = []
-    for c, p, q in forms:
+    for c, w, p, q in forms:
         low, high = _monomials(x_lo, p, q), _monomials(x_hi, p, q)
-        bounds += [(c * np.where(c > 0.0, low, high)).sum(axis=-2),
-                   (np.abs(c) * high).sum(axis=-2)]
+        bounds += [(c * np.where(c > 0.0, low, high)).sum(axis=-2), (w * high).sum(axis=-2)]
     return bounds
 
 

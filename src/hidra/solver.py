@@ -18,7 +18,7 @@ from .errors import (
     DegenerateTriangle, DomainError, FlowStalled, MaxIterationsExceeded, NonCompactOrthocircle,
     SolverStalled, SurgeryDiverged, TargetOutOfRange,
 )
-from .flips import check_flip_settings, make_weighted_delaunay, surface_delaunay_margins
+from .flips import check_flip_settings, make_weighted_delaunay
 from .geometry import (  # curvatures and the Gauss-Bonnet residuals: still bound here for callers
     STATUS_CONVERGED, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound,
     _gauss_bonnet_residual, _scan_bounds, _x_range, curvatures, gauss_bonnet_residual, r_from_u,
@@ -33,15 +33,16 @@ DEFAULT_FLOW_T_MAX = math.inf
 MIN_LINE_SEARCH_STEP = 1e-12
 MIN_FLOW_DT = 1e-12
 
-# The wall scan of a potential segment: the grid k / SCAN_GRID its bounds
+# The wall walk of a potential segment: the grid k / SCAN_GRID its bounds
 # certify, the points of an uncertified grid interval (its nested dyadic
-# midpoints and right end) that one kernel batch probes for the
-# interval's first wall, the rounding allowance of the bounds relative
-# to the size of their terms, and the halvings of a grid interval that
-# locate a wall.
+# midpoints and right end) probed for the interval's first wall, the
+# allowance of the forms relative to the size of their terms (four times
+# the bound on their distance from the kernel, 8 eps, that
+# test_solver.TestCoshForms checks), and the halvings of a grid interval
+# that locate a wall.
 SCAN_GRID = 64
 SCAN_POINTS = 16
-SCAN_ROUNDING = 1e-12
+SCAN_ROUNDING = 32.0 * np.finfo(float).eps
 WALL_BISECTIONS = 40
 # QUADPACK's qk15 rule (Piessens et al. 1983), symmetric about 0: on
 # [-1, 0], the 15-point Kronrod nodes and weights and the weights of its
@@ -237,26 +238,26 @@ def segment_potential(
 ):
     """Integral of (K - Kbar) . du over the straight u-segment.
 
-    The carried triangulation is followed along the segment by a
-    certified wall scan.  With x = cosh u, every Delaunay margin and the
-    sign of every face's Xi are forms in x with constant coefficients
-    between flips (``_cosh_forms``), and u stays negative, so each x is
-    monotone in s and interval arithmetic bounds every margin and every
-    Xi over a whole s-interval.  An interval whose bounds keep each
-    margin at least SCAN_ROUNDING (relative) above -tol, each Xi that
-    much above 0 and each length finite is certified to lie in the cell
-    without a kernel call.  The scan certifies s = 0 (else the entry
-    flips run), then the rest of the segment, else each interval of the
-    fixed grid k/SCAN_GRID from there on.  The kernel decides only in the
-    uncertified grid intervals, in s order: one batch at an interval's
-    SCAN_POINTS nested dyadic midpoints (the last its right end) finds
-    the first point outside the cell, and one-point bisection locates
-    the wall to WALL_BISECTIONS halvings of the interval.  The smooth
-    piece up to it is integrated by Gauss-Kronrod with bisection, and
-    flip surgery moves the scan into the next cell.  The integrand is
-    continuous across walls, so the piecewise sum is the path integral.
-    A probe whose first exit is undefined (domain, or some Xi <= 0), and
-    any such quadrature node, raises the single-packing kernel's
+    The carried triangulation is followed along the segment by a wall
+    walk on closed forms.  With x = cosh u, every Delaunay margin and
+    every Xi / prod(sinh^2 r) are forms in x with constant coefficients
+    between flips (``_cosh_forms``); u stays negative, so each x is
+    monotone in s and interval arithmetic bounds every form over an
+    s-interval.  One predicate, ``inside``, reads those bounds, allowing
+    SCAN_ROUNDING times the size of each form's terms.  The walk
+    certifies s = 0 (else the entry flips run), then the rest of the
+    segment, else each interval of the fixed grid k/SCAN_GRID from there
+    on.  In an uncertified interval the forms at SCAN_POINTS nested
+    dyadic midpoints (the last its right end) find the first point
+    outside, and bisection on them brackets the wall to WALL_BISECTIONS
+    halvings; no kernel locates it.  The piece up to the bracket's inside
+    end is integrated by Gauss-Kronrod with bisection.  At its outside
+    end the kernel decides: ``make_weighted_delaunay`` flips, or raises
+    the kernel's DomainError or NonCompactOrthocircle; flipping nothing
+    there raises DomainError, so no wall is located twice.  The
+    integrand is continuous across walls, so the piecewise sum is the
+    path integral.  A quadrature node outside the domain raises the
+    kernel's
     exception there.  ``forms`` are the caller's ``_cosh_forms`` of the
     start triangulation, built here when None.  s = 0 is ``packing``'s
     own radii, where a zero-length segment ends after its entry flips, at
@@ -280,10 +281,6 @@ def segment_potential(
     surf = surface
     inv = packing.inv.copy()
     events = []
-
-    def packing_at(s):
-        """Packing at s, or a batch of them for an array of s."""
-        return Packing(inv, r_from_u(u_start + np.multiply.outer(s, du)))
 
     end = []  # the end's kernel, curvatures and area
 
@@ -316,29 +313,20 @@ def segment_potential(
         inv = pk.inv
         forms = _cosh_forms(surf, inv)
 
-    def certified(lo, hi):
-        """Per interval [lo_b, hi_b]: whether its bounds put every point
-        of it inside the cell."""
+    def inside(lo, hi, slack=1.0):
+        """Per interval [lo_b, hi_b]: whether the forms' bounds put it inside
+        the cell.  ``slack`` +1 certifies every point of it: each margin
+        SCAN_ROUNDING times its size above -tol and each Xi form that much
+        above 0.  -1, at points (lo = hi), locates: a point is outside when
+        a margin is that much below -tol or a Xi form is not positive.  The
+        domain test is strict for both."""
         u_a, u_b, x_lo, x_hi = _x_range(u_start, du, lo, hi)
         m, m_size, q, q_size = _scan_bounds(forms, x_lo, x_hi)
         return (
-            (m >= -tol_delaunay + SCAN_ROUNDING * m_size).all(axis=-1)
-            & (q > SCAN_ROUNDING * q_size).all(axis=-1)
+            (m >= -tol_delaunay + slack * SCAN_ROUNDING * m_size).all(axis=-1)
+            & (q > (SCAN_ROUNDING * q_size if slack > 0.0 else 0.0)).all(axis=-1)
             & _domain_bound(surf, inv, u_a, u_b)
         )
-
-    def first_outside(s):
-        """Index of the first ascending point ``s`` outside the cell or
-        undefined (then raised by the single-packing kernel), or None."""
-        metrics = SurfaceMetrics(surf, packing_at(s))
-        defined = (metrics.domain_ok & (metrics.xi > 0.0)).all(axis=-1)
-        inside = defined & (metrics.unchecked_margins >= -tol_delaunay).all(axis=-1)
-        if inside.all():
-            return None
-        k = int(inside.argmin())
-        if not defined[k]:
-            surface_delaunay_margins(surf, packing_at(s[k]))
-        return k
 
     def wall(lo, hi):
         """Bracket (inside, outside) of the first wall in the grid
@@ -346,34 +334,38 @@ def segment_potential(
         s = np.array([lo, hi])
         while len(s) <= SCAN_POINTS:
             s = np.insert(s, range(1, len(s)), 0.5 * (s[:-1] + s[1:]))
-        k = first_outside(s[1:])
-        if k is None:
+        outside = ~inside(s[1:], s[1:], -1.0)
+        if not outside.any():
             return None
+        k = int(outside.argmax())
         lo, hi = s[k], s[k + 1]
         for _ in range(WALL_BISECTIONS - int(math.log2(SCAN_POINTS))):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if first_outside([mid]) is None else (lo, mid)
+            lo, hi = (mid, hi) if inside([mid], [mid], -1.0)[0] else (lo, mid)
         return lo, hi
 
     forms = _cosh_forms(surf, inv) if forms is None else forms
-    clear = certified([0.0], [1.0])[0]
-    if not clear and not certified([0.0], [0.0])[0]:
+    clear = inside([0.0], [1.0])[0]
+    if not clear and not inside([0.0], [0.0])[0]:
         flip_to_delaunay(packing)
-        clear = certified([0.0], [1.0])[0]
+        clear = inside([0.0], [1.0])[0]
     if not du.any():
         return finish(0.0)
     total = piece_start = s_pos = 0.0
     while not clear:
         grid = np.r_[s_pos, np.arange(int(s_pos * SCAN_GRID) + 1, SCAN_GRID + 1) / SCAN_GRID]
         walls = (wall(grid[k], grid[k + 1])
-                 for k in np.flatnonzero(~certified(grid[:-1], grid[1:])))
+                 for k in np.flatnonzero(~inside(grid[:-1], grid[1:])))
         if (bracket := next(filter(None, walls), None)) is None:
             break
         lo, hi = bracket
         total += piece(piece_start, lo)
-        flip_to_delaunay(packing_at(hi))
+        flips = len(events)
+        flip_to_delaunay(Packing(inv, r_from_u(u_start + hi * du)))
+        if len(events) == flips:  # the kernel finds no wall there: no loop
+            raise DomainError(f"the kernel flips no edge at the wall the forms locate at s = {hi}")
         piece_start, s_pos = lo, hi
-        clear = certified([hi], [1.0])[0]
+        clear = inside([hi], [1.0])[0]
     total += piece(piece_start, 1.0)
     return finish(total)
 
