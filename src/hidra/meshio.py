@@ -247,7 +247,8 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
     filled only as far as the state allows, and the status field is
     always populated.  Record sections are Records, their columns taken
     from one evaluation of the array kernel (``metrics``, the caller's or
-    the state's kernel of the same surface and packing, if any); the Hessian
+    the state's kernel of the same surface and packing, if any), and K and
+    the area are the state's when it carries them; the Hessian
     spectrum sign is the one recorded on ``state``, taken at the
     solver's exit state.
     """
@@ -271,7 +272,8 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
 
     metrics = metrics or SurfaceMetrics(surface, packing)
     try:
-        K, area = curvatures(surface, packing, metrics=metrics)
+        K, area = ((state.curvature, state.total_area) if getattr(state, "curvature", None) is not None
+                   else curvatures(surface, packing, metrics=metrics))
         gb = _gauss_bonnet_residual(surface, K, area)
     except DomainError:
         K = area = gb = None

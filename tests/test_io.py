@@ -763,16 +763,23 @@ class TestCLI:
     @pytest.mark.parametrize("command, solver_name", [("solve", "newton_solve"), ("flow", "ricci_flow")])
     def test_no_kernel_after_the_run(self, tmp_path, monkeypatch, command, solver_name):
         """solve and flow report their exit state from the run's own
-        kernel: none is built once the solver returns, and the report is
-        the one build_report makes with a kernel of its own, byte for byte."""
-        from hidra import cli
+        kernel, curvatures and area: no kernel is built and no curvatures
+        are evaluated once the solver returns, and the report is the one
+        build_report makes with a kernel and curvatures of its own, byte
+        for byte."""
+        from hidra import cli, meshio
         from hidra.geometry import SurfaceMetrics
 
         events, states, init, run = [], [], SurfaceMetrics.__init__, getattr(cli, solver_name)
+        curvatures = meshio.curvatures
 
         def counted(self, surface, packing):
             events.append("kernel")
             init(self, surface, packing)
+
+        def evaluated(*args, **kwargs):
+            events.append("curvatures")
+            return curvatures(*args, **kwargs)
 
         def recorded(*args, **kwargs):
             states.append(run(*args, **kwargs))
@@ -781,6 +788,7 @@ class TestCLI:
 
         monkeypatch.setattr(SurfaceMetrics, "__init__", counted)
         monkeypatch.setattr(cli, solver_name, recorded)
+        monkeypatch.setattr(meshio, "curvatures", evaluated)
         mesh, out = fixture_path("genus2.json"), tmp_path / "r.json"
         assert self.run(command, mesh, "--out", str(out)) == 0
         monkeypatch.undo()
@@ -789,7 +797,8 @@ class TestCLI:
         assert state.metrics is not None
         with open(mesh, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        expected = build_report(status=state.status, digest=digest, state=replace(state, metrics=None))
+        expected = build_report(status=state.status, digest=digest,
+                                state=replace(state, metrics=None, curvature=None, total_area=None))
         assert out.read_text() == dumps_report(expected)
 
     @pytest.mark.parametrize("fixture", ["torus1.json", "genus2.json", "octahedron.json"])

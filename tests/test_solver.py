@@ -1010,6 +1010,50 @@ class TestWallCrossingSolves:
         assert hits >= 1
 
 
+class TestUniqueness:
+    """The paper's theorem as an oracle on a surface with many vertices:
+    the packing with a prescribed curvature in a discrete conformal class
+    is unique, whatever the start and the flips taken on the way."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Four random starts on the 8 x 8 torus sharing one set of
+        inversive distances (tanh r in (0.1, 0.97), each face compact), a
+        target of mean 0.5, and each start solved by Newton and by the flow."""
+        surface, rng = torus_grid(8), np.random.default_rng(0)
+        inv, starts = rng.uniform(1.01, 3.0, len(surface.edges)), []
+        target = rng.uniform(-1.5, 1.5, surface.vertex_count)
+        target += 0.5 - target.mean()
+        while len(starts) < 4:
+            pk = Packing(inv, np.arctanh(rng.uniform(0.1, 0.97, surface.vertex_count)))
+            if (SurfaceMetrics(surface, pk).xi > 0.0).all():
+                starts.append(pk)
+        newton = [newton_solve(surface, pk, target, tol=1e-12, track_potential=False) for pk in starts]
+        flow = [ricci_flow(surface, pk, target, dt=0.5, tol=1e-12) for pk in starts]
+        return newton, flow
+
+    def test_every_start_reaches_one_packing(self, runs):
+        newton, _ = runs
+        assert all(state.status == "converged" for state in newton)
+        sequences = {tuple((ev.edge, ev.iteration) for ev in state.flip_log) for state in newton}
+        assert len(sequences) >= 2  # the starts cross different walls
+        radii = np.array([state.packing.radii for state in newton])
+        assert np.max(np.abs(radii - radii[0])) <= 1e-12
+        # One triangulation, edge ids aside: each edge's ends and its
+        # inversive distance, in sorted order.
+        cells = [sorted(zip(map(tuple, np.sort(state.surface.edges, axis=1).tolist()), state.packing.inv))
+                 for state in newton]
+        for other in cells[1:]:
+            assert [ends for ends, _ in other] == [ends for ends, _ in cells[0]]
+            assert np.allclose([i for _, i in other], [i for _, i in cells[0]], rtol=1e-12, atol=0.0)
+
+    def test_newton_and_the_flow_agree(self, runs):
+        newton, flow = runs
+        assert all(state.status == "converged" for state in flow)
+        for a, b in zip(newton, flow):
+            assert np.max(np.abs(a.packing.radii - b.packing.radii)) <= 1e-12
+
+
 def sequential_segment(surface, packing, target, u_start, u_end, tol=1e-10):
     """The per-checkpoint march with scipy's adaptive quad: the reference
     for segment_potential.  Returns (value, wall_flip_events)."""
