@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SurgeryDiverged
-from .geometry import (TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_length, _delaunay_margin,
+from .geometry import (TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _coshm1_length, _delaunay_margin,
                        _radius_functions, _xi_numerator)
 from .ptolemy import ptolemy_flip_value
 from .surface import TriSurface, hinge_from_slots, rewrite_hinge
@@ -39,7 +39,7 @@ class HeldTriangulation:
     """A triangulation and packing held for flips in place, on plain
     Python rows: the edge end pairs, the flat corners and sides (slot
     3 * face + m), each edge's two face slots in ascending order, and the
-    inversive distances and the tanh, cosh and sinh of the radii as
+    inversive distances and the tanh, sinh and cosh - 1 of the radii as
     floats, which flips keep.  ``flip_edge`` rewrites it; ``freeze``
     builds the arrays once, as a TriSurface and a Packing."""
 
@@ -47,7 +47,7 @@ class HeldTriangulation:
         self.vertex_count, self.radii, self.inv = surface.vertex_count, packing.radii, packing.inv.tolist()
         self.rows = [surface.edges.tolist(), *(rows.ravel().tolist() for rows in (surface.corners, surface.sides))]
         self.slots = np.argsort(surface.sides.ravel(), kind="stable").reshape(-1, 2).tolist()
-        self.tanh_r, self.cosh_r, self.sinh_r = (x.tolist() for x in _radius_functions(packing.radii))
+        self.tanh_r, _, self.sinh_r, self.coshm1_r = (x.tolist() for x in _radius_functions(packing.radii))
 
     def hinge(self, edge):
         return hinge_from_slots(edge, *self.slots[edge], *self.rows[1:])
@@ -64,15 +64,14 @@ class HeldTriangulation:
     def check(self, edge):
         """The kernel's checks of the two faces of ``edge``, where every
         other side passed them: its inversive distance above 1, its length
-        finite (formed in each face's slot order, so that it overflows
-        exactly where the kernel's does) and Xi > 0.  A failure raises the
+        finite (the kernel's law, the same bits in either order of its ends)
+        and Xi > 0.  A failure raises the
         kernel's own fault, which names the face.  Returns the edges of
         the two faces."""
-        h, c, s, t, inv, f = self.hinge(edge), self.cosh_r, self.sinh_r, self.tanh_r, self.inv, self.inv[edge]
+        h, k, s, t, inv, f = self.hinge(edge), self.coshm1_r, self.sinh_r, self.tanh_r, self.inv, self.inv[edge]
         i, j, (_, corners, sides) = h.v_i, h.v_j, self.rows
         faces = [range(3 * face, 3 * face + 3) for face in (h.face_k, h.face_l)]
-        if not (f > 1.0 and math.isfinite(_cosh_length(c[i], s[i], c[j], s[j], f))
-                and math.isfinite(_cosh_length(c[j], s[j], c[i], s[i], f))
+        if not (f > 1.0 and math.isfinite(_coshm1_length(k[i], s[i], k[j], s[j], f))
                 and all(_xi_numerator(*[t[corners[m]] for m in face], *[inv[sides[m]] for m in face]) > 0.0
                         for face in faces)):
             SurfaceMetrics(*self.freeze()).margins  # raises

@@ -119,9 +119,9 @@ def validate_packing(surface, packing):
     if not np.all(np.isfinite(packing.inv)) or np.any(packing.inv <= 1.0):
         raise DomainError("inversive distances must exceed 1")
     m = SurfaceMetrics(surface, packing)
-    C, S = m.cosh_lengths, m.sinh_lengths
+    X, S = m.coshm1_lengths, m.sinh_lengths  # cosh l < cosh l_n cosh l_p + sinh l_n sinh l_p, less 1
     with np.errstate(over="ignore"):  # a length past the float range fails ``angles``
-        triangle = (C < C[:, NEXT] * C[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1)
+        triangle = (X < X[:, NEXT] + X[:, PREV] + X[:, NEXT] * X[:, PREV] + S[:, NEXT] * S[:, PREV]).all(axis=1)
     m.check(triangle, lambda face, at: _degenerate(face, "violates the triangle inequalities"))
     m.angles  # raises as ``curvatures`` does on this kernel
     return m
@@ -134,18 +134,24 @@ def edge_cosh_length(r_i, r_j, inv):
         raise DomainError("radii must be positive")
     if inv <= 1.0:
         raise DomainError("inversive distance must exceed 1")
-    return _cosh_length(math.cosh(r_i), math.sinh(r_i), math.cosh(r_j), math.sinh(r_j), inv)
+    _, _, (s_i, s_j), (k_i, k_j) = _radius_functions(np.array([r_i, r_j]))
+    return 1.0 + float(_coshm1_length(k_i, s_i, k_j, s_j, inv))
 
 
-def _cosh_length(c_i, s_i, c_j, s_j, inv):
-    """The length law, from the cosh and sinh of the end radii; elementwise."""
-    return c_i * c_j + inv * s_i * s_j
+def _coshm1_length(k_i, s_i, k_j, s_j, inv):
+    """The length law as X = cosh l - 1, from k = cosh r - 1 and sinh r of
+    the end radii; elementwise: X = k_i k_j + k_i + k_j + I sinh r_i sinh r_j.
+    Every term is non-negative, so small circles lose nothing to
+    cancellation, and the value is the same bits with the ends swapped."""
+    return k_i * k_j + (k_i + k_j) + inv * (s_i * s_j)
 
 
 def _radius_functions(radii):
-    """tanh, cosh and sinh of the radii; cosh and sinh overflow to inf."""
-    with np.errstate(over="ignore"):
-        return np.tanh(radii), np.cosh(radii), np.sinh(radii)
+    """tanh, cosh, sinh and cosh - 1 of the radii, the last as
+    sinh^2 / (cosh + 1), without cancellation; cosh and sinh overflow to inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = np.cosh(radii), np.sinh(radii)
+        return np.tanh(radii), c, s, s * s / (c + 1.0)
 
 
 def auxiliary_length(r_i, r_j, inv):
@@ -217,17 +223,22 @@ class SurfaceMetrics:
         self.corners = corners = surface.corners
         radii = packing.radii
         self.inv = packing.inv[surface.sides]
-        self.tanh_r, self.cosh_r, self.sinh_r = _radius_functions(radii)
-        cr, sr = self.cosh_r[..., corners], self.sinh_r[..., corners]
+        self.tanh_r, self.cosh_r, self.sinh_r, coshm1_r = _radius_functions(radii)
+        kr, sr = coshm1_r[..., corners], self.sinh_r[..., corners]
         with np.errstate(over="ignore", invalid="ignore"):
-            C = _cosh_length(cr[..., NEXT], sr[..., NEXT], cr[..., PREV], sr[..., PREV], self.inv)
-            self.sinh_lengths = np.sqrt(np.maximum(C - 1.0, 0.0) * (C + 1.0))
+            X = _coshm1_length(kr[..., NEXT], sr[..., NEXT], kr[..., PREV], sr[..., PREV], self.inv)
+            self.sinh_lengths = np.sqrt(X * (X + 2.0))
         self.domain_ok = (
             (radii[..., corners] > 0.0).all(axis=-1)
             & (self.inv > 1.0).all(axis=-1)
-            & np.isfinite(C).all(axis=-1)
+            & np.isfinite(X).all(axis=-1)
         )
-        self.cosh_lengths = C
+        self.coshm1_lengths = X
+
+    @cached_property
+    def cosh_lengths(self):
+        """(..., F, 3) cosh of each side, 1 + ``coshm1_lengths``."""
+        return 1.0 + self.coshm1_lengths
 
     def row(self, b):
         """Row ``b`` of a batch as the kernel of its packing alone, the arrays
@@ -253,10 +264,13 @@ class SurfaceMetrics:
 
     @cached_property
     def cos_angles(self):
-        """(..., F, 3) corner cosines before clamping (law of cosines)."""
-        C, S = self.cosh_lengths, self.sinh_lengths
+        """(..., F, 3) corner cosines before clamping: the law of cosines
+        (cosh l_n cosh l_p - cosh l) / (sinh l_n sinh l_p), its numerator
+        formed from X = cosh l - 1 without cancellation."""
+        X, S = self.coshm1_lengths, self.sinh_lengths
+        Xn, Xp = X[..., NEXT], X[..., PREV]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return (C[..., NEXT] * C[..., PREV] - C) / (S[..., NEXT] * S[..., PREV])
+            return (Xn + Xp + Xn * Xp - X) / (S[..., NEXT] * S[..., PREV])
 
     @cached_property
     def angle_ok(self):
@@ -501,6 +515,6 @@ def _domain_bound(surface, inv, u_a, u_b):
     u, so this holds where it holds for the smallest and largest radii."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r_lo, r_hi = (2.0 * np.arctanh(np.exp(f(u_a, u_b))) for f in (np.minimum, np.maximum))
-        (i, j), (_, ch, sh) = surface.edges.T, _radius_functions(r_hi)
-        cosh_length = _cosh_length(ch[..., i], sh[..., i], ch[..., j], sh[..., j], inv)
-    return (r_lo > 0.0).all(axis=-1) & np.isfinite(cosh_length).all(axis=-1)
+        (i, j), (_, _, sh, km) = surface.edges.T, _radius_functions(r_hi)
+        length = _coshm1_length(km[..., i], sh[..., i], km[..., j], sh[..., j], inv)
+    return (r_lo > 0.0).all(axis=-1) & np.isfinite(length).all(axis=-1)

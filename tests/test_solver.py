@@ -49,7 +49,7 @@ from hidra.errors import (
 )
 from hidra.flips import flip_edge, make_weighted_delaunay, surface_delaunay_margins
 from hidra.geometry import (
-    TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound, _scan_bounds,
+    NEXT, PREV, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound, _scan_bounds,
     _x_range, _xi_numerator, r_from_u, u_from_r, validate_packing,
 )
 from hidra.meshio import load_mesh
@@ -1008,6 +1008,38 @@ class TestWallCrossingSolves:
             if any(ev.iteration >= 1 for ev in state.flip_log):
                 hits += 1
         assert hits >= 1
+
+
+class TestSmallCircles:
+    """A uniform target of 1e-6 takes the radii to about 4e-4, where
+    cosh l - 1 is about 1e-7: formed as cosh l, the lengths and cosines
+    lost about eps / r^2 to cancellation, and Newton and the flow stalled
+    near 1e-10.  Formed from X = cosh l - 1, both reach roundoff."""
+
+    @pytest.mark.parametrize("name", ["torus1", "grid4"])
+    def test_both_methods_converge_to_1e12(self, name):
+        if name == "torus1":
+            surface, packing, *_ = load_mesh(str(Path(hidra.__file__).parent / "fixtures" / "torus1.json"))
+        else:
+            surface = torus_grid(4)
+            packing = random_packing(surface, np.random.default_rng(0))
+        target = np.full(surface.vertex_count, 1e-6)
+        newton = newton_solve(surface, packing, target, tol=1e-12)
+        flow = ricci_flow(surface, packing, target, dt=0.5, tol=1e-12)
+        for state in (newton, flow):
+            assert state.status == "converged" and state.max_error <= 1e-12
+            assert state.packing.radii.max() < 1e-3
+
+    def test_a_radius_of_1e9_is_a_valid_near_euclidean_face(self):
+        # Formed as cosh l, torus1's lengths rounded to 0 at radius 1e-9,
+        # its cosines were 0/0 and validate rejected it.  Its faces are
+        # Euclidean to O(r^2) there: X = (1 + I) r^2 puts the sides in the
+        # ratio of sqrt(1 + I), and the angles are those of that triangle.
+        surface, packing, *_ = load_mesh(str(Path(hidra.__file__).parent / "fixtures" / "torus1.json"))
+        metrics = validate_packing(surface, Packing(packing.inv, np.full(1, 1e-9)))
+        side = np.sqrt(1.0 + metrics.inv)
+        cos = (side[:, NEXT] ** 2 + side[:, PREV] ** 2 - side ** 2) / (2.0 * side[:, NEXT] * side[:, PREV])
+        assert np.allclose(metrics.angles, np.arccos(cos), rtol=0.0, atol=1e-12)
 
 
 class TestUniqueness:
