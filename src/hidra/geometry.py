@@ -139,16 +139,14 @@ def edge_cosh_length(r_i, r_j, inv):
 
 
 def _coshm1_length(k_i, s_i, k_j, s_j, inv):
-    """The length law as X = cosh l - 1, from k = cosh r - 1 and sinh r of
-    the end radii; elementwise: X = k_i k_j + k_i + k_j + I sinh r_i sinh r_j.
-    Every term is non-negative, so small circles lose nothing to
-    cancellation, and the value is the same bits with the ends swapped."""
+    """The length law as X = cosh l - 1 from k = cosh r - 1 and sinh r of the
+    ends, elementwise: no term is negative, so small circles lose nothing
+    to cancellation, and swapping the ends keeps every bit."""
     return k_i * k_j + (k_i + k_j) + inv * (s_i * s_j)
 
 
 def _radius_functions(radii):
-    """tanh, cosh, sinh and cosh - 1 of the radii, the last as
-    sinh^2 / (cosh + 1), without cancellation; cosh and sinh overflow to inf."""
+    """tanh, cosh, sinh and cosh - 1 = sinh^2 / (cosh + 1) of the radii; cosh and sinh overflow to inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         c, s = np.cosh(radii), np.sinh(radii)
         return np.tanh(radii), c, s, s * s / (c + 1.0)
@@ -235,11 +233,6 @@ class SurfaceMetrics:
         )
         self.coshm1_lengths = X
 
-    @cached_property
-    def cosh_lengths(self):
-        """(..., F, 3) cosh of each side, 1 + ``coshm1_lengths``."""
-        return 1.0 + self.coshm1_lengths
-
     def row(self, b):
         """Row ``b`` of a batch as the kernel of its packing alone, the arrays
         evaluated so far copied out, so that the batch can be freed."""
@@ -264,9 +257,8 @@ class SurfaceMetrics:
 
     @cached_property
     def cos_angles(self):
-        """(..., F, 3) corner cosines before clamping: the law of cosines
-        (cosh l_n cosh l_p - cosh l) / (sinh l_n sinh l_p), its numerator
-        formed from X = cosh l - 1 without cancellation."""
+        """(..., F, 3) corner cosines before clamping (law of cosines, its
+        numerator cosh l_n cosh l_p - cosh l formed from X = cosh l - 1)."""
         X, S = self.coshm1_lengths, self.sinh_lengths
         Xn, Xp = X[..., NEXT], X[..., PREV]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -396,7 +388,7 @@ def face_metrics(surface, packing, face):
     lengths of its sides (slot m opposite corner m), as floats."""
     m = SurfaceMetrics(surface, packing)
     return SimpleNamespace(face=face, xi=float(m.xi[face]),
-                           cosh_lengths=tuple(m.cosh_lengths[face].tolist()))
+                           cosh_lengths=tuple((1.0 + m.coshm1_lengths[face]).tolist()))
 
 
 def hinge_delaunay_margin(surface, packing, edge):

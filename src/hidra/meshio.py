@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DomainError, MeshError, NonCompactOrthocircle, ParseError, ValidationError
 from .geometry import Packing, SurfaceMetrics, _gauss_bonnet_residual, curvatures, u_from_r
-from .hyptrig import acosh_stable
 from .surface import build_surface, euler_characteristic
 
 FORMAT_VERSION = "1.0"
@@ -282,7 +281,7 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
     except (DomainError, NonCompactOrthocircle):
         margins = None
     slots = surface.hinge_slots
-    lengths = metrics.cosh_lengths[slots.face_k, slots.side_in_k]
+    lengths = metrics.coshm1_lengths[slots.face_k, slots.side_in_k]
 
     report["global"] = {
         "chi": euler_characteristic(surface),
@@ -298,8 +297,8 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
         # inequalities), weaker than an injectivity-radius bound
         "weight_domain": "proxy",
     }
-    # The mesh's sections start the report's.  length and rho stay scalar
-    # acosh_stable and math.asinh: NumPy's log1p and arcsinh differ in last bits.
+    # The mesh's sections start the report's.  length, 2 asinh sqrt(X / 2) with
+    # X = cosh l - 1, and rho stay scalar math.asinh: NumPy's arcsinh differs in last bits.
     mesh, none = mesh_document(surface, packing, target), [None] * surface.vertex_count
     report["vertices"] = Records(surface.vertex_count, {
         **mesh["vertices"].columns,
@@ -309,7 +308,7 @@ def build_report(status, digest=None, surface=None, packing=None, target=None, s
     })
     report["edges"] = Records(surface.edge_count, {
         **mesh["edges"].columns,
-        "length": [acosh_stable(c) for c in lengths.tolist()],
+        "length": [2.0 * math.asinh(math.sqrt(0.5 * x)) for x in lengths.tolist()],
         "delaunay_margin": [None] * surface.edge_count if margins is None else margins.tolist(),
     })
     has_angles = metrics.domain_ok & metrics.angle_ok

@@ -314,12 +314,10 @@ def segment_potential(
         forms = _cosh_forms(surf, inv)
 
     def inside(lo, hi, slack=1.0):
-        """Per interval [lo_b, hi_b]: whether the forms' bounds put it inside
-        the cell.  ``slack`` +1 certifies every point of it: each margin
-        SCAN_ROUNDING times its size above -tol and each Xi form that much
-        above 0.  -1, at points (lo = hi), locates: a point is outside when
-        a margin is that much below -tol or a Xi form is not positive.  The
-        domain test is strict for both."""
+        """Per interval [lo_b, hi_b], whether the forms' bounds put it in the
+        cell: ``slack`` +1 certifies it, each margin and Xi form SCAN_ROUNDING
+        times its size clear of -tol and 0; -1 locates, at points (lo = hi),
+        a margin that much below -tol or a Xi form not positive as outside."""
         u_a, u_b, x_lo, x_hi = _x_range(u_start, du, lo, hi)
         m, m_size, q, q_size = _scan_bounds(forms, x_lo, x_hi)
         return (

@@ -52,7 +52,7 @@ from hidra.geometry import (
     NEXT, PREV, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound, _scan_bounds,
     _x_range, _xi_numerator, r_from_u, u_from_r, validate_packing,
 )
-from hidra.meshio import load_mesh
+from hidra.meshio import build_report, load_mesh
 from hidra.solver import (
     _factor,
     _hessian_values,
@@ -1036,10 +1036,14 @@ class TestSmallCircles:
         # Euclidean to O(r^2) there: X = (1 + I) r^2 puts the sides in the
         # ratio of sqrt(1 + I), and the angles are those of that triangle.
         surface, packing, *_ = load_mesh(str(Path(hidra.__file__).parent / "fixtures" / "torus1.json"))
-        metrics = validate_packing(surface, Packing(packing.inv, np.full(1, 1e-9)))
+        packing = Packing(packing.inv, np.full(1, 1e-9))
+        metrics = validate_packing(surface, packing)
         side = np.sqrt(1.0 + metrics.inv)
         cos = (side[:, NEXT] ** 2 + side[:, PREV] ** 2 - side ** 2) / (2.0 * side[:, NEXT] * side[:, PREV])
         assert np.allclose(metrics.angles, np.arccos(cos), rtol=0.0, atol=1e-12)
+        # The report's lengths, sqrt(2 X) there, not acosh(1 + X) = 0.
+        lengths = [edge["length"] for edge in build_report("converged", surface=surface, packing=packing)["edges"]]
+        assert np.allclose(lengths, 1e-9 * np.sqrt(2.0 * (1.0 + packing.inv)), rtol=1e-12, atol=0.0)
 
 
 class TestUniqueness:
