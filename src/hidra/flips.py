@@ -65,9 +65,8 @@ class HeldTriangulation:
         """The kernel's checks of the two faces of ``edge``, where every
         other side passed them: its inversive distance above 1, its length
         finite (the kernel's law, the same bits in either order of its ends)
-        and Xi > 0.  A failure raises the
-        kernel's own fault, which names the face.  Returns the edges of
-        the two faces."""
+        and Xi > 0.  A failure raises the kernel's own fault, which names
+        the face.  Returns the edges of the two faces."""
         h, k, s, t, inv, f = self.hinge(edge), self.coshm1_r, self.sinh_r, self.tanh_r, self.inv, self.inv[edge]
         i, j, (_, corners, sides) = h.v_i, h.v_j, self.rows
         faces = [range(3 * face, 3 * face + 3) for face in (h.face_k, h.face_l)]

@@ -257,9 +257,8 @@ def segment_potential(
     there raises DomainError, so no wall is located twice.  The
     integrand is continuous across walls, so the piecewise sum is the
     path integral.  A quadrature node outside the domain raises the
-    kernel's
-    exception there.  ``forms`` are the caller's ``_cosh_forms`` of the
-    start triangulation, built here when None.  s = 0 is ``packing``'s
+    kernel's exception there.  ``forms`` are the caller's ``_cosh_forms``
+    of the start triangulation, built here when None.  s = 0 is ``packing``'s
     own radii, where a zero-length segment ends after its entry flips, at
     ``metrics`` (the caller's kernel of ``packing``) if it flips nothing.
 
