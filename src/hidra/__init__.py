@@ -10,17 +10,13 @@ from .flips import FlipEvent, HeldTriangulation, flip_edge, make_weighted_delaun
 from .geometry import (
     Packing,
     SolveState,
-    auxiliary_length,
     curvatures,
     delta_discriminant,
-    edge_cosh_length,
     gauss_bonnet_residual,
     r_from_u,
     u_from_r,
     validate_packing,
-    xi_discriminant,
 )
-from .hyptrig import acosh_stable, hinge_diagonal
 from .meshio import build_report, load_mesh, mesh_document, parse_mesh
 from .ptolemy import delta_identity_residuals, ptolemy_flip_value, ptolemy_residual
 from .solver import (

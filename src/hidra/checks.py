@@ -8,6 +8,8 @@ configuration anchors the first-order matching check (dF = df) of the
 two diagonal values across a flip wall.
 
 All randomized sweeps take an explicit seed and report it for replay.
+The metric sweeps run on the array kernel the solvers use,
+``SurfaceMetrics``, never on a scalar copy of its formulas.
 """
 
 import math
@@ -18,24 +20,20 @@ import numpy as np
 from .complexes import one_vertex_genus, one_vertex_torus, tetrahedron_sphere
 from .errors import ConstructionInvalid
 from .flips import HeldTriangulation, flip_edge
-from .geometry import (
-    Packing,
-    SurfaceMetrics,
-    auxiliary_length,
-    edge_cosh_length,
-    xi_discriminant,
-)
-from .hyptrig import acosh_stable, hinge_diagonal, sinh_from_cosh
+from .geometry import NEXT, PREV, Packing, SurfaceMetrics
 from .ptolemy import (
-    delta_discriminant,
     delta_identity_residuals,
     ptolemy_flip_value,
     ptolemy_residual,
     ptolemy_residual_scale,
 )
-from .surface import hinge
+from .surface import TriSurface, hinge
 
 PARAMETER_NAMES = ("p", "q", "r", "s", "a", "b", "c", "d", "e")
+
+# The compactness sweep draws and checks its samples this many at a time,
+# on one kernel of that many faces.
+SWEEP_CHUNK = 1000
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,7 @@ def degenerate_hinge(orthoradius, radii, angles):
     ):
         raise ConstructionInvalid("angles must be strictly ordered within one turn")
 
-    dists = tuple(
-        acosh_stable(math.cosh(r) * math.cosh(orthoradius)) for r in radii
-    )
+    dists = tuple(math.acosh(math.cosh(r) * math.cosh(orthoradius)) for r in radii)
 
     def pair_inversive(m, n):
         cl = math.cosh(dists[m]) * math.cosh(dists[n]) - math.sinh(
@@ -134,86 +130,88 @@ def degenerate_hinge(orthoradius, radii, angles):
     )
 
 
+def face_kernel(radii, inv):
+    """The array kernel on disjoint faces: face f has the corner radii
+    ``radii[f]`` and the inversive distances ``inv[f]`` of the sides
+    opposite them, (F, 3) arrays; no two faces share a vertex or an edge."""
+    ids = np.arange(radii.size).reshape(-1, 3)
+    edges = np.stack([ids[:, NEXT], ids[:, PREV]], axis=-1).reshape(-1, 2)
+    return SurfaceMetrics(TriSurface(radii.size, edges, ids, ids), Packing(inv.ravel(), radii.ravel()))
+
+
 def geometric_diagonal_value(params):
     """Diagonal inversive distance F of a developed hinge, as a function
-    of the nine coordinates (p, q, r, s, a, b, c, d, e).
+    of the nine coordinates (p, q, r, s, a, b, c, d, e), on (..., 9).
 
-    The five cosh edge lengths follow from the length formula, the
-    developed diagonal from angle addition, and F is the normalized
-    diagonal (z - p r) / (sqrt(p^2-1) sqrt(r^2-1)).
+    The kernel lays out the hinge's faces (i, j, k) and (i, j, l), whose
+    angles alpha and beta at i add across the shared edge: the developed
+    diagonal is cosh kl = u v - cos(alpha + beta) sinh u sinh v, with u
+    and v the lengths ki and il, and F is the normalized diagonal
+    (cosh kl - p r) / (sinh r_k sinh r_l).
     """
-    p, q, r, s, a, b, c, d, e = params
-    sp, sq, sr, ss = (sinh_from_cosh(t) for t in (p, q, r, s))
-    u = p * q + a * sp * sq
-    v = q * r + b * sq * sr
-    w = r * s + c * sr * ss
-    x = s * p + d * ss * sp
-    y = q * s + e * sq * ss
-    z = hinge_diagonal(u, v, w, x, y)
-    return (z - p * r) / (sp * sr)
+    p, q, r, s, a, b, c, d, e = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
+    radii = np.arccosh(np.stack([q, s, p, q, s, r], axis=-1))
+    m = face_kernel(radii.reshape(-1, 3), np.stack([d, a, e, c, b, e], axis=-1).reshape(-1, 3))
+
+    def pair(v):  # the values of the faces (i, j, k) and (i, j, l)
+        return np.moveaxis(v.reshape(p.shape + (2,)), -1, 0)
+
+    # The cosines at i, X and sinh of the sides ki and il (opposite j), and
+    # cosh and sinh of the radii at k and l (corner 2).
+    (ca, cb), (xu, xv), (su, sv), (ck, cl), (sk, sl) = (pair(v) for v in (
+        m.cos_angles[:, 0], m.coshm1_lengths[:, 1], m.sinh_lengths[:, 1], m.cosh_r[2::3], m.sinh_r[2::3]))
+    cosh_kl = (1.0 + xu) * (1.0 + xv) - (ca * cb - np.sqrt((1.0 - ca * ca) * (1.0 - cb * cb))) * su * sv
+    return ((cosh_kl - ck * cl) / (sk * sl))[()]
 
 
 def dF_df_discrepancy(params, parameter, step):
-    """|dF - df| by central differences in one of the nine coordinates.
+    """|dF - df| by central differences in one of the nine coordinates,
+    on (..., 9).
 
     On the flip boundary the two diagonal values match to first order,
     so the discrepancy vanishes with the step size; away from it the
     derivatives differ and the discrepancy stays put.
     """
     idx = PARAMETER_NAMES.index(parameter)
-    up = np.array(params, dtype=float)
-    dn = up.copy()
-    up[idx] += step
-    dn[idx] -= step
-    dF = (geometric_diagonal_value(up) - geometric_diagonal_value(dn)) / (2.0 * step)
-    df = (ptolemy_flip_value(*up[4:]) - ptolemy_flip_value(*dn[4:])) / (2.0 * step)
-    return abs(dF - df)
+    both = np.stack([np.array(params, dtype=float)] * 2)  # up, then down
+    both[0, ..., idx] += step
+    both[1, ..., idx] -= step
+    F, f = geometric_diagonal_value(both), ptolemy_flip_value(*np.moveaxis(both[..., 4:], -1, 0))
+    dF, df = (F[0] - F[1]) / (2.0 * step), (f[0] - f[1]) / (2.0 * step)
+    return np.abs(dF - df)[()]
 
 
-def xi_delta_residual(radii, inv):
-    """Relative residual of the identity linking the two discriminants:
+def xi_delta_residual(metrics):
+    """Per face of the kernel ``metrics``, the relative residual of the
+    identity linking the two discriminants, written in X = cosh l - 1:
 
-    1 + 2xyz - x^2 - y^2 - z^2 - Xi = (p^2-1)(q^2-1)(r^2-1) Delta
+    2(XY + YZ + ZX) + 2XYZ - X^2 - Y^2 - Z^2 - Xi = prod(sinh^2 r) Delta
 
-    with x, y, z the cosh lengths and p, q, r the cosh radii of a face.
+    (which is 1 + 2xyz - x^2 - y^2 - z^2 - Xi in the cosh lengths x, y, z).
     """
-    x, y, z = (
-        edge_cosh_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
-        for m in range(3)
-    )
-    p, q, r = (math.cosh(t) for t in radii)
-    lhs_terms = (
-        1.0,
-        2.0 * x * y * z,
-        -x * x,
-        -y * y,
-        -z * z,
-        -xi_discriminant(radii, inv),
-    )
-    rhs = (
-        (p * p - 1.0)
-        * (q * q - 1.0)
-        * (r * r - 1.0)
-        * delta_discriminant(*inv)
-    )
-    scale = max(max(abs(t) for t in lhs_terms), abs(rhs))
-    return abs(math.fsum(lhs_terms) - rhs) / scale
+    X, Y, Z = np.moveaxis(metrics.coshm1_lengths, -1, 0)
+    terms = np.stack([2.0 * X * Y, 2.0 * Y * Z, 2.0 * Z * X, 2.0 * X * Y * Z,
+                      -X * X, -Y * Y, -Z * Z, -metrics.xi])
+    rhs = np.prod(metrics.sinh_r[metrics.corners] ** 2, axis=-1) * metrics.delta
+    scale = np.maximum(np.abs(terms).max(axis=0), np.abs(rhs))
+    return np.abs(terms.sum(axis=0) - rhs) / scale
 
 
-def xi_equivalence_check(radii, inv):
-    """sign(Xi) must match the conjunction of the three auxiliary-length
-    triangle inequalities; faces within 1e-12 of Xi = 0 pass."""
-    xi = xi_discriminant(radii, inv)
-    if abs(xi) <= 1e-12:
-        return True
-    hats = tuple(
-        auxiliary_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
-        for m in range(3)
-    )
-    inequalities = all(
-        hats[m] < hats[(m + 1) % 3] + hats[(m + 2) % 3] for m in range(3)
-    )
-    return (xi > 0.0) == inequalities
+def auxiliary_lengths(metrics):
+    """(F, 3) auxiliary lengths sqrt(tanh^2 r_i + tanh^2 r_j + 2 I tanh r_i
+    tanh r_j) of the sides of the kernel's faces, slot m opposite corner m."""
+    t = metrics.tanh_r[metrics.corners]
+    tn, tp = t[:, NEXT], t[:, PREV]
+    return np.sqrt(tn * tn + tp * tp + 2.0 * metrics.inv * tn * tp)
+
+
+def xi_equivalence_check(metrics):
+    """Per face of the kernel ``metrics``: whether sign(Xi) matches the
+    conjunction of the triangle inequalities of its auxiliary lengths;
+    faces within 1e-12 of Xi = 0 pass."""
+    hats = auxiliary_lengths(metrics)
+    inequalities = (hats < hats[:, NEXT] + hats[:, PREV]).all(axis=-1)
+    return (np.abs(metrics.xi) <= 1e-12) | ((metrics.xi > 0.0) == inequalities)
 
 
 def conformal_roundtrip_check(surface, packing, flip_sequence):
@@ -323,43 +321,38 @@ def run_verification_suite(seed=0, samples=10_000, hinges=20, flip_chain=50):
     section("ptolemy_identities", check("quadratic_residual", worst_q, 1e-9),
             check("delta_identities", worst_d, 1e-9), check("symmetric_anchor_17", anchor, 1e-12))
 
-    # Compactness discriminant.
+    # Compactness discriminant, on the kernel of one face per sample, drawn
+    # SWEEP_CHUNK samples at a time: a row is three tanh radii then three
+    # inversive distances, so the draws do not depend on the chunk size.
     worst_xi = 0.0
     agree = True
-    for _ in range(samples):
-        radii = np.arctanh(rng.uniform(0.05, 0.95, size=3))
-        inv = rng.uniform(1.01, 5.0, size=3)
-        worst_xi = max(worst_xi, xi_delta_residual(radii, inv))
-        agree = agree and xi_equivalence_check(radii, inv)
+    for start in range(0, samples, SWEEP_CHUNK):
+        draw = rng.uniform([0.05] * 3 + [1.01] * 3, [0.95] * 3 + [5.0] * 3,
+                           size=(min(SWEEP_CHUNK, samples - start), 6))
+        metrics = face_kernel(np.arctanh(draw[:, :3]), draw[:, 3:])
+        worst_xi = np.maximum(worst_xi, xi_delta_residual(metrics).max())  # NaN stays
+        agree = agree and bool(xi_equivalence_check(metrics).all())
     section("compactness_discriminant", check("xi_delta_identity", worst_xi, 1e-9),
             check("sign_equivalence", agree, 1.0, agree))
 
-    # Degenerate hinges: equality locus, F = f, first-order matching.
-    worst_margin = worst_fF = 0.0
-    decay_ok = True
+    # Degenerate hinges: equality locus, F = f, first-order matching, with
+    # F developed from the kernel's corner cosines and lengths.
+    drawn = [random_degenerate_hinge(rng) for _ in range(hinges)]
+    worst_margin = np.max([abs(SurfaceMetrics(dh.surface, dh.packing).margins[dh.diagonal_edge]) for dh in drawn])
+    params = np.array([dh.parameters() for dh in drawn])
+    F = geometric_diagonal_value(params)
+    worst_fF = np.max(np.abs(F - ptolemy_flip_value(*params[:, 4:].T)) / F)
+    # Halving the step must at least halve the discrepancy (within a
+    # factor 1.5), except below the roundoff floor.
+    decay_ok = all(np.all(dF_df_discrepancy(params, name, 5e-5)
+                          <= np.maximum(0.75 * dF_df_discrepancy(params, name, 1e-4), 5e-9))
+                   for name in PARAMETER_NAMES)
+    perturbed = params.copy()
+    perturbed[:, 4] += 0.05
     control_ok = True
-    for _ in range(hinges):
-        dh = random_degenerate_hinge(rng)
-        margin = SurfaceMetrics(dh.surface, dh.packing).margins[dh.diagonal_edge]
-        worst_margin = max(worst_margin, abs(margin))
-        worst_fF = max(
-            worst_fF,
-            abs(dh.sextuple[5] - ptolemy_flip_value(*dh.sextuple[:5]))
-            / dh.sextuple[5],
-        )
-        params = dh.parameters()
-        for name in PARAMETER_NAMES:
-            d1 = dF_df_discrepancy(params, name, 1e-4)
-            d2 = dF_df_discrepancy(params, name, 5e-5)
-            # Halving the step must at least halve the discrepancy (within
-            # a factor 1.5), except below the roundoff floor.
-            decay_ok = decay_ok and d2 <= max(0.75 * d1, 5e-9)
-        perturbed = params.copy()
-        perturbed[4] += 0.05
-        for name in ("p", "q", "r", "s"):
-            c1 = dF_df_discrepancy(perturbed, name, 1e-4)
-            c2 = dF_df_discrepancy(perturbed, name, 5e-5)
-            control_ok = control_ok and c2 >= 1e-3 and c2 >= 0.5 * c1
+    for name in ("p", "q", "r", "s"):
+        c1, c2 = (dF_df_discrepancy(perturbed, name, step) for step in (1e-4, 5e-5))
+        control_ok = control_ok and bool(np.all((c2 >= 1e-3) & (c2 >= 0.5 * c1)))
     section("degenerate_hinges", check("margin_at_equality", worst_margin, 1e-9),
             check("geometric_vs_flip_value", worst_fF, 1e-9),
             check("first_order_matching", decay_ok, 1.0, decay_ok), check("negative_control", control_ok, 1.0, control_ok))

@@ -23,7 +23,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
-from .hyptrig import TOL_DOMAIN
 from .ptolemy import _sqrt, delta_discriminant, ptolemy_flip_value
 from .surface import euler_characteristic
 
@@ -31,6 +30,10 @@ from .surface import euler_characteristic
 # flipped; the transition is C1 there, so either choice is consistent,
 # and not flipping prevents cycling at degenerate hinges.
 TOL_DELAUNAY = 1e-10
+
+# Clamping width of a corner cosine: flip-boundary configurations sit
+# exactly on the domain edge and may land epsilon outside it.
+TOL_DOMAIN = 1e-12
 
 # Face slot m is corner m and the side opposite it, which joins corners
 # NEXT[m] and PREV[m]; the angle at corner m lies between those sides.
@@ -127,17 +130,6 @@ def validate_packing(surface, packing):
     return m
 
 
-def edge_cosh_length(r_i, r_j, inv):
-    """cosh of the geodesic length induced by two radii and an inversive
-    distance: cosh l = cosh r_i cosh r_j + I sinh r_i sinh r_j."""
-    if r_i <= 0.0 or r_j <= 0.0:
-        raise DomainError("radii must be positive")
-    if inv <= 1.0:
-        raise DomainError("inversive distance must exceed 1")
-    _, _, (s_i, s_j), (k_i, k_j) = _radius_functions(np.array([r_i, r_j]))
-    return 1.0 + float(_coshm1_length(k_i, s_i, k_j, s_j, inv))
-
-
 def _coshm1_length(k_i, s_i, k_j, s_j, inv):
     """The length law as X = cosh l - 1 from k = cosh r - 1 and sinh r of the
     ends, elementwise: no term is negative, so small circles lose nothing
@@ -150,32 +142,6 @@ def _radius_functions(radii):
     with np.errstate(over="ignore", invalid="ignore"):
         c, s = np.cosh(radii), np.sinh(radii)
         return np.tanh(radii), c, s, s * s / (c + 1.0)
-
-
-def auxiliary_length(r_i, r_j, inv):
-    """sqrt(tanh^2 r_i + tanh^2 r_j + 2 I tanh r_i tanh r_j).
-
-    The triangle inequalities of these per-edge quantities characterise
-    the sign of the compactness discriminant Xi.
-    """
-    if r_i <= 0.0 or r_j <= 0.0:
-        raise DomainError("radii must be positive")
-    ti = math.tanh(r_i)
-    tj = math.tanh(r_j)
-    return math.sqrt(ti * ti + tj * tj + 2.0 * inv * ti * tj)
-
-
-def xi_discriminant(radii, inv):
-    """Compactness discriminant Xi of one face, in the tanh-radius form.
-
-    ``radii`` are the three corner radii, ``inv`` the inversive
-    distances of the opposite sides (slot m opposite corner m).  The
-    orthogonal circle of the face is a compact circle iff Xi > 0.
-    """
-    tp, tq, tr = (math.tanh(r) for r in radii)
-    return _xi_numerator(tp, tq, tr, *inv) / (
-        (1.0 - tp * tp) * (1.0 - tq * tq) * (1.0 - tr * tr)
-    )
 
 
 def _xi_numerator(tp, tq, tr, a, b, c):
@@ -302,9 +268,10 @@ class SurfaceMetrics:
 
     @cached_property
     def xi(self):
-        """(..., F) compactness discriminant Xi, as in ``xi_discriminant``
-        but with 1 / (1 - tanh^2 r) evaluated as cosh^2 r, which stays
-        finite as tanh r rounds to 1."""
+        """(..., F) compactness discriminant Xi in the tanh-radius form:
+        ``_xi_numerator`` over prod(1 - tanh^2 r), that quotient evaluated
+        as prod cosh^2 r, which stays finite as tanh r rounds to 1.  The
+        face's orthogonal circle is compact iff Xi > 0."""
         corners = self.corners
         t = np.moveaxis(self.tanh_r[..., corners], -1, 0)
         with np.errstate(over="ignore", invalid="ignore"):

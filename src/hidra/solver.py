@@ -19,10 +19,9 @@ from .errors import (
     SolverStalled, SurgeryDiverged, TargetOutOfRange,
 )
 from .flips import check_flip_settings, make_weighted_delaunay
-from .geometry import (  # curvatures and the Gauss-Bonnet residuals: still bound here for callers
+from .geometry import (
     STATUS_CONVERGED, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound,
-    _gauss_bonnet_residual, _scan_bounds, _x_range, curvatures, gauss_bonnet_residual, r_from_u,
-    u_from_r, validate_packing,
+    _scan_bounds, _x_range, curvatures, r_from_u, u_from_r, validate_packing,
 )
 from .surface import euler_characteristic
 

@@ -7,6 +7,7 @@ settings.register_profile("repeatable", settings(derandomize=True, deadline=None
 settings.load_profile("repeatable")
 
 from hidra import solver
+from hidra.checks import face_kernel
 from hidra.complexes import (
     octahedron_sphere,
     one_vertex_genus,
@@ -215,6 +216,15 @@ def unchecked_packing(surface, rng, tanh_range=(0.35, 0.9), inv_range=(1.05, 3.0
     same random numbers, kept whether or not its faces are compact."""
     radii = np.arctanh(rng.uniform(*tanh_range, size=surface.vertex_count))
     return Packing(rng.uniform(*inv_range, size=len(surface.edges)), radii)
+
+
+def face_draws(rng, count, inv_high):
+    """The kernel of ``count`` faces drawn one at a time, as the
+    compactness sweeps draw them: three radii uniform in tanh on
+    [0.05, 0.95], then three inversive distances on [1.01, inv_high]."""
+    faces = [(np.arctanh(rng.uniform(0.05, 0.95, size=3)), rng.uniform(1.01, inv_high, size=3))
+             for _ in range(count)]
+    return face_kernel(*(np.array(column) for column in zip(*faces)))
 
 
 def torus_grid(n):

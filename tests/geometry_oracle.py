@@ -4,12 +4,16 @@ route to the Delaunay predicate, kept as oracles.
 ``face_metrics`` and ``hinge_delaunay_margin`` evaluate one face or one
 hinge in Python floats, with corner angles and orthocircle radii on
 top; the array kernel ``hidra.geometry.SurfaceMetrics`` must agree
-with them.  ``hinge_h_sum`` adds the signed distances from the two
-orthocircle centers of a hinge to its shared edge; its sign must agree
-with ``hinge_delaunay_margin``.  ``develop_face_in_disk`` places a
-face's circles in the Poincare disk, where the developed distances must
-reproduce the cosh lengths of ``face_metrics``.  The remaining helpers
-are round-trip and identity oracles of the length, hinge-diagonal and
+with them.  The face route has its own laws: the textbook length law
+``cosh_length`` and the tanh-radius form of Xi, ``xi_tanh_form``; it
+takes no length law from the library.  ``hinge_h_sum`` adds the signed
+distances from the two orthocircle centers of a hinge to its shared
+edge; its sign must agree with ``hinge_delaunay_margin``.
+``develop_face_in_disk`` places a face's circles in the Poincare disk,
+where the developed distances must reproduce the cosh lengths of
+``face_metrics``.  The remaining helpers are stable hyperbolic
+trigonometry (``acosh_stable``, ``sinh_from_cosh``, ``hinge_diagonal``)
+and round-trip and identity oracles of the length, hinge-diagonal and
 first-order matching formulas.
 """
 
@@ -19,15 +23,92 @@ from dataclasses import dataclass
 
 from hidra.checks import dF_df_discrepancy
 from hidra.errors import DegenerateTriangle, DomainError
-from hidra.geometry import (
-    TOL_DELAUNAY,
-    _delaunay_margin,
-    _non_compact,
-    edge_cosh_length,
-    xi_discriminant,
-)
-from hidra.hyptrig import _acos_clamped, acosh_stable, sinh_from_cosh
+from hidra.geometry import TOL_DELAUNAY, TOL_DOMAIN, _delaunay_margin, _non_compact
 from hidra.ptolemy import delta_discriminant
+
+
+def acosh_stable(x):
+    """Inverse hyperbolic cosine, accurate down to x = 1.
+
+    Uses log1p on x - 1 so that the relative error stays ~1 ulp even for
+    x - 1 of order 1e-14, where the naive log(x + sqrt(x^2-1)) loses
+    half its digits.  Inputs within TOL_DOMAIN below 1 are clamped to 1.
+    """
+    if x < 1.0 - TOL_DOMAIN:
+        raise DomainError(f"acosh argument {x} below 1")
+    t = x - 1.0
+    if t <= 0.0:
+        return 0.0
+    return math.log1p(t + math.sqrt(t * (t + 2.0)))
+
+
+def sinh_from_cosh(c):
+    """sinh of the length whose cosh is c, via sqrt((c-1)(c+1)).
+
+    The factored form keeps full precision for c near 1; values within
+    roundoff below 1 are treated as sinh = 0.
+    """
+    return math.sqrt(max(c - 1.0, 0.0) * (c + 1.0))
+
+
+def _acos_clamped(t):
+    if t > 1.0:
+        if t > 1.0 + TOL_DOMAIN:
+            raise DegenerateTriangle(f"cosine {t} exceeds 1")
+        return 0.0
+    if t < -1.0:
+        if t < -1.0 - TOL_DOMAIN:
+            raise DegenerateTriangle(f"cosine {t} below -1")
+        return math.pi
+    return math.acos(t)
+
+
+def hinge_diagonal(u, v, w, x, y):
+    """cosh distance between the far vertices of a developed hinge.
+
+    The hinge is two triangles glued along the side of cosh-length y:
+    (u, x, y) and (v, w, y), with u and v adjacent to the common vertex.
+    Developing both into the plane and adding the two angles at that
+    vertex gives the diagonal z:
+
+        z = u v - cos(alpha + beta) sinh(acosh u) sinh(acosh v)
+    """
+    su = sinh_from_cosh(u)
+    sv = sinh_from_cosh(v)
+    sy = sinh_from_cosh(y)
+    if su == 0.0 or sv == 0.0 or sy == 0.0:
+        raise DegenerateTriangle("hinge side has zero length")
+    alpha = _acos_clamped((u * y - x) / (su * sy))
+    beta = _acos_clamped((v * y - w) / (sv * sy))
+    return u * v - math.cos(alpha + beta) * su * sv
+
+
+def cosh_length(r_i, r_j, inv):
+    """cosh of the geodesic length induced by two radii and an inversive
+    distance: cosh l = cosh r_i cosh r_j + I sinh r_i sinh r_j."""
+    if r_i <= 0.0 or r_j <= 0.0:
+        raise DomainError("radii must be positive")
+    if inv <= 1.0:
+        raise DomainError("inversive distance must exceed 1")
+    return math.cosh(r_i) * math.cosh(r_j) + inv * math.sinh(r_i) * math.sinh(r_j)
+
+
+def xi_tanh_form(radii, inv):
+    """Compactness discriminant Xi of one face in the tanh-radius form,
+    ``inv[m]`` on the side opposite corner m:
+
+        Xi prod(1 - t^2) = sum_m (1 - I_m^2) t_n^2 t_p^2
+                           + 2 t_0 t_1 t_2 sum_m (I_m + I_n I_p) t_m
+
+    with t = tanh r and (n, p) the other two slots of m.
+    """
+    t = [math.tanh(r) for r in radii]
+    total = 0.0
+    for m in range(3):
+        n, p = (m + 1) % 3, (m + 2) % 3
+        total += (1.0 - inv[m] ** 2) * t[n] ** 2 * t[p] ** 2
+        total += 2.0 * (inv[m] + inv[n] * inv[p]) * t[m] * t[0] * t[1] * t[2]
+    return total / math.prod(1.0 - s * s for s in t)
 
 
 @dataclass(frozen=True)
@@ -60,7 +141,7 @@ def _face_metrics(packing, face, corners, sides):
     radii = tuple(float(packing.radii[v]) for v in corners)
     inv = tuple(float(packing.inv[e]) for e in sides)
     cosh_lengths = tuple(
-        edge_cosh_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
+        cosh_length(radii[(m + 1) % 3], radii[(m + 2) % 3], inv[m])
         for m in range(3)
     )
     return FaceMetrics(
@@ -71,7 +152,7 @@ def _face_metrics(packing, face, corners, sides):
         cosh_radii=tuple(math.cosh(r) for r in radii),
         cosh_lengths=cosh_lengths,
         inv=inv,
-        xi=xi_discriminant(radii, inv),
+        xi=xi_tanh_form(radii, inv),
         delta=delta_discriminant(*inv),
     )
 
@@ -146,7 +227,7 @@ def orthocircle_radius(fm):
 
 
 def inversive_from_length(r_i, r_j, cosh_l):
-    """Exact inverse of edge_cosh_length:
+    """Exact inverse of cosh_length:
     I = (cosh l - cosh r_i cosh r_j) / (sinh r_i sinh r_j)."""
     if r_i <= 0.0 or r_j <= 0.0:
         raise DomainError("radii must be positive")

@@ -18,6 +18,7 @@ from hidra.checks import (
     dF_df_discrepancy,
     random_degenerate_hinge,
     random_flip_sequence,
+    face_kernel,
     random_packing,
     xi_delta_residual,
     xi_equivalence_check,
@@ -27,7 +28,7 @@ from hidra.complexes import (
     one_vertex_torus,
 )
 from hidra.flips import make_weighted_delaunay, surface_delaunay_margins
-from hidra.geometry import Packing, xi_discriminant
+from hidra.geometry import Packing, gauss_bonnet_residual
 from hidra.ptolemy import (
     delta_identity_residuals,
     ptolemy_flip_value,
@@ -36,14 +37,14 @@ from hidra.ptolemy import (
 )
 from hidra.solver import (
     curvatures,
-    gauss_bonnet_residual,
     hessian,
     hessian_spectrum_sign,
     newton_solve,
     ricci_flow,
 )
 from conftest import (
-    coo_hessian, flipped, hessian_fd, one_vertex_genus2, replay_flips_reversed, surfaces_isomorphic,
+    coo_hessian, face_draws, flipped, hessian_fd, one_vertex_genus2, replay_flips_reversed,
+    surfaces_isomorphic,
 )
 from geometry_oracle import face_metrics, orthocircle_radius
 
@@ -80,15 +81,11 @@ def test_criterion_1_identity_suite():
 def test_criterion_2_discriminant_suite():
     with criterion(2, "discriminant suite", 5.0):
         rng = np.random.default_rng(102)
-        for _ in range(10_000):
-            radii = np.arctanh(rng.uniform(0.05, 0.95, size=3))
-            inv = rng.uniform(1.01, 5.0, size=3)
-            assert xi_delta_residual(radii, inv) <= 1e-9
-            assert xi_equivalence_check(radii, inv)
-        anchor_radii = (math.atanh(0.5),) * 3
-        assert xi_discriminant(anchor_radii, (2.0,) * 3) == pytest.approx(
-            4.0, abs=1e-12
-        )
+        metrics = face_draws(rng, 10_000, 5.0)
+        assert np.all(xi_delta_residual(metrics) <= 1e-9)
+        assert np.all(xi_equivalence_check(metrics))
+        anchor = face_kernel(np.full((1, 3), math.atanh(0.5)), np.full((1, 3), 2.0))
+        assert anchor.xi[0] == pytest.approx(4.0, abs=1e-12)
         surface = one_vertex_torus()
         pk = Packing(np.full(3, 2.0), np.full(1, math.atanh(0.5)))
         rho = orthocircle_radius(face_metrics(surface, pk, 0))

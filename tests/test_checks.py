@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from hidra import checks
 from hidra.checks import (
     PARAMETER_NAMES,
     conformal_roundtrip_check,
     dF_df_discrepancy,
     degenerate_hinge,
+    face_kernel,
     geometric_diagonal_value,
     random_degenerate_hinge,
     random_flip_sequence,
@@ -20,9 +22,10 @@ from hidra.checks import (
 )
 from hidra.errors import ConstructionInvalid
 from hidra.flips import ptolemy_flip_value
+from hidra.geometry import SurfaceMetrics
 from hidra.surface import hinge
 
-from conftest import replay_flips_reversed, surfaces_isomorphic
+from conftest import face_draws, replay_flips_reversed, surfaces_isomorphic
 from geometry_oracle import dF_df_check, face_metrics, hinge_delaunay_margin, orthocircle_radius
 
 SYM_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -119,13 +122,10 @@ class TestFirstOrderMatching:
 
 class TestXiEquivalence:
     def test_symmetric_anchor_face(self):
-        assert xi_equivalence_check((math.atanh(0.5),) * 3, (2.0,) * 3)
+        assert xi_equivalence_check(face_kernel(np.full((1, 3), math.atanh(0.5)), np.full((1, 3), 2.0)))[0]
 
     def test_sweep_agrees(self, rng):
-        for _ in range(2000):
-            radii = np.arctanh(rng.uniform(0.05, 0.95, size=3))
-            inv = rng.uniform(1.01, 6.0, size=3)
-            assert xi_equivalence_check(radii, inv)
+        assert np.all(xi_equivalence_check(face_draws(rng, 2000, 6.0)))
 
 
 class TestConformalRoundtrip:
@@ -169,3 +169,21 @@ class TestVerificationSuite:
         a = run_verification_suite(seed=9, samples=300, hinges=3, flip_chain=10)
         b = run_verification_suite(seed=9, samples=300, hinges=3, flip_chain=10)
         assert a == b
+
+    @pytest.mark.parametrize("attr, factor, failing", [
+        ("xi", 1.0 + 1e-6, "compactness_discriminant"),
+        ("cos_angles", 1.0 + 1e-7, "degenerate_hinges"),
+    ])
+    def test_planted_kernel_defect_fails(self, monkeypatch, attr, factor, failing):
+        # The sweeps read the kernel the solvers use, so a defect planted
+        # in one of its arrays fails the section that reads that array.
+        exact = getattr(SurfaceMetrics, attr).func
+        monkeypatch.setattr(SurfaceMetrics, attr, property(lambda self: exact(self) * factor))
+        report = run_verification_suite(seed=0)
+        passed = {s["name"]: s["passed"] for s in report["sections"]}
+        assert not report["passed"] and not passed[failing]
+
+    def test_sweep_chunk_leaves_the_report_unchanged(self, monkeypatch):
+        want = run_verification_suite(seed=3, samples=2000, hinges=3, flip_chain=10)
+        monkeypatch.setattr(checks, "SWEEP_CHUNK", 7)
+        assert run_verification_suite(seed=3, samples=2000, hinges=3, flip_chain=10) == want

@@ -1,4 +1,5 @@
-"""Hyperbolic trigonometry kernel: anchors, round trips, identities."""
+"""Stable hyperbolic trigonometry of the test oracle: anchors, round
+trips, identities."""
 
 import math
 
@@ -7,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidra.errors import DegenerateTriangle, DomainError
-from hidra.hyptrig import (
+
+from geometry_oracle import (
     acosh_stable,
+    angle_from_sides,
     hinge_diagonal,
+    hinge_poly_residual,
     sinh_from_cosh,
 )
-
-from geometry_oracle import angle_from_sides, hinge_poly_residual
 
 # The law of cosines for angles, which the library does not use, is the
 # round-trip oracle for angle_from_sides.

@@ -21,11 +21,10 @@ from hidra.errors import DegenerateTriangle, DomainError, NonCompactOrthocircle
 from hidra.flips import surface_delaunay_margins
 from hidra import geometry
 from hidra.geometry import Packing, SurfaceMetrics
-from hidra.hyptrig import sinh_from_cosh
 from hidra.solver import curvatures, hessian
 from hidra.surface import hinge
 
-from geometry_oracle import face_angles, face_metrics, hinge_delaunay_margin
+from geometry_oracle import face_angles, face_metrics, hinge_delaunay_margin, sinh_from_cosh
 
 REL_TOL = 1e-12
 

@@ -50,7 +50,7 @@ from hidra.errors import (
 from hidra.flips import flip_edge, make_weighted_delaunay, surface_delaunay_margins
 from hidra.geometry import (
     NEXT, PREV, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound, _scan_bounds,
-    _x_range, _xi_numerator, r_from_u, u_from_r, validate_packing,
+    _x_range, _xi_numerator, gauss_bonnet_residual, r_from_u, u_from_r, validate_packing,
 )
 from hidra.meshio import build_report, load_mesh
 from hidra.solver import (
@@ -58,7 +58,6 @@ from hidra.solver import (
     _hessian_values,
     _integrate,
     curvatures,
-    gauss_bonnet_residual,
     hessian,
     hessian_spectrum_sign,
     newton_solve,
