@@ -469,11 +469,20 @@ def _scan_bounds(forms, x_lo, x_hi):
 
 
 def _domain_bound(surface, inv, u_a, u_b):
-    """Per s-interval with ends u_a and u_b (of ``_x_range``): whether
-    every radius on it is positive and every length finite.  r rises with
-    u, so this holds where it holds for the smallest and largest radii."""
+    """Per s-interval with ends u_a and u_b (of ``_x_range``, each (B, V)):
+    whether every radius on it is positive and every length finite.  r
+    rises with u, so this holds where it holds for the smallest and largest
+    radii.  The length law rises with each non-negative operand, so its value
+    at a row's largest radius and the largest I bounds every edge's; rows
+    whose bound is not finite with a factor 2 to spare (libm's cosh and sinh
+    need not rise to the last bit), NaN at r = inf, take the law per edge."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r_lo, r_hi = (2.0 * np.arctanh(np.exp(f(u_a, u_b))) for f in (np.minimum, np.maximum))
-        (i, j), (_, _, sh, km) = surface.edges.T, _radius_functions(r_hi)
-        length = _coshm1_length(km[..., i], sh[..., i], km[..., j], sh[..., j], inv)
-    return (r_lo > 0.0).all(axis=-1) & np.isfinite(length).all(axis=-1)
+        ok = (r_lo > 0.0).all(axis=-1)
+        _, _, sh, km = _radius_functions(r_hi.max(axis=-1))
+        rows = ~(_coshm1_length(km, sh, km, sh, inv.max()) <= 0.5 * np.finfo(float).max)
+        if rows.any():
+            (i, j), (_, _, sh, km) = surface.edges.T, _radius_functions(r_hi[rows])
+            length = _coshm1_length(km[:, i], sh[:, i], km[:, j], sh[:, j], inv)
+            ok[rows] &= np.isfinite(length).all(axis=-1)
+    return ok

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,11 +35,11 @@ def _each(ok, owners, message):
 
 
 def _fields(records, keys, not_object, missing):
-    """The ``keys`` fields of every record, one tuple per key.  The first
+    """The ``keys`` fields of every record, one list per key.  The first
     record that is not an object raises ValidationError(not_object), the
     first that lacks a key ValidationError(missing.format(its index))."""
     try:
-        return tuple(zip(*map(itemgetter(*keys), records))) or ((),) * len(keys)
+        return [[rec[key] for rec in records] for key in keys]
     except (KeyError, TypeError):
         _each([isinstance(rec, dict) for rec in records], records, not_object)
         _each([set(keys) <= rec.keys() for rec in records], range(len(records)), missing)
@@ -48,13 +48,17 @@ def _fields(records, keys, not_object, missing):
 
 def _ids(lists, owners, message, valid=_INTP_RANGE):
     """The ids of ``lists`` as one flat intp array, once checked to be
-    JSON integers, not booleans, in ``valid``; the first other value v,
-    in the list of ``owner``, raises ValidationError(message.format(owner, v))."""
+    JSON integers, not booleans, in ``valid`` (a step-1 range, tested on
+    the array's minimum and maximum); the first other value v, in the
+    list of ``owner``, raises ValidationError(message.format(owner, v))."""
     flat = list(chain.from_iterable(lists))
-    if set(map(type, flat)) <= {int} and (
-        not flat or min(flat) in valid and max(flat) in valid
-    ):
-        return np.array(flat, dtype=np.intp)
+    if set(map(type, flat)) <= {int}:
+        try:
+            array = np.array(flat, dtype=np.intp)
+            if not flat or int(array.min()) in valid and int(array.max()) in valid:
+                return array
+        except OverflowError:  # an id no intp holds: named below
+            pass
     ok = [type(v) is int and v in valid for v in flat]
     owner, v = [(o, v) for o, ids in zip(owners, lists) for v in ids][ok.index(False)]
     raise ValidationError(message.format(owner, v))

@@ -126,8 +126,8 @@ def build_surface(vertex_count, edges, faces):
     if vertex_count <= 0:
         raise InconsistentIncidence("vertex_count must be positive")
     edges = _id_array(edges, 2)
-    bad = ((edges < 0) | (edges >= vertex_count)).any(axis=1)
-    if bad.any():
+    if _outside(edges, vertex_count):
+        bad = ((edges < 0) | (edges >= vertex_count)).any(axis=1)
         raise InconsistentIncidence(f"edge {bad.argmax()} references unknown vertex")
 
     try:
@@ -137,12 +137,12 @@ def build_surface(vertex_count, edges, faces):
         triangle = np.array([len(c) == len(s) == 3 for c, s in faces], dtype=bool)
         cells = _id_array([(c, s) if ok else [(0,) * 3] * 2 for (c, s), ok in zip(faces, triangle)], 2, 3)
     corners, sides = cells[:, 0].copy(), cells[:, 1].copy()
-    bad = np.stack([
-        ~triangle,
-        ((corners < 0) | (corners >= vertex_count)).any(axis=1),
-        ((sides < 0) | (sides >= len(edges))).any(axis=1),
-    ])
-    if bad.any():
+    if not triangle.all() or _outside(corners, vertex_count) or _outside(sides, len(edges)):
+        bad = np.stack([
+            ~triangle,
+            ((corners < 0) | (corners >= vertex_count)).any(axis=1),
+            ((sides < 0) | (sides >= len(edges))).any(axis=1),
+        ])
         fid = bad.any(axis=0).argmax()
         what = ("is not a triangle", "references unknown vertex",
                 "references unknown edge")[bad[:, fid].argmax()]
@@ -156,15 +156,16 @@ def build_surface(vertex_count, edges, faces):
         raise NotClosed(f"edge {eid} has {slot_counts[eid]} face slots, expected 2")
     surface = TriSurface(vertex_count, edges, corners, sides)
 
-    # Side k must connect corners k+1 and k+2 as an unordered pair.
-    pairs = np.sort(np.stack([corners[:, [1, 2, 0]], corners[:, [2, 0, 1]]], axis=-1))
-    ends = np.sort(edges[sides])
-    bad = (pairs != ends).any(axis=-1).ravel()
+    # Side k must connect corners k+1 and k+2 as an unordered pair: the
+    # two pairs' smaller ids agree, and so do their larger ids.
+    pairs = corners[:, [1, 2, 0]], corners[:, [2, 0, 1]]
+    ends = edges[:, 0][sides], edges[:, 1][sides]
+    bad = ((np.minimum(*pairs) != np.minimum(*ends)) | (np.maximum(*pairs) != np.maximum(*ends))).ravel()
     if bad.any():
         fid, k = divmod(int(bad.argmax()), 3)
+        joins, give = (sorted(int(ids[fid, k]) for ids in pair) for pair in (ends, pairs))
         raise InconsistentIncidence(
-            f"face {fid} side {k} (edge {sides[fid, k]}) joins "
-            f"{ends[fid, k].tolist()}, corners give {pairs[fid, k].tolist()}"
+            f"face {fid} side {k} (edge {sides[fid, k]}) joins {joins}, corners give {give}"
         )
 
     # Orientation: the two slots of an edge must traverse it in opposite
@@ -182,6 +183,11 @@ def build_surface(vertex_count, edges, faces):
             "punctured surface must have negative Euler characteristic"
         )
     return surface
+
+
+def _outside(ids, n):
+    """Whether some id of the array ``ids`` lies outside 0 .. n - 1."""
+    return ids.size > 0 and (ids.min() < 0 or ids.max() >= n)
 
 
 def _id_array(rows, *shape):

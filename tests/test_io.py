@@ -608,6 +608,34 @@ MALFORMED = (
     + [(None, "format_version", v, None) for v in (1, 1.5, "1")]
 )
 
+# MALFORMED's record corruptions, then ids no intp holds, a repeated id, a
+# float id, ids past the mesh and a side that misses its corners, each put
+# in the last record of a V=576 mesh, with the message it must draw.
+LARGE_MALFORMED = list(zip([case[:3] for case in MALFORMED if case[0] is not None], [
+    *["vertex 575: radius must be a number"] * 5, "vertex 575: radius must be positive",
+    *["edge 1727: inversive_distance must be a number"] * 5,
+    *["target row of vertex 575: kbar must be a number"] * 5,
+    "edge 1727: unknown vertex False", "face 1151: unknown vertex False", "face 1151: unknown edge True",
+])) + [
+    (("vertices", "id", 2**63), "vertex id 9223372036854775808 out of range"),
+    (("edges", "ends", [0, -2**63 - 1]), "edge 1727: unknown vertex -9223372036854775809"),
+    (("faces", "corners", [0, 2**64, 0]), "face 1151: unknown vertex 18446744073709551616"),
+    (("vertices", "id", 0), "duplicate vertex id 0"),
+    (("faces", "corners", [0, 1.0, 0]), "face 1151: unknown vertex 1.0"),
+    (("edges", "ends", [0, 576]), "edge 1727 references unknown vertex"),
+    (("faces", "corners", [0, 576, 1]), "face 1151 references unknown vertex"),
+    (("faces", "sides", [0, 1728, 2]), "face 1151 references unknown edge"),
+    (("faces", "sides", [0, -1, 2]), "face 1151 references unknown edge"),
+    (("faces", "corners", [1, 2, 3]), "face 1151 side 0 (edge 69) joins [0, 23], corners give [2, 3]"),
+]
+
+
+@pytest.fixture(scope="module")
+def grid24_text():
+    surface = torus_grid(24)
+    packing = checkerboard_packing(surface, 24, np.random.default_rng(0))
+    return dumps_mesh(surface, packing, np.full(surface.vertex_count, 0.5))
+
 
 class TestCLI:
     def run(self, *argv):
@@ -647,6 +675,19 @@ class TestCLI:
         assert self.run("delaunay", str(mesh), "--out", str(out)) == 2
         report = json.loads(out.read_text())
         assert report["status"] == "invalid_input"
+        assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
+        jsonschema.validate(report, schema("report.schema.json"))
+
+    @pytest.mark.parametrize("case, message", LARGE_MALFORMED)
+    def test_malformed_large_mesh_names_the_last_record(self, tmp_path, grid24_text, case, message):
+        records, key, value = case
+        doc = json.loads(grid24_text)
+        doc[records][-1][key] = value
+        mesh, out = tmp_path / "mesh.json", tmp_path / "report.json"
+        mesh.write_text(json.dumps(doc))
+        assert self.run("delaunay", str(mesh), "--out", str(out)) == 2
+        report = json.loads(out.read_text())
+        assert (report["status"], report["error"]) == ("invalid_input", message)
         assert report["input_digest"] == hashlib.sha256(mesh.read_bytes()).hexdigest()
         jsonschema.validate(report, schema("report.schema.json"))
 

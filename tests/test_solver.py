@@ -49,8 +49,9 @@ from hidra.errors import (
 )
 from hidra.flips import flip_edge, make_weighted_delaunay, surface_delaunay_margins
 from hidra.geometry import (
-    NEXT, PREV, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _domain_bound, _scan_bounds,
-    _x_range, _xi_numerator, gauss_bonnet_residual, r_from_u, u_from_r, validate_packing,
+    NEXT, PREV, TOL_DELAUNAY, Packing, SolveState, SurfaceMetrics, _cosh_forms, _coshm1_length, _domain_bound,
+    _radius_functions, _scan_bounds, _x_range, _xi_numerator, gauss_bonnet_residual, r_from_u, u_from_r,
+    validate_packing,
 )
 from hidra.meshio import build_report, load_mesh
 from hidra.solver import (
@@ -1166,6 +1167,16 @@ class TestSegmentAcrossWalls:
         assert walls >= 5  # one segment crosses two walls
 
 
+def domain_bound_per_edge(surface, inv, u_a, u_b):
+    """The walk's domain bound with the length law taken at every edge of
+    every row: the oracle of ``geometry._domain_bound``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_lo, r_hi = (2.0 * np.arctanh(np.exp(f(u_a, u_b))) for f in (np.minimum, np.maximum))
+        (i, j), (_, _, sh, km) = surface.edges.T, _radius_functions(r_hi)
+        length = _coshm1_length(km[..., i], sh[..., i], km[..., j], sh[..., j], inv)
+    return (r_lo > 0.0).all(axis=-1) & np.isfinite(length).all(axis=-1)
+
+
 class TestCoshForms:
     """The wall walk's closed forms and bounds in x = cosh u against the
     kernel: each form's value at a point within a quarter of the walk's
@@ -1245,6 +1256,28 @@ class TestCoshForms:
             at = [SurfaceMetrics(surface, Packing(inv, r_from_u(f(u_a, u_b)))).domain_ok.all(axis=-1)
                   for f in (np.minimum, np.maximum)]
         assert np.array_equal(_domain_bound(surface, inv, u_a, u_b), at[0] & at[1])
+
+    @given(st.sampled_from(sorted(SIGN_SURFACES)), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60)
+    def test_domain_bound_is_the_law_at_every_edge(self, name, seed, near_overflow):
+        # Radii from 1e-320 past cosh overflow (r > 37.4 reads as u = 0,
+        # so r = inf), most of them from 1e-3 to 40, and inversive
+        # distances up to 1e300; near_overflow scales the distances so
+        # that the length at the largest radius of row 0 is about the
+        # float maximum, where the per-row bound must defer.
+        surface, rng = SIGN_SURFACES[name](), np.random.default_rng(seed)
+        shape = (2, 8, surface.vertex_count)
+        radii = 10.0 ** np.where(rng.random(shape) < 0.25, rng.uniform(-320.0, np.log10(710.0), shape),
+                                 rng.uniform(-3.0, np.log10(40.0), shape))
+        radii[rng.random(shape) < 0.02] = np.inf
+        inv = 1.0 + 10.0 ** rng.uniform(-2.0, rng.choice([1.0, 300.0]), len(surface.edges))
+        with np.errstate(all="ignore"):
+            u_a, u_b = np.log(np.tanh(0.5 * radii))
+            if near_overflow:
+                s_top = np.sinh(2.0 * np.arctanh(np.exp(np.maximum(u_a, u_b)[0].max())))
+                inv *= 2.0 ** rng.uniform(-3.0, 3.0) * np.finfo(float).max / (s_top * s_top * inv.max())
+        inv = np.where(np.isfinite(inv) & (inv > 1.0), inv, 2.0)
+        assert np.array_equal(_domain_bound(surface, inv, u_a, u_b), domain_bound_per_edge(surface, inv, u_a, u_b))
 
 
 def planted_wall(k, depth):
